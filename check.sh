@@ -8,24 +8,23 @@
 #                       perf comparison, and enforces the <1% disabled-
 #                       recorder overhead gate (writes BENCH_pr5.json
 #                       and prints the obs summary)
-#   ./check.sh engine   serving-layer suite only: traj-engine unit tests
-#                       plus the parity / incremental / snapshot
-#                       integration suite
-#   ./check.sh shard    sharded-serving suite only: the sharded==unsharded
-#                       parity proptests (shard counts 1..8, random
-#                       insert/remove interleavings, all five strategies)
-#                       and the multi-reader concurrency test (N readers
-#                       pinning generations under writer churn)
+#   ./check.sh engine   serving-layer suite only: traj-engine unit tests,
+#                       the parity / lifecycle / snapshot integration
+#                       suite at 1 and 3 shards, the scan-oracle model
+#                       test (shard counts 1..8, random op streams, all
+#                       five strategies, query_many, readers) and the
+#                       multi-reader concurrency test (N readers pinning
+#                       generations under writer churn)
 #   ./check.sh obs      observability suite only: traj-obs unit tests,
 #                       the telemetry integration tests, and the
 #                       instrumented perf smoke with a JSONL export
 #                       round-trip (overhead gate included)
 #   ./check.sh ops      ops-surface suite only: the per-query trace
-#                       parity proptests (sharded trace totals reconcile
-#                       with the unsharded facade; disabled-mode output
+#                       parity proptests (trace totals reconcile with
+#                       the scan oracle's counts; disabled-mode output
 #                       byte-identical) and the end-to-end HTTP scrape
 #                       of /metrics, /healthz, and /traces against a
-#                       live sharded engine
+#                       live engine
 #   ./check.sh lint     static analysis only: builds and runs traj-lint
 #                       over the workspace (extra args are forwarded,
 #                       e.g. ./check.sh lint --fix-list)
@@ -119,18 +118,9 @@ fi
 if [[ "${1:-}" == "engine" ]]; then
     echo "==> cargo test -p traj-engine"
     cargo test -q -p traj-engine
-    echo "==> cargo test --test engine_parity"
-    cargo test -q --test engine_parity
+    echo "==> cargo test --test engine_parity --test shard_parity --test shard_concurrency"
+    cargo test -q --test engine_parity --test shard_parity --test shard_concurrency
     echo "Engine checks passed."
-    exit 0
-fi
-
-if [[ "${1:-}" == "shard" ]]; then
-    echo "==> cargo test --test shard_parity"
-    cargo test -q --test shard_parity
-    echo "==> cargo test --test shard_concurrency"
-    cargo test -q --test shard_concurrency
-    echo "Sharded-serving checks passed."
     exit 0
 fi
 
@@ -153,7 +143,7 @@ if [[ "${1:-}" == "prune" ]]; then
 fi
 
 if [[ "${1:-}" == "ops" ]]; then
-    echo "==> cargo test --test trace_parity (traces agree with the engines they observe)"
+    echo "==> cargo test --test trace_parity (traces agree with the engine they observe)"
     cargo test -q --test trace_parity
     echo "==> cargo test --test ops_surface (HTTP scrape: /metrics exposition, /healthz, /traces)"
     cargo test -q --test ops_surface
@@ -179,7 +169,7 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> sharded-serving parity + concurrency (also covered by cargo test; rerun as a named gate)"
+echo "==> engine vs scan oracle + concurrency (also covered by cargo test; rerun as a named gate)"
 cargo test -q --test shard_parity --test shard_concurrency
 
 echo "==> ops surface: trace parity + HTTP scrape (also covered by cargo test; rerun as a named gate)"

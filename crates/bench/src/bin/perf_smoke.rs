@@ -28,9 +28,7 @@ use tinynn::Tensor;
 use traj2hash::{validation_hr10, ModelConfig, ModelContext, Traj2Hash, TrainConfig, TrainData};
 use traj_data::{CityParams, Dataset, SplitSizes};
 use traj_dist::Measure;
-use traj_engine::{
-    EngineConfig, ShardConfig, ShardedEngine, Strategy, Traj2HashEngine,
-};
+use traj_engine::{EngineConfig, ShardConfig, ShardedEngine, Strategy};
 use traj_index::{BinaryCode, PackedCodes};
 
 /// Best-of-`reps` wall-clock seconds of `f`.
@@ -426,9 +424,14 @@ fn main() {
         report.timings.validation_seconds,
     );
 
-    let mut engine =
-        Traj2HashEngine::build_from(&trained, dataset.database.clone(), EngineConfig::default())
-            .unwrap();
+    let one_shard = ShardConfig { shards: 1, fan_out_threads: 0 };
+    let mut engine = ShardedEngine::build_from(
+        &trained,
+        dataset.database.clone(),
+        EngineConfig::default(),
+        one_shard.clone(),
+    )
+    .unwrap();
     for strategy in Strategy::ALL {
         for q in &dataset.query {
             let _ = engine.query(q, 10, strategy).unwrap();
@@ -442,7 +445,7 @@ fn main() {
     engine.compact();
     let snap = std::env::temp_dir().join(format!("perf_smoke_{}.t2hsnap", std::process::id()));
     engine.save_snapshot(&snap).unwrap();
-    let reloaded = Traj2HashEngine::load_snapshot(&snap).unwrap();
+    let reloaded = ShardedEngine::load_snapshot(&snap, one_shard).unwrap();
     assert_eq!(reloaded.len(), engine.len());
     let _ = std::fs::remove_file(&snap);
     engine.force_degrade();

@@ -3,9 +3,8 @@
 use std::time::Instant;
 use traj_data::Trajectory;
 use traj_dist::Measure;
-use traj_engine::{AnnIndex, BruteForceEuclidean, BruteForceHamming, QueryRep};
 use traj_eval::{ground_truth_top_k, pack_codes, rank_euclidean, rank_hamming, Metrics};
-use traj_index::{BinaryCode, HammingTable};
+use traj_index::{euclidean_top_k, hamming_top_k, BinaryCode, HammingTable};
 
 /// Exact ground truth for the test protocol: each query's true top-50 in
 /// the database, via the bucket-pruned exact driver.
@@ -52,13 +51,11 @@ pub struct SearchTimings {
     pub hamming_hybrid: f64,
 }
 
-/// Mean seconds per query of one [`AnnIndex`] backend.
-fn mean_query_secs(index: &dyn AnnIndex, queries: &[QueryRep<'_>], k: usize) -> f64 {
+/// Mean seconds per call of `search` over `queries`.
+pub fn mean_query_secs<Q, R>(queries: &[Q], mut search: impl FnMut(&Q) -> R) -> f64 {
     let t = Instant::now();
     for q in queries {
-        std::hint::black_box(
-            index.search(*q, k).expect("query and database representations match"),
-        );
+        std::hint::black_box(search(q));
     }
     t.elapsed().as_secs_f64() / queries.len() as f64
 }
@@ -66,9 +63,9 @@ fn mean_query_secs(index: &dyn AnnIndex, queries: &[QueryRep<'_>], k: usize) -> 
 /// Times the three strategies (Fig. 5 / Fig. 6 measurement core).
 /// `k` is the number of results requested.
 ///
-/// Every strategy is measured through the same [`AnnIndex`] interface
-/// the engine serves from, so these numbers time the real dispatch
-/// path, not a bench-only re-implementation.
+/// Each strategy is timed on the `traj-index` entry point the engine's
+/// shards call for it, so these numbers time the real search routines,
+/// not a bench-only re-implementation.
 pub fn time_search_strategies(
     db_embeddings: &[Vec<f32>],
     db_codes: &[BinaryCode],
@@ -78,20 +75,13 @@ pub fn time_search_strategies(
 ) -> SearchTimings {
     assert_eq!(db_embeddings.len(), db_codes.len());
     assert_eq!(query_embeddings.len(), query_codes.len());
-
-    let dense: Vec<QueryRep<'_>> = query_embeddings.iter().map(|q| QueryRep::Dense(q)).collect();
-    let codes: Vec<QueryRep<'_>> = query_codes.iter().map(QueryRep::Code).collect();
-
-    let euclid = BruteForceEuclidean::new(db_embeddings.to_vec())
-        .expect("database embeddings share a width");
-    let hamming =
-        BruteForceHamming::new(db_codes.to_vec()).expect("database codes share a width");
-    let hybrid = HammingTable::build(db_codes.to_vec());
-
+    let table = HammingTable::build(db_codes.to_vec());
     SearchTimings {
-        euclidean_bf: mean_query_secs(&euclid, &dense, k),
-        hamming_bf: mean_query_secs(&hamming, &codes, k),
-        hamming_hybrid: mean_query_secs(&hybrid, &codes, k),
+        euclidean_bf: mean_query_secs(query_embeddings, |q| euclidean_top_k(db_embeddings, q, k)),
+        hamming_bf: mean_query_secs(query_codes, |q| hamming_top_k(db_codes, q, k)),
+        hamming_hybrid: mean_query_secs(query_codes, |q| {
+            table.hybrid_top_k(q, k).expect("query and database codes share a width")
+        }),
     }
 }
 

@@ -1,45 +1,13 @@
-//! The `Traj2HashEngine` facade.
+//! The engine's shared vocabulary: the five search strategies of Section
+//! V-E, the construction and maintenance knobs, the hit and stats types
+//! every entry point speaks, and the poison-proof telemetry lock.
 //!
-//! Owns the full serving state — trained model, corpus, dense
-//! embeddings (Eq. 15), packed binary codes (Eq. 16), and the search
-//! structures — behind one typed `query` entry point covering all five
-//! strategies of Section V-E, plus incremental `insert`/`remove` and
-//! checksummed snapshots.
-//!
-//! ## Generations and tombstones
-//!
-//! The index structures are immutable once built, so mutation is layered
-//! on top of them instead of into them:
-//!
-//! * every trajectory gets a monotonically increasing stable id; slots
-//!   are stored in id order, so slot order == id order forever
-//!   (compaction preserves relative order, and new ids only append);
-//! * `insert` appends to a **delta** region past `indexed_len` that
-//!   queries scan linearly — exactness is preserved because the delta
-//!   is searched with the same metric and merged through the shared
-//!   top-k helper;
-//! * `remove` marks a **tombstone**; indexed queries over-fetch
-//!   `k + dead_in_indexed` and filter, which still yields the exact
-//!   live top-k because the structures are exact and total order on
-//!   `(distance, slot)` is unchanged by deletion;
-//! * when the delta or tombstone count crosses the configured
-//!   thresholds the engine **rebuilds**: compacts live entries in
-//!   order, bumps the generation, and re-indexes everything.
-//!
-//! Index build failures never poison the engine: it degrades to
-//! linear scans (the whole corpus becomes "delta") until a later
-//! rebuild succeeds.
+//! The engine itself is [`ShardedEngine`](crate::ShardedEngine); its
+//! per-shard state and search core live in [`crate::shard`].
 
 use crate::error::EngineError;
-use crate::shard::{self, DeltaSeg, GenIndexes, SearchCtx};
-use crate::snapshot;
-use crate::telemetry::{EngineTelemetry, QueryInfo};
-use std::path::Path;
+use crate::telemetry::EngineTelemetry;
 use std::sync::Mutex;
-use std::time::Instant;
-use traj_data::Trajectory;
-use traj_index::BinaryCode;
-use traj2hash::Traj2Hash;
 
 /// A search strategy of Section V-E.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -183,50 +151,12 @@ pub struct EngineStats {
     pub delta: usize,
     /// Tombstoned slots awaiting compaction.
     pub dead: usize,
-    /// Rebuild counter; bumps on every (re)index.
+    /// Engine-level build/hot-swap counter (per-shard rebuild
+    /// generations are visible through `ShardedEngine::pin`).
     pub generation: u64,
-    /// True when index construction failed and every query degrades to
-    /// a linear scan.
+    /// True when any shard serves by linear scans only (its index build
+    /// failed, or `force_degrade` dropped it).
     pub degraded: bool,
-}
-
-/// Borrowed views of everything the snapshot encoder serializes:
-/// model, config, ids, trajectories, embeddings, codes, tombstone
-/// flags, and `next_id`.
-pub(crate) type SnapshotParts<'a> = (
-    &'a Traj2Hash,
-    &'a EngineConfig,
-    &'a [u64],
-    &'a [Trajectory],
-    &'a [Vec<f32>],
-    &'a [BinaryCode],
-    &'a [bool],
-    u64,
-);
-
-/// The serving facade over encode → hash → index → search.
-pub struct Traj2HashEngine {
-    model: Traj2Hash,
-    cfg: EngineConfig,
-    // Parallel slot arrays, always in ascending-id order.
-    ids: Vec<u64>,
-    trajs: Vec<Trajectory>,
-    embeddings: Vec<Vec<f32>>,
-    codes: Vec<BinaryCode>,
-    dead: Vec<bool>,
-    dead_count: usize,
-    /// Tombstones among the indexed slots only (the over-fetch margin).
-    dead_in_indexed: usize,
-    next_id: u64,
-    generation: u64,
-    /// `None` = degraded: every strategy linear-scans.
-    indexes: Option<GenIndexes>,
-    /// Always-on self-measurement (see [`crate::telemetry`]); behind a
-    /// mutex because `query` takes `&self`.
-    telemetry: Mutex<EngineTelemetry>,
-    /// Process-unique trace instance id: groups this engine's flight-
-    /// recorder traces for offline generation-monotonicity validation.
-    trace_instance: u64,
 }
 
 /// Poison-proof telemetry lock: a panicking reader must not wedge the
@@ -241,664 +171,5 @@ pub(crate) fn tlock(m: &Mutex<EngineTelemetry>) -> std::sync::MutexGuard<'_, Eng
             traj_obs::flight::poison_dump("engine.telemetry.poisoned");
             poisoned.into_inner()
         }
-    }
-}
-
-impl Traj2HashEngine {
-    /// Builds an engine over `corpus`, encoding every trajectory with
-    /// `model` and indexing the results. Corpus trajectories receive
-    /// ids `0..corpus.len()` in order.
-    pub fn build(
-        model: Traj2Hash,
-        corpus: Vec<Trajectory>,
-        cfg: EngineConfig,
-    ) -> Result<Self, EngineError> {
-        cfg.validate()?;
-        let embeddings = model.embed_all_with_threads(&corpus, cfg.encode_threads.max(1));
-        let codes: Vec<BinaryCode> =
-            embeddings.iter().map(|e| BinaryCode::from_floats(e)).collect();
-        let n = corpus.len();
-        let mut engine = Traj2HashEngine {
-            model,
-            cfg,
-            ids: (0..n as u64).collect(),
-            trajs: corpus,
-            embeddings,
-            codes,
-            dead: vec![false; n],
-            dead_count: 0,
-            dead_in_indexed: 0,
-            next_id: n as u64,
-            generation: 0,
-            indexes: None,
-            telemetry: Mutex::new(EngineTelemetry::default()),
-            trace_instance: crate::trace::next_instance_id(),
-        };
-        engine.rebuild();
-        Ok(engine)
-    }
-
-    /// Builds an engine from a borrowed model: a byte-identical replica
-    /// is constructed via [`Traj2Hash::spec`], sharing the frozen
-    /// grid-input cache, and the caller keeps the original (useful
-    /// mid-training, where the trainer still owns the model).
-    pub fn build_from(
-        model: &Traj2Hash,
-        corpus: Vec<Trajectory>,
-        cfg: EngineConfig,
-    ) -> Result<Self, EngineError> {
-        let replica = Traj2Hash::from_spec(&model.spec(), &model.params.clone_values());
-        Self::build(replica, corpus, cfg)
-    }
-
-    /// Reassembles an engine from snapshot parts. Entries must arrive in
-    /// ascending-id order (the snapshot stores them that way).
-    pub(crate) fn from_loaded(
-        model: Traj2Hash,
-        cfg: EngineConfig,
-        ids: Vec<u64>,
-        trajs: Vec<Trajectory>,
-        embeddings: Vec<Vec<f32>>,
-        codes: Vec<BinaryCode>,
-        next_id: u64,
-    ) -> Result<Self, EngineError> {
-        cfg.validate()?;
-        let n = ids.len();
-        let mut engine = Traj2HashEngine {
-            model,
-            cfg,
-            ids,
-            trajs,
-            embeddings,
-            codes,
-            dead: vec![false; n],
-            dead_count: 0,
-            dead_in_indexed: 0,
-            next_id,
-            generation: 0,
-            indexes: None,
-            telemetry: Mutex::new(EngineTelemetry::default()),
-            trace_instance: crate::trace::next_instance_id(),
-        };
-        engine.rebuild();
-        Ok(engine)
-    }
-
-    /// The owned model (for direct embedding access).
-    pub fn model(&self) -> &Traj2Hash {
-        &self.model
-    }
-
-    /// The engine configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.cfg
-    }
-
-    /// Number of live trajectories.
-    pub fn len(&self) -> usize {
-        self.ids.len() - self.dead_count
-    }
-
-    /// True when no live trajectory remains.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// A snapshot of the engine's always-on self-measurement:
-    /// per-strategy latency/candidate histograms, fallback counters,
-    /// and lifecycle counts.
-    pub fn telemetry(&self) -> EngineTelemetry {
-        tlock(&self.telemetry).clone()
-    }
-
-    /// Lifecycle counters.
-    pub fn stats(&self) -> EngineStats {
-        let indexed = self.indexes.as_ref().map(|ix| ix.covers).unwrap_or(0);
-        EngineStats {
-            live: self.len(),
-            indexed,
-            delta: self.ids.len() - indexed,
-            dead: self.dead_count,
-            generation: self.generation,
-            degraded: self.indexes.is_none(),
-        }
-    }
-
-    /// True when `id` refers to a live trajectory.
-    pub fn contains(&self, id: u64) -> bool {
-        self.slot_of(id).is_some()
-    }
-
-    /// The live trajectory with stable id `id`.
-    pub fn get(&self, id: u64) -> Option<&Trajectory> {
-        self.slot_of(id).map(|s| &self.trajs[s])
-    }
-
-    /// Live ids in ascending order.
-    pub fn ids(&self) -> impl Iterator<Item = u64> + '_ {
-        self.ids
-            .iter()
-            .zip(&self.dead)
-            .filter(|(_, &dead)| !dead)
-            .map(|(&id, _)| id)
-    }
-
-    /// Consumes the engine, returning the model (e.g. to resume
-    /// training).
-    pub fn into_model(self) -> Traj2Hash {
-        self.model
-    }
-
-    fn slot_of(&self, id: u64) -> Option<usize> {
-        // Slots are in ascending-id order by construction.
-        let slot = self.ids.binary_search(&id).ok()?;
-        (!self.dead[slot]).then_some(slot)
-    }
-
-    /// Encodes and inserts a trajectory, returning its stable id. The
-    /// entry lands in the delta region and is searchable immediately; a
-    /// threshold-crossing insert triggers a rebuild.
-    pub fn insert(&mut self, t: Trajectory) -> u64 {
-        let embedding = self.model.embed(&t).data().to_vec();
-        let code = BinaryCode::from_floats(&embedding);
-        let id = self.next_id;
-        self.next_id += 1;
-        self.ids.push(id);
-        self.trajs.push(t);
-        self.embeddings.push(embedding);
-        self.codes.push(code);
-        self.dead.push(false);
-        tlock(&self.telemetry).inserts += 1;
-        traj_obs::counter("engine.inserts", 1);
-        self.maybe_rebuild();
-        id
-    }
-
-    /// Tombstones the trajectory with stable id `id`. It disappears
-    /// from every subsequent query; storage is reclaimed at the next
-    /// compaction. Unknown or already-removed ids fail with
-    /// [`EngineError::UnknownId`].
-    pub fn remove(&mut self, id: u64) -> Result<(), EngineError> {
-        let slot = self.slot_of(id).ok_or(EngineError::UnknownId(id))?;
-        self.dead[slot] = true;
-        self.dead_count += 1;
-        if let Some(ix) = &self.indexes {
-            if slot < ix.covers {
-                self.dead_in_indexed += 1;
-            }
-        }
-        tlock(&self.telemetry).removes += 1;
-        traj_obs::counter("engine.removes", 1);
-        self.maybe_rebuild();
-        Ok(())
-    }
-
-    /// Forces compaction + re-index now (normally triggered
-    /// automatically by the thresholds in [`EngineConfig`]).
-    pub fn compact(&mut self) {
-        self.rebuild();
-    }
-
-    fn maybe_rebuild(&mut self) {
-        let indexed = self.indexes.as_ref().map(|ix| ix.covers).unwrap_or(0);
-        let delta = self.ids.len() - indexed;
-        let slack = self.cfg.rebuild_slack;
-        // lint: allow(lossy-cast) — nonnegative fraction of a corpus size that fits usize
-        let delta_cap = slack.max((indexed as f64 * self.cfg.max_delta_fraction) as usize);
-        let dead_cap =
-            // lint: allow(lossy-cast) — nonnegative fraction of a corpus size that fits usize
-            slack.max((self.ids.len() as f64 * self.cfg.max_dead_fraction) as usize);
-        if delta > delta_cap || self.dead_count > dead_cap {
-            self.rebuild();
-        }
-    }
-
-    /// Drops tombstoned slots (preserving order) and rebuilds every
-    /// index over the compacted corpus. On index-build failure the
-    /// engine enters degraded linear-scan mode instead of panicking;
-    /// the next rebuild retries.
-    fn rebuild(&mut self) {
-        let t0 = Instant::now();
-        let compacting = self.dead_count > 0;
-        if self.dead_count > 0 {
-            let mut w = 0usize;
-            for r in 0..self.ids.len() {
-                if !self.dead[r] {
-                    if w != r {
-                        self.ids.swap(w, r);
-                        self.trajs.swap(w, r);
-                        self.embeddings.swap(w, r);
-                        self.codes.swap(w, r);
-                    }
-                    w += 1;
-                }
-            }
-            self.ids.truncate(w);
-            self.trajs.truncate(w);
-            self.embeddings.truncate(w);
-            self.codes.truncate(w);
-            self.dead.clear();
-            self.dead.resize(w, false);
-            self.dead_count = 0;
-        }
-        self.dead_in_indexed = 0;
-        self.generation += 1;
-        self.indexes = GenIndexes::try_build(&self.codes, &self.embeddings, &self.cfg);
-        let degraded = self.indexes.is_none();
-        {
-            let mut t = tlock(&self.telemetry);
-            t.rebuilds += 1;
-            if compacting {
-                t.compactions += 1;
-            }
-            if degraded {
-                t.degraded_rebuilds += 1;
-            }
-        }
-        if traj_obs::enabled() {
-            traj_obs::counter("engine.rebuilds", 1);
-            if compacting {
-                traj_obs::counter("engine.compactions", 1);
-            }
-            traj_obs::event(
-                "engine.rebuild",
-                &[
-                    ("generation", self.generation.into()),
-                    ("covers", self.ids.len().into()),
-                    ("compacted", compacting.into()),
-                    ("degraded", degraded.into()),
-                    ("seconds", t0.elapsed().as_secs_f64().into()),
-                ],
-            );
-            if degraded {
-                traj_obs::counter("engine.degraded_entries", 1);
-                traj_obs::event(
-                    "engine.degraded",
-                    &[("reason", "index build failed".into()), ("generation", self.generation.into())],
-                );
-            }
-        }
-        if degraded {
-            // Outside the `enabled()` gate: the flight recorder can be
-            // installed without an obs recorder, and a degraded entry is
-            // exactly when its tail exemplars are wanted.
-            traj_obs::flight::force_dump("engine.degraded");
-        }
-    }
-
-    /// Drops the generation indexes, forcing every strategy onto the
-    /// degraded linear-scan path until the next successful rebuild (or
-    /// [`compact`](Traj2HashEngine::compact)). An ops/chaos-drill hook:
-    /// results stay exact, only the access path changes — this is how
-    /// tests and drills exercise the degradation counters end to end.
-    pub fn force_degrade(&mut self) {
-        self.indexes = None;
-        // Mirror a failed rebuild: with no indexed region there is no
-        // over-fetch margin; scans filter tombstones directly.
-        self.dead_in_indexed = 0;
-        tlock(&self.telemetry).degraded_rebuilds += 1;
-        if traj_obs::enabled() {
-            traj_obs::counter("engine.degraded_entries", 1);
-            traj_obs::event(
-                "engine.degraded",
-                &[("reason", "forced".into()), ("generation", self.generation.into())],
-            );
-        }
-        // Outside the `enabled()` gate: flight capture works standalone.
-        traj_obs::flight::force_dump("engine.degraded");
-    }
-
-    /// Builds a *replacement* engine: the current live corpus re-encoded
-    /// with `model`, preserving every stable id and `next_id`, so a
-    /// subsequent [`hot_swap`](Traj2HashEngine::hot_swap) is invisible
-    /// to callers holding ids. This is the refresh half of the live
-    /// model-update path: fine-tune a model elsewhere, `refreshed()`,
-    /// snapshot the replacement, validate it by loading it back, then
-    /// swap.
-    pub fn refreshed(&self, model: Traj2Hash) -> Result<Traj2HashEngine, EngineError> {
-        let live: Vec<usize> = (0..self.ids.len()).filter(|&s| !self.dead[s]).collect();
-        let ids: Vec<u64> = live.iter().map(|&s| self.ids[s]).collect();
-        let trajs: Vec<Trajectory> = live.iter().map(|&s| self.trajs[s].clone()).collect();
-        let embeddings = model.embed_all_with_threads(&trajs, self.cfg.encode_threads.max(1));
-        let codes: Vec<BinaryCode> =
-            embeddings.iter().map(|e| BinaryCode::from_floats(e)).collect();
-        Self::from_loaded(model, self.cfg.clone(), ids, trajs, embeddings, codes, self.next_id)
-    }
-
-    /// Atomically swaps `replacement`'s model, corpus, and indexes into
-    /// this engine, keeping the engine's *cumulative* telemetry and a
-    /// monotonically increasing generation counter. From a caller's
-    /// point of view the engine object never stops serving — queries
-    /// before the swap answer from the old state, queries after from
-    /// the new one.
-    ///
-    /// The replacement is typically produced by
-    /// [`refreshed`](Traj2HashEngine::refreshed) and round-tripped
-    /// through the `T2HSNAP1` snapshot machinery first, so the bytes
-    /// that go live are the bytes that were validated on disk.
-    pub fn hot_swap(&mut self, replacement: Traj2HashEngine) {
-        let Traj2HashEngine {
-            model,
-            cfg,
-            ids,
-            trajs,
-            embeddings,
-            codes,
-            dead,
-            dead_count,
-            dead_in_indexed,
-            next_id,
-            generation: _,
-            indexes,
-            telemetry: _,
-            trace_instance: _,
-        } = replacement;
-        self.model = model;
-        self.cfg = cfg;
-        self.ids = ids;
-        self.trajs = trajs;
-        self.embeddings = embeddings;
-        self.codes = codes;
-        self.dead = dead;
-        self.dead_count = dead_count;
-        self.dead_in_indexed = dead_in_indexed;
-        // next_id only moves forward: a stale replacement must not make
-        // the engine re-issue ids that are already out there.
-        self.next_id = self.next_id.max(next_id);
-        self.indexes = indexes;
-        self.generation += 1;
-        let degraded = self.indexes.is_none();
-        tlock(&self.telemetry).hot_swaps += 1;
-        if traj_obs::enabled() {
-            traj_obs::counter("engine.hot_swaps", 1);
-            traj_obs::event(
-                "engine.hot_swap",
-                &[
-                    ("generation", self.generation.into()),
-                    ("live", self.len().into()),
-                    ("degraded", degraded.into()),
-                ],
-            );
-        }
-    }
-
-    /// Attempts to leave degraded linear-scan mode by rebuilding the
-    /// generation indexes; a no-op when the engine is already healthy.
-    /// Returns `true` when the engine is healthy afterwards. This is
-    /// the recovery half of the degrade → recover drill: results were
-    /// exact throughout, only the access path (and its latency) was
-    /// degraded.
-    pub fn recover(&mut self) -> bool {
-        if self.indexes.is_some() {
-            return true;
-        }
-        self.rebuild();
-        let healthy = self.indexes.is_some();
-        if healthy {
-            tlock(&self.telemetry).recoveries += 1;
-            if traj_obs::enabled() {
-                traj_obs::counter("engine.recoveries", 1);
-                traj_obs::event(
-                    "engine.recovered",
-                    &[("generation", self.generation.into()), ("live", self.len().into())],
-                );
-            }
-        }
-        healthy
-    }
-
-    /// Top-k search over the live corpus.
-    ///
-    /// The query is encoded once with the owned model; the selected
-    /// [`Strategy`] then runs against the generation indexes (with
-    /// tombstone filtering and a linear merge of the delta region) or
-    /// falls back to an exact linear scan whenever an index cannot
-    /// answer — a query never fails because an index degraded.
-    ///
-    /// `Table` is the one strategy that may return fewer than `k` hits:
-    /// it reports exactly the radius-2 ball, like the paper's
-    /// `Hamming-Table` row.
-    pub fn query(
-        &self,
-        q: &Trajectory,
-        k: usize,
-        strategy: Strategy,
-    ) -> Result<Vec<Hit>, EngineError> {
-        self.query_with_info(q, k, strategy).map(|(hits, _)| hits)
-    }
-
-    /// [`query`](Traj2HashEngine::query) plus per-query diagnostics:
-    /// which path answered (index vs. degraded linear scan), how many
-    /// candidates were considered, the tombstone over-fetch applied, and
-    /// the wall-clock cost. Every query is also folded into
-    /// [`telemetry`](Traj2HashEngine::telemetry) and mirrored to the
-    /// installed obs recorder, if any.
-    pub fn query_with_info(
-        &self,
-        q: &Trajectory,
-        k: usize,
-        strategy: Strategy,
-    ) -> Result<(Vec<Hit>, QueryInfo), EngineError> {
-        self.query_traced(q, k, strategy).map(|(hits, info, _)| (hits, info))
-    }
-
-    /// [`query_with_info`](Traj2HashEngine::query_with_info) plus the
-    /// sealed per-query [`QueryTrace`](crate::trace::QueryTrace): the
-    /// step clock, the single shard row (the facade reports its rebuild
-    /// generation as its publish seq), and the fallback taxonomy. The
-    /// trace is inert — no id allocated, nothing recorded — unless an
-    /// obs recorder or a flight recorder is installed.
-    pub fn query_traced(
-        &self,
-        q: &Trajectory,
-        k: usize,
-        strategy: Strategy,
-    ) -> Result<(Vec<Hit>, QueryInfo, crate::trace::QueryTrace), EngineError> {
-        let mut trace = crate::trace::TraceCtx::new();
-        let degraded = self.indexes.is_none();
-        if k == 0 || self.is_empty() {
-            let info = QueryInfo {
-                strategy,
-                degraded,
-                linear_fallback: false,
-                candidates: 0,
-                overfetch: 0,
-                seconds: 0.0,
-                shards: 1,
-                fanout_seconds: 0.0,
-                merge_seconds: 0.0,
-            };
-            trace.step("empty");
-            let qt = trace.finish(strategy, 0.0);
-            qt.offer_to_flight("facade", self.trace_instance);
-            return Ok((Vec::new(), info, qt));
-        }
-        let t0 = Instant::now();
-        trace.step("embed");
-        let embedding = self.model.embed(q).data().to_vec();
-        let code = BinaryCode::from_floats(&embedding);
-        trace.step("search");
-        let mut strace = trace.shard_trace();
-        let (slot_hits, path) =
-            shard::search(&self.search_ctx(), strategy, &embedding, &code, k, &mut strace);
-        trace.step("finalize");
-        if trace.active() {
-            trace.push_shard(crate::trace::ShardTraceRow {
-                shard: 0,
-                // The rebuild generation is the facade's single-writer
-                // publish-seq analogue: bumped on every rebuild, never
-                // reset over the engine's lifetime.
-                publish_seq: self.generation,
-                generation: self.generation,
-                degraded,
-                candidates: path.candidates,
-                fallback: path.fallback,
-                spill: path.spill,
-                steps: strace.into_steps(),
-            });
-        }
-        let hits: Vec<Hit> = slot_hits
-            .into_iter()
-            .map(|h| Hit { id: self.ids[h.index], distance: h.distance })
-            .collect();
-        let seconds = t0.elapsed().as_secs_f64();
-        let overfetch = if degraded || path.fallback { 0 } else { self.dead_in_indexed };
-        let info = QueryInfo {
-            strategy,
-            degraded,
-            linear_fallback: path.fallback,
-            candidates: path.candidates,
-            overfetch,
-            seconds,
-            shards: 1,
-            fanout_seconds: 0.0,
-            merge_seconds: 0.0,
-        };
-        {
-            let mut t = tlock(&self.telemetry);
-            let s = &mut t.strategies[strategy.index()];
-            s.queries += 1;
-            s.latency.record(seconds);
-            s.candidates.record(path.candidates as f64);
-            if path.fallback {
-                s.linear_fallbacks += 1;
-            }
-            if degraded {
-                s.degraded_queries += 1;
-            }
-            if path.spill {
-                t.hybrid_spills += 1;
-            }
-            t.overfetch.record(overfetch as f64);
-        }
-        if traj_obs::enabled() {
-            traj_obs::observe_secs(strategy.metric_name(), seconds);
-            traj_obs::observe_value("engine.query.candidates", path.candidates as f64);
-            traj_obs::observe_value("engine.query.overfetch", overfetch as f64);
-            if path.fallback {
-                traj_obs::counter("engine.linear_fallbacks", 1);
-            }
-            if degraded {
-                traj_obs::counter("engine.degraded_queries", 1);
-            }
-            if path.spill {
-                traj_obs::counter("engine.hybrid_spills", 1);
-            }
-        }
-        let qt = trace.finish(strategy, seconds);
-        qt.offer_to_flight("facade", self.trace_instance);
-        Ok((hits, info, qt))
-    }
-
-    /// The borrowed search view over the current state, handed to the
-    /// shared per-shard search core (`crate::shard::search`). Healthy:
-    /// indexed region + one delta segment. Degraded: everything is one
-    /// linearly scanned delta segment.
-    fn search_ctx(&self) -> SearchCtx<'_> {
-        match &self.indexes {
-            Some(ix) => SearchCtx {
-                indexed_embeddings: &self.embeddings[..ix.covers],
-                indexes: Some(ix),
-                delta: vec![DeltaSeg {
-                    embeddings: &self.embeddings[ix.covers..],
-                    codes: &self.codes[ix.covers..],
-                }],
-                dead: &self.dead,
-                dead_in_indexed: self.dead_in_indexed,
-                euclidean_backend: self.cfg.euclidean_backend,
-            },
-            None => SearchCtx {
-                indexed_embeddings: &[],
-                indexes: None,
-                delta: vec![DeltaSeg { embeddings: &self.embeddings, codes: &self.codes }],
-                dead: &self.dead,
-                dead_in_indexed: self.dead_in_indexed,
-                euclidean_backend: self.cfg.euclidean_backend,
-            },
-        }
-    }
-
-    /// Serializes the full engine state — model spec + parameters,
-    /// engine config, and every live entry (id, points, embedding,
-    /// code) — into the checksummed snapshot container.
-    pub fn snapshot_bytes(&self) -> Result<Vec<u8>, EngineError> {
-        snapshot::encode(self)
-    }
-
-    /// Restores an engine from [`Traj2HashEngine::snapshot_bytes`]
-    /// output. Cold-start is instant: no trajectory is re-encoded,
-    /// only the indexes are rebuilt.
-    pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, EngineError> {
-        snapshot::decode(bytes)
-    }
-
-    /// Writes a snapshot atomically and durably (unique fsync'd tmp →
-    /// rename → parent-dir fsync), mirroring the checkpoint discipline.
-    /// Goes through `traj2hash::iofault::durable_write`, so installed
-    /// fault plans apply.
-    pub fn save_snapshot(&self, path: impl AsRef<Path>) -> Result<(), EngineError> {
-        self.save_snapshot_retry(path, &traj2hash::RetryPolicy::none()).map(|_| ())
-    }
-
-    /// [`save_snapshot`](Traj2HashEngine::save_snapshot) under a
-    /// bounded retry/backoff policy; returns the write receipt
-    /// (attempts made, faults survived) so callers can log how hard
-    /// the save had to fight.
-    pub fn save_snapshot_retry(
-        &self,
-        path: impl AsRef<Path>,
-        policy: &traj2hash::RetryPolicy,
-    ) -> Result<traj2hash::WriteReceipt, EngineError> {
-        let path = path.as_ref();
-        let t0 = Instant::now();
-        let bytes = self.snapshot_bytes()?;
-        let len = bytes.len();
-        let receipt = traj2hash::durable_write_retry(path, &bytes, policy)
-            .map_err(traj2hash::CheckpointError::Io)?;
-        {
-            let mut t = tlock(&self.telemetry);
-            t.snapshot_saves += 1;
-            t.snapshot_bytes += len as u64;
-        }
-        if traj_obs::enabled() {
-            traj_obs::counter("engine.snapshot.saves", 1);
-            traj_obs::counter("engine.snapshot.bytes_written", len as u64);
-            traj_obs::observe_secs("engine.snapshot.save_secs", t0.elapsed().as_secs_f64());
-        }
-        Ok(receipt)
-    }
-
-    /// Reads and validates a snapshot written by
-    /// [`Traj2HashEngine::save_snapshot`]. Stale staging leftovers from
-    /// crashed writers are cleaned up along the way — they are never
-    /// read.
-    pub fn load_snapshot(path: impl AsRef<Path>) -> Result<Self, EngineError> {
-        let t0 = Instant::now();
-        traj2hash::clean_stale_tmps(path.as_ref());
-        let bytes = std::fs::read(path).map_err(traj2hash::CheckpointError::Io)?;
-        let engine = Self::from_snapshot_bytes(&bytes);
-        if traj_obs::enabled() {
-            traj_obs::counter("engine.snapshot.loads", 1);
-            traj_obs::counter("engine.snapshot.bytes_read", bytes.len() as u64);
-            traj_obs::observe_secs("engine.snapshot.load_secs", t0.elapsed().as_secs_f64());
-            if engine.is_err() {
-                traj_obs::counter("engine.snapshot.load_failures", 1);
-            }
-        }
-        engine
-    }
-
-    // Snapshot internals need field access without making fields public.
-    pub(crate) fn snapshot_parts(&self) -> SnapshotParts<'_> {
-        (
-            &self.model,
-            &self.cfg,
-            &self.ids,
-            &self.trajs,
-            &self.embeddings,
-            &self.codes,
-            &self.dead,
-            self.next_id,
-        )
     }
 }

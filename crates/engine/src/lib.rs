@@ -3,32 +3,32 @@
 //! The paper's end product is a *search system*: Euclidean embeddings
 //! for similarity computation (Eq. 15) plus binary codes for Hamming
 //! top-k search (Eq. 16, Section V-E). This crate packages that system
-//! behind one owning facade, [`Traj2HashEngine`], instead of the ad-hoc
+//! as one engine, [`ShardedEngine`], instead of the ad-hoc
 //! `prepare → embed_all → pack_codes → build index → query` wiring every
 //! caller used to repeat:
 //!
-//! * **one query path** — [`Traj2HashEngine::query`] covers all five
-//!   strategies ([`Strategy`]) with automatic linear-scan degradation;
-//! * **a pluggable index layer** — every structure sits behind the
-//!   [`AnnIndex`] trait ([`HammingTable`](traj_index::HammingTable),
+//! * **one query path** — [`ShardedEngine::query`] covers all five
+//!   strategies ([`Strategy`]) over
+//!   [`HammingTable`](traj_index::HammingTable),
 //!   [`MultiIndexHashing`](traj_index::MultiIndexHashing),
-//!   [`VpTree`](traj_index::VpTree), and the brute-force fallbacks
-//!   [`BruteForceEuclidean`] / [`BruteForceHamming`]);
-//! * **a live corpus** — [`Traj2HashEngine::insert`] /
-//!   [`Traj2HashEngine::remove`] via generations + tombstones with
-//!   threshold-triggered compaction;
-//! * **snapshots** — [`Traj2HashEngine::save_snapshot`] /
-//!   [`Traj2HashEngine::load_snapshot`] persist model parameters,
+//!   [`PackedCodes`](traj_index::PackedCodes) and an optional
+//!   [`VpTree`](traj_index::VpTree), with automatic linear-scan
+//!   degradation;
+//! * **a live corpus** — [`ShardedEngine::insert`] /
+//!   [`ShardedEngine::remove`] via generations + tombstones with
+//!   threshold-triggered per-shard compaction;
+//! * **concurrent readers** — [`ShardedEngine::reader`] hands out
+//!   lock-free [`ShardReader`]s that pin immutable shard generations;
+//! * **snapshots** — [`ShardedEngine::save_snapshot`] /
+//!   [`ShardedEngine::load_snapshot`] persist model parameters,
 //!   corpus, embeddings, and codes in the CRC-checksummed container
 //!   format, so cold-start never re-encodes;
-//! * **a model-checked publish protocol** — the concurrent engine's
-//!   swap points are [`cell::PublishCell`]s, whose pin/publish
-//!   invariants the [`loomlet`] interleaving enumerator verifies
-//!   exhaustively.
+//! * **a model-checked publish protocol** — the engine's swap points
+//!   are [`cell::PublishCell`]s, whose pin/publish invariants the
+//!   [`loomlet`] interleaving enumerator verifies exhaustively.
 
 #![warn(missing_docs)]
 
-pub mod ann;
 pub mod cell;
 pub mod engine;
 pub mod error;
@@ -39,11 +39,8 @@ pub mod snapshot;
 pub mod telemetry;
 pub mod trace;
 
-pub use ann::{AnnIndex, BruteForceEuclidean, BruteForceHamming, IndexKind, QueryRep};
 pub use cell::{PublishCell, Sequenced};
-pub use engine::{
-    EngineConfig, EngineStats, EuclideanBackend, Hit, Strategy, Traj2HashEngine,
-};
+pub use engine::{EngineConfig, EngineStats, EuclideanBackend, Hit, Strategy};
 pub use error::EngineError;
 pub use sharded::{
     ModelBlueprint, PinnedView, ReaderSpec, ShardConfig, ShardReader, ShardedEngine,

@@ -1,31 +1,39 @@
 //! The per-shard search core: one implementation of the five Section
-//! V-E strategies over a generic two-region corpus view, plus the
-//! immutable per-generation shard state the concurrent engine publishes
-//! behind `Arc` swaps.
+//! V-E strategies over a two-region corpus view, plus the immutable
+//! per-generation shard state the engine publishes behind `Arc` swaps.
 //!
-//! ## One search core, two engines
+//! ## One search core
 //!
-//! [`Traj2HashEngine`](crate::Traj2HashEngine) (single-threaded facade)
-//! and [`ShardedEngine`](crate::ShardedEngine) (concurrent, N shards)
-//! both answer queries through [`search`] over a [`SearchCtx`]: an
-//! *indexed region* (covered by the generation's [`GenIndexes`],
-//! Hamming-scanned through the flat [`PackedCodes`] layout) followed by
-//! one or more *delta segments* that are linearly scanned. Slots number
-//! the indexed region first, then each delta segment in order; a `dead`
-//! slice over the whole range carries the tombstones. Because the logic
-//! is shared, the sharded engine is bit-identical to the facade by
-//! construction — the parity suites then prove it end to end.
+//! Every shard of [`ShardedEngine`](crate::ShardedEngine) answers
+//! through [`search`] over a [`SearchCtx`]: an *indexed region* (covered
+//! by the generation's [`GenIndexes`], Hamming-scanned through the flat
+//! [`PackedCodes`] layout) followed by one or more *delta segments* that
+//! are linearly scanned. Slots number the indexed region first, then
+//! each delta segment in order; a `dead` slice over the whole range
+//! carries the tombstones. Mutation is layered on top of the immutable
+//! indexes instead of into them:
+//!
+//! * `insert` appends to the delta, which queries scan with the same
+//!   metric and merge through the shared top-k helper, so exactness is
+//!   preserved;
+//! * `remove` marks a tombstone; indexed queries over-fetch
+//!   `k + dead_in_indexed` and filter, which still yields the exact live
+//!   top-k because the structures are exact and the `(distance, slot)`
+//!   total order is unchanged by deletion;
+//! * past the configured thresholds the shard rebuilds: live entries
+//!   are compacted in order and re-indexed. An index build failure
+//!   never poisons the shard — it serves by linear scans until a later
+//!   rebuild succeeds.
 //!
 //! ## Immutable shard states
 //!
-//! [`ShardState`] is the unit the concurrent engine publishes: a frozen
+//! [`ShardState`] is the unit the engine publishes: a frozen
 //! [`ShardBase`] (the indexed region, shared by `Arc` across
 //! generations so publishing an insert never copies the corpus) plus a
 //! small owned delta block and tombstone vector. Every mutation builds
 //! a *new* `ShardState` — readers holding an `Arc` to the old one keep
 //! a fully consistent view for as long as they please.
 
-use crate::ann::{AnnIndex, QueryRep};
 use crate::engine::{EngineConfig, EuclideanBackend, Strategy};
 use std::sync::Arc;
 use traj_data::Trajectory;
@@ -38,10 +46,10 @@ pub(crate) struct GenIndexes {
     /// Radius-2 bucket table (serves `Table` and `Hybrid`).
     pub table: HammingTable,
     /// Exact Hamming k-NN (serves `Mih`).
-    pub mih: Box<dyn AnnIndex>,
-    /// Optional Euclidean structure (serves `EuclideanBf` when
-    /// configured); `None` means brute-force scan.
-    pub euclid: Option<Box<dyn AnnIndex>>,
+    pub mih: MultiIndexHashing,
+    /// VP-tree serving `EuclideanBf` when configured; `None` means
+    /// brute-force scan.
+    pub euclid: Option<VpTree>,
     /// Flat packed-code mirror of the indexed region, the fast layout
     /// for brute-force Hamming scans (4-wide popcount accumulation).
     pub packed: PackedCodes,
@@ -61,11 +69,11 @@ impl GenIndexes {
         let table = HammingTable::try_build(codes.to_vec()).ok()?;
         let mih = MultiIndexHashing::try_build(codes.to_vec(), cfg.mih_tables).ok()?;
         let packed = PackedCodes::build(codes).ok()?;
-        let euclid: Option<Box<dyn AnnIndex>> = match cfg.euclidean_backend {
+        let euclid = match cfg.euclidean_backend {
             EuclideanBackend::BruteForce => None,
-            EuclideanBackend::VpTree => Some(Box::new(VpTree::build(embeddings.to_vec()))),
+            EuclideanBackend::VpTree => Some(VpTree::build(embeddings.to_vec())),
         };
-        Some(GenIndexes { table, mih: Box::new(mih), euclid, packed, covers: codes.len() })
+        Some(GenIndexes { table, mih, euclid, packed, covers: codes.len() })
     }
 }
 
@@ -179,38 +187,32 @@ impl SearchCtx<'_> {
     }
 
     fn euclidean_hits(&self, q: &[f32], k: usize) -> (Vec<SlotHit>, PathInfo) {
-        let Some(ix) = self.indexes else {
-            // Only a fallback when a VP-tree would have served this
-            // query; with the brute-force backend the degraded path is
-            // the configured path.
-            let lost_index = matches!(self.euclidean_backend, EuclideanBackend::VpTree);
-            let cand = self.scan_euclid_all(q);
-            let n = cand.len();
-            return (top_k_hits(cand, k), PathInfo::scan(n, lost_index));
-        };
-        let Some(index) = &ix.euclid else {
-            // Configured brute force: a scan by design, not a fallback.
-            let cand = self.scan_euclid_all(q);
-            let n = cand.len();
-            return (top_k_hits(cand, k), PathInfo::scan(n, false));
-        };
-        // Over-fetch by the tombstone count so filtering cannot eat into
-        // the true top-k: the index is exact, so the first
-        // k + dead_in_indexed hits contain at least k live ones.
-        match index.search(QueryRep::Dense(q), k + self.dead_in_indexed) {
-            Ok(hits) => {
-                let mut hits: Vec<SlotHit> =
-                    hits.into_iter().filter(|h| !self.dead[h.index]).collect();
-                hits.extend(self.scan_euclid_delta(q));
-                let n = hits.len();
-                (top_k_hits(hits, k), PathInfo::scan(n, false))
-            }
-            Err(_) => {
+        let mut hits: Vec<SlotHit> = match self.indexes.and_then(|ix| ix.euclid.as_ref()) {
+            // An empty tree has no width to compare against, and nothing
+            // to find.
+            Some(vp) if vp.is_empty() => Vec::new(),
+            // Over-fetch by the tombstone count so filtering cannot eat
+            // into the true top-k: the tree is exact, so the first
+            // k + dead_in_indexed hits contain at least k live ones.
+            Some(vp) if vp.dim() == q.len() => vp
+                .top_k(q, k + self.dead_in_indexed)
+                .into_iter()
+                .filter(|h| !self.dead[h.index])
+                .collect(),
+            // No tree, or a query `VpTree::top_k` would panic on (wrong
+            // width): scan. That is the design under the brute-force
+            // backend, and a fallback only when a VP-tree should have
+            // served this query.
+            _ => {
+                let lost_index = matches!(self.euclidean_backend, EuclideanBackend::VpTree);
                 let cand = self.scan_euclid_all(q);
                 let n = cand.len();
-                (top_k_hits(cand, k), PathInfo::scan(n, true))
+                return (top_k_hits(cand, k), PathInfo::scan(n, lost_index));
             }
-        }
+        };
+        hits.extend(self.scan_euclid_delta(q));
+        let n = hits.len();
+        (top_k_hits(hits, k), PathInfo::scan(n, false))
     }
 
     fn mih_hits(&self, q: &BinaryCode, k: usize) -> (Vec<SlotHit>, PathInfo) {
@@ -219,7 +221,7 @@ impl SearchCtx<'_> {
             let n = cand.len();
             return (top_k_hits(cand, k), PathInfo::scan(n, true));
         };
-        match ix.mih.search(QueryRep::Code(q), k + self.dead_in_indexed) {
+        match ix.mih.top_k(q, k + self.dead_in_indexed) {
             Ok(hits) => {
                 let mut hits: Vec<SlotHit> =
                     hits.into_iter().filter(|h| !self.dead[h.index]).collect();
@@ -315,11 +317,11 @@ fn path_taxonomy(ctx: &SearchCtx<'_>, strategy: Strategy, path: &PathInfo) -> &'
     }
 }
 
-/// Answers one strategy over the view: the shared search core behind
-/// both the single-threaded facade and every shard of the concurrent
-/// engine. Hits carry *slot* indices into the view; callers map them to
-/// stable ids. The shard trace receives one taxonomy step describing
-/// how the answer was produced (a no-op when tracing is disabled).
+/// Answers one strategy over the view: the search core behind every
+/// shard of the engine. Hits carry *slot* indices into the view;
+/// callers map them to stable ids. The shard trace receives one
+/// taxonomy step describing how the answer was produced (a no-op when
+/// tracing is disabled).
 pub(crate) fn search(
     ctx: &SearchCtx<'_>,
     strategy: Strategy,
@@ -349,7 +351,7 @@ pub(crate) fn search(
 }
 
 // ---------------------------------------------------------------------
-// Immutable shard state for the concurrent engine.
+// Immutable shard state.
 // ---------------------------------------------------------------------
 
 /// The frozen indexed region of one shard. Shared by `Arc` across
@@ -761,5 +763,55 @@ impl crate::cell::Sequenced for ShardState {
     }
     fn set_seq(&mut self, seq: u64) {
         self.publish_seq = seq;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::trace::ShardTrace;
+
+    fn vp_cfg() -> EngineConfig {
+        EngineConfig { euclidean_backend: EuclideanBackend::VpTree, ..EngineConfig::default() }
+    }
+
+    fn entry(i: u32) -> (Trajectory, Vec<f32>, BinaryCode) {
+        // Irrational-ish spacing keeps pairwise distances tie-free.
+        let e = vec![i as f32 * 1.37 - 20.0, (i * i % 83) as f32 * 0.51 - 20.0, (i % 7) as f32];
+        let code = BinaryCode::from_floats(&e);
+        (Trajectory { points: Vec::new() }, e, code)
+    }
+
+    fn state(n: u32) -> ShardState {
+        let (trajs, (embeddings, codes)): (Vec<_>, (Vec<_>, Vec<_>)) =
+            (0..n).map(entry).map(|(t, e, c)| (t, (e, c))).unzip();
+        ShardState::build((0..n as u64).collect(), trajs, embeddings, codes, &vp_cfg())
+    }
+
+    fn euclid(st: &ShardState, q: &[f32], k: usize) -> (Vec<SlotHit>, PathInfo) {
+        let code = BinaryCode::from_floats(q);
+        search(&st.ctx(), Strategy::EuclideanBf, q, &code, k, &mut ShardTrace::new(false))
+    }
+
+    #[test]
+    fn vptree_width_mismatch_scans_instead_of_panicking() {
+        let st = state(40);
+        let (hits, path) = euclid(&st, &[1.0, 2.0, 3.0], 5);
+        assert!(!path.fallback, "a matching query is served by the tree");
+        assert_eq!(hits, traj_index::euclidean_top_k(&st.base.embeddings, &[1.0, 2.0, 3.0], 5));
+        // VpTree::top_k asserts on the width; the call site must not
+        // reach it, and the scan that answers is counted as a fallback.
+        let (hits, path) = euclid(&st, &[0.0; 5], 5);
+        assert!(path.fallback);
+        assert_eq!(hits.len(), 5);
+    }
+
+    #[test]
+    fn empty_vptree_answers_from_the_delta_without_a_fallback() {
+        let (t, e, c) = entry(3);
+        let st = state(0).with_insert(0, t, e.clone(), c);
+        let (hits, path) = euclid(&st, &e, 4);
+        assert!(!path.fallback);
+        assert_eq!(hits, vec![SlotHit { index: 0, distance: 0.0 }]);
     }
 }

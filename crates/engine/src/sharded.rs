@@ -1,23 +1,23 @@
-//! The sharded, concurrently readable serving engine.
+//! The serving engine: sharded, concurrently readable, exact.
 //!
-//! [`Traj2HashEngine`](crate::Traj2HashEngine) serves the five Section
-//! V-E strategies behind one `&mut self` facade: one writer, zero
-//! concurrent readers. [`ShardedEngine`] lifts the same semantics onto
-//! every core:
+//! [`ShardedEngine`] serves the five Section V-E strategies over a live
+//! corpus on every core:
 //!
 //! * the corpus is partitioned across N shards by stable id
-//!   (`id % shards`, so the mapping survives compaction and reload);
+//!   (`id % shards`, so the mapping survives compaction and reload); a
+//!   caller that wants one shard writes `ShardConfig { shards: 1, .. }`;
 //! * each shard's state is an **immutable per-generation snapshot**
 //!   ([`crate::shard::ShardState`]) published behind an `Arc` swap —
 //!   readers pin a generation with one brief read-lock `Arc::clone`,
-//!   then search entirely lock-free; writers build the next state off
-//!   to the side and publish it atomically;
+//!   then search entirely lock-free; the writer builds the next state
+//!   off to the side and publishes it atomically;
 //! * every query fans out across shards (sequentially or on a scoped
 //!   thread pool, [`ShardConfig::fan_out_threads`]) and per-shard hits
-//!   merge through the shared NaN-sound `topk` helper under the same
-//!   `(distance, id)` total order the facade uses — so sharded results
-//!   are **bit-for-bit identical** to unsharded, a property the
-//!   `shard_parity` proptest suite pins down;
+//!   merge through the shared NaN-sound `topk` helper under the
+//!   `(distance, id)` total order — so the answer is **independent of
+//!   the shard count**, and equal to an exact scan of the live rows for
+//!   every exact strategy; the `shard_parity` suite checks both against
+//!   a scan oracle;
 //! * rebuild/compaction is **per shard**: one shard compacting never
 //!   blocks reads on the others, and even the compacting shard keeps
 //!   serving its previous generation until the new one is published;
@@ -28,19 +28,17 @@
 //! ## Reading from other threads
 //!
 //! The model's parameters live in `Rc<RefCell<..>>` cells (the autodiff
-//! tape mutates them in place during training), so a [`Traj2HashEngine`]
-//! — and the writer half of [`ShardedEngine`] — is not `Sync`. Readers
-//! therefore get their own byte-identical model replica: call
-//! [`ShardedEngine::reader`] for a [`ReaderSpec`] (cheap, `Send`), move
-//! it into the reader thread, and [`ReaderSpec::into_reader`] builds the
-//! replica locally. A [`ShardReader`] shares the engine's shard set and
-//! telemetry, refreshes its replica automatically after a hot swap, and
-//! answers queries bit-identically to the writer.
+//! tape mutates them in place during training), so the engine itself —
+//! the writer — is not `Sync`. Readers therefore get their own
+//! byte-identical model replica: call [`ShardedEngine::reader`] for a
+//! [`ReaderSpec`] (cheap, `Send`), move it into the reader thread, and
+//! [`ReaderSpec::into_reader`] builds the replica locally. A
+//! [`ShardReader`] shares the engine's shard set and telemetry,
+//! refreshes its replica automatically after a hot swap, and answers
+//! queries bit-identically to the writer.
 
 use crate::cell::{PublishCell, Sequenced};
-use crate::engine::{
-    tlock, EngineConfig, EngineStats, Hit, Strategy, Traj2HashEngine,
-};
+use crate::engine::{tlock, EngineConfig, EngineStats, Hit, Strategy};
 use crate::error::EngineError;
 use crate::shard::{self, ShardState};
 use crate::snapshot::{self, EntryRef, SnapshotView};
@@ -74,6 +72,23 @@ fn partition(entries: Entries, n_shards: usize) -> Vec<Entries> {
         p.3.push(code);
     }
     parts
+}
+
+/// Every live entry across the pinned shards, in ascending-id order.
+fn live_entries(states: &[Arc<ShardState>]) -> Vec<EntryRef<'_>> {
+    let mut entries: Vec<EntryRef<'_>> = states
+        .iter()
+        .flat_map(|st| {
+            st.live_slots().into_iter().map(move |(slot, id)| EntryRef {
+                id,
+                traj: st.traj_at(slot),
+                embedding: st.embedding_at(slot),
+                code: st.code_at(slot),
+            })
+        })
+        .collect();
+    entries.sort_unstable_by_key(|e| e.id);
+    entries
 }
 
 /// Sharding knobs, on top of the per-shard [`EngineConfig`].
@@ -209,11 +224,10 @@ struct FanInfo {
     merge_seconds: f64,
 }
 
-/// Searches every pinned shard and merges to the global top-k. Hits are
-/// merged under the `(distance, id)` total order — identical to the
-/// facade's `(distance, slot)` order because facade slots are ascending
-/// in id — so the result is bit-for-bit what a single-shard engine
-/// returns.
+/// Searches every pinned shard and merges to the global top-k. Each
+/// shard orders its hits by `(distance, slot)` and its slots ascend in
+/// id, so merging under `(distance, id)` yields the same list at every
+/// shard count: the top-k of all live rows under `(distance, id)`.
 fn fan_out(
     states: &[Arc<ShardState>],
     strategy: Strategy,
@@ -290,8 +304,8 @@ fn fan_out(
             });
         }
         // Re-key per-shard slot hits by stable id: `top_k_hits` breaks
-        // distance ties by ascending index, so keying by id reproduces
-        // the facade's ascending-slot (== ascending-id) tie-break.
+        // distance ties by ascending index, so keying by id makes the
+        // merged tie-break ascending id, whatever the shard layout.
         merged.extend(hits.into_iter().map(|h| SlotHit {
             // lint: allow(lossy-cast) — stable ids are assigned from a usize-ranged monotone counter
             index: st.id_at(h.index) as usize,
@@ -383,10 +397,9 @@ fn empty_query_info(strategy: Strategy, degraded: bool, shards: usize) -> QueryI
     }
 }
 
-/// The sharded, concurrently readable serving engine. Same search
-/// semantics as [`Traj2HashEngine`] — bit-identical results on all five
-/// strategies — plus lock-free multi-reader serving via
-/// [`ShardedEngine::reader`] and batched [`ShardedEngine::query_many`].
+/// The serving engine: owns the model and the sharded corpus, answers
+/// all five strategies, takes inserts and removes while serving, and
+/// hands out lock-free readers ([`ShardedEngine::reader`]).
 pub struct ShardedEngine {
     model: Traj2Hash,
     cfg: EngineConfig,
@@ -412,7 +425,7 @@ impl ShardedEngine {
             embeddings.iter().map(|e| BinaryCode::from_floats(e)).collect();
         let n = corpus.len();
         let ids: Vec<u64> = (0..n as u64).collect();
-        Self::from_parts(model, cfg, scfg, ids, corpus, embeddings, codes, n as u64)
+        Ok(Self::from_parts(model, cfg, scfg, ids, corpus, embeddings, codes, n as u64))
     }
 
     /// Builds from a borrowed model (byte-identical replica via
@@ -428,7 +441,8 @@ impl ShardedEngine {
     }
 
     /// Assembles the engine from pre-encoded entries in ascending-id
-    /// order, distributing them across shards by `id % shards`.
+    /// order, distributing them across shards by `id % shards`. Both
+    /// configs must already be validated.
     #[allow(clippy::too_many_arguments)]
     fn from_parts(
         model: Traj2Hash,
@@ -439,9 +453,7 @@ impl ShardedEngine {
         embeddings: Vec<Vec<f32>>,
         codes: Vec<BinaryCode>,
         next_id: u64,
-    ) -> Result<Self, EngineError> {
-        cfg.validate()?;
-        scfg.validate()?;
+    ) -> Self {
         let n_shards = scfg.shards;
         let cells: Vec<ShardCell> = partition((ids, trajs, embeddings, codes), n_shards)
             .into_iter()
@@ -455,13 +467,9 @@ impl ShardedEngine {
             model: PublishCell::new(ModelBlueprint::of(&model)),
             trace_instance: trace::next_instance_id(),
         });
-        {
-            // Construction counts as each shard's first rebuild, like
-            // the facade's build-time rebuild.
-            let mut t = tlock(&set.telemetry);
-            t.rebuilds += n_shards as u64;
-        }
-        Ok(ShardedEngine { model, cfg, scfg, set, next_id, generation: 1 })
+        // Construction counts as each shard's first rebuild.
+        tlock(&set.telemetry).rebuilds += n_shards as u64;
+        ShardedEngine { model, cfg, scfg, set, next_id, generation: 1 }
     }
 
     fn shard_of(&self, id: u64) -> usize {
@@ -554,8 +562,17 @@ impl ShardedEngine {
         ReaderSpec { set: Arc::clone(&self.set) }
     }
 
-    /// Top-k search over the live corpus; results are bit-identical to
-    /// [`Traj2HashEngine::query`] on the same corpus and model.
+    /// Top-k search over the live corpus.
+    ///
+    /// The query is encoded once with the owned model; the selected
+    /// [`Strategy`] then runs on every shard against its generation
+    /// indexes (with tombstone filtering and a linear merge of the
+    /// delta) or falls back to an exact linear scan whenever an index
+    /// cannot answer — a query never fails because an index degraded.
+    ///
+    /// `Table` is the one strategy that may return fewer than `k` hits:
+    /// it reports exactly the radius-2 ball, like the paper's
+    /// `Hamming-Table` row.
     pub fn query(
         &self,
         q: &Trajectory,
@@ -604,17 +621,18 @@ impl ShardedEngine {
     ) -> Result<Vec<Vec<Hit>>, EngineError> {
         let states = self.set.pin_all();
         let live: usize = states.iter().map(|s| s.live()).sum();
-        if k == 0 || live == 0 {
+        if k == 0 || live == 0 || qs.is_empty() {
             return Ok(qs.iter().map(|_| Vec::new()).collect());
         }
         let t0 = Instant::now();
         let embeddings = self.model.embed_batch(qs);
         let encode_seconds = t0.elapsed().as_secs_f64();
-        if traj_obs::enabled() && !qs.is_empty() {
-            traj_obs::observe_secs(
-                "engine.query.batch_encode_secs",
-                encode_seconds / qs.len() as f64,
-            );
+        // Each query is charged its share of the batched encode, so the
+        // `engine.query.<strategy>` histogram means encode + fan-out
+        // whether the query arrived alone or in a batch.
+        let encode_share = encode_seconds / qs.len() as f64;
+        if traj_obs::enabled() {
+            traj_obs::observe_secs("engine.query.batch_encode_secs", encode_share);
         }
         let mut out = Vec::with_capacity(qs.len());
         for embedding in &embeddings {
@@ -631,14 +649,8 @@ impl ShardedEngine {
                 self.scfg.fan_out_threads,
                 &mut trace,
             );
-            record_query(
-                &self.set,
-                strategy,
-                states.len(),
-                &info,
-                tq.elapsed().as_secs_f64(),
-                trace,
-            );
+            let seconds = encode_share + tq.elapsed().as_secs_f64();
+            record_query(&self.set, strategy, states.len(), &info, seconds, trace);
             out.push(hits);
         }
         Ok(out)
@@ -787,40 +799,34 @@ impl ShardedEngine {
         healthy
     }
 
-    /// Flattens every live entry across shards into ascending-id order:
+    /// Owned copies of every live entry in ascending-id order:
     /// `(ids, trajs, embeddings, codes)`.
     fn flattened(states: &[Arc<ShardState>]) -> Entries {
-        let mut entries: Vec<(u64, usize, usize)> = Vec::new();
-        for (si, st) in states.iter().enumerate() {
-            for (slot, id) in st.live_slots() {
-                entries.push((id, si, slot));
-            }
+        let mut out = Entries::default();
+        for e in live_entries(states) {
+            out.0.push(e.id);
+            out.1.push(e.traj.clone());
+            out.2.push(e.embedding.to_vec());
+            out.3.push(e.code.clone());
         }
-        entries.sort_unstable_by_key(|&(id, _, _)| id);
-        let mut ids = Vec::with_capacity(entries.len());
-        let mut trajs = Vec::with_capacity(entries.len());
-        let mut embeddings = Vec::with_capacity(entries.len());
-        let mut codes = Vec::with_capacity(entries.len());
-        for (id, si, slot) in entries {
-            let st = &states[si];
-            ids.push(id);
-            trajs.push(st.traj_at(slot).clone());
-            embeddings.push(st.embedding_at(slot).to_vec());
-            codes.push(st.code_at(slot).clone());
-        }
-        (ids, trajs, embeddings, codes)
+        out
     }
 
     /// Builds a *replacement* engine: the current live corpus re-encoded
-    /// with `model`, preserving every stable id and `next_id`, ready for
-    /// [`hot_swap`](ShardedEngine::hot_swap).
+    /// with `model`, preserving every stable id and `next_id`, so a
+    /// subsequent [`hot_swap`](ShardedEngine::hot_swap) is invisible to
+    /// callers holding ids. This is the refresh half of the live
+    /// model-update path: fine-tune a model elsewhere, `refreshed()`,
+    /// snapshot the replacement, validate it by loading it back, then
+    /// swap.
     pub fn refreshed(&self, model: Traj2Hash) -> Result<ShardedEngine, EngineError> {
         let states = self.set.pin_all();
-        let (ids, trajs, _, _) = Self::flattened(&states);
+        let (ids, trajs): (Vec<u64>, Vec<Trajectory>) =
+            live_entries(&states).into_iter().map(|e| (e.id, e.traj.clone())).unzip();
         let embeddings = model.embed_all_with_threads(&trajs, self.cfg.encode_threads.max(1));
         let codes: Vec<BinaryCode> =
             embeddings.iter().map(|e| BinaryCode::from_floats(e)).collect();
-        Self::from_parts(
+        Ok(Self::from_parts(
             model,
             self.cfg.clone(),
             self.scfg.clone(),
@@ -829,19 +835,24 @@ impl ShardedEngine {
             embeddings,
             codes,
             self.next_id,
-        )
+        ))
     }
 
-    /// Atomically swaps `replacement`'s model and corpus into this
-    /// engine, shard by shard, keeping cumulative telemetry and the
+    /// Atomically swaps `replacement`'s model, corpus, and per-shard
+    /// [`EngineConfig`] into this engine, shard by shard, keeping
+    /// cumulative telemetry, this engine's shard count, and the
     /// monotone per-shard publish sequence. Readers that pinned before
     /// the swap finish their queries on the old generation; readers
     /// that pin after see the new one (and refresh their model replica
     /// via the bumped blueprint version).
+    ///
+    /// The replacement is typically produced by
+    /// [`refreshed`](ShardedEngine::refreshed) and round-tripped through
+    /// the `T2HSNAP1` snapshot machinery first, so the bytes that go
+    /// live are the bytes that were validated on disk.
     pub fn hot_swap(&mut self, replacement: ShardedEngine) {
-        let rep_states = replacement.set.pin_all();
-        let rep_next = replacement.next_id;
-        let model = replacement.into_model();
+        let ShardedEngine { model, cfg, set: rep_set, next_id: rep_next, .. } = replacement;
+        let rep_states = rep_set.pin_all();
         if rep_states.len() == self.set.cells.len() {
             for (cell, st) in self.set.cells.iter().zip(&rep_states) {
                 cell.publish((**st).clone());
@@ -851,9 +862,13 @@ impl ShardedEngine {
             // engine's mapping.
             let parts = partition(Self::flattened(&rep_states), self.scfg.shards);
             for (cell, (ids, trajs, embeddings, codes)) in self.set.cells.iter().zip(parts) {
-                cell.publish(ShardState::build(ids, trajs, embeddings, codes, &self.cfg));
+                cell.publish(ShardState::build(ids, trajs, embeddings, codes, &cfg));
             }
         }
+        // The swapped-in states were built under the replacement's
+        // config (its Euclidean backend is frozen into them), so later
+        // per-shard rebuilds, `config()` and snapshots must use it too.
+        self.cfg = cfg;
         // Build the blueprint before touching the cell: the write lock
         // is held only for the Arc swap, never across the clone.
         self.set.model.publish(ModelBlueprint::of(&model));
@@ -877,45 +892,45 @@ impl ShardedEngine {
         }
     }
 
-    /// Serializes the engine into the same `T2HSNAP1` container the
-    /// facade writes: entries are flattened back to ascending-id order,
-    /// so the snapshot is shard-layout-free and loads into either
-    /// engine (with any shard count).
+    /// Serializes the full engine state — model spec + parameters,
+    /// engine config, and every live entry (id, points, embedding,
+    /// code) in ascending-id order — into the checksummed `T2HSNAP1`
+    /// container. The shard layout is not serialized, so the bytes load
+    /// under any shard count.
     pub fn snapshot_bytes(&self) -> Result<Vec<u8>, EngineError> {
         let states = self.set.pin_all();
-        let mut entries: Vec<(u64, usize, usize)> = Vec::new();
-        for (si, st) in states.iter().enumerate() {
-            for (slot, id) in st.live_slots() {
-                entries.push((id, si, slot));
-            }
-        }
-        entries.sort_unstable_by_key(|&(id, _, _)| id);
-        let entries: Vec<EntryRef<'_>> = entries
-            .iter()
-            .map(|&(id, si, slot)| EntryRef {
-                id,
-                traj: states[si].traj_at(slot),
-                embedding: states[si].embedding_at(slot),
-                code: states[si].code_at(slot),
-            })
-            .collect();
         snapshot::encode_view(&SnapshotView {
             model: &self.model,
             cfg: &self.cfg,
-            entries,
+            entries: live_entries(&states),
             next_id: self.next_id,
         })
     }
 
-    /// Restores a sharded engine from snapshot bytes written by either
-    /// engine, distributing entries across `scfg.shards` shards.
+    /// Restores an engine from [`snapshot_bytes`](ShardedEngine::snapshot_bytes)
+    /// output, distributing entries across `scfg.shards` shards.
+    /// Cold-start is instant: no trajectory is re-encoded, only the
+    /// indexes are rebuilt.
     pub fn from_snapshot_bytes(bytes: &[u8], scfg: ShardConfig) -> Result<Self, EngineError> {
+        scfg.validate()?;
         let d = snapshot::decode_parts(bytes)?;
-        Self::from_parts(d.model, d.cfg, scfg, d.ids, d.trajs, d.embeddings, d.codes, d.next_id)
+        d.cfg.validate()?;
+        Ok(Self::from_parts(
+            d.model,
+            d.cfg,
+            scfg,
+            d.ids,
+            d.trajs,
+            d.embeddings,
+            d.codes,
+            d.next_id,
+        ))
     }
 
-    /// Writes a snapshot atomically and durably (fsync'd tmp → rename →
-    /// parent fsync), like the facade.
+    /// Writes a snapshot atomically and durably (unique fsync'd tmp →
+    /// rename → parent-dir fsync), mirroring the checkpoint discipline.
+    /// Goes through `traj2hash::iofault::durable_write`, so installed
+    /// fault plans apply.
     pub fn save_snapshot(&self, path: impl AsRef<Path>) -> Result<(), EngineError> {
         self.save_snapshot_retry(path, &traj2hash::RetryPolicy::none()).map(|_| ())
     }
@@ -962,22 +977,6 @@ impl ShardedEngine {
             }
         }
         engine
-    }
-
-    /// Materializes a single-shard [`Traj2HashEngine`] with the same
-    /// live corpus, model, and ids (primarily for parity testing).
-    pub fn to_unsharded(&self) -> Result<Traj2HashEngine, EngineError> {
-        let states = self.set.pin_all();
-        let (ids, trajs, embeddings, codes) = Self::flattened(&states);
-        Traj2HashEngine::from_loaded(
-            Traj2Hash::from_spec(&self.model.spec(), &self.model.params.clone_values()),
-            self.cfg.clone(),
-            ids,
-            trajs,
-            embeddings,
-            codes,
-            self.next_id,
-        )
     }
 }
 

@@ -27,7 +27,7 @@
 //! always compacted; stable ids and `next_id` are preserved, so
 //! insert/remove sequences continue seamlessly across a reload.
 
-use crate::engine::{EngineConfig, EuclideanBackend, Traj2HashEngine};
+use crate::engine::{EngineConfig, EuclideanBackend};
 use crate::error::EngineError;
 use std::sync::Arc;
 use traj2hash::checkpoint::{
@@ -65,7 +65,7 @@ fn read_f32s(r: &mut PayloadReader) -> Result<Vec<f32>, CheckpointError> {
     Ok(out)
 }
 
-/// One live corpus entry, borrowed from whichever engine is saving.
+/// One live corpus entry, borrowed from the pinned shard states.
 pub(crate) struct EntryRef<'a> {
     pub id: u64,
     pub traj: &'a Trajectory,
@@ -73,12 +73,11 @@ pub(crate) struct EntryRef<'a> {
     pub code: &'a BinaryCode,
 }
 
-/// Everything the snapshot format serializes, borrowed: both the
-/// single-shard facade and the sharded engine flatten themselves into
-/// this view, so there is exactly one byte layout (`T2HSNAP1`) and a
-/// snapshot written by either engine loads into either. Entries must be
-/// in ascending-id order (the sharded engine re-sorts its interleaved
-/// shards before saving).
+/// Everything the snapshot format serializes, borrowed. The engine
+/// flattens its shards into this view, so the byte layout (`T2HSNAP1`)
+/// is shard-layout-free and loads under any shard count. Entries must
+/// be in ascending-id order (the engine re-sorts its interleaved shards
+/// before saving).
 pub(crate) struct SnapshotView<'a> {
     pub model: &'a Traj2Hash,
     pub cfg: &'a EngineConfig,
@@ -86,9 +85,8 @@ pub(crate) struct SnapshotView<'a> {
     pub next_id: u64,
 }
 
-/// A fully decoded snapshot, owned: the caller reassembles whichever
-/// engine it wants (the shard layout is *not* serialized — the sharded
-/// engine redistributes entries by id on load).
+/// A fully decoded snapshot, owned. The shard layout is *not*
+/// serialized — the engine redistributes entries by id on load.
 pub(crate) struct DecodedSnapshot {
     pub model: Traj2Hash,
     pub cfg: EngineConfig,
@@ -97,20 +95,6 @@ pub(crate) struct DecodedSnapshot {
     pub embeddings: Vec<Vec<f32>>,
     pub codes: Vec<BinaryCode>,
     pub next_id: u64,
-}
-
-pub(crate) fn encode(engine: &Traj2HashEngine) -> Result<Vec<u8>, EngineError> {
-    let (model, cfg, ids, trajs, embeddings, codes, dead, next_id) = engine.snapshot_parts();
-    let entries = (0..ids.len())
-        .filter(|&s| !dead[s])
-        .map(|s| EntryRef {
-            id: ids[s],
-            traj: &trajs[s],
-            embedding: &embeddings[s],
-            code: &codes[s],
-        })
-        .collect();
-    encode_view(&SnapshotView { model, cfg, entries, next_id })
 }
 
 pub(crate) fn encode_view(view: &SnapshotView<'_>) -> Result<Vec<u8>, EngineError> {
@@ -193,11 +177,6 @@ pub(crate) fn encode_view(view: &SnapshotView<'_>) -> Result<Vec<u8>, EngineErro
         }
     }
     Ok(encode_container(MAGIC, VERSION, &w.into_payload()))
-}
-
-pub(crate) fn decode(bytes: &[u8]) -> Result<Traj2HashEngine, EngineError> {
-    let d = decode_parts(bytes)?;
-    Traj2HashEngine::from_loaded(d.model, d.cfg, d.ids, d.trajs, d.embeddings, d.codes, d.next_id)
 }
 
 pub(crate) fn decode_parts(bytes: &[u8]) -> Result<DecodedSnapshot, EngineError> {

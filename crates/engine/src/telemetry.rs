@@ -30,7 +30,7 @@ pub struct StrategyTelemetry {
 }
 
 /// Everything the engine measures about itself. Obtain a snapshot with
-/// [`Traj2HashEngine::telemetry`](crate::Traj2HashEngine::telemetry).
+/// [`ShardedEngine::telemetry`](crate::ShardedEngine::telemetry).
 #[derive(Debug, Clone, Default)]
 pub struct EngineTelemetry {
     /// Per-strategy query telemetry, in [`Strategy::ALL`] order.
@@ -56,10 +56,10 @@ pub struct EngineTelemetry {
     /// Total snapshot bytes written.
     pub snapshot_bytes: u64,
     /// Live refreshes: a replacement engine's state hot-swapped in via
-    /// [`Traj2HashEngine::hot_swap`](crate::Traj2HashEngine::hot_swap).
+    /// [`ShardedEngine::hot_swap`](crate::ShardedEngine::hot_swap).
     pub hot_swaps: u64,
     /// Degraded → healthy transitions performed by
-    /// [`Traj2HashEngine::recover`](crate::Traj2HashEngine::recover).
+    /// [`ShardedEngine::recover`](crate::ShardedEngine::recover).
     pub recoveries: u64,
 }
 
@@ -126,7 +126,7 @@ impl EngineTelemetry {
 }
 
 /// Per-query diagnostics returned by
-/// [`Traj2HashEngine::query_with_info`](crate::Traj2HashEngine::query_with_info).
+/// [`ShardedEngine::query_with_info`](crate::ShardedEngine::query_with_info).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryInfo {
     /// The strategy that served the query.
@@ -143,13 +143,11 @@ pub struct QueryInfo {
     pub overfetch: usize,
     /// Wall-clock seconds spent answering.
     pub seconds: f64,
-    /// Shards the query fanned out across (1 for the single-shard
-    /// facade).
+    /// Shards the query fanned out across.
     pub shards: usize,
-    /// Seconds spent fanning the query out across shards (0 for the
-    /// single-shard facade, where there is no fan-out stage).
+    /// Seconds spent searching the shards.
     pub fanout_seconds: f64,
     /// Seconds spent merging per-shard hits through the shared top-k
-    /// helper (0 for the single-shard facade).
+    /// helper.
     pub merge_seconds: f64,
 }

@@ -24,15 +24,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use traj_obs::Field;
 
 /// Process-wide query id allocator: ids are unique across every engine
-/// and reader in the process, so flight dumps interleaving facade and
-/// sharded traces stay unambiguous. Relaxed is enough — uniqueness
+/// and reader in the process, so flight dumps interleaving traces of
+/// several engines stay unambiguous. Relaxed is enough — uniqueness
 /// comes from `fetch_add`, no other memory is published under it.
 static QUERY_IDS: AtomicU64 = AtomicU64::new(0);
 
-/// Process-wide engine instance id allocator: each engine (facade or
-/// shard set) gets one, so offline validation can group per-shard
-/// publish-seq monotonicity checks by instance instead of conflating
-/// seqs from unrelated engines. Relaxed for the same reason as
+/// Process-wide engine instance id allocator: each engine's shard set
+/// gets one, so offline validation can group per-shard publish-seq
+/// monotonicity checks by instance instead of conflating seqs from
+/// unrelated engines. Relaxed for the same reason as
 /// `QUERY_IDS`.
 static INSTANCE_IDS: AtomicU64 = AtomicU64::new(0);
 
@@ -162,10 +162,9 @@ impl ShardTrace {
 /// pinned, what the search path did, and the taxonomy steps it took.
 #[derive(Debug, Clone)]
 pub struct ShardTraceRow {
-    /// Shard index within the fan-out (0 for the unsharded facade).
+    /// Shard index within the fan-out.
     pub shard: usize,
-    /// The pinned state's publish sequence (the facade reports its
-    /// rebuild generation here — its single-writer analogue).
+    /// The pinned state's publish sequence.
     pub publish_seq: u64,
     /// The pinned state's rebuild generation.
     pub generation: u64,
@@ -222,7 +221,7 @@ impl QueryTrace {
     }
 
     /// The structured flight-recorder fields for this trace. `engine`
-    /// labels the serving topology (`"facade"` / `"sharded"`),
+    /// labels the serving topology (`"sharded"`),
     /// `instance` the engine's process-unique trace instance id —
     /// together with the shard count they key the offline per-shard
     /// publish-seq monotonicity check.

@@ -40,16 +40,6 @@ pub enum SearchError {
     },
     /// The index was configured with zero substring tables.
     NoTables,
-    /// The query lives in a different space than the index: a dense
-    /// embedding was handed to a Hamming-code index or vice versa.
-    /// There is no conversion that preserves the metric, so the query
-    /// cannot be answered.
-    RepresentationMismatch {
-        /// Representation the index searches over.
-        expected: &'static str,
-        /// Representation the query arrived in.
-        got: &'static str,
-    },
 }
 
 impl fmt::Display for SearchError {
@@ -66,9 +56,6 @@ impl fmt::Display for SearchError {
                 write!(f, "lookup radius {radius} unsupported (max {max})")
             }
             SearchError::NoTables => write!(f, "multi-index hashing needs at least one table"),
-            SearchError::RepresentationMismatch { expected, got } => {
-                write!(f, "index searches {expected} queries but received a {got} query")
-            }
         }
     }
 }

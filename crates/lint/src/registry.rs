@@ -335,16 +335,6 @@ pub struct TracedEntryPoint {
 /// they delegate into one that does.
 pub const TRACED_ENTRY_POINTS: &[TracedEntryPoint] = &[
     TracedEntryPoint {
-        path: "crates/engine/src/engine.rs",
-        func: "query",
-        why: "delegates to Traj2HashEngine::query_traced, which owns the TraceCtx",
-    },
-    TracedEntryPoint {
-        path: "crates/engine/src/engine.rs",
-        func: "query_with_info",
-        why: "delegates to Traj2HashEngine::query_traced, which owns the TraceCtx",
-    },
-    TracedEntryPoint {
         path: "crates/engine/src/sharded.rs",
         func: "query",
         why: "both ShardedEngine::query and ShardReader::query delegate to their \

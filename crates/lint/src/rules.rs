@@ -718,10 +718,10 @@ mod tests {
         let sealed = "pub fn query_traced2(&self) -> (Vec<Hit>, QueryTrace) {\n    self.inner()\n}\n";
         assert!(run(engine, sealed).is_empty());
 
-        // Registered delegates are sanctioned (engine.rs `query` is in
+        // Registered delegates are sanctioned (sharded.rs `query` is in
         // TRACED_ENTRY_POINTS).
         let delegate = "pub fn query(&self, k: usize) -> Vec<Hit> {\n    self.query_with_info(k).0\n}\n";
-        assert!(run("crates/engine/src/engine.rs", delegate).is_empty());
+        assert!(run("crates/engine/src/sharded.rs", delegate).is_empty());
         // ... but the same body elsewhere still flags.
         assert_eq!(run(engine, delegate).len(), 1);
 

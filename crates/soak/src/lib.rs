@@ -1,7 +1,7 @@
 //! # traj-soak — always-on streaming soak for the Traj2Hash engine
 //!
 //! A long-lived, deterministic, fault-injected serving loop over
-//! [`traj_engine::Traj2HashEngine`]. Each tick:
+//! [`traj_engine::ShardedEngine`]. Each tick:
 //!
 //! 1. ingests a batch from a drifting city stream
 //!    ([`traj_data::DriftingGenerator`], porto → chengdu),

@@ -1,17 +1,14 @@
-//! Search-strategy comparison through the engine's `AnnIndex`
-//! interface: every backend — Euclidean-BF, Hamming-BF, MIH, and the
-//! Hamming-Hybrid table lookup — is timed through the same trait object
-//! the serving engine dispatches to (the Section V-E experiment as a
-//! runnable demo).
+//! Search-strategy comparison over the `traj-index` structures the
+//! serving engine's shards call: Euclidean-BF, Hamming-BF, MIH, and the
+//! Hamming-Hybrid table lookup, each timed on its own entry point (the
+//! Section V-E experiment as a runnable demo).
 //!
 //! ```text
 //! cargo run --release --example hamming_search
 //! ```
 
-use std::time::Instant;
-use traj_bench::clustered_workload;
-use traj_engine::{AnnIndex, BruteForceEuclidean, BruteForceHamming, IndexKind, QueryRep};
-use traj_index::{HammingTable, MultiIndexHashing};
+use traj_bench::{clustered_workload, mean_query_secs};
+use traj_index::{euclidean_top_k, hamming_top_k, HammingTable, MultiIndexHashing};
 
 fn main() {
     let bits = 32;
@@ -21,8 +18,7 @@ fn main() {
     for n_db in [10_000usize, 50_000, 100_000] {
         let w = clustered_workload(n_db, n_query, bits, n_db / 400, 2, 11);
 
-        // Count how many queries would resolve purely by radius-2 table
-        // lookup before the table disappears behind the trait.
+        // Count how many queries resolve purely by radius-2 table lookup.
         let table = HammingTable::build(w.db_codes.clone());
         let resolved = w
             .query_codes
@@ -38,46 +34,25 @@ fn main() {
             })
             .count();
 
-        let backends: Vec<(&str, Box<dyn AnnIndex>)> = vec![
+        let mih = MultiIndexHashing::try_build(w.db_codes.clone(), 4)
+            .expect("non-empty uniform codes");
+        let (embs, codes) = (&w.db_embeddings, &w.db_codes);
+        let timings = [
+            ("Euclidean-BF", mean_query_secs(&w.query_embeddings, |q| euclidean_top_k(embs, q, k))),
+            ("Hamming-BF", mean_query_secs(&w.query_codes, |q| hamming_top_k(codes, q, k))),
+            ("Hamming-MIH", mean_query_secs(&w.query_codes, |q| mih.top_k(q, k).expect("widths"))),
             (
-                "Euclidean-BF",
-                Box::new(
-                    BruteForceEuclidean::new(w.db_embeddings.clone())
-                        .expect("uniform embedding widths"),
-                ),
+                "Hamming-Hybrid",
+                mean_query_secs(&w.query_codes, |q| table.hybrid_top_k(q, k).expect("widths")),
             ),
-            (
-                "Hamming-BF",
-                Box::new(BruteForceHamming::new(w.db_codes.clone()).expect("uniform code widths")),
-            ),
-            (
-                "Hamming-MIH",
-                Box::new(
-                    MultiIndexHashing::try_build(w.db_codes.clone(), 4)
-                        .expect("non-empty uniform codes"),
-                ),
-            ),
-            ("Hamming-Hybrid", Box::new(table)),
         ];
 
         println!(
             "\n  db size {n_db} ({resolved}% of queries resolvable by radius-2 lookup)",
             resolved = resolved * 100 / n_query
         );
-        for (name, backend) in &backends {
-            // The trait tells us which representation to feed it.
-            let queries: Vec<QueryRep<'_>> = match backend.kind() {
-                IndexKind::Euclidean => {
-                    w.query_embeddings.iter().map(|q| QueryRep::Dense(q)).collect()
-                }
-                IndexKind::Hamming => w.query_codes.iter().map(QueryRep::Code).collect(),
-            };
-            let t = Instant::now();
-            for q in &queries {
-                std::hint::black_box(backend.search(*q, k).expect("matching widths"));
-            }
-            let per_query = t.elapsed().as_secs_f64() / n_query as f64;
-            println!("    {name:<16} {:>9.3} ms/query", per_query * 1e3);
+        for (name, secs) in timings {
+            println!("    {name:<16} {:>9.3} ms/query", secs * 1e3);
         }
     }
     println!(

@@ -1,7 +1,7 @@
 //! Quickstart: train a small Traj2Hash model, stand up the serving
 //! engine, and search in both Euclidean and Hamming space — then keep
-//! the corpus live with inserts/removals and survive a restart via a
-//! snapshot.
+//! the corpus live with inserts/removals, survive a restart via a
+//! snapshot, and serve from other threads.
 //!
 //! ```text
 //! cargo run --release --example quickstart
@@ -10,7 +10,7 @@
 use std::time::Instant;
 use traj_data::{CityParams, Dataset, SplitSizes};
 use traj_dist::Measure;
-use traj_engine::{EngineConfig, ShardConfig, ShardedEngine, Strategy, Traj2HashEngine};
+use traj_engine::{EngineConfig, ShardConfig, ShardedEngine, Strategy};
 use traj_eval::{ground_truth_top_k, hr_at_k};
 use traj2hash::{train, ModelConfig, ModelContext, Traj2Hash, TrainConfig, TrainData};
 
@@ -59,16 +59,21 @@ fn main() {
     );
 
     // 3. Stand up the serving engine: one call encodes the database,
-    //    packs the binary codes, and builds every index. The trainer
-    //    keeps the original model; the engine owns a byte-identical
-    //    replica.
-    let mut engine =
-        Traj2HashEngine::build_from(&model, dataset.database.clone(), EngineConfig::default())
-            .expect("engine build");
+    //    packs the binary codes, partitions the corpus across shards by
+    //    stable id, and builds every shard's indexes. The trainer keeps
+    //    the original model; the engine owns a byte-identical replica.
+    let shards = ShardConfig { shards: 4, fan_out_threads: 0 };
+    let mut engine = ShardedEngine::build_from(
+        &model,
+        dataset.database.clone(),
+        EngineConfig::default(),
+        shards.clone(),
+    )
+    .expect("engine build");
     let stats = engine.stats();
     println!(
-        "\nengine: {} trajectories indexed, generation {}, degraded: {}",
-        stats.live, stats.generation, stats.degraded
+        "\nengine: {} trajectories indexed over {} shards, degraded: {}",
+        stats.live, shards.shards, stats.degraded
     );
 
     // 4. One `query` call per strategy — no per-strategy plumbing.
@@ -94,7 +99,7 @@ fn main() {
     let q = &dataset.query[0];
     println!("\nquery 0 ({} points): nearest database trajectories:", q.len());
     for hit in engine.query(q, 3, Strategy::EuclideanBf).expect("query") {
-        let exact = measure.distance(q, engine.get(hit.id).expect("live id"));
+        let exact = measure.distance(q, &engine.get(hit.id).expect("live id"));
         println!(
             "  #{:<4} embedding distance {:.3}, exact Frechet {:.1} m",
             hit.id, hit.distance, exact
@@ -102,7 +107,7 @@ fn main() {
     }
 
     // 6. The corpus is live: new trajectories are searchable the moment
-    //    `insert` returns, removals vanish immediately, and the engine
+    //    `insert` returns, removals vanish immediately, and each shard
     //    compacts itself past the configured thresholds.
     let novel = dataset.corpus[0].clone();
     let id = engine.insert(novel.clone());
@@ -119,7 +124,7 @@ fn main() {
     let path = std::env::temp_dir().join("traj2hash-quickstart.snap");
     engine.save_snapshot(&path).expect("save snapshot");
     let t = Instant::now();
-    let restored = Traj2HashEngine::load_snapshot(&path).expect("load snapshot");
+    let restored = ShardedEngine::load_snapshot(&path, shards).expect("load snapshot");
     let reload_ms = t.elapsed().as_secs_f64() * 1e3;
     let same = restored.query(q, 3, Strategy::EuclideanBf).expect("query")
         == engine.query(q, 3, Strategy::EuclideanBf).expect("query");
@@ -129,28 +134,20 @@ fn main() {
     );
     std::fs::remove_file(&path).ok();
 
-    // 8. Scale-out serving: the same corpus behind the sharded engine.
-    //    The corpus partitions across shards by stable id; each shard
-    //    publishes immutable generations behind an Arc swap, so any
-    //    number of reader threads query lock-free (pin → search →
-    //    drop) while the writer inserts, removes, and compacts.
-    //    Answers are bit-identical to the single-shard engine above,
-    //    and `query_many` amortizes query encoding over a batch.
-    let sharded = ShardedEngine::build_from(
-        &model,
-        dataset.database.clone(),
-        EngineConfig::default(),
-        ShardConfig { shards: 4, fan_out_threads: 0 },
-    )
-    .expect("sharded engine build");
+    // 8. Serving from other threads: each shard publishes immutable
+    //    generations behind an Arc swap, so any number of reader
+    //    threads query lock-free (pin → search → drop) while the writer
+    //    inserts, removes, and compacts. `query_many` amortizes query
+    //    encoding over a batch; readers and batches answer exactly like
+    //    `query`.
     let batch: Vec<_> = dataset.query.iter().take(4).cloned().collect();
-    let batched = sharded.query_many(&batch, 3, Strategy::Hybrid).expect("batched query");
+    let batched = engine.query_many(&batch, 3, Strategy::Hybrid).expect("batched query");
     let agree = batch
         .iter()
         .zip(&batched)
         .all(|(q, hits)| *hits == engine.query(q, 3, Strategy::Hybrid).expect("query"));
     let from_reader = std::thread::scope(|scope| {
-        let spec = sharded.reader(); // Send; the model replica is built on the reader thread
+        let spec = engine.reader(); // Send; the model replica is built on the reader thread
         scope
             .spawn(move || {
                 let mut reader = spec.into_reader();
@@ -160,11 +157,7 @@ fn main() {
             .expect("reader thread")
     });
     println!(
-        "sharded engine: {} shards over {} trajectories; batched answers match \
-         the single-shard engine: {}; reader-thread answer matches: {}",
-        sharded.shard_config().shards,
-        sharded.len(),
-        agree,
+        "batched answers match per-query answers: {agree}; reader-thread answer matches: {}",
         from_reader == batched[0],
     );
 

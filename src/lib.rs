@@ -14,8 +14,9 @@
 //! * [`traj_baselines`] — the comparison methods
 //! * [`traj_index`] — Euclidean/Hamming top-k search structures
 //! * [`traj_eval`] — metrics and experiment tables
-//! * [`traj_engine`] — the serving layer: `Traj2HashEngine` facade over
-//!   encode → hash → index → search, with incremental updates + snapshots
+//! * [`traj_engine`] — the serving layer: one `ShardedEngine` over
+//!   encode → hash → index → search, with incremental updates, lock-free
+//!   readers + snapshots
 
 pub use tinynn;
 pub use traj2hash;

@@ -3,7 +3,7 @@
 
 use traj_data::{CityParams, Dataset, SplitSizes};
 use traj_dist::Measure;
-use traj_engine::{EngineConfig, Strategy, Traj2HashEngine};
+use traj_engine::{EngineConfig, ShardConfig, ShardedEngine, Strategy};
 use traj_eval::{ground_truth_top_k, pack_codes, rank_hamming, Metrics};
 use traj2hash::{train, ModelConfig, ModelContext, Traj2Hash, TrainConfig, TrainData};
 
@@ -31,9 +31,13 @@ fn strategy_metrics(
     truth: &[Vec<usize>],
     strategy: Strategy,
 ) -> Metrics {
-    let engine =
-        Traj2HashEngine::build_from(model, dataset.database.clone(), EngineConfig::default())
-            .expect("engine build");
+    let engine = ShardedEngine::build_from(
+        model,
+        dataset.database.clone(),
+        EngineConfig::default(),
+        ShardConfig::default(),
+    )
+    .expect("engine build");
     let ranked: Vec<Vec<usize>> = dataset
         .query
         .iter()

@@ -1,24 +1,34 @@
-//! Engine correctness suite.
+//! Engine correctness suite, run at one shard and at three.
 //!
-//! Three families of guarantees, matching the refactor's acceptance
-//! criteria:
+//! Three families of guarantees:
 //!
-//! 1. **Parity** — a freshly built [`Traj2HashEngine`] answers every
-//!    strategy bit-identically to the pre-refactor direct path
-//!    (`embed_all` → `pack` → `euclidean_top_k` / `hamming_top_k` /
-//!    table / MIH / hybrid), ids and distances both.
-//! 2. **Incremental == rebuilt** — any interleaving of insert/remove
-//!    (with compactions forced by a tiny rebuild threshold) answers
-//!    exactly like an engine built from scratch over the surviving
-//!    trajectories (property-based).
+//! 1. **Parity** — a freshly built [`ShardedEngine`] answers every
+//!    strategy bit-identically to the direct path over the `traj-index`
+//!    primitives (`embed_all` → `pack` → `euclidean_top_k` /
+//!    `hamming_top_k` / table / MIH / hybrid), ids and distances both.
+//! 2. **Lifecycle** — removals vanish, ids are never recycled,
+//!    compaction changes nothing a caller can see, degraded serving
+//!    stays exact and is counted, a hot swap adopts the replacement's
+//!    config, and any interleaving of insert/remove (with compactions
+//!    forced by a tiny rebuild threshold) answers exactly like an engine
+//!    built from scratch over the surviving trajectories
+//!    (property-based).
 //! 3. **Snapshots** — save → load → query roundtrips exactly, and
 //!    corrupted/truncated/wrong-magic snapshots are rejected with typed
 //!    errors, never a panic or a silently wrong engine.
+//!
+//! The stateful model test against the scan oracle lives in
+//! `shard_parity`.
 
+#[allow(dead_code)]
+#[path = "common/oracle.rs"]
+mod oracle;
+
+use oracle::world;
 use proptest::prelude::*;
 use traj_data::{CityParams, Dataset, SplitSizes, Trajectory};
 use traj_engine::{
-    EngineConfig, EngineError, EuclideanBackend, Strategy, Traj2HashEngine,
+    EngineConfig, EngineError, EuclideanBackend, ShardConfig, ShardedEngine, Strategy,
 };
 use traj_index::search::Hit as SlotHit;
 use traj_index::{
@@ -26,18 +36,28 @@ use traj_index::{
 };
 use traj2hash::{CheckpointError, ModelConfig, ModelContext, Traj2Hash};
 
-/// A deterministic little world: synthetic city, untrained tiny model
-/// (training is orthogonal to engine correctness and tested elsewhere).
-fn world() -> (Dataset, Traj2Hash) {
-    let sizes = SplitSizes { seeds: 16, validation: 20, corpus: 150, query: 8, database: 90 };
-    let dataset = Dataset::generate(CityParams::test_city(), sizes, 11);
-    let mcfg = ModelConfig::tiny();
-    let ctx = ModelContext::prepare(&dataset.training_visible(), &mcfg, 11);
-    let model = Traj2Hash::new(mcfg, &ctx, 13);
-    (dataset, model)
+/// Every test below runs on a one-shard engine and on a three-shard one.
+const SHARDS: [usize; 2] = [1, 3];
+
+fn scfg(shards: usize) -> ShardConfig {
+    ShardConfig { shards, fan_out_threads: 0 }
 }
 
-/// The pre-refactor direct path for one strategy, over a frozen corpus.
+fn build(
+    model: &Traj2Hash,
+    corpus: &[Trajectory],
+    cfg: EngineConfig,
+    shards: usize,
+) -> ShardedEngine {
+    ShardedEngine::build_from(model, corpus.to_vec(), cfg, scfg(shards)).unwrap()
+}
+
+fn build_default(model: &Traj2Hash, corpus: &[Trajectory], shards: usize) -> ShardedEngine {
+    build(model, corpus, EngineConfig::default(), shards)
+}
+
+/// One strategy straight over the `traj-index` primitives, on a frozen
+/// corpus.
 fn direct_path(
     embs: &[Vec<f32>],
     codes: &[BinaryCode],
@@ -76,27 +96,27 @@ fn fresh_engine_matches_direct_path_bit_for_bit_on_every_strategy() {
     let corpus = dataset.database.clone();
     let embs = model.embed_all(&corpus);
     let codes: Vec<BinaryCode> = embs.iter().map(|e| BinaryCode::from_floats(e)).collect();
-    let engine =
-        Traj2HashEngine::build_from(&model, corpus, EngineConfig::default()).unwrap();
-
-    for q in &dataset.query {
-        let q_emb = model.embed(q).data().to_vec();
-        for k in [1usize, 5, 10, 37] {
-            for strategy in Strategy::ALL {
-                let want = direct_path(&embs, &codes, &q_emb, k, strategy);
-                let got = engine.query(q, k, strategy).unwrap();
-                // Fresh build assigns ids 0..n in corpus order, so the
-                // engine's stable ids ARE the direct path's indices.
-                let got: Vec<SlotHit> = got
-                    .into_iter()
-                    .map(|h| SlotHit { index: h.id as usize, distance: h.distance })
-                    .collect();
-                assert_eq!(
-                    got,
-                    want,
-                    "{} diverged from the direct path at k={k}",
-                    strategy.name()
-                );
+    for shards in SHARDS {
+        let engine = build_default(&model, &corpus, shards);
+        for q in &dataset.query {
+            let q_emb = model.embed(q).data().to_vec();
+            for k in [1usize, 5, 10, 37] {
+                for strategy in Strategy::ALL {
+                    let want = direct_path(&embs, &codes, &q_emb, k, strategy);
+                    let got = engine.query(q, k, strategy).unwrap();
+                    // Fresh build assigns ids 0..n in corpus order, so the
+                    // engine's stable ids ARE the direct path's indices.
+                    let got: Vec<SlotHit> = got
+                        .into_iter()
+                        .map(|h| SlotHit { index: h.id as usize, distance: h.distance })
+                        .collect();
+                    assert_eq!(
+                        got,
+                        want,
+                        "{} diverged from the direct path at shards={shards} k={k}",
+                        strategy.name()
+                    );
+                }
             }
         }
     }
@@ -107,134 +127,141 @@ fn vptree_backend_agrees_with_brute_force() {
     let (dataset, model) = world();
     let cfg_vp =
         EngineConfig { euclidean_backend: EuclideanBackend::VpTree, ..EngineConfig::default() };
-    let bf = Traj2HashEngine::build_from(&model, dataset.database.clone(), EngineConfig::default())
-        .unwrap();
-    let vp = Traj2HashEngine::build_from(&model, dataset.database.clone(), cfg_vp).unwrap();
-    for q in &dataset.query {
-        assert_eq!(
-            bf.query(q, 10, Strategy::EuclideanBf).unwrap(),
-            vp.query(q, 10, Strategy::EuclideanBf).unwrap(),
-        );
+    for shards in SHARDS {
+        let bf = build_default(&model, &dataset.database, shards);
+        let vp = build(&model, &dataset.database, cfg_vp.clone(), shards);
+        for q in &dataset.query {
+            assert_eq!(
+                bf.query(q, 10, Strategy::EuclideanBf).unwrap(),
+                vp.query(q, 10, Strategy::EuclideanBf).unwrap(),
+            );
+        }
     }
 }
 
 #[test]
 fn k_zero_and_empty_engine_answer_with_nothing() {
     let (dataset, model) = world();
-    let engine =
-        Traj2HashEngine::build_from(&model, dataset.database.clone(), EngineConfig::default())
-            .unwrap();
-    let empty =
-        Traj2HashEngine::build_from(&model, Vec::new(), EngineConfig::default()).unwrap();
-    assert!(empty.is_empty());
-    for strategy in Strategy::ALL {
-        assert!(engine.query(&dataset.query[0], 0, strategy).unwrap().is_empty());
-        assert!(empty.query(&dataset.query[0], 5, strategy).unwrap().is_empty());
+    for shards in SHARDS {
+        let engine = build_default(&model, &dataset.database, shards);
+        let empty = build_default(&model, &[], shards);
+        assert!(empty.is_empty());
+        for strategy in Strategy::ALL {
+            assert!(engine.query(&dataset.query[0], 0, strategy).unwrap().is_empty());
+            assert!(empty.query(&dataset.query[0], 5, strategy).unwrap().is_empty());
+        }
     }
 }
 
 #[test]
 fn remove_rejects_unknown_and_double_removal() {
     let (dataset, model) = world();
-    let mut engine =
-        Traj2HashEngine::build_from(&model, dataset.database.clone(), EngineConfig::default())
-            .unwrap();
-    assert!(matches!(engine.remove(999_999), Err(EngineError::UnknownId(999_999))));
-    engine.remove(3).unwrap();
-    assert!(matches!(engine.remove(3), Err(EngineError::UnknownId(3))));
-    assert!(!engine.contains(3));
-    assert!(engine.get(3).is_none());
+    for shards in SHARDS {
+        let mut engine = build_default(&model, &dataset.database, shards);
+        assert!(matches!(engine.remove(999_999), Err(EngineError::UnknownId(999_999))));
+        engine.remove(3).unwrap();
+        assert!(matches!(engine.remove(3), Err(EngineError::UnknownId(3))));
+        assert!(!engine.contains(3));
+        assert!(engine.get(3).is_none());
+    }
 }
 
 #[test]
 fn removed_trajectories_vanish_from_every_strategy() {
     let (dataset, model) = world();
-    let mut engine =
-        Traj2HashEngine::build_from(&model, dataset.database.clone(), EngineConfig::default())
-            .unwrap();
-    let q = &dataset.query[0];
-    // Remove the entire Euclidean top-5, then confirm none of the five
-    // ever reappears under any strategy.
-    let victims: Vec<u64> =
-        engine.query(q, 5, Strategy::EuclideanBf).unwrap().iter().map(|h| h.id).collect();
-    for &id in &victims {
-        engine.remove(id).unwrap();
-    }
-    for strategy in Strategy::ALL {
-        let hits = engine.query(q, 20, strategy).unwrap();
-        for h in &hits {
-            assert!(!victims.contains(&h.id), "{} resurfaced a tombstone", strategy.name());
+    for shards in SHARDS {
+        let mut engine = build_default(&model, &dataset.database, shards);
+        let q = &dataset.query[0];
+        // Remove the entire Euclidean top-5, then confirm none of the
+        // five ever reappears under any strategy.
+        let victims: Vec<u64> =
+            engine.query(q, 5, Strategy::EuclideanBf).unwrap().iter().map(|h| h.id).collect();
+        for &id in &victims {
+            engine.remove(id).unwrap();
         }
+        for strategy in Strategy::ALL {
+            let hits = engine.query(q, 20, strategy).unwrap();
+            for h in &hits {
+                assert!(!victims.contains(&h.id), "{} resurfaced a tombstone", strategy.name());
+            }
+        }
+        assert_eq!(engine.len(), dataset.database.len() - victims.len());
     }
-    assert_eq!(engine.len(), dataset.database.len() - victims.len());
 }
 
 #[test]
 fn compaction_preserves_ids_and_answers() {
     let (dataset, model) = world();
-    let mut engine =
-        Traj2HashEngine::build_from(&model, dataset.database.clone(), EngineConfig::default())
-            .unwrap();
-    for id in [0u64, 7, 13, 44, 80] {
-        engine.remove(id).unwrap();
+    for shards in SHARDS {
+        let mut engine = build_default(&model, &dataset.database, shards);
+        for id in [0u64, 7, 13, 44, 80] {
+            engine.remove(id).unwrap();
+        }
+        let q = &dataset.query[1];
+        let before: Vec<_> =
+            Strategy::ALL.iter().map(|&s| engine.query(q, 15, s).unwrap()).collect();
+        let ids_before = engine.ids();
+        let gens_before = engine.pin().generations();
+
+        engine.compact();
+
+        let after: Vec<_> =
+            Strategy::ALL.iter().map(|&s| engine.query(q, 15, s).unwrap()).collect();
+        let stats = engine.stats();
+        assert_eq!(before, after, "compaction changed query answers");
+        assert_eq!(ids_before, engine.ids(), "compaction changed live ids");
+        assert_eq!(stats.dead, 0);
+        assert_eq!(stats.delta, 0);
+        for (after, before) in engine.pin().generations().iter().zip(&gens_before) {
+            assert!(after > before, "every shard rebuilds on compact");
+        }
     }
-    let q = &dataset.query[1];
-    let before: Vec<_> =
-        Strategy::ALL.iter().map(|&s| engine.query(q, 15, s).unwrap()).collect();
-    let ids_before: Vec<u64> = engine.ids().collect();
-    let gen_before = engine.stats().generation;
-
-    engine.compact();
-
-    let after: Vec<_> =
-        Strategy::ALL.iter().map(|&s| engine.query(q, 15, s).unwrap()).collect();
-    let stats = engine.stats();
-    assert_eq!(before, after, "compaction changed query answers");
-    assert_eq!(ids_before, engine.ids().collect::<Vec<_>>(), "compaction changed live ids");
-    assert_eq!(stats.dead, 0);
-    assert_eq!(stats.delta, 0);
-    assert!(stats.generation > gen_before);
 }
 
 #[test]
 fn inserts_are_searchable_immediately_and_get_fresh_ids() {
     let (dataset, model) = world();
-    let mut engine =
-        Traj2HashEngine::build_from(&model, dataset.database.clone(), EngineConfig::default())
-            .unwrap();
-    let novel = dataset.query[2].clone();
-    let id = engine.insert(novel.clone());
-    assert_eq!(id, dataset.database.len() as u64);
-    assert!(engine.contains(id));
-    // A self-query must find the fresh entry at distance 0 under every
-    // strategy — it lives in the delta region, proving the linear merge
-    // actually runs. In Euclidean space it is also rank 1 outright; in
-    // Hamming space the untrained model's codes collide, so it may tie
-    // at distance 0 with older entries (which win the index tie-break).
-    let top = engine.query(&novel, 1, Strategy::EuclideanBf).unwrap();
-    assert_eq!(top[0].id, id);
-    assert_eq!(top[0].distance, 0.0);
-    for strategy in Strategy::ALL {
-        let hits = engine.query(&novel, engine.len(), strategy).unwrap();
-        let me = hits
-            .iter()
-            .find(|h| h.id == id)
-            .unwrap_or_else(|| panic!("{} cannot see the fresh insert", strategy.name()));
-        assert_eq!(me.distance, 0.0, "{}", strategy.name());
+    for shards in SHARDS {
+        let mut engine = build_default(&model, &dataset.database, shards);
+        let novel = dataset.query[2].clone();
+        let id = engine.insert(novel.clone());
+        assert_eq!(id, dataset.database.len() as u64);
+        assert!(engine.contains(id));
+        // A self-query must find the fresh entry at distance 0 under
+        // every strategy — it lives in the delta region, proving the
+        // linear merge actually runs. In Euclidean space it is also rank
+        // 1 outright; in Hamming space the untrained model's codes
+        // collide, so it may tie at distance 0 with older entries (which
+        // win the id tie-break).
+        let top = engine.query(&novel, 1, Strategy::EuclideanBf).unwrap();
+        assert_eq!(top[0].id, id);
+        assert_eq!(top[0].distance, 0.0);
+        for strategy in Strategy::ALL {
+            let hits = engine.query(&novel, engine.len(), strategy).unwrap();
+            let me = hits
+                .iter()
+                .find(|h| h.id == id)
+                .unwrap_or_else(|| panic!("{} cannot see the fresh insert", strategy.name()));
+            assert_eq!(me.distance, 0.0, "{}", strategy.name());
+        }
+        // Its id is never recycled, even after removal + compaction.
+        engine.remove(id).unwrap();
+        engine.compact();
+        let id2 = engine.insert(novel);
+        assert!(id2 > id);
     }
-    // Its id is never recycled, even after removal + compaction.
-    engine.remove(id).unwrap();
-    engine.compact();
-    let id2 = engine.insert(novel);
-    assert!(id2 > id);
 }
 
 #[test]
 fn degraded_mode_tags_queries_counts_fallbacks_and_recovers() {
+    for shards in SHARDS {
+        check_degrade_drill(shards);
+    }
+}
+
+fn check_degrade_drill(shards: usize) {
     let (dataset, model) = world();
-    let mut engine =
-        Traj2HashEngine::build_from(&model, dataset.database.clone(), EngineConfig::default())
-            .unwrap();
+    let mut engine = build_default(&model, &dataset.database, shards);
     let q = &dataset.query[0];
 
     // Healthy baseline: indexed strategies are neither degraded nor
@@ -242,22 +269,24 @@ fn degraded_mode_tags_queries_counts_fallbacks_and_recovers() {
     let (_, info) = engine.query_with_info(q, 5, Strategy::Mih).unwrap();
     assert!(!info.degraded && !info.linear_fallback);
     assert_eq!(info.strategy, Strategy::Mih);
+    assert_eq!(info.shards, shards);
     assert!(info.seconds >= 0.0 && info.candidates > 0);
-    let healthy_hamming = engine.query(q, 10, Strategy::HammingBf).unwrap();
-    let healthy_euclid = engine.query(q, 10, Strategy::EuclideanBf).unwrap();
-    let healthy_mih = engine.query(q, 10, Strategy::Mih).unwrap();
+    let healthy: Vec<_> =
+        Strategy::ALL.iter().map(|&s| engine.query(q, 10, s).unwrap()).collect();
     let base = engine.telemetry();
     assert_eq!(base.total_linear_fallbacks(), 0);
-    assert!(base.rebuilds >= 1);
+    assert_eq!(base.rebuilds, shards as u64, "construction is each shard's first rebuild");
 
     // Chaos drill: drop the indexes. Every strategy must still answer
-    // (exactly — the scan path is the reference implementation), tag its
+    // exactly what it answered healthy (Table keeps its radius-2,
+    // may-return-fewer contract by filtering the scan), tag its
     // QueryInfo as degraded, and the index-backed strategies must count
     // linear fallbacks, both in engine telemetry and in the obs mirror.
     let rec = std::sync::Arc::new(traj_obs::InMemoryRecorder::default());
     traj_obs::with_local_recorder(rec.clone(), || {
         engine.force_degrade();
-        for strategy in Strategy::ALL {
+        assert!(engine.stats().degraded);
+        for (strategy, want) in Strategy::ALL.into_iter().zip(&healthy) {
             let (hits, info) = engine.query_with_info(q, 10, strategy).unwrap();
             assert!(info.degraded, "{} not tagged degraded", strategy.name());
             assert_eq!(info.overfetch, 0, "no indexed region, no over-fetch margin");
@@ -269,16 +298,7 @@ fn degraded_mode_tags_queries_counts_fallbacks_and_recovers() {
                 "{}: by-design scans are not fallbacks, index paths are",
                 strategy.name()
             );
-            match strategy {
-                Strategy::EuclideanBf => assert_eq!(hits, healthy_euclid),
-                Strategy::HammingBf => assert_eq!(hits, healthy_hamming),
-                // Degraded Table widens to an exact Hamming top-k scan
-                // (it can no longer enumerate just the radius-2 ball);
-                // Mih and Hybrid are exact top-k either way.
-                Strategy::Table | Strategy::Hybrid | Strategy::Mih => {
-                    assert_eq!(hits, healthy_mih, "{}", strategy.name())
-                }
-            }
+            assert_eq!(hits, *want, "{} changed its answer when degraded", strategy.name());
         }
     });
     let tele = engine.telemetry();
@@ -306,19 +326,71 @@ fn degraded_mode_tags_queries_counts_fallbacks_and_recovers() {
     engine.compact();
     let (hits, info) = engine.query_with_info(q, 10, Strategy::Mih).unwrap();
     assert!(!info.degraded && !info.linear_fallback);
-    assert_eq!(hits, healthy_mih);
+    assert_eq!(hits, healthy[Strategy::Mih.index()]);
     assert_eq!(engine.telemetry().total_linear_fallbacks(), 3);
+
+    // `recover` is the drill's other way out, and it is counted.
+    engine.force_degrade();
+    assert!(engine.recover());
+    assert!(!engine.stats().degraded);
+    assert_eq!(engine.telemetry().recoveries, 1);
+    assert_eq!(
+        engine.query(q, 10, Strategy::EuclideanBf).unwrap(),
+        healthy[Strategy::EuclideanBf.index()]
+    );
+}
+
+/// `hot_swap` must adopt the replacement's per-shard config: the
+/// swapped-in shard states freeze the *replacement's* Euclidean backend,
+/// so an engine that kept its own config would revert each shard to the
+/// old backend at that shard's next rebuild, report the wrong
+/// `config()`, and persist the stale config in its next snapshot.
+#[test]
+fn hot_swap_adopts_the_replacement_config() {
+    let (dataset, model) = world();
+    let corpus = &dataset.database[..12];
+    let bf = EngineConfig { rebuild_slack: 4, ..EngineConfig::default() };
+    let vp = EngineConfig { euclidean_backend: EuclideanBackend::VpTree, ..bf.clone() };
+    // Same shard count (states are republished as they are) and a
+    // different one (entries are redistributed and re-indexed).
+    for replacement_shards in [3usize, 2] {
+        let mut engine = build(&model, corpus, bf.clone(), 3);
+        engine.hot_swap(build(&model, corpus, vp.clone(), replacement_shards));
+        assert_eq!(engine.config().euclidean_backend, EuclideanBackend::VpTree);
+
+        // Push every shard past its rebuild threshold (4 base rows per
+        // shard, slack 4: the fifth delta row of a shard rebuilds it).
+        let rebuilds = engine.telemetry().rebuilds;
+        for t in &dataset.database[12..27] {
+            engine.insert(t.clone());
+        }
+        assert_eq!(engine.telemetry().rebuilds, rebuilds + 3, "each shard rebuilt once");
+
+        assert_eq!(engine.config().euclidean_backend, EuclideanBackend::VpTree);
+        let rec = std::sync::Arc::new(traj_obs::InMemoryRecorder::default());
+        traj_obs::with_local_recorder(rec, || {
+            let (_, _, trace) =
+                engine.query_traced(&dataset.query[0], 5, Strategy::EuclideanBf).unwrap();
+            assert_eq!(trace.shard_count(), 3);
+            for row in &trace.shards {
+                assert_eq!(row.steps, ["indexed"], "shard {} lost its VP-tree", row.shard);
+            }
+        });
+        let reloaded =
+            ShardedEngine::from_snapshot_bytes(&engine.snapshot_bytes().unwrap(), scfg(3)).unwrap();
+        assert_eq!(reloaded.config().euclidean_backend, EuclideanBackend::VpTree);
+    }
 }
 
 /// Applies one op stream to an incrementally maintained engine and to a
 /// shadow list, then checks the engine agrees with a from-scratch build
 /// over exactly the shadow's survivors.
-fn check_incremental_matches_rebuilt(ops: &[(bool, usize)]) {
+fn check_incremental_matches_rebuilt(shards: usize, ops: &[(bool, usize)]) {
     let (dataset, model) = world();
     // Tiny slack so the op stream actually crosses rebuild thresholds.
     let cfg = EngineConfig { rebuild_slack: 4, ..EngineConfig::default() };
     let initial: Vec<Trajectory> = dataset.database[..12].to_vec();
-    let mut engine = Traj2HashEngine::build_from(&model, initial.clone(), cfg.clone()).unwrap();
+    let mut engine = build(&model, &initial, cfg.clone(), shards);
     let mut shadow: Vec<(u64, Trajectory)> =
         initial.into_iter().enumerate().map(|(i, t)| (i as u64, t)).collect();
 
@@ -336,13 +408,13 @@ fn check_incremental_matches_rebuilt(ops: &[(bool, usize)]) {
 
     assert_eq!(engine.len(), shadow.len());
     let shadow_ids: Vec<u64> = shadow.iter().map(|(id, _)| *id).collect();
-    assert_eq!(engine.ids().collect::<Vec<_>>(), shadow_ids);
+    assert_eq!(engine.ids(), shadow_ids);
 
     // Reference: built from scratch over the survivors, in id order
-    // (which is the shadow's order — removals keep it sorted). Its slot
-    // i therefore corresponds to shadow id shadow_ids[i].
+    // (which is the shadow's order — removals keep it sorted). Its id i
+    // therefore corresponds to shadow id shadow_ids[i].
     let survivors: Vec<Trajectory> = shadow.iter().map(|(_, t)| t.clone()).collect();
-    let reference = Traj2HashEngine::build_from(&model, survivors, cfg).unwrap();
+    let reference = build(&model, &survivors, cfg, shards);
     for q in dataset.query.iter().take(3) {
         for k in [1usize, 7] {
             for strategy in Strategy::ALL {
@@ -358,10 +430,9 @@ fn check_incremental_matches_rebuilt(ops: &[(bool, usize)]) {
                 assert_eq!(
                     got,
                     want,
-                    "{} diverged after {} ops at k={}",
+                    "{} diverged after {} ops at shards={shards} k={k}",
                     strategy.name(),
                     ops.len(),
-                    k
                 );
             }
         }
@@ -375,41 +446,43 @@ proptest! {
     fn incremental_engine_matches_from_scratch_rebuild(
         ops in proptest::collection::vec((proptest::bool::ANY, 0usize..64), 0..24),
     ) {
-        check_incremental_matches_rebuilt(&ops);
+        for shards in SHARDS {
+            check_incremental_matches_rebuilt(shards, &ops);
+        }
     }
 }
 
 #[test]
 fn snapshot_roundtrips_bit_for_bit() {
     let (dataset, model) = world();
-    let mut engine =
-        Traj2HashEngine::build_from(&model, dataset.database.clone(), EngineConfig::default())
-            .unwrap();
-    // Dirty the state so the snapshot covers delta + tombstones too.
-    engine.insert(dataset.query[0].clone());
-    engine.remove(5).unwrap();
-    engine.remove(41).unwrap();
+    for shards in SHARDS {
+        let mut engine = build_default(&model, &dataset.database, shards);
+        // Dirty the state so the snapshot covers delta + tombstones too.
+        engine.insert(dataset.query[0].clone());
+        engine.remove(5).unwrap();
+        engine.remove(41).unwrap();
 
-    let bytes = engine.snapshot_bytes().unwrap();
-    let loaded = Traj2HashEngine::from_snapshot_bytes(&bytes).unwrap();
+        let bytes = engine.snapshot_bytes().unwrap();
+        let loaded = ShardedEngine::from_snapshot_bytes(&bytes, scfg(shards)).unwrap();
 
-    assert_eq!(loaded.len(), engine.len());
-    assert_eq!(loaded.ids().collect::<Vec<_>>(), engine.ids().collect::<Vec<_>>());
-    for q in &dataset.query {
-        for strategy in Strategy::ALL {
-            assert_eq!(
-                loaded.query(q, 12, strategy).unwrap(),
-                engine.query(q, 12, strategy).unwrap(),
-                "{} diverged after snapshot reload",
-                strategy.name()
-            );
+        assert_eq!(loaded.len(), engine.len());
+        assert_eq!(loaded.ids(), engine.ids());
+        for q in &dataset.query {
+            for strategy in Strategy::ALL {
+                assert_eq!(
+                    loaded.query(q, 12, strategy).unwrap(),
+                    engine.query(q, 12, strategy).unwrap(),
+                    "{} diverged after snapshot reload",
+                    strategy.name()
+                );
+            }
         }
+        // next_id survives: a post-reload insert gets a fresh id, not a
+        // recycled one.
+        let mut loaded = loaded;
+        let fresh = loaded.insert(dataset.query[1].clone());
+        assert!(fresh > dataset.database.len() as u64);
     }
-    // next_id survives: a post-reload insert gets a fresh id, not a
-    // recycled one.
-    let mut loaded = loaded;
-    let fresh = loaded.insert(dataset.query[1].clone());
-    assert!(fresh > dataset.database.len() as u64);
 }
 
 #[test]
@@ -419,49 +492,56 @@ fn snapshot_roundtrips_without_grid_channel() {
     let mcfg = ModelConfig::tiny().without_grids();
     let ctx = ModelContext::prepare(&dataset.training_visible(), &mcfg, 17);
     let model = Traj2Hash::new(mcfg, &ctx, 19);
-    let engine = Traj2HashEngine::build(model, dataset.database.clone(), EngineConfig::default())
-        .unwrap();
-    let loaded = Traj2HashEngine::from_snapshot_bytes(&engine.snapshot_bytes().unwrap()).unwrap();
-    for q in &dataset.query {
-        assert_eq!(
-            loaded.query(q, 8, Strategy::EuclideanBf).unwrap(),
-            engine.query(q, 8, Strategy::EuclideanBf).unwrap(),
-        );
+    for shards in SHARDS {
+        let engine = build_default(&model, &dataset.database, shards);
+        let loaded =
+            ShardedEngine::from_snapshot_bytes(&engine.snapshot_bytes().unwrap(), scfg(shards))
+                .unwrap();
+        for q in &dataset.query {
+            assert_eq!(
+                loaded.query(q, 8, Strategy::EuclideanBf).unwrap(),
+                engine.query(q, 8, Strategy::EuclideanBf).unwrap(),
+            );
+        }
     }
 }
 
 #[test]
 fn snapshot_survives_the_filesystem() {
     let (dataset, model) = world();
-    let engine =
-        Traj2HashEngine::build_from(&model, dataset.database.clone(), EngineConfig::default())
-            .unwrap();
-    let path = std::env::temp_dir().join(format!("t2h-engine-{}.snap", std::process::id()));
-    engine.save_snapshot(&path).unwrap();
-    let loaded = Traj2HashEngine::load_snapshot(&path).unwrap();
-    std::fs::remove_file(&path).ok();
-    assert_eq!(
-        loaded.query(&dataset.query[0], 10, Strategy::Mih).unwrap(),
-        engine.query(&dataset.query[0], 10, Strategy::Mih).unwrap(),
-    );
+    for shards in SHARDS {
+        let engine = build_default(&model, &dataset.database, shards);
+        let path = std::env::temp_dir()
+            .join(format!("t2h-engine-{}-{shards}.snap", std::process::id()));
+        engine.save_snapshot(&path).unwrap();
+        let loaded = ShardedEngine::load_snapshot(&path, scfg(shards)).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(
+            loaded.query(&dataset.query[0], 10, Strategy::Mih).unwrap(),
+            engine.query(&dataset.query[0], 10, Strategy::Mih).unwrap(),
+        );
+        assert_eq!(engine.telemetry().snapshot_saves, 1);
+    }
 }
 
 #[test]
 fn corrupted_snapshots_are_rejected_not_loaded() {
     let (dataset, model) = world();
-    let engine = Traj2HashEngine::build_from(
-        &model,
-        dataset.database[..30].to_vec(),
-        EngineConfig::default(),
-    )
-    .unwrap();
+    for shards in SHARDS {
+        check_corrupted_snapshots(&build_default(&model, &dataset.database[..30], shards));
+    }
+}
+
+fn check_corrupted_snapshots(engine: &ShardedEngine) {
     let bytes = engine.snapshot_bytes().unwrap();
+    let scfg_same = engine.shard_config().clone();
+    let load = |bytes: &[u8]| ShardedEngine::from_snapshot_bytes(bytes, scfg_same.clone());
 
     // Bit flips anywhere in the payload trip the checksum.
     for pos in [24usize, bytes.len() / 2, bytes.len() - 1] {
         let mut bad = bytes.clone();
         bad[pos] ^= 0x40;
-        match Traj2HashEngine::from_snapshot_bytes(&bad) {
+        match load(&bad) {
             Err(EngineError::Snapshot(CheckpointError::ChecksumMismatch { .. })) => {}
             Err(e) => panic!("corruption at byte {pos} surfaced the wrong error: {e}"),
             Ok(_) => panic!("corruption at byte {pos} was not caught"),
@@ -472,16 +552,13 @@ fn corrupted_snapshots_are_rejected_not_loaded() {
     let mut wrong_magic = bytes.clone();
     wrong_magic[0] ^= 0xFF;
     assert!(matches!(
-        Traj2HashEngine::from_snapshot_bytes(&wrong_magic),
+        load(&wrong_magic),
         Err(EngineError::Snapshot(CheckpointError::BadMagic))
     ));
 
     // Truncation at any prefix must error, never panic or mis-load.
     for cut in [0usize, 7, 15, bytes.len() - 9] {
-        assert!(
-            Traj2HashEngine::from_snapshot_bytes(&bytes[..cut]).is_err(),
-            "truncation to {cut} bytes was accepted"
-        );
+        assert!(load(&bytes[..cut]).is_err(), "truncation to {cut} bytes was accepted");
     }
 
     // A model checkpoint is not an engine snapshot.
@@ -499,8 +576,11 @@ fn corrupted_snapshots_are_rejected_not_loaded() {
         recoveries: Vec::new(),
     }
     .encode();
+    assert!(matches!(load(&ckpt), Err(EngineError::Snapshot(CheckpointError::BadMagic))));
+
+    // Zero shards is a config error, not a panic in the partitioner.
     assert!(matches!(
-        Traj2HashEngine::from_snapshot_bytes(&ckpt),
-        Err(EngineError::Snapshot(CheckpointError::BadMagic))
+        ShardedEngine::from_snapshot_bytes(&bytes, scfg(0)),
+        Err(EngineError::InvalidConfig(_))
     ));
 }

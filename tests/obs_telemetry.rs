@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use traj_data::{load_porto_csv, CityParams, Dataset, LoadError, LoadPolicy, SplitSizes};
 use traj_dist::Measure;
-use traj_engine::{EngineConfig, Strategy, Traj2HashEngine};
+use traj_engine::{EngineConfig, ShardConfig, ShardedEngine, Strategy};
 use traj_obs::{parse_json, validate_record, InMemoryRecorder, Json, JsonlRecorder, Value};
 use traj2hash::{train, ModelConfig, ModelContext, Traj2Hash, TrainConfig, TrainData};
 
@@ -47,9 +47,13 @@ fn jsonl_export_of_a_real_workload_round_trips_the_schema() {
         let mut m = Traj2Hash::from_spec(&model.spec(), &model.params.clone_values());
         train(&mut m, &data, &tcfg).unwrap();
         // ...all five strategies served, plus a degradation drill...
-        let mut engine =
-            Traj2HashEngine::build_from(&model, dataset.database.clone(), EngineConfig::default())
-                .unwrap();
+        let mut engine = ShardedEngine::build_from(
+            &model,
+            dataset.database.clone(),
+            EngineConfig::default(),
+            ShardConfig::default(),
+        )
+        .unwrap();
         for strategy in Strategy::ALL {
             for q in &dataset.query {
                 let _ = engine.query(q, 5, strategy).unwrap();

@@ -148,7 +148,11 @@ fn readers_never_observe_torn_or_regressing_state_under_writer_churn() {
 
     // Quiesced: writer, a fresh reader, and a from-scratch single-shard
     // engine over the survivors all agree exactly.
-    let reference = engine.to_unsharded().unwrap();
+    let reference = ShardedEngine::from_snapshot_bytes(
+        &engine.snapshot_bytes().unwrap(),
+        ShardConfig { shards: 1, fan_out_threads: 0 },
+    )
+    .unwrap();
     let mut reader = engine.reader().into_reader();
     for q in dataset.query.iter().take(4) {
         for strategy in Strategy::ALL {

@@ -1,67 +1,57 @@
-//! Sharded == unsharded, bit for bit.
+//! The engine against the scan oracle, at every shard count.
 //!
-//! The sharded engine's whole correctness story is one claim: for any
-//! corpus, any shard count, any interleaving of inserts and removes,
-//! and all five Section V-E strategies, [`ShardedEngine`] answers every
-//! query with exactly the hits — ids *and* distances, in order — that
-//! the single-writer [`Traj2HashEngine`] facade returns. This suite
-//! pins that claim down:
+//! The engine's whole correctness story is one claim: for any corpus,
+//! any shard count, any interleaving of lifecycle operations, and all
+//! five Section V-E strategies, [`ShardedEngine`] returns exactly what
+//! the contract in `tests/common/oracle.rs` says — a `Vec` of live rows
+//! and an exact scan under the `(distance, id)` order. The oracle shares
+//! no code with the search path, so this is a stronger check than
+//! comparing two engines that answer through the same core. This suite
+//! pins the claim down:
 //!
 //! * fresh builds across shard counts 1..8, every strategy, several k;
-//! * property-based random insert/remove interleavings applied to both
-//!   engines in lockstep (with a tiny rebuild threshold so per-shard
-//!   compactions actually fire mid-stream);
-//! * [`ShardedEngine::query_many`] == per-query [`ShardedEngine::query`];
+//! * a stateful model test: random op streams (insert / remove /
+//!   compact / force_degrade / recover / snapshot round-trip into a
+//!   different shard count / `refreshed` + `hot_swap` under a different
+//!   model) applied to the engine and mirrored into the oracle, with a
+//!   tiny rebuild threshold so per-shard compactions fire mid-stream,
+//!   checked after every op through the writer and a [`ShardReader`],
+//!   and at the end through [`ShardedEngine::query_many`] too;
+//! * [`ShardedEngine::query_many`] == per-query [`ShardedEngine::query`],
+//!   in answers and in what it charges to telemetry;
 //! * [`ShardReader`] (the replica-model reader path) == the writer;
 //! * threaded fan-out == sequential fan-out;
-//! * snapshots interchange between the two engines in both directions.
+//! * snapshots written at one shard count load at another.
+//!
+//! [`ShardReader`]: traj_engine::ShardReader
 
+#[allow(dead_code)]
+#[path = "common/oracle.rs"]
+mod oracle;
+
+use oracle::{assert_engine_matches, assert_hits, embed, other_model, replica, world, Oracle};
 use proptest::prelude::*;
-use traj_data::{CityParams, Dataset, SplitSizes, Trajectory};
-use traj_engine::{
-    EngineConfig, EngineError, ShardConfig, ShardedEngine, Strategy, Traj2HashEngine,
-};
-use traj2hash::{ModelConfig, ModelContext, Traj2Hash};
-
-/// Same deterministic world as the engine parity suite: synthetic city,
-/// untrained tiny model.
-fn world() -> (Dataset, Traj2Hash) {
-    let sizes = SplitSizes { seeds: 16, validation: 20, corpus: 150, query: 8, database: 90 };
-    let dataset = Dataset::generate(CityParams::test_city(), sizes, 11);
-    let mcfg = ModelConfig::tiny();
-    let ctx = ModelContext::prepare(&dataset.training_visible(), &mcfg, 11);
-    let model = Traj2Hash::new(mcfg, &ctx, 13);
-    (dataset, model)
-}
+use std::time::Instant;
+use traj_data::Trajectory;
+use traj_engine::{EngineConfig, ShardConfig, ShardedEngine, Strategy};
 
 fn scfg(shards: usize) -> ShardConfig {
     ShardConfig { shards, fan_out_threads: 0 }
 }
 
 #[test]
-fn fresh_sharded_matches_unsharded_for_every_shard_count_and_strategy() {
+fn fresh_engine_matches_the_oracle_at_every_shard_count_and_strategy() {
     let (dataset, model) = world();
-    let corpus = dataset.database.clone();
-    let flat =
-        Traj2HashEngine::build_from(&model, corpus.clone(), EngineConfig::default()).unwrap();
+    let oracle = Oracle::build(&model, &dataset.database);
     for shards in 1..8 {
-        let sharded =
-            ShardedEngine::build_from(&model, corpus.clone(), EngineConfig::default(), scfg(shards))
-                .unwrap();
-        assert_eq!(sharded.len(), flat.len());
-        assert_eq!(sharded.ids(), flat.ids().collect::<Vec<_>>());
-        for q in &dataset.query {
-            for k in [1usize, 5, 10, 37] {
-                for strategy in Strategy::ALL {
-                    assert_eq!(
-                        sharded.query(q, k, strategy).unwrap(),
-                        flat.query(q, k, strategy).unwrap(),
-                        "{} diverged at shards={shards} k={k}",
-                        strategy.name()
-                    );
-                }
-            }
-        }
+        let engine = ShardedEngine::build_from(
+            &model,
+            dataset.database.clone(),
+            EngineConfig::default(),
+            scfg(shards),
+        )
+        .unwrap();
+        assert_engine_matches(&engine, &oracle, &model, &dataset.query, &[1, 5, 10, 37], "fresh");
     }
 }
 
@@ -124,6 +114,25 @@ fn query_many_matches_per_query_exactly() {
     let zero_k = engine.query_many(&dataset.query, 0, Strategy::Mih).unwrap();
     assert_eq!(zero_k.len(), dataset.query.len());
     assert!(zero_k.iter().all(|h| h.is_empty()));
+
+    // Self-measurement: a batch counts one query per member, and each is
+    // charged its share of the batched encode, so the per-strategy
+    // latency histogram means encode + fan-out for batched and single
+    // queries alike. The batch's charged seconds therefore cover most of
+    // the call's wall-clock (encoding dominates) and never exceed it.
+    let before = engine.telemetry();
+    let t0 = Instant::now();
+    engine.query_many(&dataset.query, 10, Strategy::Hybrid).unwrap();
+    let wall = t0.elapsed().as_secs_f64();
+    let after = engine.telemetry();
+    let (before, after) = (before.strategy(Strategy::Hybrid), after.strategy(Strategy::Hybrid));
+    assert_eq!(after.queries - before.queries, dataset.query.len() as u64);
+    assert_eq!(after.latency.count() - before.latency.count(), dataset.query.len() as u64);
+    let charged = after.latency.sum() - before.latency.sum();
+    assert!(
+        0.5 * wall <= charged && charged <= wall,
+        "batch charged {charged:.6} s of a {wall:.6} s query_many call"
+    );
 }
 
 #[test]
@@ -147,13 +156,13 @@ fn reader_replica_answers_like_the_writer() {
             );
         }
     }
-    // A hot swap re-encodes the corpus under a (here: identical) new
-    // model and bumps the blueprint; the reader must refresh its replica
-    // and keep matching the writer.
-    let replacement = engine
-        .refreshed(Traj2Hash::from_spec(&model.spec(), &model.params.clone_values()))
-        .unwrap();
+    // A hot swap re-encodes the corpus under a new model and bumps the
+    // blueprint; the reader must refresh its replica and keep matching
+    // the writer.
+    let replacement = engine.refreshed(other_model(&dataset)).unwrap();
+    let stale = engine.query(&dataset.query[0], 10, Strategy::EuclideanBf).unwrap();
     engine.hot_swap(replacement);
+    assert_ne!(engine.query(&dataset.query[0], 10, Strategy::EuclideanBf).unwrap(), stale);
     for q in dataset.query.iter().take(4) {
         assert_eq!(
             reader.query(q, 10, Strategy::Hybrid).unwrap(),
@@ -163,45 +172,10 @@ fn reader_replica_answers_like_the_writer() {
 }
 
 #[test]
-fn sharded_lifecycle_matches_unsharded_semantics() {
+fn snapshots_written_at_one_shard_count_load_at_another() {
     let (dataset, model) = world();
-    let mut engine = ShardedEngine::build_from(
-        &model,
-        dataset.database.clone(),
-        EngineConfig::default(),
-        scfg(4),
-    )
-    .unwrap();
-    // Unknown and double removals are typed errors on the owning shard.
-    assert!(matches!(engine.remove(999_999), Err(EngineError::UnknownId(999_999))));
-    engine.remove(3).unwrap();
-    assert!(matches!(engine.remove(3), Err(EngineError::UnknownId(3))));
-    assert!(!engine.contains(3));
-    assert!(engine.get(3).is_none());
-    // Inserts get fresh monotone ids, never recycled.
-    let novel = dataset.query[2].clone();
-    let id = engine.insert(novel.clone());
-    assert_eq!(id, dataset.database.len() as u64);
-    assert!(engine.contains(id));
-    let top = engine.query(&novel, 1, Strategy::EuclideanBf).unwrap();
-    assert_eq!((top[0].id, top[0].distance), (id, 0.0));
-    engine.remove(id).unwrap();
-    engine.compact();
-    assert!(engine.insert(novel) > id);
-    // Degrade/recover mirror the facade: exact answers throughout.
-    let healthy = engine.query(&dataset.query[0], 10, Strategy::EuclideanBf).unwrap();
-    engine.force_degrade();
-    assert!(engine.stats().degraded);
-    assert_eq!(engine.query(&dataset.query[0], 10, Strategy::EuclideanBf).unwrap(), healthy);
-    assert!(engine.recover());
-    assert!(!engine.stats().degraded);
-    assert_eq!(engine.query(&dataset.query[0], 10, Strategy::EuclideanBf).unwrap(), healthy);
-}
-
-#[test]
-fn snapshots_interchange_between_engines_in_both_directions() {
-    let (dataset, model) = world();
-    let mut sharded = ShardedEngine::build_from(
+    let mut oracle = Oracle::build(&model, &dataset.database);
+    let mut three = ShardedEngine::build_from(
         &model,
         dataset.database.clone(),
         EngineConfig::default(),
@@ -209,95 +183,142 @@ fn snapshots_interchange_between_engines_in_both_directions() {
     )
     .unwrap();
     // Dirty the state so the snapshot covers delta + tombstones too.
-    sharded.insert(dataset.query[0].clone());
-    sharded.remove(5).unwrap();
-    sharded.remove(41).unwrap();
+    let novel = dataset.query[0].clone();
+    assert_eq!(three.insert(novel.clone()), oracle.insert(&model, novel));
+    for id in [5u64, 41] {
+        three.remove(id).unwrap();
+        assert!(oracle.remove(id));
+    }
+    // 3-shard bytes → 6-shard engine → 1-shard engine → 3-shard engine:
+    // the layout is not serialized, so every hop holds the same rows and
+    // gives the same answers.
+    let reload = |from: &ShardedEngine, shards: usize| {
+        ShardedEngine::from_snapshot_bytes(&from.snapshot_bytes().unwrap(), scfg(shards)).unwrap()
+    };
+    let six = reload(&three, 6);
+    let one = reload(&six, 1);
+    let back = reload(&one, 3);
+    assert_eq!(back.snapshot_bytes().unwrap(), three.snapshot_bytes().unwrap());
+    for (engine, what) in [(&three, "writer"), (&six, "3→6"), (&one, "6→1"), (&back, "1→3")] {
+        assert_engine_matches(engine, &oracle, &model, &dataset.query, &[12], what);
+    }
+}
 
-    // Sharded snapshot → unsharded engine.
-    let bytes = sharded.snapshot_bytes().unwrap();
-    let flat = Traj2HashEngine::from_snapshot_bytes(&bytes).unwrap();
-    assert_eq!(flat.ids().collect::<Vec<_>>(), sharded.ids());
-    // Unsharded snapshot → sharded engine, with a *different* shard
-    // count than the writer used (the layout is not serialized).
-    let back = ShardedEngine::from_snapshot_bytes(&flat.snapshot_bytes().unwrap(), scfg(6)).unwrap();
-    assert_eq!(back.ids(), sharded.ids());
-    for q in &dataset.query {
-        for strategy in Strategy::ALL {
-            let want = sharded.query(q, 12, strategy).unwrap();
-            assert_eq!(
-                flat.query(q, 12, strategy).unwrap(),
-                want,
-                "{} diverged after sharded→flat reload",
-                strategy.name()
-            );
-            assert_eq!(
-                back.query(q, 12, strategy).unwrap(),
-                want,
-                "{} diverged after flat→sharded reload",
-                strategy.name()
+/// The largest op kind [`run_model_test`] understands, plus one.
+const OP_KINDS: usize = 13;
+
+/// A shard count in 1..=8 that differs from `from`.
+fn other_count(from: usize, pick: usize) -> usize {
+    (from + pick % 7) % 8 + 1
+}
+
+/// Applies one `(kind, pick)` op stream to a `ShardedEngine` and mirrors
+/// it into the oracle, checking the engine (writer and reader) against
+/// the contract after every op and exhaustively at the end.
+fn run_model_test(shards: usize, ops: &[(usize, usize)]) {
+    let (dataset, model_a) = world();
+    let model_b = other_model(&dataset);
+    let models = [&model_a, &model_b];
+    let mut current = 0usize;
+    // Tiny slack so the op stream crosses per-shard rebuild thresholds.
+    let cfg = EngineConfig { rebuild_slack: 4, ..EngineConfig::default() };
+    let initial = &dataset.database[..12];
+    let mut engine =
+        ShardedEngine::build_from(models[current], initial.to_vec(), cfg, scfg(shards)).unwrap();
+    let mut reader = engine.reader().into_reader();
+    let mut oracle = Oracle::build(models[current], initial);
+    let mut pool = dataset.database[12..].iter().cloned().cycle();
+    let queries: Vec<Trajectory> = dataset.query.iter().take(3).cloned().collect();
+
+    for (step, &(kind, pick)) in ops.iter().enumerate() {
+        match kind {
+            0..=4 => {
+                let t = pool.next().unwrap();
+                assert_eq!(engine.insert(t.clone()), oracle.insert(models[current], t));
+            }
+            5..=7 => {
+                let ids = oracle.ids();
+                if !ids.is_empty() {
+                    let id = ids[pick % ids.len()];
+                    engine.remove(id).unwrap();
+                    assert!(oracle.remove(id));
+                }
+            }
+            8 => engine.compact(),
+            9 => engine.force_degrade(),
+            10 => assert!(engine.recover()),
+            11 => {
+                let to = other_count(engine.shard_config().shards, pick);
+                engine =
+                    ShardedEngine::from_snapshot_bytes(&engine.snapshot_bytes().unwrap(), scfg(to))
+                        .unwrap();
+                reader = engine.reader().into_reader();
+            }
+            12 => {
+                current = 1 - current;
+                let mut replacement = engine.refreshed(replica(models[current])).unwrap();
+                if pick % 2 == 1 {
+                    // Validate the replacement through the snapshot
+                    // container, into a different shard count: the swap
+                    // must redistribute it under this engine's mapping.
+                    let to = other_count(engine.shard_config().shards, pick);
+                    replacement = ShardedEngine::from_snapshot_bytes(
+                        &replacement.snapshot_bytes().unwrap(),
+                        scfg(to),
+                    )
+                    .unwrap();
+                }
+                let count = engine.shard_config().shards;
+                engine.hot_swap(replacement);
+                assert_eq!(engine.shard_config().shards, count);
+                oracle.reencode(models[current]);
+            }
+            _ => unreachable!("op kinds are drawn from 0..{OP_KINDS}"),
+        }
+        engine.pin().check_consistent().unwrap();
+        let what = format!("after op {step} {:?}", (kind, pick));
+        let q = &queries[step % queries.len()];
+        let model = models[current];
+        assert_engine_matches(&engine, &oracle, model, std::slice::from_ref(q), &[7], &what);
+        let strategy = Strategy::ALL[step % 5];
+        assert_hits(
+            &reader.query(q, 7, strategy).unwrap(),
+            &oracle.top_k(strategy, &embed(model, q), 7),
+            true,
+            &format!("{what}: reader {}", strategy.name()),
+        );
+    }
+
+    let model = models[current];
+    assert_engine_matches(&engine, &oracle, model, &queries, &[1, 7, 40], "end of stream");
+    for strategy in Strategy::ALL {
+        let batched = engine.query_many(&queries, 7, strategy).unwrap();
+        for (q, got) in queries.iter().zip(&batched) {
+            let want = oracle.top_k(strategy, &embed(model, q), 7);
+            assert_hits(got, &want, true, &format!("query_many {}", strategy.name()));
+            assert_hits(
+                &reader.query(q, 7, strategy).unwrap(),
+                &want,
+                true,
+                &format!("reader {}", strategy.name()),
             );
         }
     }
 }
 
-/// Applies one op stream to a sharded engine and to the unsharded
-/// facade in lockstep, then checks every strategy answers identically
-/// (including through `to_unsharded` and `query_many`).
-fn check_sharded_matches_unsharded(shards: usize, ops: &[(bool, usize)]) {
-    let (dataset, model) = world();
-    // Tiny slack so the op stream crosses per-shard rebuild thresholds.
-    let cfg = EngineConfig { rebuild_slack: 4, ..EngineConfig::default() };
-    let initial: Vec<Trajectory> = dataset.database[..12].to_vec();
-    let mut flat = Traj2HashEngine::build_from(&model, initial.clone(), cfg.clone()).unwrap();
-    let mut sharded =
-        ShardedEngine::build_from(&model, initial, cfg, scfg(shards)).unwrap();
-
-    let mut live: Vec<u64> = (0..12).collect();
-    let mut pool = dataset.database[12..].iter().cloned().cycle();
-    for &(insert, pick) in ops {
-        if insert {
-            let t = pool.next().unwrap();
-            let a = flat.insert(t.clone());
-            let b = sharded.insert(t);
-            assert_eq!(a, b, "id streams diverged");
-            live.push(a);
-        } else if !live.is_empty() {
-            let id = live.remove(pick % live.len());
-            flat.remove(id).unwrap();
-            sharded.remove(id).unwrap();
-        }
-    }
-
-    assert_eq!(sharded.len(), flat.len());
-    assert_eq!(sharded.ids(), flat.ids().collect::<Vec<_>>());
-
-    let queries: Vec<Trajectory> = dataset.query.iter().take(3).cloned().collect();
-    for q in &queries {
-        for k in [1usize, 7] {
-            for strategy in Strategy::ALL {
-                assert_eq!(
-                    sharded.query(q, k, strategy).unwrap(),
-                    flat.query(q, k, strategy).unwrap(),
-                    "{} diverged after {} ops at shards={shards} k={k}",
-                    strategy.name(),
-                    ops.len()
-                );
-            }
-        }
-    }
-    // The batched path agrees too, and the materialized single-shard
-    // twin is the same engine the facade would have built.
-    let batched = sharded.query_many(&queries, 7, Strategy::Hybrid).unwrap();
-    for (q, got) in queries.iter().zip(batched) {
-        assert_eq!(got, flat.query(q, 7, Strategy::Hybrid).unwrap());
-    }
-    let twin = sharded.to_unsharded().unwrap();
-    assert_eq!(twin.ids().collect::<Vec<_>>(), sharded.ids());
-    for q in &queries {
-        assert_eq!(
-            twin.query(q, 7, Strategy::Mih).unwrap(),
-            flat.query(q, 7, Strategy::Mih).unwrap(),
-        );
+/// Every op kind at least once, with enough inserts and removes between
+/// them to cross the rebuild thresholds of every shard count below.
+#[test]
+fn model_test_fixed_stream_at_one_shard_and_four_other_counts() {
+    let ops: Vec<(usize, usize)> = vec![
+        (0, 0), (1, 0), (5, 3), (2, 0), (3, 0), (6, 0), (4, 0), (0, 0), (1, 0),
+        (9, 0), (2, 0), (7, 11), (3, 0), (10, 0), (8, 0), (5, 2), (6, 9),
+        (12, 0), (0, 0), (5, 1), (1, 0), (11, 2), (2, 0), (3, 0), (4, 0), (7, 30),
+        (12, 5), (0, 0), (6, 4), (9, 0), (11, 6), (1, 0), (5, 0), (10, 0), (8, 0),
+    ];
+    assert!((0..OP_KINDS).all(|kind| ops.iter().any(|&(k, _)| k == kind)));
+    for shards in [1usize, 2, 3, 5, 8] {
+        run_model_test(shards, &ops);
     }
 }
 
@@ -305,10 +326,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
-    fn sharded_matches_unsharded_under_random_interleavings(
+    fn model_test_random_streams_at_random_shard_counts(
         shards in 1usize..8,
-        ops in proptest::collection::vec((proptest::bool::ANY, 0usize..64), 0..20),
+        ops in proptest::collection::vec((0usize..OP_KINDS, 0usize..64), 0..20),
     ) {
-        check_sharded_matches_unsharded(shards, &ops);
+        run_model_test(shards, &ops);
     }
 }

@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use traj_engine::{Strategy, Traj2HashEngine};
+use traj_engine::{ShardedEngine, Strategy};
 use traj_obs::{validate_record, JsonlRecorder, Recorder};
 use traj_soak::{SoakConfig, SoakRunner, TickHealth};
 
@@ -92,10 +92,11 @@ fn seeded_fault_injected_soak_run_meets_the_acceptance_bar() {
     let id_to_pos: HashMap<u64, usize> =
         live.iter().enumerate().map(|(i, (id, _))| (*id, i)).collect();
     let corpus: Vec<_> = live.iter().map(|(_, t)| t.clone()).collect();
-    let fresh = Traj2HashEngine::build_from(
+    let fresh = ShardedEngine::build_from(
         runner.engine().model(),
         corpus.clone(),
         runner.engine().config().clone(),
+        runner.engine().shard_config().clone(),
     )
     .unwrap();
     for q in corpus.iter().step_by(37).take(3) {

@@ -4,14 +4,14 @@
 //! its previous generation after a failed snapshot load.
 //!
 //! In-memory decoding (`Checkpoint::decode`,
-//! `Traj2HashEngine::from_snapshot_bytes`) covers every boundary
+//! `ShardedEngine::from_snapshot_bytes`) covers every boundary
 //! cheaply; the file-based paths (`read_from_file`, `load_snapshot`)
 //! are exercised on a sample of boundaries since each needs a real
 //! file on disk.
 
 use traj_data::{CityParams, Dataset, SplitSizes};
 use traj_dist::Measure;
-use traj_engine::{EngineConfig, EngineError, Strategy, Traj2HashEngine};
+use traj_engine::{EngineConfig, EngineError, ShardConfig, ShardedEngine, Strategy};
 use traj2hash::checkpoint::Checkpoint;
 use traj2hash::{
     train, CheckpointError, ModelConfig, ModelContext, Traj2Hash, TrainConfig, TrainData,
@@ -25,7 +25,7 @@ fn tempdir(tag: &str) -> std::path::PathBuf {
 }
 
 /// A tiny trained world: model + engine + a checkpoint on disk.
-fn world(dir: &std::path::Path) -> (Dataset, Traj2HashEngine) {
+fn world(dir: &std::path::Path) -> (Dataset, ShardedEngine) {
     let dataset = Dataset::generate(CityParams::test_city(), SplitSizes::tiny(), 21);
     let mcfg = ModelConfig::tiny();
     let tcfg = TrainConfig {
@@ -37,9 +37,13 @@ fn world(dir: &std::path::Path) -> (Dataset, Traj2HashEngine) {
     let mut model = Traj2Hash::new(mcfg, &ctx, 21);
     let data = TrainData::prepare(&dataset, Measure::Hausdorff, &tcfg).unwrap();
     train(&mut model, &data, &tcfg).unwrap();
-    let engine =
-        Traj2HashEngine::build(model, dataset.database.clone(), EngineConfig::default())
-            .unwrap();
+    let engine = ShardedEngine::build(
+        model,
+        dataset.database.clone(),
+        EngineConfig::default(),
+        ShardConfig::default(),
+    )
+    .unwrap();
     (dataset, engine)
 }
 
@@ -76,10 +80,10 @@ fn every_truncation_of_a_snapshot_is_a_typed_error() {
     let dir = tempdir("snap");
     let (_, engine) = world(&dir);
     let bytes = engine.snapshot_bytes().unwrap();
-    assert!(Traj2HashEngine::from_snapshot_bytes(&bytes).is_ok());
+    assert!(ShardedEngine::from_snapshot_bytes(&bytes, ShardConfig::default()).is_ok());
 
     for cut in 0..bytes.len() {
-        match Traj2HashEngine::from_snapshot_bytes(&bytes[..cut]) {
+        match ShardedEngine::from_snapshot_bytes(&bytes[..cut], ShardConfig::default()) {
             Ok(_) => panic!("truncation at byte {cut}/{} decoded successfully", bytes.len()),
             Err(EngineError::Snapshot(_)) => {}
             Err(other) => panic!("truncation at byte {cut} surfaced {other:?}"),
@@ -111,7 +115,7 @@ fn failed_snapshot_load_leaves_the_previous_generation_serving() {
             .collect();
     for cut in cuts {
         std::fs::write(&snap, &bytes[..cut]).unwrap();
-        match Traj2HashEngine::load_snapshot(&snap) {
+        match ShardedEngine::load_snapshot(&snap, ShardConfig::default()) {
             Ok(_) => panic!("torn snapshot (cut {cut}) loaded"),
             Err(EngineError::Snapshot(_)) => {}
             Err(other) => panic!("torn snapshot (cut {cut}) surfaced {other:?}"),
@@ -132,7 +136,7 @@ fn failed_snapshot_load_leaves_the_previous_generation_serving() {
 
     // Restoring the intact image loads cleanly again.
     std::fs::write(&snap, &bytes).unwrap();
-    let restored = Traj2HashEngine::load_snapshot(&snap).unwrap();
+    let restored = ShardedEngine::load_snapshot(&snap, ShardConfig::default()).unwrap();
     assert_eq!(restored.len(), engine.len());
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,24 +1,28 @@
-//! Per-query traces agree with the engines they observe.
+//! Per-query traces agree with the engine they observe.
 //!
 //! The tracing layer must be a pure observer: for any corpus and any
-//! shard count, the sharded engine's [`QueryTrace`] fans out across
-//! exactly the configured shard count, its candidate totals reconcile
-//! with [`QueryInfo`], and — for the strategies whose candidate sets
-//! are partition-invariant (`HammingBf`, `EuclideanBf` on the default
-//! brute-force backend, `Table`) — its total equals the unsharded
-//! facade's on the same corpus. `Mih` over-fetches `k + tombstones`
+//! shard count, the engine's [`QueryTrace`] fans out across exactly the
+//! configured shard count, its candidate totals reconcile with
+//! [`QueryInfo`](traj_engine::QueryInfo), and — for the strategies
+//! whose candidate sets are partition-invariant — its total equals the
+//! count the scan oracle derives from the live rows: every live row for
+//! `HammingBf` and for `EuclideanBf` on the default brute-force backend,
+//! the radius-2 ball for `Table`. `Mih` over-fetches `k + tombstones`
 //! *per shard* and `Hybrid` decides its radius-2 spill per shard, so
-//! their work counts legitimately differ between topologies while the
-//! hit lists stay bit-identical.
+//! their work counts legitimately depend on the topology while the hit
+//! lists do not.
 //!
 //! With tracing compiled in but no consumer installed, `query` output
 //! must be byte-identical to `query_traced` and the traces inert.
 
+#[allow(dead_code)]
+#[path = "common/oracle.rs"]
+mod oracle;
+
+use oracle::{embed, world, Oracle};
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex, MutexGuard};
-use traj_data::{CityParams, Dataset, SplitSizes};
-use traj_engine::{EngineConfig, QueryTrace, ShardConfig, ShardedEngine, Strategy, Traj2HashEngine};
-use traj2hash::{ModelConfig, ModelContext, Traj2Hash};
+use traj_engine::{EngineConfig, QueryTrace, ShardConfig, ShardedEngine, Strategy};
 
 /// Trace activation is process-global (`traj_obs::enabled()` counts
 /// thread-local recorders too), so tests asserting active vs inert
@@ -28,20 +32,8 @@ fn gate() -> MutexGuard<'static, ()> {
     GATE.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// Same deterministic world as the shard parity suite: synthetic city,
-/// untrained tiny model (the model holds `Rc` parameters, so it cannot
-/// be cached in a shared static).
-fn world() -> (Dataset, Traj2Hash) {
-    let sizes = SplitSizes { seeds: 16, validation: 20, corpus: 150, query: 8, database: 90 };
-    let dataset = Dataset::generate(CityParams::test_city(), sizes, 11);
-    let mcfg = ModelConfig::tiny();
-    let ctx = ModelContext::prepare(&dataset.training_visible(), &mcfg, 11);
-    let model = Traj2Hash::new(mcfg, &ctx, 13);
-    (dataset, model)
-}
-
 /// Strategies whose candidate *sets* do not depend on how the corpus is
-/// partitioned; only these may assert facade == sharded totals.
+/// partitioned; only these have an oracle-derived total.
 fn partition_invariant(strategy: Strategy) -> bool {
     matches!(strategy, Strategy::HammingBf | Strategy::EuclideanBf | Strategy::Table)
 }
@@ -57,9 +49,8 @@ fn check_trace_parity(shards: usize, corpus_len: usize, k: usize, qi: usize) {
     let _gate = gate();
     let (dataset, model) = world();
     let corpus = dataset.database[..corpus_len].to_vec();
-    let flat =
-        Traj2HashEngine::build_from(&model, corpus.clone(), EngineConfig::default()).unwrap();
-    let sharded = ShardedEngine::build_from(
+    let oracle = Oracle::build(&model, &corpus);
+    let engine = ShardedEngine::build_from(
         &model,
         corpus,
         EngineConfig::default(),
@@ -67,42 +58,41 @@ fn check_trace_parity(shards: usize, corpus_len: usize, k: usize, qi: usize) {
     )
     .unwrap();
     let q = &dataset.query[qi % dataset.query.len()];
+    let q_emb = embed(&model, q);
 
     let rec = Arc::new(traj_obs::InMemoryRecorder::default());
     traj_obs::with_local_recorder(rec, || {
         let mut ids = std::collections::HashSet::new();
         for strategy in Strategy::ALL {
-            let (fh, fi, ft) = flat.query_traced(q, k, strategy).unwrap();
-            let (sh, si, st) = sharded.query_traced(q, k, strategy).unwrap();
-            assert_eq!(fh, sh, "{} hits diverged at shards={shards} k={k}", strategy.name());
-            assert!(ft.active && st.active, "recorder installed, traces must be live");
-            assert!(
-                ids.insert(ft.query_id) && ids.insert(st.query_id),
-                "query ids must be process-unique"
-            );
-            assert_eq!(ft.shard_count(), 1, "facade reports one shard row");
+            let (hits, info, trace) = engine.query_traced(q, k, strategy).unwrap();
             assert_eq!(
-                st.shard_count(),
+                hits,
+                oracle.top_k(strategy, &q_emb, k),
+                "{} hits diverged at shards={shards} k={k}",
+                strategy.name()
+            );
+            assert!(trace.active, "recorder installed, traces must be live");
+            assert!(ids.insert(trace.query_id), "query ids must be process-unique");
+            assert_eq!(
+                trace.shard_count(),
                 shards,
                 "{} fan-out must cover every configured shard",
                 strategy.name()
             );
             // The trace's totals are the same numbers QueryInfo reports.
-            assert_eq!(ft.candidates(), fi.candidates, "{} facade trace", strategy.name());
-            assert_eq!(st.candidates(), si.candidates, "{} sharded trace", strategy.name());
+            assert_eq!(trace.candidates(), info.candidates, "{} trace", strategy.name());
             if partition_invariant(strategy) {
                 assert_eq!(
-                    st.candidates(),
-                    ft.candidates(),
-                    "{} candidate total must be partition-invariant at shards={shards}",
+                    trace.candidates(),
+                    oracle.candidates(strategy, &q_emb),
+                    "{} candidate total must be the oracle's count at shards={shards}",
                     strategy.name()
                 );
             }
-            assert_clock_monotone(&ft);
-            assert_clock_monotone(&st);
+            assert_clock_monotone(&trace);
             // Every shard row carries exactly one taxonomy label on a
             // healthy engine, and pins a live publish seq.
-            for row in ft.shards.iter().chain(&st.shards) {
+            for row in &trace.shards {
                 assert_eq!(row.steps.len(), 1, "{:?}", row.steps);
                 assert!(!row.degraded && !row.fallback);
             }
@@ -114,7 +104,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
     #[test]
-    fn sharded_trace_matches_facade_on_identical_corpora(
+    fn trace_totals_match_the_oracle_on_identical_corpora(
         shards in 1usize..6,
         corpus_len in 24usize..90,
         k in 1usize..13,
@@ -132,29 +122,18 @@ fn disabled_mode_output_is_byte_identical_and_traces_inert() {
         "no trace consumer may be installed during the disabled-mode check"
     );
     let (dataset, model) = world();
-    let flat = Traj2HashEngine::build_from(
-        &model,
-        dataset.database.clone(),
-        EngineConfig::default(),
-    )
-    .unwrap();
-    let sharded = ShardedEngine::build_from(
-        &model,
-        dataset.database.clone(),
-        EngineConfig::default(),
-        ShardConfig { shards: 4, fan_out_threads: 0 },
-    )
-    .unwrap();
-    for q in dataset.query.iter().take(4) {
-        for strategy in Strategy::ALL {
-            for (plain, traced) in [
-                (flat.query(q, 9, strategy).unwrap(), flat.query_traced(q, 9, strategy).unwrap()),
-                (
-                    sharded.query(q, 9, strategy).unwrap(),
-                    sharded.query_traced(q, 9, strategy).unwrap(),
-                ),
-            ] {
-                let (hits, _info, trace) = traced;
+    for shards in [1usize, 4] {
+        let engine = ShardedEngine::build_from(
+            &model,
+            dataset.database.clone(),
+            EngineConfig::default(),
+            ShardConfig { shards, fan_out_threads: 0 },
+        )
+        .unwrap();
+        for q in dataset.query.iter().take(4) {
+            for strategy in Strategy::ALL {
+                let plain = engine.query(q, 9, strategy).unwrap();
+                let (hits, _info, trace) = engine.query_traced(q, 9, strategy).unwrap();
                 assert_eq!(plain.len(), hits.len());
                 for (a, b) in plain.iter().zip(&hits) {
                     assert_eq!(a.id, b.id, "{} ids diverged", strategy.name());
