@@ -38,6 +38,10 @@
 #                       drift, injected write faults, and degrade
 #                       drills; exports and self-validates the JSONL
 #                       telemetry stream (target/soak.jsonl)
+#   ./check.sh t2h      benchmark self-test: compiles t2h_bench (its own
+#                       workspace) against the crates and runs all four
+#                       workloads end to end at tiny scale — the only
+#                       compile-and-run check of t2h_bench/src/api.rs
 #   ./check.sh sanitize dynamic race/UB detection: the publish-cell unit
 #                       tests under Miri and the shard concurrency suite
 #                       under ThreadSanitizer (with -Zbuild-std so std's
@@ -151,6 +155,16 @@ if [[ "${1:-}" == "ops" ]]; then
     exit 0
 fi
 
+run_t2h() {
+    echo "==> t2h_bench self-test (api.rs against the workspace, four workloads end to end)"
+    cargo test -q --manifest-path t2h_bench/Cargo.toml
+}
+
+if [[ "${1:-}" == "t2h" ]]; then
+    run_t2h
+    exit 0
+fi
+
 if [[ "${1:-}" == "sanitize" ]]; then
     run_sanitize
     exit 0
@@ -178,6 +192,8 @@ cargo test -q --test trace_parity --test ops_surface
 echo "==> pruned-driver parity + gt_bench smoke (also covered by cargo test; rerun as a named gate)"
 cargo test -q --test prune_parity
 cargo run -q --release -p traj-bench --bin gt_bench -- --smoke
+
+run_t2h
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

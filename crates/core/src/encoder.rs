@@ -1,41 +1,11 @@
 //! The two-channel trajectory encoder (Sections IV-C and IV-D).
 
 use crate::config::{ModelConfig, Readout};
-use std::collections::HashMap;
-use std::sync::{Arc, RwLock};
-use tinynn::sync::{cread, cwrite};
+use std::sync::Arc;
 use tinynn::{layers::positional_encoding_cached, Linear, Mlp, Param, ParamSet, Tape, Tensor, Var};
 use traj_data::{NormStats, Trajectory};
 use traj_grid::{GridEmbedding, GridSpec};
 use rand::Rng;
-
-/// Shared cache of the frozen grid-channel input sequences, keyed by a
-/// content hash of the trajectory. The cached tensor is everything in
-/// front of the trainable MLP — grid-cell embeddings plus positional
-/// encoding — which is constant for the whole run because the grid
-/// embeddings are frozen after NCE pre-training.
-///
-/// Invalidation rule: entries depend only on the trajectory's points, the
-/// grid spec, and the frozen embedding table, all of which are fixed for
-/// the lifetime of a model. A new model (new spec or re-pre-trained
-/// embedding) must start from a fresh cache; replicas of the *same* model
-/// share one cache across threads.
-pub type GridInputCache = Arc<RwLock<HashMap<u64, Arc<Tensor>>>>;
-
-/// 64-bit FNV-1a over the raw coordinate bits. Trajectories have no id,
-/// so the cache keys on content; a collision would require two corpus
-/// trajectories hashing identically (~n^2 / 2^64 chance).
-fn trajectory_key(t: &Trajectory) -> u64 {
-    const OFFSET: u64 = 0xcbf29ce484222325;
-    const PRIME: u64 = 0x100000001b3;
-    let mut h = OFFSET;
-    for p in &t.points {
-        for bits in [p.x.to_bits(), p.y.to_bits()] {
-            h = (h ^ bits).wrapping_mul(PRIME);
-        }
-    }
-    h
-}
 
 /// The light-weight grid channel (Section IV-C): frozen pre-trained grid
 /// embeddings + positional encoding + two-layer MLP + mean pooling
@@ -44,30 +14,26 @@ fn trajectory_key(t: &Trajectory) -> u64 {
 pub struct GridChannelEncoder {
     spec: GridSpec,
     emb: Arc<dyn GridEmbedding + Send + Sync>,
-    cache: GridInputCache,
     mlp: Mlp,
 }
 
 impl GridChannelEncoder {
     /// Builds the channel from a pre-trained (frozen) grid embedding.
-    /// Model replicas pass the same `cache` handle so the frozen input
-    /// sequence of each trajectory is computed once per run.
     pub fn new<R: Rng>(
         rng: &mut R,
         params: &mut ParamSet,
         spec: GridSpec,
         emb: Arc<dyn GridEmbedding + Send + Sync>,
-        cache: GridInputCache,
         out_dim: usize,
     ) -> Self {
         let gd = emb.dim();
         let mlp = Mlp::new(rng, params, &[gd, gd, out_dim]);
-        GridChannelEncoder { spec, emb, cache, mlp }
+        GridChannelEncoder { spec, emb, mlp }
     }
 
-    /// Computes the frozen pre-MLP input sequence (grid embeddings with
-    /// positional encoding added), bypassing the cache.
-    pub fn grid_input_uncached(&self, t: &Trajectory) -> Tensor {
+    /// The frozen pre-MLP input sequence for `t`: per cell the grid
+    /// embedding `e_x + e_y` (Eq. 5) plus the positional encoding.
+    pub fn grid_input(&self, t: &Trajectory) -> Tensor {
         let cells = self.spec.grid_trajectory(t);
         let gd = self.emb.dim();
         let n = cells.len();
@@ -80,28 +46,14 @@ impl GridChannelEncoder {
         seq
     }
 
-    /// The frozen pre-MLP input sequence for `t`, computed once per run
-    /// and shared thereafter (bit-identical to the uncached path — it
-    /// stores exactly what [`Self::grid_input_uncached`] produced).
-    pub fn grid_input(&self, t: &Trajectory) -> Arc<Tensor> {
-        let key = trajectory_key(t);
-        if let Some(hit) = cread(&self.cache).get(&key) {
-            return Arc::clone(hit);
-        }
-        let fresh = Arc::new(self.grid_input_uncached(t));
-        let mut w = cwrite(&self.cache);
-        Arc::clone(w.entry(key).or_insert(fresh))
-    }
-
     /// Encodes a trajectory's grid channel into a `1 x d` vector.
     ///
     /// The grid embeddings are pre-trained and frozen (the paper freezes
     /// them "since the spatial information may be poisoned after
     /// updating"), so they enter the tape as constants; only the MLP is
-    /// trainable. The constant part comes from the shared cache without
-    /// being copied.
+    /// trainable.
     pub fn forward(&self, tape: &Tape, t: &Trajectory) -> Var {
-        let seq = tape.constant_arc(self.grid_input(t));
+        let seq = tape.constant(self.grid_input(t));
         self.mlp.forward(tape, &seq).mean_rows()
     }
 
@@ -113,11 +65,6 @@ impl GridChannelEncoder {
     /// The frozen embedding provider (shared with replicas).
     pub fn embedding(&self) -> Arc<dyn GridEmbedding + Send + Sync> {
         Arc::clone(&self.emb)
-    }
-
-    /// The shared input cache handle.
-    pub fn cache(&self) -> GridInputCache {
-        Arc::clone(&self.cache)
     }
 }
 
@@ -221,34 +168,12 @@ mod tests {
             &mut ps,
             spec,
             Arc::new(emb),
-            GridInputCache::default(),
             16,
         );
         let tape = Tape::new();
         let h = enc.forward(&tape, &trajs[0]);
         assert_eq!(h.shape(), (1, 16));
         assert!(h.value().is_finite());
-    }
-
-    #[test]
-    fn grid_input_cache_is_bit_identical_to_uncached() {
-        let (trajs, _, spec, emb) = setup();
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut ps = ParamSet::new();
-        let enc = GridChannelEncoder::new(
-            &mut rng,
-            &mut ps,
-            spec,
-            Arc::new(emb),
-            GridInputCache::default(),
-            16,
-        );
-        for t in &trajs {
-            let cached = enc.grid_input(t); // populates the cache
-            let again = enc.grid_input(t); // served from the cache
-            assert!(Arc::ptr_eq(&cached, &again), "second lookup must hit the cache");
-            assert_eq!(*cached, enc.grid_input_uncached(t), "cache must be bit-identical");
-        }
     }
 
     #[test]
@@ -307,7 +232,6 @@ mod tests {
             &mut ps,
             spec,
             Arc::new(emb),
-            GridInputCache::default(),
             cfg.dim,
         );
         let tape = Tape::new();

@@ -15,6 +15,9 @@ pub enum EngineError {
     UnknownId(u64),
     /// The [`EngineConfig`](crate::EngineConfig) is unusable as given.
     InvalidConfig(String),
+    /// A query trajectory the encoder cannot embed: no points, or a
+    /// non-finite coordinate.
+    InvalidInput(String),
     /// A snapshot failed to encode, decode, or validate.
     Snapshot(CheckpointError),
     /// The engine state cannot be snapshotted — currently only when the
@@ -29,6 +32,7 @@ impl fmt::Display for EngineError {
             EngineError::Search(e) => write!(f, "search failed: {e}"),
             EngineError::UnknownId(id) => write!(f, "no live trajectory with id {id}"),
             EngineError::InvalidConfig(s) => write!(f, "invalid engine config: {s}"),
+            EngineError::InvalidInput(s) => write!(f, "invalid input: {s}"),
             EngineError::Snapshot(e) => write!(f, "snapshot error: {e}"),
             EngineError::SnapshotUnsupported(s) => write!(f, "snapshot unsupported: {s}"),
         }

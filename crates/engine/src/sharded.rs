@@ -21,9 +21,9 @@
 //! * rebuild/compaction is **per shard**: one shard compacting never
 //!   blocks reads on the others, and even the compacting shard keeps
 //!   serving its previous generation until the new one is published;
-//! * [`ShardedEngine::query_many`] answers request batches, amortizing
-//!   query encoding with one fused matmul per dense layer over the
-//!   whole batch ([`Traj2Hash::embed_batch`]).
+//! * [`ShardedEngine::query_many`] answers request batches against
+//!   shards pinned once for the whole batch; each member then takes the
+//!   single-query path.
 //!
 //! ## Reading from other threads
 //!
@@ -608,58 +608,40 @@ impl ShardedEngine {
         query_pinned(&self.set, &states, &self.model, q, k, strategy, self.scfg.fan_out_threads)
     }
 
-    /// Answers a batch of queries, encoding them all in one batched
-    /// forward pass ([`Traj2Hash::embed_batch`] — one fused matmul per
-    /// dense layer over the whole batch) and fanning each query across
-    /// the shards pinned once for the whole batch. Results are
-    /// bit-identical to calling [`ShardedEngine::query`] per query.
+    /// Answers a batch of queries against shards pinned once for the
+    /// whole batch, so every member sees the same corpus; each member
+    /// then takes the single-query path, so results, telemetry and
+    /// traces are those of calling [`ShardedEngine::query`] per query.
+    /// One invalid member fails the batch before any work is done.
     pub fn query_many(
         &self,
         qs: &[Trajectory],
         k: usize,
         strategy: Strategy,
     ) -> Result<Vec<Vec<Hit>>, EngineError> {
+        qs.iter().try_for_each(validate_query)?;
         let states = self.set.pin_all();
-        let live: usize = states.iter().map(|s| s.live()).sum();
-        if k == 0 || live == 0 || qs.is_empty() {
-            return Ok(qs.iter().map(|_| Vec::new()).collect());
-        }
-        let t0 = Instant::now();
-        let embeddings = self.model.embed_batch(qs);
-        let encode_seconds = t0.elapsed().as_secs_f64();
-        // Each query is charged its share of the batched encode, so the
-        // `engine.query.<strategy>` histogram means encode + fan-out
-        // whether the query arrived alone or in a batch.
-        let encode_share = encode_seconds / qs.len() as f64;
-        if traj_obs::enabled() {
-            traj_obs::observe_secs("engine.query.batch_encode_secs", encode_share);
-        }
-        let mut out = Vec::with_capacity(qs.len());
-        for embedding in &embeddings {
-            let tq = Instant::now();
-            let mut trace = TraceCtx::new();
-            trace.step("embed");
-            let code = BinaryCode::from_floats(embedding);
-            let (hits, info) = fan_out(
-                &states,
-                strategy,
-                embedding,
-                &code,
-                k,
-                self.scfg.fan_out_threads,
-                &mut trace,
-            );
-            let seconds = encode_share + tq.elapsed().as_secs_f64();
-            record_query(&self.set, strategy, states.len(), &info, seconds, trace);
-            out.push(hits);
-        }
-        Ok(out)
+        let threads = self.scfg.fan_out_threads;
+        qs.iter()
+            .map(|q| {
+                query_pinned(&self.set, &states, &self.model, q, k, strategy, threads)
+                    .map(|(hits, _, _)| hits)
+            })
+            .collect()
     }
 
     /// Encodes and inserts a trajectory, returning its stable id. Only
     /// the owning shard republishes; reads on every other shard are
     /// untouched, and reads on the owning shard keep their pinned
     /// generation.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty trajectory (the GPS channel asserts on it).
+    /// Unlike the query entry points, `insert` cannot refuse its input
+    /// — the `-> u64` signature is named by `t2h_bench/src/api.rs` — so
+    /// a non-finite trajectory is stored with a NaN embedding. Callers
+    /// must pass non-empty, finite trajectories.
     pub fn insert(&mut self, t: Trajectory) -> u64 {
         let embedding = self.model.embed(&t).data().to_vec();
         let code = BinaryCode::from_floats(&embedding);
@@ -980,8 +962,23 @@ impl ShardedEngine {
     }
 }
 
-/// Shared query path: encode with the given model, pin-free (states
-/// already pinned), fan out, merge, record.
+/// Rejects a query the encoder cannot embed: no points (the GPS
+/// channel asserts on it) or a non-finite coordinate (every distance
+/// would be NaN and the ranking meaningless).
+fn validate_query(q: &Trajectory) -> Result<(), EngineError> {
+    if q.is_empty() {
+        return Err(EngineError::InvalidInput("query trajectory has no points".into()));
+    }
+    match q.points.iter().position(|p| !(p.x.is_finite() && p.y.is_finite())) {
+        Some(i) => Err(EngineError::InvalidInput(format!(
+            "query point {i} has a non-finite coordinate"
+        ))),
+        None => Ok(()),
+    }
+}
+
+/// Shared query path: validate, encode with the given model, pin-free
+/// (states already pinned), fan out, merge, record.
 fn query_pinned(
     set: &ShardSet,
     states: &[Arc<ShardState>],
@@ -991,6 +988,7 @@ fn query_pinned(
     strategy: Strategy,
     threads: usize,
 ) -> Result<(Vec<Hit>, QueryInfo, QueryTrace), EngineError> {
+    validate_query(q)?;
     let mut trace = TraceCtx::new();
     let degraded = states.iter().any(|s| s.degraded());
     let live: usize = states.iter().map(|s| s.live()).sum();

@@ -33,7 +33,6 @@ use std::sync::Arc;
 use traj2hash::checkpoint::{
     decode_container, encode_container, PayloadReader, PayloadWriter,
 };
-use traj2hash::encoder::GridInputCache;
 use traj2hash::{CheckpointError, ModelConfig, ModelSpec, Readout, Traj2Hash};
 use traj_data::{BoundingBox, Point, Trajectory};
 use traj_grid::{DecomposedGridEmbedding, GridEmbedding, GridSpec};
@@ -122,7 +121,7 @@ pub(crate) fn encode_view(view: &SnapshotView<'_>) -> Result<Vec<u8>, EngineErro
     w.f64(spec.norm.std_y);
     w.f32(spec.beta);
     match &spec.grid {
-        Some((gspec, emb, _cache)) => {
+        Some((gspec, emb)) => {
             let dec = emb.as_decomposed().ok_or_else(|| {
                 EngineError::SnapshotUnsupported(
                     "grid channel uses a non-decomposed embedding (e.g. Node2vec); \
@@ -235,7 +234,7 @@ pub(crate) fn decode_parts(bytes: &[u8]) -> Result<DecodedSnapshot, EngineError>
                 )));
             }
             let emb: Arc<dyn GridEmbedding + Send + Sync> = Arc::new(emb);
-            Some((gspec, emb, GridInputCache::default()))
+            Some((gspec, emb))
         }
         t => return Err(malformed(format!("bad grid tag {t}"))),
     };

@@ -106,13 +106,14 @@ pub const LOCK_HELPERS: &[LockHelper] = &[
     LockHelper {
         path: "crates/tinynn/src/sync.rs",
         name: "cread",
-        why: "memo-cache RwLock read; caches hold pure recomputable values, poison \
-              cannot corrupt them",
+        why: "positional-encoding table RwLock read (its only client); the table holds \
+              pure recomputable values, poison cannot corrupt them",
     },
     LockHelper {
         path: "crates/tinynn/src/sync.rs",
         name: "cwrite",
-        why: "memo-cache RwLock write; worst case after poison is a redundant recompute",
+        why: "positional-encoding table RwLock write (its only client); worst case \
+              after poison is a redundant recompute",
     },
 ];
 
@@ -344,6 +345,11 @@ pub const TRACED_ENTRY_POINTS: &[TracedEntryPoint] = &[
         path: "crates/engine/src/sharded.rs",
         func: "query_with_info",
         why: "both query_with_info variants delegate to their query_traced siblings",
+    },
+    TracedEntryPoint {
+        path: "crates/engine/src/sharded.rs",
+        func: "query_many",
+        why: "runs every member through query_pinned, the traced single-query path",
     },
     TracedEntryPoint {
         path: "crates/engine/src/trace.rs",

@@ -1,13 +1,14 @@
-//! Sanctioned lock helpers for compute caches.
+//! Sanctioned lock helpers for the positional-encoding table.
 //!
-//! [`cread`] / [`cwrite`] are the acquisition points for the
-//! insert-only caches of *pure* values (the positional-encoding table
-//! here, the grid-input cache in the encoder crate). They recover from
-//! poisoning instead of propagating it: every entry is an `Arc` of an
-//! immutable value inserted wholesale, so a panicked holder can at most
-//! have completed an insertion of a correct entry — there is no
-//! half-mutated state a poisoned guard could expose, and a poisoned
-//! cache must not take down model forwards on every other thread.
+//! [`cread`] / [`cwrite`] are the acquisition points for the one
+//! insert-only cache of *pure* values, the positional-encoding table
+//! (`layers::positional_encoding_cached`, bounded by the distinct
+//! `(length, dim)` pairs seen). They recover from poisoning instead of
+//! propagating it: every entry is an `Arc` of an immutable value
+//! inserted wholesale, so a panicked holder can at most have completed
+//! an insertion of a correct entry — there is no half-mutated state a
+//! poisoned guard could expose, and a poisoned cache must not take down
+//! model forwards on every other thread.
 //!
 //! traj-lint's `no-bare-lock` rule bans direct `.read()` / `.write()`
 //! calls everywhere outside registered helpers like these.

@@ -9,7 +9,8 @@
 //! 2. **Lifecycle** — removals vanish, ids are never recycled,
 //!    compaction changes nothing a caller can see, degraded serving
 //!    stays exact and is counted, a hot swap adopts the replacement's
-//!    config, and any interleaving of insert/remove (with compactions
+//!    config, an empty or non-finite query is a typed error at every
+//!    query entry point, and any interleaving of insert/remove (with compactions
 //!    forced by a tiny rebuild threshold) answers exactly like an engine
 //!    built from scratch over the surviving trajectories
 //!    (property-based).
@@ -24,7 +25,7 @@
 #[path = "common/oracle.rs"]
 mod oracle;
 
-use oracle::world;
+use oracle::{assert_engine_matches, world, Oracle};
 use proptest::prelude::*;
 use traj_data::{CityParams, Dataset, SplitSizes, Trajectory};
 use traj_engine::{
@@ -150,6 +151,54 @@ fn k_zero_and_empty_engine_answer_with_nothing() {
             assert!(engine.query(&dataset.query[0], 0, strategy).unwrap().is_empty());
             assert!(empty.query(&dataset.query[0], 5, strategy).unwrap().is_empty());
         }
+    }
+}
+
+#[test]
+fn hostile_queries_are_typed_errors_at_every_entry_point() {
+    let (dataset, model) = world();
+    let good = &dataset.query[0];
+    let with_first_x = |x: f64| {
+        let mut t = good.clone();
+        t.points[0].x = x;
+        t
+    };
+    let hostile = [
+        ("empty", Trajectory::new(Vec::new())),
+        ("NaN", with_first_x(f64::NAN)),
+        ("infinite", with_first_x(f64::INFINITY)),
+    ];
+    let invalid = |r: Result<(), EngineError>, what: &str| {
+        assert!(matches!(r, Err(EngineError::InvalidInput(_))), "{what}: got {r:?}");
+    };
+    for shards in SHARDS {
+        let engine = build_default(&model, &dataset.database, shards);
+        let mut reader = engine.reader().into_reader();
+        for (name, bad) in &hostile {
+            for strategy in Strategy::ALL {
+                let what = format!("{name} query, {} at shards={shards}", strategy.name());
+                invalid(engine.query(bad, 5, strategy).map(drop), &what);
+                invalid(engine.query_with_info(bad, 5, strategy).map(drop), &what);
+                invalid(engine.query_traced(bad, 5, strategy).map(drop), &what);
+                // Validation comes before the k == 0 early return.
+                invalid(engine.query(bad, 0, strategy).map(drop), &what);
+                invalid(reader.query(bad, 5, strategy).map(drop), &what);
+                invalid(reader.query_with_info(bad, 5, strategy).map(drop), &what);
+                invalid(reader.query_traced(bad, 5, strategy).map(drop), &what);
+
+                // One bad member fails the batch before any work is done.
+                let batch = [good.clone(), bad.clone(), good.clone()];
+                let before = engine.telemetry().strategy(strategy).queries;
+                invalid(engine.query_many(&batch, 5, strategy).map(drop), &what);
+                assert_eq!(engine.telemetry().strategy(strategy).queries, before, "{what}");
+            }
+        }
+        let oracle = Oracle::build(&model, &dataset.database);
+        assert_engine_matches(&engine, &oracle, &model, &dataset.query, &[5], "after hostile input");
+        assert_eq!(
+            reader.query(good, 5, Strategy::Hybrid).unwrap(),
+            engine.query(good, 5, Strategy::Hybrid).unwrap()
+        );
     }
 }
 
