@@ -4,6 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+use tinynn::Tape;
 use traj_baselines::{GruMetricEncoder, TrajEncoder};
 use traj_data::{CityGenerator, CityParams, NormStats};
 use traj2hash::{ModelConfig, ModelContext, Traj2Hash};
@@ -16,7 +17,12 @@ fn bench_encoding(c: &mut Criterion) {
     let gru = GruMetricEncoder::plain(32, norm, 5);
     let t = &trajs[0];
 
+    // the two forwards over the same weights: forward-only inference,
+    // then the training forward on a fresh tape (what `embed` used to be)
     c.bench_function("traj2hash_embed", |b| b.iter(|| model.embed(black_box(t))));
+    c.bench_function("traj2hash_embed_var_tape", |b| {
+        b.iter(|| model.embed_var(&Tape::new(), black_box(t)).value())
+    });
     c.bench_function("traj2hash_hash_signs", |b| b.iter(|| model.hash_signs(black_box(t))));
     c.bench_function("gru_embed", |b| b.iter(|| gru.embed(black_box(t))));
 

@@ -1,4 +1,8 @@
-//! The two-channel trajectory encoder (Sections IV-C and IV-D).
+//! The two-channel trajectory encoder (Sections IV-C and IV-D): the
+//! layers, their parameters, and the *training* forward over an
+//! autograd [`Tape`]. Inference reads the same parameters through the
+//! forward-only evaluator in `infer.rs`; the `forward` methods here are
+//! what it is tested against, bit for bit.
 
 use crate::config::{ModelConfig, Readout};
 use std::sync::Arc;
@@ -12,9 +16,9 @@ use rand::Rng;
 /// (Eq. 9). The embedding provider is pluggable so the decomposed
 /// representation can be compared against Node2vec (Fig. 7).
 pub struct GridChannelEncoder {
-    spec: GridSpec,
-    emb: Arc<dyn GridEmbedding + Send + Sync>,
-    mlp: Mlp,
+    pub(crate) spec: GridSpec,
+    pub(crate) emb: Arc<dyn GridEmbedding + Send + Sync>,
+    pub(crate) mlp: Mlp,
 }
 
 impl GridChannelEncoder {
@@ -72,12 +76,12 @@ impl GridChannelEncoder {
 /// (Eq. 10) + positional encoding + `m` Attention–MLP residual blocks
 /// (Eq. 11–12) + a configurable read-out (Eq. 13 / Fig. 4).
 pub struct GpsChannelEncoder {
-    point_mlp: Linear,
-    blocks: Vec<tinynn::EncoderBlock>,
-    readout: Readout,
-    cls: Option<Param>,
-    norm: NormStats,
-    dim: usize,
+    pub(crate) point_mlp: Linear,
+    pub(crate) blocks: Vec<tinynn::EncoderBlock>,
+    pub(crate) readout: Readout,
+    pub(crate) cls: Option<Param>,
+    pub(crate) norm: NormStats,
+    pub(crate) dim: usize,
 }
 
 impl GpsChannelEncoder {

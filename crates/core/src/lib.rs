@@ -43,6 +43,7 @@ pub mod checkpoint;
 pub mod config;
 pub mod encoder;
 pub mod error;
+mod infer;
 pub mod iofault;
 pub mod loss;
 pub mod model;

@@ -1,9 +1,18 @@
 //! The Traj2Hash model: two-channel encoder + hash layer (Section IV).
+//!
+//! One set of parameters, two forwards. [`Traj2Hash::embed_var`] /
+//! [`Traj2Hash::hash_var`] record onto an autograd [`Tape`] and are the
+//! training path. [`Traj2Hash::embed`] and everything built on it
+//! (`embed_all*`, `hash_*`, `approx_distance`, and through them the
+//! serving engine) run the forward-only evaluator in `infer.rs`, which
+//! creates no tape and is bit-identical to the training forward.
 
 use crate::config::ModelConfig;
 use crate::encoder::{GpsChannelEncoder, GridChannelEncoder};
+use crate::infer::{self, Scratch};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::cell::RefCell;
 use std::sync::Arc;
 use tinynn::{Mlp, Param, ParamSet, Tape, Tensor, Var};
 use traj_data::{NormStats, Trajectory};
@@ -48,10 +57,13 @@ pub struct Traj2Hash {
     cfg: ModelConfig,
     /// All trainable parameters.
     pub params: ParamSet,
-    gps: GpsChannelEncoder,
-    grid: Option<GridChannelEncoder>,
-    fuse: Mlp,
-    projector: Param,
+    pub(crate) gps: GpsChannelEncoder,
+    pub(crate) grid: Option<GridChannelEncoder>,
+    pub(crate) fuse: Mlp,
+    pub(crate) projector: Param,
+    /// Working memory of the forward-only evaluator (the model is
+    /// `!Sync`: one replica per thread, so one scratch per replica).
+    pub(crate) scratch: RefCell<Scratch>,
     /// Relaxation scale `beta` of `tanh(beta x)`; annealed during
     /// training, effectively infinite (hard sign) at inference.
     pub beta: f32,
@@ -154,7 +166,8 @@ impl Traj2Hash {
             cfg.dim,
             proj_out,
         )));
-        Traj2Hash { cfg, params, gps, grid, fuse, projector, beta }
+        let scratch = RefCell::default();
+        Traj2Hash { cfg, params, gps, grid, fuse, projector, scratch, beta }
     }
 
     /// Model configuration.
@@ -205,10 +218,13 @@ impl Traj2Hash {
         embedding.scale(self.beta).tanh()
     }
 
-    /// Inference: the Euclidean embedding as a plain tensor.
+    /// Inference: the Euclidean embedding as a plain tensor — the value
+    /// of [`Traj2Hash::embed_var`], bit for bit, computed without a tape.
+    ///
+    /// # Panics
+    /// Panics on an empty trajectory.
     pub fn embed(&self, t: &Trajectory) -> Tensor {
-        let tape = Tape::new();
-        self.embed_var(&tape, t).value()
+        infer::embed(self, t)
     }
 
     /// Inference: the hard binary code as `+-1` signs (Eq. 16).
@@ -258,9 +274,9 @@ impl Traj2Hash {
         out.into_iter().flatten().collect()
     }
 
-    /// [`Traj2Hash::embed_all`] under the name the benchmark calls: a
-    /// batch has nothing to amortise (the fused dense layers measured
-    /// 0.88–1.03x), so it is the per-trajectory forward.
+    /// [`Traj2Hash::embed_all`] under the name the benchmark calls.
+    /// Every trajectory is an independent forward; batching the dense
+    /// layers across trajectories measured 0.88–1.03x and was removed.
     pub fn embed_batch(&self, ts: &[Trajectory]) -> Vec<Vec<f32>> {
         self.embed_all(ts)
     }

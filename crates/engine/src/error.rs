@@ -15,8 +15,8 @@ pub enum EngineError {
     UnknownId(u64),
     /// The [`EngineConfig`](crate::EngineConfig) is unusable as given.
     InvalidConfig(String),
-    /// A query trajectory the encoder cannot embed: no points, or a
-    /// non-finite coordinate.
+    /// A query or inserted trajectory the encoder cannot embed: no
+    /// points, or a non-finite coordinate.
     InvalidInput(String),
     /// A snapshot failed to encode, decode, or validate.
     Snapshot(CheckpointError),

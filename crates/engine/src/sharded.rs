@@ -329,6 +329,7 @@ fn record_query(
     strategy: Strategy,
     k_shards: usize,
     info: &FanInfo,
+    encode_seconds: f64,
     seconds: f64,
     mut trace: TraceCtx,
 ) -> (QueryInfo, QueryTrace) {
@@ -340,6 +341,7 @@ fn record_query(
         overfetch: info.overfetch,
         seconds,
         shards: k_shards,
+        encode_seconds,
         fanout_seconds: info.fanout_seconds,
         merge_seconds: info.merge_seconds,
     };
@@ -364,6 +366,7 @@ fn record_query(
         traj_obs::observe_secs(strategy.metric_name(), seconds);
         traj_obs::observe_value("engine.query.candidates", info.candidates as f64);
         traj_obs::observe_value("engine.query.overfetch", info.overfetch as f64);
+        traj_obs::observe_secs("engine.query.encode_secs", encode_seconds);
         traj_obs::observe_secs("engine.query.fanout_secs", info.fanout_seconds);
         traj_obs::observe_secs("engine.query.merge_secs", info.merge_seconds);
         traj_obs::observe_value("engine.query.shards", k_shards as f64);
@@ -392,6 +395,7 @@ fn empty_query_info(strategy: Strategy, degraded: bool, shards: usize) -> QueryI
         overfetch: 0,
         seconds: 0.0,
         shards,
+        encode_seconds: 0.0,
         fanout_seconds: 0.0,
         merge_seconds: 0.0,
     }
@@ -619,7 +623,7 @@ impl ShardedEngine {
         k: usize,
         strategy: Strategy,
     ) -> Result<Vec<Vec<Hit>>, EngineError> {
-        qs.iter().try_for_each(validate_query)?;
+        qs.iter().try_for_each(validate_trajectory)?;
         let states = self.set.pin_all();
         let threads = self.scfg.fan_out_threads;
         qs.iter()
@@ -633,16 +637,11 @@ impl ShardedEngine {
     /// Encodes and inserts a trajectory, returning its stable id. Only
     /// the owning shard republishes; reads on every other shard are
     /// untouched, and reads on the owning shard keep their pinned
-    /// generation.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty trajectory (the GPS channel asserts on it).
-    /// Unlike the query entry points, `insert` cannot refuse its input
-    /// — the `-> u64` signature is named by `t2h_bench/src/api.rs` — so
-    /// a non-finite trajectory is stored with a NaN embedding. Callers
-    /// must pass non-empty, finite trajectories.
-    pub fn insert(&mut self, t: Trajectory) -> u64 {
+    /// generation. An empty or non-finite trajectory is refused with
+    /// [`EngineError::InvalidInput`] (the same check as the query entry
+    /// points) and nothing is stored, counted or published.
+    pub fn try_insert(&mut self, t: Trajectory) -> Result<u64, EngineError> {
+        validate_trajectory(&t)?;
         let embedding = self.model.embed(&t).data().to_vec();
         let code = BinaryCode::from_floats(&embedding);
         let id = self.next_id;
@@ -654,7 +653,18 @@ impl ShardedEngine {
         tlock(&self.set.telemetry).inserts += 1;
         traj_obs::counter("engine.inserts", 1);
         self.maybe_rebuild_shard(si);
-        id
+        Ok(id)
+    }
+
+    /// [`try_insert`](ShardedEngine::try_insert) for callers that have
+    /// already validated their input.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty or non-finite trajectory.
+    pub fn insert(&mut self, t: Trajectory) -> u64 {
+        // lint: allow(panic) — documented precondition; `try_insert` is the fallible form
+        self.try_insert(t).unwrap_or_else(|e| panic!("insert: {e}"))
     }
 
     /// Tombstones the trajectory with stable id `id` on its shard.
@@ -962,16 +972,16 @@ impl ShardedEngine {
     }
 }
 
-/// Rejects a query the encoder cannot embed: no points (the GPS
-/// channel asserts on it) or a non-finite coordinate (every distance
-/// would be NaN and the ranking meaningless).
-fn validate_query(q: &Trajectory) -> Result<(), EngineError> {
-    if q.is_empty() {
-        return Err(EngineError::InvalidInput("query trajectory has no points".into()));
+/// Rejects a trajectory the encoder cannot embed, as a query or as an
+/// insert: no points (the encoder asserts on it) or a non-finite
+/// coordinate (every distance would be NaN and the ranking meaningless).
+fn validate_trajectory(t: &Trajectory) -> Result<(), EngineError> {
+    if t.is_empty() {
+        return Err(EngineError::InvalidInput("trajectory has no points".into()));
     }
-    match q.points.iter().position(|p| !(p.x.is_finite() && p.y.is_finite())) {
+    match t.points.iter().position(|p| !(p.x.is_finite() && p.y.is_finite())) {
         Some(i) => Err(EngineError::InvalidInput(format!(
-            "query point {i} has a non-finite coordinate"
+            "point {i} has a non-finite coordinate"
         ))),
         None => Ok(()),
     }
@@ -988,7 +998,7 @@ fn query_pinned(
     strategy: Strategy,
     threads: usize,
 ) -> Result<(Vec<Hit>, QueryInfo, QueryTrace), EngineError> {
-    validate_query(q)?;
+    validate_trajectory(q)?;
     let mut trace = TraceCtx::new();
     let degraded = states.iter().any(|s| s.degraded());
     let live: usize = states.iter().map(|s| s.live()).sum();
@@ -1002,9 +1012,11 @@ fn query_pinned(
     trace.step("embed");
     let embedding = model.embed(q).data().to_vec();
     let code = BinaryCode::from_floats(&embedding);
+    let encode_seconds = t0.elapsed().as_secs_f64();
     let (hits, info) = fan_out(states, strategy, &embedding, &code, k, threads, &mut trace);
+    let seconds = t0.elapsed().as_secs_f64();
     let (q_info, qt) =
-        record_query(set, strategy, states.len(), &info, t0.elapsed().as_secs_f64(), trace);
+        record_query(set, strategy, states.len(), &info, encode_seconds, seconds, trace);
     Ok((hits, q_info, qt))
 }
 

@@ -145,6 +145,9 @@ pub struct QueryInfo {
     pub seconds: f64,
     /// Shards the query fanned out across.
     pub shards: usize,
+    /// Seconds spent encoding the query (embedding + sign code); `0.0`
+    /// when `k == 0` or the corpus is empty and nothing is encoded.
+    pub encode_seconds: f64,
     /// Seconds spent searching the shards.
     pub fanout_seconds: f64,
     /// Seconds spent merging per-shard hits through the shared top-k

@@ -106,14 +106,15 @@ pub const LOCK_HELPERS: &[LockHelper] = &[
     LockHelper {
         path: "crates/tinynn/src/sync.rs",
         name: "cread",
-        why: "positional-encoding table RwLock read (its only client); the table holds \
-              pure recomputable values, poison cannot corrupt them",
+        why: "positional-encoding table RwLock read (its only client, reached from the \
+              training forward only — inference keeps a per-model table); the table \
+              holds pure recomputable values, poison cannot corrupt them",
     },
     LockHelper {
         path: "crates/tinynn/src/sync.rs",
         name: "cwrite",
-        why: "positional-encoding table RwLock write (its only client); worst case \
-              after poison is a redundant recompute",
+        why: "positional-encoding table RwLock write (its only client, training forward \
+              only); worst case after poison is a redundant recompute",
     },
 ];
 
@@ -122,7 +123,9 @@ pub const LOCK_HELPERS: &[LockHelper] = &[
 /// or telemetry guard across any of these stalls every reader behind
 /// a long computation and widens the poison blast radius to the whole
 /// serving plane. Snapshot first (`Arc::clone(&rread(..))`), drop the
-/// guard, then compute.
+/// guard, then compute. The forward-only evaluator has no entry of its
+/// own: it is reached only through `embed` / `embed_all` /
+/// `embed_all_with_threads`, which are listed.
 pub const COMPUTE_CALLS: &[&str] = &[
     "search",
     "embed",

@@ -315,9 +315,15 @@ impl SoakRunner {
         // 4. Ingest the drifting batch; slide the window.
         let batch = self.ingest.batch(tick, self.cfg.batch_per_tick);
         for t in batch {
-            let id = self.engine.insert(t.clone());
-            self.live.push_back((id, t));
-            self.report.inserts += 1;
+            // A trajectory the engine refuses (empty / non-finite) is
+            // dropped from the stream; serving goes on.
+            match self.engine.try_insert(t.clone()) {
+                Ok(id) => {
+                    self.live.push_back((id, t));
+                    self.report.inserts += 1;
+                }
+                Err(_) => traj_obs::counter("soak.ingest_rejected", 1),
+            }
         }
         while self.live.len() > self.cfg.window {
             if let Some((old, _)) = self.live.pop_front() {

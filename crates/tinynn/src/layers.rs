@@ -91,6 +91,12 @@ impl Mlp {
         h
     }
 
+    /// The layers in application order (ReLU between, none after the
+    /// last) — what a forward-only evaluator walks.
+    pub fn layers(&self) -> &[Linear] {
+        &self.layers
+    }
+
     /// Output dimensionality.
     pub fn out_dim(&self) -> usize {
         // lint: allow(unwrap) — Mlp::new builds at least one layer
@@ -154,11 +160,12 @@ pub fn positional_encoding(n: usize, d: usize) -> Tensor {
 }
 
 /// Process-wide cache of positional encodings keyed by `(n, d)`.
-/// The encoding is a pure function of its shape and every encoder
+/// The encoding is a pure function of its shape and every training
 /// forward needs one, so recomputing the `powf`/`sin` table per call
 /// (~50 us for a 100 x 32 sequence) was measurable; the cache makes it
-/// a lookup. Shared across threads — model replicas on worker threads
-/// hit the same table.
+/// a lookup. Shared across threads — training replicas on worker
+/// threads hit the same table. (Inference does not come here: the
+/// forward-only evaluator in `traj2hash` keeps a per-model table.)
 type PeCache = RwLock<HashMap<(usize, usize), Arc<Tensor>>>;
 static PE_CACHE: OnceLock<PeCache> = OnceLock::new();
 
@@ -172,13 +179,6 @@ pub fn positional_encoding_cached(n: usize, d: usize) -> Arc<Tensor> {
     let fresh = Arc::new(positional_encoding(n, d));
     let mut w = crate::sync::cwrite(cache);
     Arc::clone(w.entry((n, d)).or_insert(fresh))
-}
-
-/// Adds the positional encoding to an `n x d` sequence embedding.
-pub fn add_positional(tape: &Tape, x: &Var) -> Var {
-    let (n, d) = x.shape();
-    let pe = tape.constant_arc(positional_encoding_cached(n, d));
-    x.add(&pe)
 }
 
 /// Multi-head scaled dot-product self-attention over an `n x d` sequence
@@ -204,6 +204,11 @@ impl MultiHeadSelfAttention {
             wo: Linear::new(rng, params, dim, dim),
             heads,
         }
+    }
+
+    /// The `[W_q, W_k, W_v, W_o]` projections and the head count.
+    pub fn parts(&self) -> ([&Linear; 4], usize) {
+        ([&self.wq, &self.wk, &self.wv, &self.wo], self.heads)
     }
 
     /// Applies self-attention to an `n x d` sequence.
@@ -253,6 +258,11 @@ impl EncoderBlock {
             attn: MultiHeadSelfAttention::new(rng, params, dim, heads),
             mlp: Mlp::new(rng, params, &[dim, hidden, dim]),
         }
+    }
+
+    /// The attention layer and the block MLP.
+    pub fn parts(&self) -> (&MultiHeadSelfAttention, &Mlp) {
+        (&self.attn, &self.mlp)
     }
 
     /// Applies the block to an `n x d` sequence.

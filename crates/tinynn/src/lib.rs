@@ -32,8 +32,8 @@ pub mod tensor;
 pub mod verify;
 
 pub use layers::{
-    add_positional, positional_encoding, Embedding, EncoderBlock, GruCell, LayerNorm, Linear,
-    Mlp, MultiHeadSelfAttention,
+    positional_encoding, Embedding, EncoderBlock, GruCell, LayerNorm, Linear, Mlp,
+    MultiHeadSelfAttention,
 };
 pub use optim::{clip_grad_norm, Adam, Sgd};
 pub use param::{Param, ParamSet};

@@ -3,12 +3,13 @@
 //! [`cread`] / [`cwrite`] are the acquisition points for the one
 //! insert-only cache of *pure* values, the positional-encoding table
 //! (`layers::positional_encoding_cached`, bounded by the distinct
-//! `(length, dim)` pairs seen). They recover from poisoning instead of
-//! propagating it: every entry is an `Arc` of an immutable value
+//! `(length, dim)` pairs seen; read by the training forward only —
+//! inference takes no process-wide lock). They recover from poisoning
+//! instead of propagating it: every entry is an `Arc` of an immutable value
 //! inserted wholesale, so a panicked holder can at most have completed
 //! an insertion of a correct entry — there is no half-mutated state a
 //! poisoned guard could expose, and a poisoned cache must not take down
-//! model forwards on every other thread.
+//! training forwards on every other thread.
 //!
 //! traj-lint's `no-bare-lock` rule bans direct `.read()` / `.write()`
 //! calls everywhere outside registered helpers like these.

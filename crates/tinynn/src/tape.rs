@@ -32,7 +32,7 @@
 //! ```
 
 use crate::param::Param;
-use crate::tensor::Tensor;
+use crate::tensor::{add_bias, Tensor};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -239,8 +239,8 @@ impl Tape {
     }
 
     /// Records a shared constant leaf without copying it — the zero-copy
-    /// entry point for cached tensors (e.g. the frozen grid-channel
-    /// inputs, which many tapes reference per run).
+    /// entry point for cached tensors (the positional-encoding table of
+    /// the training forward).
     pub fn constant_arc(&self, value: Arc<Tensor>) -> Var {
         self.push_arc(value, None, Op::Constant, &[])
     }
@@ -481,11 +481,7 @@ impl Var {
         assert_eq!(b.rows(), 1, "add_row expects a 1xd right operand");
         assert_eq!(a.cols(), b.cols(), "add_row width mismatch");
         let mut out = (*a).clone();
-        for r in 0..out.rows() {
-            for (o, &x) in out.row_mut(r).iter_mut().zip(b.row(0)) {
-                *o += x;
-            }
-        }
+        add_bias(out.data_mut(), b.data(), false);
         let (ia, ib) = (self.id, row.id);
         self.tape().push(
             out,
@@ -514,11 +510,7 @@ impl Var {
         assert_eq!(b.rows(), 1, "add_row_relu expects a 1xd right operand");
         assert_eq!(a.cols(), b.cols(), "add_row_relu width mismatch");
         let mut out = (*a).clone();
-        for r in 0..out.rows() {
-            for (o, &x) in out.row_mut(r).iter_mut().zip(b.row(0)) {
-                *o = (*o + x).max(0.0);
-            }
-        }
+        add_bias(out.data_mut(), b.data(), true);
         let y = Arc::new(out);
         let y_bw = Arc::clone(&y);
         let (ia, ib) = (self.id, row.id);
@@ -731,25 +723,14 @@ impl Var {
         )
     }
 
-    /// `self * other^T` without materializing the transpose — the
-    /// attention-score op `Q K^T`. Forward uses the packed dot-product
-    /// kernel; backward is `dQ = G K` and `dK = G^T Q`, again without
-    /// building a transposed copy.
+    /// `self * other^T` — the attention-score op `Q K^T`. Forward is the
+    /// shape-adaptive [`Tensor::matmul_nt`]; backward is `dQ = G K` and
+    /// `dK = G^T Q`, without building a transposed copy.
     pub fn matmul_nt(&self, other: &Var) -> Var {
         self.same_tape(other);
         let a = self.value_arc();
         let b = other.value_arc();
-        // Shape-adaptive forward: with a short shared dimension (the
-        // per-head attention case, dh << n) the dot-product kernel's
-        // horizontal reductions dominate, and materializing `B^T` once
-        // to run the wide ikj kernel is faster. The choice depends only
-        // on shapes, so results stay deterministic.
-        let (p, m) = b.shape();
-        let out = if p >= 4 * m {
-            a.matmul(&b.transpose())
-        } else {
-            a.matmul_transposed(&b)
-        };
+        let out = a.matmul_nt(&b);
         let (ia, ib) = (self.id, other.id);
         self.tape().push(
             out,

@@ -82,6 +82,185 @@ fn exp_approx(x: f32) -> f32 {
     scale * p
 }
 
+/// A borrowed `rows x cols` matrix whose consecutive rows start `stride`
+/// elements apart, so a column range of a wider matrix (one attention
+/// head) is a view, not a copy. The slice-level kernels below take
+/// these; the `Tensor` methods and the forward-only evaluator in
+/// `traj2hash` both call them, so there is one loop per kernel.
+#[derive(Clone, Copy)]
+pub struct MatRef<'a> {
+    data: &'a [f32],
+    rows: usize,
+    cols: usize,
+    stride: usize,
+}
+
+impl<'a> MatRef<'a> {
+    /// Views a contiguous row-major buffer of exactly `rows * cols` values.
+    pub fn new(data: &'a [f32], rows: usize, cols: usize) -> Self {
+        assert_eq!(data.len(), rows * cols, "view length does not match shape {rows}x{cols}");
+        MatRef { data, rows, cols, stride: cols }
+    }
+
+    /// The `len` columns starting at `start`, in place.
+    pub fn cols_range(self, start: usize, len: usize) -> Self {
+        assert!(start + len <= self.cols, "cols_range out of range");
+        MatRef { data: &self.data[start..], cols: len, ..self }
+    }
+
+    #[inline]
+    fn row(&self, r: usize) -> &'a [f32] {
+        &self.data[r * self.stride..][..self.cols]
+    }
+}
+
+/// The mutable counterpart of [`MatRef`]: where a kernel writes.
+pub struct MatMut<'a> {
+    data: &'a mut [f32],
+    rows: usize,
+    cols: usize,
+    stride: usize,
+}
+
+impl<'a> MatMut<'a> {
+    /// Views a contiguous row-major buffer of exactly `rows * cols` values.
+    pub fn new(data: &'a mut [f32], rows: usize, cols: usize) -> Self {
+        assert_eq!(data.len(), rows * cols, "view length does not match shape {rows}x{cols}");
+        MatMut { data, rows, cols, stride: cols }
+    }
+
+    /// The `len` columns starting at `start`, in place.
+    pub fn cols_range(self, start: usize, len: usize) -> Self {
+        assert!(start + len <= self.cols, "cols_range out of range");
+        MatMut { data: &mut self.data[start..], cols: len, ..self }
+    }
+
+    #[inline]
+    fn row_mut(&mut self, r: usize) -> &mut [f32] {
+        &mut self.data[r * self.stride..][..self.cols]
+    }
+}
+
+/// `out = a (n x m) * b (m x p)`.
+///
+/// Blocked ikj kernel: the reduction dimension is tiled so the active
+/// rows of the right operand stay resident in L1/L2 across all rows
+/// of the output, and the inner loop runs over contiguous memory in
+/// both the right operand and the output, which lets LLVM vectorize
+/// it. For a fixed output cell, contributions are accumulated in
+/// ascending `k` regardless of the tile size, so results are
+/// bit-identical to the untiled kernel — and row `i` of the output
+/// depends on row `i` of `a` alone.
+pub fn matmul_into(mut out: MatMut<'_>, a: MatRef<'_>, b: MatRef<'_>) {
+    assert_eq!(
+        a.cols, b.rows,
+        "matmul shape mismatch: {}x{} * {}x{}",
+        a.rows, a.cols, b.rows, b.cols
+    );
+    assert_eq!((out.rows, out.cols), (a.rows, b.cols), "matmul output shape mismatch");
+    // Tile height of the right-operand panel; 64 rows of up to ~256
+    // f32 columns keep the panel within a typical 64 KiB L1.
+    const KC: usize = 64;
+    for i in 0..out.rows {
+        out.row_mut(i).fill(0.0);
+    }
+    for kb in (0..a.cols).step_by(KC) {
+        let kend = (kb + KC).min(a.cols);
+        for i in 0..a.rows {
+            let out_row = out.row_mut(i);
+            for (k, &av) in a.row(i)[kb..kend].iter().enumerate() {
+                for (o, &bv) in out_row.iter_mut().zip(b.row(kb + k)) {
+                    *o += av * bv;
+                }
+            }
+        }
+    }
+}
+
+/// `out = a (n x m) * b_t^T` with the right operand given as `p x m`:
+/// every output cell is a [`dot_lanes`] product of two rows.
+fn matmul_transposed_into(mut out: MatMut<'_>, a: MatRef<'_>, b_t: MatRef<'_>) {
+    assert_eq!(
+        a.cols, b_t.cols,
+        "matmul_transposed shape mismatch: {}x{} * ({}x{})^T",
+        a.rows, a.cols, b_t.rows, b_t.cols
+    );
+    assert_eq!((out.rows, out.cols), (a.rows, b_t.rows), "matmul_transposed output shape mismatch");
+    for i in 0..a.rows {
+        let a_row = a.row(i);
+        for (j, o) in out.row_mut(i).iter_mut().enumerate() {
+            *o = dot_lanes(a_row, b_t.row(j));
+        }
+    }
+}
+
+/// `out = a * b^T`, the attention-score product `Q K^T`, choosing the
+/// summation order from the shape of `b` alone: with a short shared
+/// dimension (per-head attention, `d_head << n_keys`) the dot-product
+/// kernel's horizontal reductions dominate, so `b^T` is materialized
+/// into `b_t` and the wide ikj kernel runs instead. Because the choice
+/// never looks at `a`, a one-row `a` yields exactly row 0 of the full
+/// product.
+pub fn matmul_nt_into(out: MatMut<'_>, a: MatRef<'_>, b: MatRef<'_>, b_t: &mut Vec<f32>) {
+    if b.rows >= 4 * b.cols {
+        b_t.clear();
+        b_t.resize(b.rows * b.cols, 0.0);
+        for r in 0..b.rows {
+            for (c, &x) in b.row(r).iter().enumerate() {
+                b_t[c * b.rows + r] = x;
+            }
+        }
+        matmul_into(out, a, MatRef::new(b_t, b.cols, b.rows));
+    } else {
+        matmul_transposed_into(out, a, b);
+    }
+}
+
+/// Row-wise softmax, in place, over a contiguous buffer of `cols`-wide
+/// rows.
+///
+/// Attention computes a softmax over every `n x n` score matrix, so
+/// this kernel avoids the two scalar-latency traps of the naive
+/// loop: libm `exp` (replaced by the vectorizable [`exp_approx`],
+/// ~3e-7 relative error) and serial max/sum reduction chains
+/// (replaced by eight-lane folds like [`dot_lanes`]).
+pub fn softmax_rows_in_place(data: &mut [f32], cols: usize) {
+    for row in data.chunks_exact_mut(cols.max(1)) {
+        let max = max_lanes(row);
+        let mut sum_acc = [0.0f32; 8];
+        let chunks = row.len() / 8;
+        for c in 0..chunks {
+            let v = &mut row[c * 8..c * 8 + 8];
+            for l in 0..8 {
+                v[l] = exp_approx(v[l] - max);
+                sum_acc[l] += v[l];
+            }
+        }
+        let mut sum = ((sum_acc[0] + sum_acc[4]) + (sum_acc[2] + sum_acc[6]))
+            + ((sum_acc[1] + sum_acc[5]) + (sum_acc[3] + sum_acc[7]));
+        for x in &mut row[chunks * 8..] {
+            *x = exp_approx(*x - max);
+            sum += *x;
+        }
+        if sum > 0.0 {
+            let inv = 1.0 / sum;
+            for x in row.iter_mut() {
+                *x *= inv;
+            }
+        }
+    }
+}
+
+/// Adds the bias row to every `bias.len()`-wide row of `data`, in
+/// place; with `relu`, clamps the sum at zero in the same pass.
+pub fn add_bias(data: &mut [f32], bias: &[f32], relu: bool) {
+    for row in data.chunks_exact_mut(bias.len().max(1)) {
+        for (o, &b) in row.iter_mut().zip(bias) {
+            *o = if relu { (*o + b).max(0.0) } else { *o + b };
+        }
+    }
+}
+
 /// A dense row-major matrix of `f32` values.
 #[derive(Clone, PartialEq)]
 pub struct Tensor {
@@ -268,40 +447,22 @@ impl Tensor {
         self.data.iter_mut().for_each(|x| *x = 0.0);
     }
 
-    /// Matrix multiplication `self (n x m) * other (m x p) -> n x p`.
-    ///
-    /// Blocked ikj kernel: the reduction dimension is tiled so the active
-    /// rows of the right operand stay resident in L1/L2 across all rows
-    /// of the output, and the inner loop runs over contiguous memory in
-    /// both the right operand and the output, which lets LLVM vectorize
-    /// it. For a fixed output cell, contributions are accumulated in
-    /// ascending `k` regardless of the tile size, so results are
-    /// bit-identical to the untiled kernel.
+    /// The whole tensor as a kernel operand.
+    pub fn view(&self) -> MatRef<'_> {
+        MatRef::new(&self.data, self.rows, self.cols)
+    }
+
+    /// The whole tensor as a kernel output.
+    fn view_mut(&mut self) -> MatMut<'_> {
+        MatMut::new(&mut self.data, self.rows, self.cols)
+    }
+
+    /// Matrix multiplication `self (n x m) * other (m x p) -> n x p`
+    /// (see [`matmul_into`]).
     pub fn matmul(&self, other: &Tensor) -> Tensor {
-        assert_eq!(
-            self.cols, other.rows,
-            "matmul shape mismatch: {}x{} * {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        // Tile height of the right-operand panel; 64 rows of up to ~256
-        // f32 columns keep the panel within a typical 64 KiB L1.
-        const KC: usize = 64;
-        let (n, m, p) = (self.rows, self.cols, other.cols);
-        let mut out = vec![0.0f32; n * p];
-        for kb in (0..m).step_by(KC) {
-            let kend = (kb + KC).min(m);
-            for i in 0..n {
-                let a_row = &self.data[i * m + kb..i * m + kend];
-                let out_row = &mut out[i * p..(i + 1) * p];
-                for (k, &a) in a_row.iter().enumerate() {
-                    let b_row = &other.data[(kb + k) * p..(kb + k + 1) * p];
-                    for (o, &b) in out_row.iter_mut().zip(b_row) {
-                        *o += a * b;
-                    }
-                }
-            }
-        }
-        Tensor { rows: n, cols: p, data: out }
+        let mut out = Tensor::zeros(self.rows, other.cols);
+        matmul_into(out.view_mut(), self.view(), other.view());
+        out
     }
 
     /// `self (n x m) * other^T (m x p, given as p x m) -> n x p`.
@@ -309,28 +470,24 @@ impl Tensor {
     /// The right operand is supplied already transposed (packed row-major
     /// by output column), turning every output cell into a dot product of
     /// two contiguous rows. This is the backward-pass kernel for
-    /// `dL/dA = G * B^T` (and the attention-score kernel `Q * K^T`): it
-    /// reads `B` directly instead of materializing `B^T` on every call.
-    /// Each dot product reduces over eight independent lanes (see
-    /// [`dot_lanes`]) so the reduction vectorizes; the result is
-    /// deterministic but may differ from `self.matmul(&other_t.transpose())`
-    /// in the last ulp because the summation groups differently.
+    /// `dL/dA = G * B^T`: it reads `B` directly instead of materializing
+    /// `B^T` on every call. Each dot product reduces over eight
+    /// independent lanes (see [`dot_lanes`]) so the reduction vectorizes;
+    /// the result is deterministic but may differ from
+    /// `self.matmul(&other_t.transpose())` in the last ulp because the
+    /// summation groups differently.
     pub fn matmul_transposed(&self, other_t: &Tensor) -> Tensor {
-        assert_eq!(
-            self.cols, other_t.cols,
-            "matmul_transposed shape mismatch: {}x{} * ({}x{})^T",
-            self.rows, self.cols, other_t.rows, other_t.cols
-        );
-        let (n, m, p) = (self.rows, self.cols, other_t.rows);
-        let mut out = vec![0.0f32; n * p];
-        for i in 0..n {
-            let a_row = &self.data[i * m..(i + 1) * m];
-            let out_row = &mut out[i * p..(i + 1) * p];
-            for (j, o) in out_row.iter_mut().enumerate() {
-                *o = dot_lanes(a_row, &other_t.data[j * m..(j + 1) * m]);
-            }
-        }
-        Tensor { rows: n, cols: p, data: out }
+        let mut out = Tensor::zeros(self.rows, other_t.rows);
+        matmul_transposed_into(out.view_mut(), self.view(), other_t.view());
+        out
+    }
+
+    /// `self * other^T` with the shape-adaptive summation order of
+    /// [`matmul_nt_into`] — the forward of `Var::matmul_nt`.
+    pub fn matmul_nt(&self, other: &Tensor) -> Tensor {
+        let mut out = Tensor::zeros(self.rows, other.rows);
+        matmul_nt_into(out.view_mut(), self.view(), other.view(), &mut Vec::new());
+        out
     }
 
     /// `self^T (m x n, given as n x m) * other (n x p) -> m x p`.
@@ -439,40 +596,10 @@ impl Tensor {
         Tensor { rows: self.rows, cols: len, data }
     }
 
-    /// Row-wise softmax.
-    ///
-    /// Attention computes a softmax over every `n x n` score matrix, so
-    /// this kernel avoids the two scalar-latency traps of the naive
-    /// loop: libm `exp` (replaced by the vectorizable [`exp_approx`],
-    /// ~3e-7 relative error) and serial max/sum reduction chains
-    /// (replaced by eight-lane folds like [`dot_lanes`]).
+    /// Row-wise softmax (see [`softmax_rows_in_place`]).
     pub fn softmax_rows(&self) -> Tensor {
         let mut out = self.clone();
-        for r in 0..out.rows {
-            let row = out.row_mut(r);
-            let max = max_lanes(row);
-            let mut sum_acc = [0.0f32; 8];
-            let chunks = row.len() / 8;
-            for c in 0..chunks {
-                let v = &mut row[c * 8..c * 8 + 8];
-                for l in 0..8 {
-                    v[l] = exp_approx(v[l] - max);
-                    sum_acc[l] += v[l];
-                }
-            }
-            let mut sum = ((sum_acc[0] + sum_acc[4]) + (sum_acc[2] + sum_acc[6]))
-                + ((sum_acc[1] + sum_acc[5]) + (sum_acc[3] + sum_acc[7]));
-            for x in &mut row[chunks * 8..] {
-                *x = exp_approx(*x - max);
-                sum += *x;
-            }
-            if sum > 0.0 {
-                let inv = 1.0 / sum;
-                for x in row.iter_mut() {
-                    *x *= inv;
-                }
-            }
-        }
+        softmax_rows_in_place(&mut out.data, self.cols);
         out
     }
 

@@ -1,0 +1,75 @@
+//! Steady-state `Traj2Hash::embed` allocates its result and nothing
+//! else: no tape, no per-op tensor, no weight clone — whatever the
+//! trajectory length, block count or head count.
+//!
+//! This file holds exactly one test: the counter is process-wide, and
+//! libtest would run a second test on a second thread.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use traj2hash::{ModelConfig, ModelContext, Readout, Traj2Hash};
+use traj_data::{CityGenerator, CityParams, Trajectory};
+
+struct Counting;
+
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// whose contract is the one the caller already upholds; the counter is
+// a relaxed statistic and touches no allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `layout` is the caller's, passed through unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` above with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr`/`layout` describe a live `System` block; `new_size` is the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn allocations_of(f: impl FnOnce()) -> usize {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    f();
+    ALLOCATIONS.load(Ordering::Relaxed) - before
+}
+
+#[test]
+fn second_embed_of_a_length_allocates_only_its_result() {
+    let trajs = CityGenerator::new(CityParams::test_city(), 3).generate(12);
+    let base = ModelConfig::tiny();
+    let ctx = ModelContext::prepare(&trajs, &base, 3);
+    let xy: Vec<(f64, f64)> = (0..150).map(|i| (13.0 * i as f64, 2000.0 - 11.0 * i as f64)).collect();
+    for (blocks, heads, readout) in [
+        (1, 2, Readout::LowerBound),
+        (3, 4, Readout::LowerBound),
+        (2, 2, Readout::Mean),
+        (2, 4, Readout::Cls),
+    ] {
+        let cfg = ModelConfig { blocks, heads, readout, ..base.clone() };
+        let model = Traj2Hash::new(cfg, &ctx, 3);
+        for n in [150, 9, 64] {
+            let t = Trajectory::from_xy(&xy[..n]);
+            let first = model.embed(&t);
+            let mut second = None;
+            let count = allocations_of(|| second = Some(model.embed(&t)));
+            assert_eq!(second, Some(first));
+            assert_eq!(
+                count, 1,
+                "embed of {n} points at blocks={blocks} heads={heads} {readout:?} \
+                 made {count} allocations; only the returned tensor may allocate"
+            );
+        }
+    }
+}

@@ -9,8 +9,8 @@
 //! 2. **Lifecycle** — removals vanish, ids are never recycled,
 //!    compaction changes nothing a caller can see, degraded serving
 //!    stays exact and is counted, a hot swap adopts the replacement's
-//!    config, an empty or non-finite query is a typed error at every
-//!    query entry point, and any interleaving of insert/remove (with compactions
+//!    config, an empty or non-finite trajectory is a typed error at every
+//!    query entry point and at `try_insert`, and any interleaving of insert/remove (with compactions
 //!    forced by a tiny rebuild threshold) answers exactly like an engine
 //!    built from scratch over the surviving trajectories
 //!    (property-based).
@@ -199,6 +199,39 @@ fn hostile_queries_are_typed_errors_at_every_entry_point() {
             reader.query(good, 5, Strategy::Hybrid).unwrap(),
             engine.query(good, 5, Strategy::Hybrid).unwrap()
         );
+    }
+}
+
+/// A refused insert stores nothing: at the parent a NaN trajectory was
+/// encoded to a NaN embedding, stored, and ranked by NaN distances.
+#[test]
+fn hostile_inserts_are_typed_errors_and_store_nothing() {
+    let (dataset, model) = world();
+    let mut nan = dataset.query[0].clone();
+    nan.points[1].y = f64::NAN;
+    let mut infinite = dataset.query[0].clone();
+    infinite.points[0].x = f64::NEG_INFINITY;
+    let hostile = [("empty", Trajectory::new(Vec::new())), ("NaN", nan), ("infinite", infinite)];
+    for shards in SHARDS {
+        let mut engine = build_default(&model, &dataset.database, shards);
+        let (len, seqs) = (engine.len(), engine.pin().publish_seqs());
+        for (name, bad) in &hostile {
+            let what = format!("{name} insert at shards={shards}");
+            let r = engine.try_insert(bad.clone());
+            assert!(matches!(r, Err(EngineError::InvalidInput(_))), "{what}: got {r:?}");
+            // `insert` cannot return the error, so it panics with it.
+            let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                engine.insert(bad.clone())
+            }));
+            assert!(panicked.is_err(), "{what}: insert must panic");
+            assert_eq!(engine.len(), len, "{what}");
+            assert_eq!(engine.telemetry().inserts, 0, "{what}");
+            assert_eq!(engine.pin().publish_seqs(), seqs, "{what}");
+        }
+        let oracle = Oracle::build(&model, &dataset.database);
+        assert_engine_matches(&engine, &oracle, &model, &dataset.query, &[5], "after refused inserts");
+        // The next id is the one a refused insert would have taken.
+        assert_eq!(engine.try_insert(dataset.query[0].clone()).unwrap(), len as u64);
     }
 }
 

@@ -99,12 +99,12 @@ fn query_many_matches_per_query_exactly() {
             let batched = engine.query_many(&dataset.query, k, strategy).unwrap();
             assert_eq!(batched.len(), dataset.query.len());
             for (q, got) in dataset.query.iter().zip(&batched) {
-                assert_eq!(
-                    *got,
-                    engine.query(q, k, strategy).unwrap(),
-                    "{} batched answer diverged at k={k}",
-                    strategy.name()
-                );
+                let (single, info) = engine.query_with_info(q, k, strategy).unwrap();
+                assert_eq!(*got, single, "{} batched answer diverged at k={k}", strategy.name());
+                // The stage clock: encoding is timed, and the stages
+                // never add up to more than the query they are part of.
+                assert!(info.encode_seconds > 0.0);
+                assert!(info.encode_seconds + info.fanout_seconds <= info.seconds, "{info:?}");
             }
         }
     }
@@ -114,6 +114,8 @@ fn query_many_matches_per_query_exactly() {
     let zero_k = engine.query_many(&dataset.query, 0, Strategy::Mih).unwrap();
     assert_eq!(zero_k.len(), dataset.query.len());
     assert!(zero_k.iter().all(|h| h.is_empty()));
+    let (_, info) = engine.query_with_info(&dataset.query[0], 0, Strategy::Mih).unwrap();
+    assert_eq!(info.encode_seconds, 0.0, "k == 0 encodes nothing");
 
     // Self-measurement: a batch counts one query per member, and each is
     // charged its share of the batched encode, so the per-strategy
