@@ -3,11 +3,6 @@
 # CI and pre-merge both run exactly this.
 #
 #   ./check.sh          full gate
-#   ./check.sh bench    perf smoke only: times the training hot paths,
-#                       regenerates BENCH_pr2.json for commit-to-commit
-#                       perf comparison, and enforces the <1% disabled-
-#                       recorder overhead gate (writes BENCH_pr5.json
-#                       and prints the obs summary)
 #   ./check.sh engine   serving-layer suite only: traj-engine unit tests,
 #                       the parity / lifecycle / snapshot integration
 #                       suite at 1 and 3 shards, the scan-oracle model
@@ -15,10 +10,10 @@
 #                       five strategies, query_many, readers) and the
 #                       multi-reader concurrency test (N readers pinning
 #                       generations under writer churn)
-#   ./check.sh obs      observability suite only: traj-obs unit tests,
-#                       the telemetry integration tests, and the
-#                       instrumented perf smoke with a JSONL export
-#                       round-trip (overhead gate included)
+#   ./check.sh obs      observability suite only: traj-obs unit tests
+#                       and the telemetry integration tests (JSONL
+#                       round-trip of an instrumented train/serve
+#                       workload with a degrade drill)
 #   ./check.sh ops      ops-surface suite only: the per-query trace
 #                       parity proptests (trace totals reconcile with
 #                       the scan oracle's counts; disabled-mode output
@@ -31,8 +26,8 @@
 #   ./check.sh prune    pruned-driver suite only: the pruned==dense
 #                       parity proptests (every measure, random corpora,
 #                       thread counts) plus a 10K-database gt_bench
-#                       smoke run that verifies recall 1.0 and reports
-#                       the pruning rate
+#                       smoke run that verifies recall 1.0 and a
+#                       pruning rate of at least 90%
 #   ./check.sh soak     bounded deterministic soak: 60 ticks of the
 #                       always-on serving loop with porto→chengdu
 #                       drift, injected write faults, and degrade
@@ -102,20 +97,12 @@ run_sanitize() {
     fi
 }
 
-if [[ "${1:-}" == "bench" ]]; then
-    echo "==> perf smoke (writes BENCH_pr2.json and BENCH_pr5.json, gates obs overhead)"
-    cargo run --release -p traj-bench --bin perf_smoke
-    exit 0
-fi
-
 if [[ "${1:-}" == "obs" ]]; then
     echo "==> cargo test -p traj-obs"
     cargo test -q -p traj-obs
     echo "==> cargo test --test obs_telemetry"
     cargo test -q --test obs_telemetry
-    echo "==> instrumented perf smoke with JSONL export (overhead gate + round-trip)"
-    OBS_JSONL=target/obs_smoke.jsonl cargo run --release -p traj-bench --bin perf_smoke
-    echo "Observability checks passed (JSONL at target/obs_smoke.jsonl)."
+    echo "Observability checks passed."
     exit 0
 fi
 
@@ -137,11 +124,15 @@ if [[ "${1:-}" == "soak" ]]; then
     exit 0
 fi
 
+run_gt_smoke() {
+    echo "==> gt_bench --smoke (10K database; asserts recall 1.0 and pruning rate >= 90%)"
+    cargo run -q --release -p traj-bench --bin gt_bench -- --smoke
+}
+
 if [[ "${1:-}" == "prune" ]]; then
     echo "==> cargo test --test prune_parity (pruned == dense, property-based)"
     cargo test -q --test prune_parity
-    echo "==> gt_bench --smoke (10K database; asserts recall 1.0, reports pruning rate)"
-    cargo run -q --release -p traj-bench --bin gt_bench -- --smoke
+    run_gt_smoke
     echo "Pruned-driver checks passed."
     exit 0
 fi
@@ -183,15 +174,7 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> engine vs scan oracle + concurrency (also covered by cargo test; rerun as a named gate)"
-cargo test -q --test shard_parity --test shard_concurrency
-
-echo "==> ops surface: trace parity + HTTP scrape (also covered by cargo test; rerun as a named gate)"
-cargo test -q --test trace_parity --test ops_surface
-
-echo "==> pruned-driver parity + gt_bench smoke (also covered by cargo test; rerun as a named gate)"
-cargo test -q --test prune_parity
-cargo run -q --release -p traj-bench --bin gt_bench -- --smoke
+run_gt_smoke
 
 run_t2h
 

@@ -1,16 +1,22 @@
 //! Ground-truth scale benchmark CLI: runs the bucket-pruned exact
 //! top-k driver against the dense oracle on large synthetic corpora
 //! and prints pruning rate, recall (must be 1.0 — exactness), and
-//! wall-clock speedup.
+//! wall-clock speedup. Under `--smoke` or `--full` it also exits
+//! non-zero when the pruning rate is below `PRUNING_FLOOR`.
 //!
 //! ```text
 //! gt_bench --smoke                 # 10K database, seconds (check.sh gate)
-//! gt_bench --full                  # 100K database (BENCH_pr8.json workload)
+//! gt_bench --full                  # 100K database (DESIGN.md §14's scale row)
 //! gt_bench --db 50000 --queries 100 --measure frechet
 //! ```
 
 use traj_bench::{run_gt_bench, GtBenchConfig};
 use traj_dist::Measure;
+
+/// Least pruning rate the `--smoke` / `--full` gates accept. The rate is
+/// a count, not a timing, so it repeats exactly: `--smoke` prunes
+/// 384 278 of 400 000 pairs (96.1 %).
+const PRUNING_FLOOR: f64 = 0.90;
 
 fn usage(msg: &str) -> ! {
     // lint: allow(raw-print) — CLI usage text goes to stderr by design
@@ -22,13 +28,16 @@ fn usage(msg: &str) -> ! {
     std::process::exit(2)
 }
 
-fn parse_args(args: &[String]) -> GtBenchConfig {
+/// The workload, and whether it runs as a gate (`--smoke` / `--full`
+/// given) and so must clear [`PRUNING_FLOOR`].
+fn parse_args(args: &[String]) -> (GtBenchConfig, bool) {
     let mut cfg = GtBenchConfig::smoke();
+    let mut gated = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--smoke" => cfg = GtBenchConfig::smoke(),
-            "--full" => cfg = GtBenchConfig::full(),
+            "--smoke" => (cfg, gated) = (GtBenchConfig::smoke(), true),
+            "--full" => (cfg, gated) = (GtBenchConfig::full(), true),
             "--db" => {
                 i += 1;
                 cfg.database = num(args.get(i), "--db");
@@ -71,7 +80,7 @@ fn parse_args(args: &[String]) -> GtBenchConfig {
         }
         i += 1;
     }
-    cfg
+    (cfg, gated)
 }
 
 fn num(arg: Option<&String>, flag: &str) -> usize {
@@ -81,7 +90,7 @@ fn num(arg: Option<&String>, flag: &str) -> usize {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cfg = parse_args(&args);
+    let (cfg, gated) = parse_args(&args);
     // lint: allow(raw-print) — benchmark binaries report to stdout
     println!(
         "gt_bench: db={} queries={} dense_queries={} k={} cell_m={} measure={} seed={}",
@@ -100,4 +109,13 @@ fn main() {
         report.stats.pairs_pruned_lb,
         report.stats.pairs_exact
     );
+    if gated && report.pruning_rate < PRUNING_FLOOR {
+        // lint: allow(raw-print) — the gate's verdict goes to stderr
+        eprintln!(
+            "pruning-rate gate failed: {:.1}% < {:.0}%",
+            report.pruning_rate * 100.0,
+            PRUNING_FLOOR * 100.0
+        );
+        std::process::exit(1);
+    }
 }

@@ -66,7 +66,7 @@ impl GtBenchConfig {
         }
     }
 
-    /// The 100K-corpus run recorded in `BENCH_pr8.json`.
+    /// The 100K-corpus run behind DESIGN.md §14's scale row.
     pub fn full() -> GtBenchConfig {
         GtBenchConfig {
             database: 100_000,
@@ -123,51 +123,6 @@ impl GtBenchReport {
             self.dense_secs_projected,
             self.speedup(),
             self.pruning_rate * 100.0,
-            self.recall,
-        )
-    }
-
-    /// The report as a JSON object (hand-rolled like the other bench
-    /// files; no serde in the workspace).
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "  {{\n",
-                "    \"measure\": \"{}\",\n",
-                "    \"database\": {},\n",
-                "    \"queries\": {},\n",
-                "    \"dense_queries_measured\": {},\n",
-                "    \"k\": {},\n",
-                "    \"cell_m\": {},\n",
-                "    \"generate_secs\": {:.3},\n",
-                "    \"pruned_secs\": {:.3},\n",
-                "    \"dense_secs_measured\": {:.3},\n",
-                "    \"dense_secs_projected\": {:.3},\n",
-                "    \"speedup_vs_dense\": {:.2},\n",
-                "    \"pairs_total\": {},\n",
-                "    \"pairs_pruned_bucket\": {},\n",
-                "    \"pairs_pruned_lb\": {},\n",
-                "    \"pairs_exact\": {},\n",
-                "    \"pruning_rate\": {:.4},\n",
-                "    \"recall_vs_dense\": {:.4}\n",
-                "  }}"
-            ),
-            self.cfg.measure,
-            self.cfg.database,
-            self.cfg.queries,
-            self.cfg.dense_queries,
-            self.cfg.k,
-            self.cfg.cell_m,
-            self.generate_secs,
-            self.pruned_secs,
-            self.dense_secs_measured,
-            self.dense_secs_projected,
-            self.speedup(),
-            self.stats.pairs_total,
-            self.stats.pairs_pruned_bucket,
-            self.stats.pairs_pruned_lb,
-            self.stats.pairs_exact,
-            self.pruning_rate,
             self.recall,
         )
     }
@@ -242,7 +197,5 @@ mod tests {
         assert_eq!(report.recall, 1.0);
         assert_eq!(report.stats.pairs_total, 6 * 300);
         assert!(report.pruned_secs > 0.0 && report.dense_secs_projected > 0.0);
-        let json = report.to_json();
-        assert!(json.contains("\"pairs_total\": 1800"));
     }
 }

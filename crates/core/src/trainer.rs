@@ -141,8 +141,8 @@ pub struct TrainReport {
 }
 
 /// Wall-clock breakdown of a training run. This is the single source of
-/// truth the bench binaries and `microprof` read — the same numbers the
-/// obs layer exports when a recorder is installed.
+/// truth the bench binaries read — the same numbers the obs layer
+/// exports when a recorder is installed.
 #[derive(Debug, Clone, Default)]
 pub struct TrainTimings {
     /// Seconds spent in each *accepted* epoch (index-aligned with

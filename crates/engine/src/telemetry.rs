@@ -4,10 +4,10 @@
 //! Unlike the global `traj_obs` recorder (which the *application*
 //! installs), [`EngineTelemetry`] is always collected — it is part of
 //! the engine's state, like [`EngineStats`](crate::EngineStats) — so
-//! bench binaries and `microprof` read one source of truth whether or
-//! not a recorder is installed. When a recorder *is* installed the same
-//! numbers are mirrored to it, which is how the per-strategy histograms
-//! reach the JSONL export.
+//! bench binaries read one source of truth whether or not a recorder is
+//! installed. When a recorder *is* installed the same numbers are
+//! mirrored to it, which is how the per-strategy histograms reach the
+//! JSONL export.
 
 use crate::engine::Strategy;
 use traj_obs::Histogram;

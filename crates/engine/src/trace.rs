@@ -14,9 +14,9 @@
 //! Tracing is active only while an obs recorder or a flight recorder is
 //! installed ([`tracing_enabled`]): two relaxed atomic loads. A
 //! disabled [`TraceCtx`] allocates nothing (empty `Vec`s), takes no
-//! query id, and every `step` is a branch on a local bool — the
-//! `perf_smoke` overhead gate holds the whole disabled path under 1% of
-//! the query budget. Query *results* are identical either way; tracing
+//! query id, and every `step` is a branch on a local bool —
+//! `tests/embed_allocations.rs` counts the whole disabled path at zero
+//! allocations. Query *results* are identical either way; tracing
 //! observes, it never steers.
 
 use crate::engine::Strategy;

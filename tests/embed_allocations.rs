@@ -1,6 +1,8 @@
 //! Steady-state `Traj2Hash::embed` allocates its result and nothing
 //! else: no tape, no per-op tensor, no weight clone — whatever the
-//! trajectory length, block count or head count.
+//! trajectory length, block count or head count. And with no recorder
+//! and no flight recorder installed, the per-query trace context and
+//! the `traj_obs` record calls allocate nothing at all.
 //!
 //! This file holds exactly one test: the counter is process-wide, and
 //! libtest would run a second test on a second thread.
@@ -9,6 +11,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use traj2hash::{ModelConfig, ModelContext, Readout, Traj2Hash};
 use traj_data::{CityGenerator, CityParams, Trajectory};
+use traj_engine::{Strategy, TraceCtx};
 
 struct Counting;
 
@@ -72,4 +75,22 @@ fn second_embed_of_a_length_allocates_only_its_result() {
             );
         }
     }
+
+    // The disabled path of one query, as `ShardedEngine` drives it. A
+    // count, so it repeats; the nanoseconds of one disabled record call
+    // are `t2h_bench`'s `obs.disabled_record_ns`.
+    assert!(!traj_obs::enabled() && !traj_obs::flight::installed());
+    let count = allocations_of(|| {
+        let mut trace = TraceCtx::new();
+        trace.step("embed");
+        trace.step("fanout");
+        trace.shard_trace().step("indexed");
+        trace.step("merge");
+        trace.step("record");
+        let sealed = trace.finish(Strategy::HammingBf, 0.0);
+        assert!(!sealed.active && sealed.steps.is_empty() && sealed.shards.is_empty());
+        traj_obs::counter("test.noop", 1);
+        traj_obs::observe_secs("test.noop", 0.5);
+    });
+    assert_eq!(count, 0, "the disabled trace and record path made {count} allocations");
 }
