@@ -2,7 +2,11 @@
 # Full verification gate: release build, all tests, lint-clean.
 # CI and pre-merge both run exactly this.
 #
-#   ./check.sh          full gate
+#   ./check.sh          full gate. Tests run as `cargo test -q --workspace`:
+#                       every crate's unit tests and `crates/*/tests`, not
+#                       only the root package's integration suites that the
+#                       tier-1 command (`cargo build --release && cargo
+#                       test -q`) covers
 #   ./check.sh engine   serving-layer suite only: traj-engine unit tests,
 #                       the parity / lifecycle / snapshot integration
 #                       suite at 1 and 3 shards, the scan-oracle model
@@ -38,7 +42,8 @@
 #                       workloads end to end at tiny scale — the only
 #                       compile-and-run check of t2h_bench/src/api.rs
 #   ./check.sh sanitize dynamic race/UB detection: the publish-cell unit
-#                       tests under Miri and the shard concurrency suite
+#                       tests and the loomlet enumerator's own tests
+#                       under Miri, and the shard concurrency suite
 #                       under ThreadSanitizer (with -Zbuild-std so std's
 #                       own atomics are instrumented). Each layer that
 #                       the installed toolchain cannot support is
@@ -59,11 +64,14 @@ run_sanitize() {
     host="$(rustup run nightly rustc -vV | awk '/^host:/{print $2}')"
 
     if cargo +nightly miri --version >/dev/null 2>&1; then
-        echo "==> cargo +nightly miri test -p traj-engine cell:: loomlet::"
+        echo "==> cargo +nightly miri test -p traj-engine cell::"
         # Miri interprets the interpreter-friendly unit layer: the
-        # PublishCell pin/publish/poison tests and the loomlet
-        # enumerator itself.
-        cargo +nightly miri test -p traj-engine cell:: loomlet::
+        # PublishCell pin/publish/poison tests, and the loomlet
+        # enumerator itself (test tooling under tests/common, so it runs
+        # through the suite that includes it).
+        cargo +nightly miri test -p traj-engine cell::
+        echo "==> cargo +nightly miri test --test loomlet_publish loomlet::"
+        cargo +nightly miri test --test loomlet_publish loomlet::
         ran=$((ran + 1))
     else
         echo "NOTICE: Miri layer SKIPPED — cargo-miri is not installed for nightly."
@@ -171,8 +179,8 @@ fi
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test -q --workspace"
+cargo test -q --workspace
 
 run_gt_smoke
 

@@ -7,13 +7,16 @@
 //! `prepare → embed_all → pack_codes → build index → query` wiring every
 //! caller used to repeat:
 //!
+//! * **one row store** — a shard's rows live once, in columnar
+//!   [`shard::Rows`] blocks over
+//!   [`EmbeddingMatrix`](traj_index::EmbeddingMatrix) and
+//!   [`PackedCodes`](traj_index::PackedCodes);
 //! * **one query path** — [`ShardedEngine::query`] covers all five
-//!   strategies ([`Strategy`]) over
+//!   strategies ([`Strategy`]) by scanning those columns or through a
 //!   [`HammingTable`](traj_index::HammingTable),
-//!   [`MultiIndexHashing`](traj_index::MultiIndexHashing),
-//!   [`PackedCodes`](traj_index::PackedCodes) and an optional
-//!   [`VpTree`](traj_index::VpTree), with automatic linear-scan
-//!   degradation;
+//!   [`MultiIndexHashing`](traj_index::MultiIndexHashing) and optional
+//!   [`VpTree`](traj_index::VpTree) that read them in place, with
+//!   automatic linear-scan degradation;
 //! * **a live corpus** — [`ShardedEngine::insert`] /
 //!   [`ShardedEngine::remove`] via generations + tombstones with
 //!   threshold-triggered per-shard compaction;
@@ -25,14 +28,14 @@
 //!   format, so cold-start never re-encodes;
 //! * **a model-checked publish protocol** — the engine's swap points
 //!   are [`cell::PublishCell`]s, whose pin/publish invariants the
-//!   [`loomlet`] interleaving enumerator verifies exhaustively.
+//!   `loomlet` interleaving enumerator (`tests/common/loomlet.rs`)
+//!   verifies exhaustively.
 
 #![warn(missing_docs)]
 
 pub mod cell;
 pub mod engine;
 pub mod error;
-pub mod loomlet;
 pub mod shard;
 pub mod sharded;
 pub mod snapshot;

@@ -1,47 +1,164 @@
-//! The per-shard search core: one implementation of the five Section
-//! V-E strategies over a two-region corpus view, plus the immutable
-//! per-generation shard state the engine publishes behind `Arc` swaps.
+//! The per-shard search core: one columnar row store, one
+//! implementation of the five Section V-E strategies over it, and the
+//! immutable per-generation shard state the engine publishes behind
+//! `Arc` swaps.
+//!
+//! ## One row store
+//!
+//! The encoder emits both halves of a stored row at once — the
+//! embedding `h_f` (Eq. 15) and the code `z = sign(h_f)` (Eq. 16). A
+//! [`Rows`] block keeps rows column by column: ids, trajectories, one
+//! flat [`EmbeddingMatrix`] and one flat [`PackedCodes`], each behind an
+//! `Arc`. It is the only stored form of a shard's rows — the indexed
+//! base, the delta, what partitioning / compaction / hot swaps move
+//! around and what a snapshot decodes into — and the index structures
+//! of a generation read the base's own columns through those `Arc`s, so
+//! every code and every embedding is held once.
 //!
 //! ## One search core
 //!
 //! Every shard of [`ShardedEngine`](crate::ShardedEngine) answers
-//! through [`search`] over a [`SearchCtx`]: an *indexed region* (covered
-//! by the generation's [`GenIndexes`], Hamming-scanned through the flat
-//! [`PackedCodes`] layout) followed by one or more *delta segments* that
-//! are linearly scanned. Slots number the indexed region first, then
-//! each delta segment in order; a `dead` slice over the whole range
-//! carries the tombstones. Mutation is layered on top of the immutable
-//! indexes instead of into them:
+//! through [`search`] over a [`SearchCtx`]: the two blocks
+//! `[base rows, delta rows]`, the generation's [`GenIndexes`] over the
+//! base (absent when degraded) and a `dead` slice over the whole slot
+//! range carrying the tombstones. Slots number the base first, then the
+//! delta. One Hamming loop ([`PackedCodes::scan_into`]) and one
+//! Euclidean loop walk whichever blocks no index covers, healthy or
+//! degraded alike. Mutation is layered on top of the immutable indexes
+//! instead of into them:
 //!
 //! * `insert` appends to the delta, which queries scan with the same
 //!   metric and merge through the shared top-k helper, so exactness is
 //!   preserved;
-//! * `remove` marks a tombstone; indexed queries over-fetch
-//!   `k + dead_in_indexed` and filter, which still yields the exact live
-//!   top-k because the structures are exact and the `(distance, slot)`
-//!   total order is unchanged by deletion;
-//! * past the configured thresholds the shard rebuilds: live entries
-//!   are compacted in order and re-indexed. An index build failure
-//!   never poisons the shard — it serves by linear scans until a later
+//! * `remove` marks a tombstone; the two paths that ask an exact index
+//!   for a top-k (`Mih`, the VP-tree) over-fetch `k + dead_in_indexed`
+//!   and filter, which still yields the exact live top-k because the
+//!   `(distance, slot)` total order is unchanged by deletion — scans and
+//!   radius-2 balls just filter;
+//! * past the configured thresholds the shard rebuilds: live rows are
+//!   compacted in order and re-indexed. An index build failure never
+//!   poisons the shard — it serves by linear scans until a later
 //!   rebuild succeeds.
 //!
 //! ## Immutable shard states
 //!
 //! [`ShardState`] is the unit the engine publishes: a frozen
-//! [`ShardBase`] (the indexed region, shared by `Arc` across
-//! generations so publishing an insert never copies the corpus) plus a
-//! small owned delta block and tombstone vector. Every mutation builds
-//! a *new* `ShardState` — readers holding an `Arc` to the old one keep
-//! a fully consistent view for as long as they please.
+//! [`ShardBase`] (the indexed block, shared by `Arc` across generations
+//! so publishing an insert never copies the corpus) plus a small delta
+//! block and tombstone vector. Every mutation builds a *new*
+//! `ShardState` — readers holding an `Arc` to the old one keep a fully
+//! consistent view for as long as they please.
 
 use crate::engine::{EngineConfig, EuclideanBackend, Strategy};
 use std::sync::Arc;
 use traj_data::Trajectory;
 use traj_index::search::Hit as SlotHit;
 use traj_index::topk::top_k_hits;
-use traj_index::{BinaryCode, HammingTable, MultiIndexHashing, PackedCodes, VpTree};
+use traj_index::{
+    euclidean_distance, BinaryCode, EmbeddingMatrix, HammingTable, MultiIndexHashing, PackedCodes,
+    SearchError, VpTree,
+};
 
-/// The per-generation index set over one indexed region.
+/// A columnar block of stored rows `(id, trajectory, embedding, code)`
+/// in ascending-id order. The four columns always hold the same number
+/// of rows; the flat columns sit behind `Arc`s so index structures can
+/// read them in place and a clone copies nothing until it is pushed to.
+#[derive(Clone, Default)]
+pub struct Rows {
+    ids: Vec<u64>,
+    trajs: Vec<Trajectory>,
+    embeddings: Arc<EmbeddingMatrix>,
+    codes: Arc<PackedCodes>,
+}
+
+impl Rows {
+    /// Rows in the block.
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// True when the block holds no row.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// Stable ids, ascending.
+    pub fn ids(&self) -> &[u64] {
+        &self.ids
+    }
+
+    /// Trajectory of row `i`.
+    pub fn traj(&self, i: usize) -> &Trajectory {
+        &self.trajs[i]
+    }
+
+    /// The embedding column.
+    pub fn embeddings(&self) -> &Arc<EmbeddingMatrix> {
+        &self.embeddings
+    }
+
+    /// The code column.
+    pub fn codes(&self) -> &Arc<PackedCodes> {
+        &self.codes
+    }
+
+    /// `Ok` when a row with this embedding and code fits the block's
+    /// widths (an empty block fits anything).
+    fn check_widths(&self, embedding: &[f32], code: &BinaryCode) -> Result<(), SearchError> {
+        self.embeddings.check_width(embedding.len())?;
+        self.codes.check_width(code.len())
+    }
+
+    /// Appends one row. A width mismatch on either half is refused
+    /// before any column grows, so the block stays whole.
+    pub fn push(
+        &mut self,
+        id: u64,
+        traj: Trajectory,
+        embedding: &[f32],
+        code: &BinaryCode,
+    ) -> Result<(), SearchError> {
+        self.check_widths(embedding, code)?;
+        Arc::make_mut(&mut self.embeddings).push(embedding)?;
+        Arc::make_mut(&mut self.codes).push(code)?;
+        self.ids.push(id);
+        self.trajs.push(traj);
+        Ok(())
+    }
+
+    /// Appends a copy of row `i` of `src`. Blocks that exchange rows
+    /// were encoded by one model — [`Rows::push`] and
+    /// [`ShardState::with_insert`] check widths where rows enter — which
+    /// is what the columns' `push_from` relies on.
+    pub(crate) fn push_row(&mut self, src: &Rows, i: usize) {
+        self.push_halves(&src.embeddings, &src.codes, i);
+        self.ids.push(src.ids[i]);
+        self.trajs.push(src.trajs[i].clone());
+    }
+
+    fn push_halves(&mut self, embeddings: &EmbeddingMatrix, codes: &PackedCodes, i: usize) {
+        Arc::make_mut(&mut self.embeddings).push_from(embeddings, i);
+        Arc::make_mut(&mut self.codes).push_from(codes, i);
+    }
+
+    /// Splits the block across `n` blocks by `id % n`, keeping order;
+    /// trajectories move, the flat halves are copied row by row.
+    pub(crate) fn partition(self, n: usize) -> Vec<Rows> {
+        let mut parts = vec![Rows::default(); n];
+        let Rows { ids, trajs, embeddings, codes } = self;
+        for (i, (id, traj)) in ids.into_iter().zip(trajs).enumerate() {
+            // lint: allow(lossy-cast) — residue mod the shard count, which is a small usize
+            let part = &mut parts[(id % n as u64) as usize];
+            part.push_halves(&embeddings, &codes, i);
+            part.ids.push(id);
+            part.trajs.push(traj);
+        }
+        parts
+    }
+}
+
+/// The per-generation index set over one base block. Every structure
+/// reads the block's own columns through the shared handles.
 pub(crate) struct GenIndexes {
     /// Radius-2 bucket table (serves `Table` and `Hybrid`).
     pub table: HammingTable,
@@ -50,30 +167,27 @@ pub(crate) struct GenIndexes {
     /// VP-tree serving `EuclideanBf` when configured; `None` means
     /// brute-force scan.
     pub euclid: Option<VpTree>,
-    /// Flat packed-code mirror of the indexed region, the fast layout
-    /// for brute-force Hamming scans (4-wide popcount accumulation).
-    pub packed: PackedCodes,
-    /// Number of slots these structures cover.
-    pub covers: usize,
 }
 
 impl GenIndexes {
-    /// Builds the full index set over `codes`/`embeddings`, or `None`
-    /// when any structure fails to build (the caller degrades to linear
-    /// scans).
-    pub fn try_build(
-        codes: &[BinaryCode],
-        embeddings: &[Vec<f32>],
-        cfg: &EngineConfig,
-    ) -> Option<GenIndexes> {
-        let table = HammingTable::try_build(codes.to_vec()).ok()?;
-        let mih = MultiIndexHashing::try_build(codes.to_vec(), cfg.mih_tables).ok()?;
-        let packed = PackedCodes::build(codes).ok()?;
+    /// Builds the full index set over `rows`' columns, or `None` when a
+    /// structure fails to build (the caller degrades to linear scans).
+    fn try_build(rows: &Rows, cfg: &EngineConfig) -> Option<GenIndexes> {
+        let table = HammingTable::over(Arc::clone(&rows.codes));
+        let mih = MultiIndexHashing::over(Arc::clone(&rows.codes), cfg.mih_tables).ok()?;
         let euclid = match cfg.euclidean_backend {
             EuclideanBackend::BruteForce => None,
-            EuclideanBackend::VpTree => Some(VpTree::build(embeddings.to_vec())),
+            EuclideanBackend::VpTree => Some(VpTree::over(Arc::clone(&rows.embeddings))),
         };
-        Some(GenIndexes { table, mih, euclid, packed, covers: codes.len() })
+        Some(GenIndexes { table, mih, euclid })
+    }
+
+    /// True when every structure reads `rows`' own columns rather than
+    /// a copy of them.
+    fn shares(&self, rows: &Rows) -> bool {
+        Arc::ptr_eq(self.table.codes(), &rows.codes)
+            && Arc::ptr_eq(self.mih.codes(), &rows.codes)
+            && self.euclid.as_ref().is_none_or(|vp| Arc::ptr_eq(vp.data(), &rows.embeddings))
     }
 }
 
@@ -85,33 +199,40 @@ pub(crate) struct PathInfo {
     pub fallback: bool,
     /// A `Hybrid` radius-2 ball came up short and spilled into a scan.
     pub spill: bool,
+    /// Tombstone margin added to the `k` asked of an exact index; 0 on
+    /// every path that filters a scan or a ball instead.
+    pub overfetch: usize,
 }
 
 impl PathInfo {
     pub fn scan(candidates: usize, fallback: bool) -> PathInfo {
-        PathInfo { candidates, fallback, spill: false }
+        PathInfo { candidates, fallback, spill: false, overfetch: 0 }
     }
 }
 
-/// A linearly scanned corpus segment past the indexed region.
-pub(crate) struct DeltaSeg<'a> {
-    pub embeddings: &'a [Vec<f32>],
-    pub codes: &'a [BinaryCode],
+/// Top-k of a candidate set, with the path telemetry of a scan.
+fn select(candidates: Vec<SlotHit>, k: usize, fallback: bool) -> (Vec<SlotHit>, PathInfo) {
+    let path = PathInfo::scan(candidates.len(), fallback);
+    (top_k_hits(candidates, k), path)
 }
 
-/// Borrowed view of one searchable corpus: an indexed region (empty
-/// when degraded) followed by delta segments, with tombstones over the
-/// combined slot range.
+/// First block of a scan over the whole shard.
+const WHOLE: usize = 0;
+/// First block of a scan over what the indexes do not cover.
+const DELTA: usize = 1;
+
+/// Borrowed view of one searchable shard: its two blocks, the indexes
+/// over the first (unless degraded) and the tombstones over the
+/// combined slot range. Building one allocates nothing.
 pub(crate) struct SearchCtx<'a> {
-    /// Embeddings of the indexed region (`indexes.covers` slots).
-    pub indexed_embeddings: &'a [Vec<f32>],
-    /// The generation's indexes; `None` = degraded, everything scans.
+    /// `[base rows, delta rows]`; slots number the base first.
+    pub blocks: [&'a Rows; 2],
+    /// The generation's indexes over `blocks[0]`; `None` = degraded,
+    /// everything scans.
     pub indexes: Option<&'a GenIndexes>,
-    /// Delta segments, scanned linearly after the indexed region.
-    pub delta: Vec<DeltaSeg<'a>>,
-    /// Tombstones over all slots (indexed + delta, in order).
+    /// Tombstones over all slots (base + delta, in order).
     pub dead: &'a [bool],
-    /// Tombstones inside the indexed region — the index over-fetch
+    /// Tombstones inside the indexed block — the index over-fetch
     /// margin.
     pub dead_in_indexed: usize,
     /// Which structure is *supposed* to serve `EuclideanBf` (decides
@@ -119,70 +240,45 @@ pub(crate) struct SearchCtx<'a> {
     pub euclidean_backend: EuclideanBackend,
 }
 
-fn euclid_dist(a: &[f32], b: &[f32]) -> f64 {
-    a.iter().zip(b).map(|(&x, &y)| (x as f64 - y as f64).powi(2)).sum::<f64>().sqrt()
-}
-
 impl SearchCtx<'_> {
     fn total_slots(&self) -> usize {
         self.dead.len()
     }
 
-    /// Euclidean candidates from a linear scan of the delta segments.
-    fn scan_euclid_delta(&self, q: &[f32]) -> Vec<SlotHit> {
+    /// Slot of the first row of block `first`.
+    fn first_slot(&self, first: usize) -> usize {
+        self.blocks[..first].iter().map(|b| b.len()).sum()
+    }
+
+    /// Euclidean candidates: the live rows of blocks `first..`
+    /// ([`WHOLE`] or [`DELTA`]), walked through the flat matrix.
+    fn scan_euclid(&self, q: &[f32], first: usize) -> Vec<SlotHit> {
         let mut hits = Vec::new();
-        let mut slot = self.indexed_embeddings.len();
-        for seg in &self.delta {
-            for e in seg.embeddings {
-                if !self.dead[slot] {
-                    hits.push(SlotHit { index: slot, distance: euclid_dist(e, q) });
-                }
-                slot += 1;
+        let mut offset = self.first_slot(first);
+        for rows in &self.blocks[first..] {
+            for i in (0..rows.len()).filter(|&i| !self.dead[offset + i]) {
+                let distance = euclidean_distance(rows.embeddings.row(i), q);
+                hits.push(SlotHit { index: offset + i, distance });
             }
+            offset += rows.len();
         }
         hits
     }
 
-    /// Hamming candidates from a linear scan of the delta segments.
-    fn scan_hamming_delta(&self, q: &BinaryCode) -> Vec<SlotHit> {
+    /// Hamming candidates: the live rows of blocks `first..`
+    /// ([`WHOLE`] or [`DELTA`]), through the flat packed layout (4-wide
+    /// popcount accumulators).
+    fn scan_hamming(&self, q: &BinaryCode, first: usize) -> Vec<SlotHit> {
         let mut hits = Vec::new();
-        let mut slot = self.indexed_embeddings.len();
-        for seg in &self.delta {
-            for c in seg.codes {
-                if !self.dead[slot] {
-                    hits.push(SlotHit { index: slot, distance: c.hamming(q) as f64 });
-                }
-                slot += 1;
-            }
-        }
-        hits
-    }
-
-    /// Full-corpus Euclidean scan candidates.
-    fn scan_euclid_all(&self, q: &[f32]) -> Vec<SlotHit> {
-        let mut hits: Vec<SlotHit> = self
-            .indexed_embeddings
-            .iter()
-            .enumerate()
-            .filter(|&(s, _)| !self.dead[s])
-            .map(|(s, e)| SlotHit { index: s, distance: euclid_dist(e, q) })
-            .collect();
-        hits.extend(self.scan_euclid_delta(q));
-        hits
-    }
-
-    /// Full-corpus Hamming scan candidates; the indexed region goes
-    /// through the packed flat layout (4-wide popcount accumulators).
-    fn scan_hamming_all(&self, q: &BinaryCode) -> Vec<SlotHit> {
-        let mut hits = Vec::new();
-        if let Some(ix) = self.indexes {
-            ix.packed.scan_into(q, |s, d| {
-                if !self.dead[s] {
-                    hits.push(SlotHit { index: s, distance: d as f64 });
+        let mut offset = self.first_slot(first);
+        for rows in &self.blocks[first..] {
+            rows.codes.scan_into(q, |i, d| {
+                if !self.dead[offset + i] {
+                    hits.push(SlotHit { index: offset + i, distance: d as f64 });
                 }
             });
+            offset += rows.len();
         }
-        hits.extend(self.scan_hamming_delta(q));
         hits
     }
 
@@ -205,44 +301,33 @@ impl SearchCtx<'_> {
             // served this query.
             _ => {
                 let lost_index = matches!(self.euclidean_backend, EuclideanBackend::VpTree);
-                let cand = self.scan_euclid_all(q);
-                let n = cand.len();
-                return (top_k_hits(cand, k), PathInfo::scan(n, lost_index));
+                return select(self.scan_euclid(q, WHOLE), k, lost_index);
             }
         };
-        hits.extend(self.scan_euclid_delta(q));
-        let n = hits.len();
-        (top_k_hits(hits, k), PathInfo::scan(n, false))
+        hits.extend(self.scan_euclid(q, DELTA));
+        let (top, path) = select(hits, k, false);
+        (top, PathInfo { overfetch: self.dead_in_indexed, ..path })
     }
 
     fn mih_hits(&self, q: &BinaryCode, k: usize) -> (Vec<SlotHit>, PathInfo) {
-        let Some(ix) = self.indexes else {
-            let cand = self.scan_hamming_all(q);
-            let n = cand.len();
-            return (top_k_hits(cand, k), PathInfo::scan(n, true));
-        };
-        match ix.mih.top_k(q, k + self.dead_in_indexed) {
-            Ok(hits) => {
+        match self.indexes.map(|ix| ix.mih.top_k(q, k + self.dead_in_indexed)) {
+            Some(Ok(hits)) => {
                 let mut hits: Vec<SlotHit> =
                     hits.into_iter().filter(|h| !self.dead[h.index]).collect();
-                hits.extend(self.scan_hamming_delta(q));
-                let n = hits.len();
-                (top_k_hits(hits, k), PathInfo::scan(n, false))
+                hits.extend(self.scan_hamming(q, DELTA));
+                let (top, path) = select(hits, k, false);
+                (top, PathInfo { overfetch: self.dead_in_indexed, ..path })
             }
-            Err(_) => {
-                let cand = self.scan_hamming_all(q);
-                let n = cand.len();
-                (top_k_hits(cand, k), PathInfo::scan(n, true))
-            }
+            // Degraded, or the index rejected the query.
+            _ => select(self.scan_hamming(q, WHOLE), k, true),
         }
     }
 
     /// Live candidates within Hamming radius 2: table lookup over the
-    /// indexed region plus a filtered scan of the delta. `None` when
-    /// degraded or the table rejects the query.
+    /// base plus a filtered scan of the delta. `None` when degraded or
+    /// the table rejects the query.
     fn radius2_candidates(&self, q: &BinaryCode) -> Option<Vec<SlotHit>> {
-        let ix = self.indexes?;
-        let grouped = ix.table.lookup_within(q, 2).ok()?;
+        let grouped = self.indexes?.table.lookup_within(q, 2).ok()?;
         let mut hits: Vec<SlotHit> = grouped
             .into_iter()
             .flat_map(|(d, slots)| {
@@ -250,43 +335,25 @@ impl SearchCtx<'_> {
             })
             .filter(|h| !self.dead[h.index])
             .collect();
-        for h in self.scan_hamming_delta(q) {
-            if h.distance <= 2.0 {
-                hits.push(h);
-            }
-        }
+        hits.extend(self.scan_hamming(q, DELTA).into_iter().filter(|h| h.distance <= 2.0));
         Some(hits)
     }
 
     fn table_hits(&self, q: &BinaryCode, k: usize, hybrid_fallback: bool) -> (Vec<SlotHit>, PathInfo) {
         match self.radius2_candidates(q) {
-            Some(ball) => {
-                if hybrid_fallback && ball.len() < k {
-                    // The designed Hybrid spill — a scan, but not a
-                    // degradation.
-                    let cand = self.scan_hamming_all(q);
-                    let n = cand.len();
-                    (top_k_hits(cand, k), PathInfo { candidates: n, fallback: false, spill: true })
-                } else {
-                    let n = ball.len();
-                    (top_k_hits(ball, k), PathInfo::scan(n, false))
-                }
+            // The designed Hybrid spill — a scan, but not a degradation.
+            Some(ball) if hybrid_fallback && ball.len() < k => {
+                let (top, path) = select(self.scan_hamming(q, WHOLE), k, false);
+                (top, PathInfo { spill: true, ..path })
             }
-            None if hybrid_fallback => {
-                let cand = self.scan_hamming_all(q);
-                let n = cand.len();
-                (top_k_hits(cand, k), PathInfo::scan(n, true))
-            }
+            Some(ball) => select(ball, k, false),
+            None if hybrid_fallback => select(self.scan_hamming(q, WHOLE), k, true),
             None => {
                 // Degraded Table strategy: emulate the radius-2 ball by
                 // scanning, keeping the may-return-fewer semantics.
-                let ball: Vec<SlotHit> = self
-                    .scan_hamming_all(q)
-                    .into_iter()
-                    .filter(|h| h.distance <= 2.0)
-                    .collect();
-                let n = ball.len();
-                (top_k_hits(ball, k), PathInfo::scan(n, true))
+                let mut ball = self.scan_hamming(q, WHOLE);
+                ball.retain(|h| h.distance <= 2.0);
+                select(ball, k, true)
             }
         }
     }
@@ -336,12 +403,8 @@ pub(crate) fn search(
     }
     let (hits, path) = match strategy {
         Strategy::EuclideanBf => ctx.euclidean_hits(q_emb, k),
-        Strategy::HammingBf => {
-            let cand = ctx.scan_hamming_all(q_code);
-            let n = cand.len();
-            // A scan by definition: degraded mode changes nothing.
-            (top_k_hits(cand, k), PathInfo::scan(n, false))
-        }
+        // A scan by definition: degraded mode changes nothing.
+        Strategy::HammingBf => select(ctx.scan_hamming(q_code, WHOLE), k, false),
         Strategy::Table => ctx.table_hits(q_code, k, false),
         Strategy::Mih => ctx.mih_hits(q_code, k),
         Strategy::Hybrid => ctx.table_hits(q_code, k, true),
@@ -354,73 +417,15 @@ pub(crate) fn search(
 // Immutable shard state.
 // ---------------------------------------------------------------------
 
-/// The frozen indexed region of one shard. Shared by `Arc` across
+/// The frozen indexed block of one shard. Shared by `Arc` across
 /// generations: publishing an insert or a tombstone re-uses the base
 /// untouched, so the copy cost of a mutation is the delta block, never
 /// the corpus.
 pub struct ShardBase {
-    /// Stable ids, ascending.
-    pub ids: Vec<u64>,
-    /// Trajectories, parallel to `ids`.
-    pub trajs: Vec<Trajectory>,
-    /// Dense embeddings, parallel to `ids`.
-    pub embeddings: Vec<Vec<f32>>,
-    /// Binary codes, parallel to `ids`.
-    pub codes: Vec<BinaryCode>,
+    /// The indexed rows.
+    pub(crate) rows: Rows,
     /// `None` = the index build failed; the shard serves by scans.
     pub(crate) indexes: Option<GenIndexes>,
-}
-
-impl ShardBase {
-    /// Entries in the indexed region.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// True when the indexed region is empty.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    /// Builds a base over the given entries (ascending-id order),
-    /// attempting the full index set.
-    pub fn build(
-        ids: Vec<u64>,
-        trajs: Vec<Trajectory>,
-        embeddings: Vec<Vec<f32>>,
-        codes: Vec<BinaryCode>,
-        cfg: &EngineConfig,
-    ) -> ShardBase {
-        let indexes = GenIndexes::try_build(&codes, &embeddings, cfg);
-        ShardBase { ids, trajs, embeddings, codes, indexes }
-    }
-}
-
-/// The owned, small tail of a shard: entries inserted after the base
-/// was built. Cloned wholesale on every publish — bounded by the
-/// rebuild thresholds, so the copy is O(rebuild_slack), not O(corpus).
-#[derive(Clone, Default)]
-pub struct DeltaBlock {
-    /// Stable ids, ascending (all exceed every base id).
-    pub ids: Vec<u64>,
-    /// Trajectories, parallel to `ids`.
-    pub trajs: Vec<Trajectory>,
-    /// Dense embeddings, parallel to `ids`.
-    pub embeddings: Vec<Vec<f32>>,
-    /// Binary codes, parallel to `ids`.
-    pub codes: Vec<BinaryCode>,
-}
-
-impl DeltaBlock {
-    /// Entries in the delta tail.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// True when no entry has been inserted since the last rebuild.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
 }
 
 /// One published generation of one shard: everything a reader needs to
@@ -430,15 +435,17 @@ impl DeltaBlock {
 /// costs O(delta), not O(corpus).
 #[derive(Clone)]
 pub struct ShardState {
-    /// The frozen indexed region, shared across generations.
+    /// The frozen indexed block, shared across generations.
     pub base: Arc<ShardBase>,
-    /// Entries inserted after the base was built (linearly scanned).
-    pub delta: DeltaBlock,
+    /// Rows inserted after the base was built (linearly scanned).
+    /// Copied on every publish — bounded by the rebuild thresholds, so
+    /// the copy is O(rebuild_slack), not O(corpus).
+    pub delta: Rows,
     /// Tombstones over base then delta slots.
     pub dead: Vec<bool>,
     /// Number of tombstones set in `dead`.
     pub dead_count: usize,
-    /// Tombstones inside the indexed region (over-fetch margin); zero
+    /// Tombstones inside the indexed block (over-fetch margin); zero
     /// when degraded.
     pub dead_in_indexed: usize,
     /// `true` after `force_degrade`: indexes are ignored until rebuild.
@@ -454,20 +461,13 @@ pub struct ShardState {
 }
 
 impl ShardState {
-    /// A fresh shard over entries in ascending-id order.
-    pub fn build(
-        ids: Vec<u64>,
-        trajs: Vec<Trajectory>,
-        embeddings: Vec<Vec<f32>>,
-        codes: Vec<BinaryCode>,
-        cfg: &EngineConfig,
-    ) -> ShardState {
-        let n = ids.len();
-        let base = ShardBase::build(ids, trajs, embeddings, codes, cfg);
+    /// A fresh shard over rows in ascending-id order.
+    pub fn build(rows: Rows, cfg: &EngineConfig) -> ShardState {
+        let indexes = GenIndexes::try_build(&rows, cfg);
         ShardState {
-            base: Arc::new(base),
-            delta: DeltaBlock::default(),
-            dead: vec![false; n],
+            dead: vec![false; rows.len()],
+            base: Arc::new(ShardBase { rows, indexes }),
+            delta: Rows::default(),
             dead_count: 0,
             dead_in_indexed: 0,
             forced_degraded: false,
@@ -479,7 +479,7 @@ impl ShardState {
 
     /// Total slots (live + tombstoned).
     pub fn slots(&self) -> usize {
-        self.base.len() + self.delta.len()
+        self.base.rows.len() + self.delta.len()
     }
 
     /// Live entries.
@@ -497,203 +497,117 @@ impl ShardState {
         if self.degraded() {
             0
         } else {
-            self.base.indexes.as_ref().map(|ix| ix.covers).unwrap_or(0)
+            self.base.rows.len()
+        }
+    }
+
+    /// The block holding `slot`, and the row's position in it.
+    pub(crate) fn row_at(&self, slot: usize) -> (&Rows, usize) {
+        match slot.checked_sub(self.base.rows.len()) {
+            None => (&self.base.rows, slot),
+            Some(i) => (&self.delta, i),
         }
     }
 
     /// The stable id at `slot`.
     pub fn id_at(&self, slot: usize) -> u64 {
-        if slot < self.base.len() {
-            self.base.ids[slot]
-        } else {
-            self.delta.ids[slot - self.base.len()]
-        }
+        let (rows, i) = self.row_at(slot);
+        rows.ids[i]
     }
 
     /// The trajectory at `slot`.
     pub fn traj_at(&self, slot: usize) -> &Trajectory {
-        if slot < self.base.len() {
-            &self.base.trajs[slot]
-        } else {
-            &self.delta.trajs[slot - self.base.len()]
-        }
-    }
-
-    /// The embedding at `slot`.
-    pub fn embedding_at(&self, slot: usize) -> &[f32] {
-        if slot < self.base.len() {
-            &self.base.embeddings[slot]
-        } else {
-            &self.delta.embeddings[slot - self.base.len()]
-        }
-    }
-
-    /// The code at `slot`.
-    pub fn code_at(&self, slot: usize) -> &BinaryCode {
-        if slot < self.base.len() {
-            &self.base.codes[slot]
-        } else {
-            &self.delta.codes[slot - self.base.len()]
-        }
+        let (rows, i) = self.row_at(slot);
+        &rows.trajs[i]
     }
 
     /// The live slot holding stable id `id`. Slot order is ascending-id
     /// within base and delta, and every delta id exceeds every base id.
     pub fn slot_of(&self, id: u64) -> Option<usize> {
-        if let Ok(s) = self.base.ids.binary_search(&id) {
-            return (!self.dead[s]).then_some(s);
-        }
-        if let Ok(s) = self.delta.ids.binary_search(&id) {
-            let slot = self.base.len() + s;
-            return (!self.dead[slot]).then_some(slot);
-        }
-        None
+        let slot = match self.base.rows.ids.binary_search(&id) {
+            Ok(s) => s,
+            Err(_) => self.base.rows.len() + self.delta.ids.binary_search(&id).ok()?,
+        };
+        (!self.dead[slot]).then_some(slot)
     }
 
-    /// Live `(slot, id)` pairs in ascending-id order.
-    pub fn live_slots(&self) -> Vec<(usize, u64)> {
-        (0..self.slots())
-            .filter(|&s| !self.dead[s])
-            .map(|s| (s, self.id_at(s)))
-            .collect()
+    /// Live slots, in ascending-id order.
+    pub fn live_slots(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.slots()).filter(|&s| !self.dead[s])
     }
 
-    /// The borrowed search view over this state. When degraded the
-    /// whole corpus becomes delta segments (pure scans).
+    /// The borrowed search view over this state. A degraded shard
+    /// keeps its blocks and loses only the indexes.
     pub(crate) fn ctx(&self) -> SearchCtx<'_> {
-        if self.degraded() {
-            SearchCtx {
-                indexed_embeddings: &[],
-                indexes: None,
-                delta: vec![
-                    DeltaSeg { embeddings: &self.base.embeddings, codes: &self.base.codes },
-                    DeltaSeg { embeddings: &self.delta.embeddings, codes: &self.delta.codes },
-                ],
-                dead: &self.dead,
-                dead_in_indexed: self.dead_in_indexed,
-                euclidean_backend: self.euclidean_backend,
-            }
-        } else {
-            SearchCtx {
-                indexed_embeddings: &self.base.embeddings,
-                indexes: self.base.indexes.as_ref(),
-                delta: vec![DeltaSeg {
-                    embeddings: &self.delta.embeddings,
-                    codes: &self.delta.codes,
-                }],
-                dead: &self.dead,
-                dead_in_indexed: self.dead_in_indexed,
-                euclidean_backend: self.euclidean_backend,
-            }
+        SearchCtx {
+            blocks: [&self.base.rows, &self.delta],
+            indexes: self.base.indexes.as_ref().filter(|_| !self.forced_degraded),
+            dead: &self.dead,
+            dead_in_indexed: self.dead_in_indexed,
+            euclidean_backend: self.euclidean_backend,
         }
     }
 
-    /// Next state with one entry appended to the delta. `id` must
-    /// exceed every id in the shard (monotone id assignment guarantees
-    /// it).
+    /// Next state with one row appended to the delta. `id` must exceed
+    /// every id in the shard (monotone id assignment guarantees it). A
+    /// row whose widths differ from the shard's is refused: `rebuilt`
+    /// compacts base and delta into one block.
     pub fn with_insert(
         &self,
         id: u64,
         traj: Trajectory,
-        embedding: Vec<f32>,
-        code: BinaryCode,
-    ) -> ShardState {
+        embedding: &[f32],
+        code: &BinaryCode,
+    ) -> Result<ShardState, SearchError> {
         debug_assert!(
-            self.delta.ids.last().copied().unwrap_or(0).max(
-                self.base.ids.last().copied().unwrap_or(0)
-            ) < id || self.slots() == 0,
+            self.slots() == 0 || self.id_at(self.slots() - 1) < id,
             "insert id must be monotone"
         );
-        let mut delta = self.delta.clone();
-        delta.ids.push(id);
-        delta.trajs.push(traj);
-        delta.embeddings.push(embedding);
-        delta.codes.push(code);
-        let mut dead = self.dead.clone();
-        dead.push(false);
-        ShardState {
-            base: Arc::clone(&self.base),
-            delta,
-            dead,
-            dead_count: self.dead_count,
-            dead_in_indexed: self.dead_in_indexed,
-            forced_degraded: self.forced_degraded,
-            generation: self.generation,
-            publish_seq: self.publish_seq,
-            euclidean_backend: self.euclidean_backend,
-        }
+        self.base.rows.check_widths(embedding, code)?;
+        let mut next = self.clone();
+        next.delta.push(id, traj, embedding, code)?;
+        next.dead.push(false);
+        Ok(next)
     }
 
     /// Next state with `slot` tombstoned.
     pub fn with_remove(&self, slot: usize) -> ShardState {
         debug_assert!(!self.dead[slot], "slot already tombstoned");
-        let mut dead = self.dead.clone();
-        dead[slot] = true;
-        let in_indexed = slot < self.indexed();
-        ShardState {
-            base: Arc::clone(&self.base),
-            delta: self.delta.clone(),
-            dead,
-            dead_count: self.dead_count + 1,
-            dead_in_indexed: self.dead_in_indexed + usize::from(in_indexed),
-            forced_degraded: self.forced_degraded,
-            generation: self.generation,
-            publish_seq: self.publish_seq,
-            euclidean_backend: self.euclidean_backend,
-        }
+        let mut next = self.clone();
+        next.dead[slot] = true;
+        next.dead_count += 1;
+        next.dead_in_indexed += usize::from(slot < self.indexed());
+        next
     }
 
     /// Next state with the indexes dropped: every strategy linear-scans
     /// until a rebuild. Mirrors a failed rebuild — with no indexed
-    /// region there is no over-fetch margin.
+    /// block there is no over-fetch margin.
     pub fn with_degraded(&self) -> ShardState {
-        ShardState {
-            base: Arc::clone(&self.base),
-            delta: self.delta.clone(),
-            dead: self.dead.clone(),
-            dead_count: self.dead_count,
-            dead_in_indexed: 0,
-            forced_degraded: true,
-            generation: self.generation,
-            publish_seq: self.publish_seq,
-            euclidean_backend: self.euclidean_backend,
-        }
+        ShardState { dead_in_indexed: 0, forced_degraded: true, ..self.clone() }
     }
 
-    /// Compacts live entries (order-preserving, so ascending-id) and
+    /// Compacts live rows (order-preserving, so ascending-id) and
     /// builds the next generation's base + indexes. This runs *off* the
     /// publish lock: readers keep the old generation until the new one
     /// is swapped in.
     pub fn rebuilt(&self, cfg: &EngineConfig) -> ShardState {
-        let mut ids = Vec::with_capacity(self.live());
-        let mut trajs = Vec::with_capacity(self.live());
-        let mut embeddings = Vec::with_capacity(self.live());
-        let mut codes = Vec::with_capacity(self.live());
-        for (slot, id) in self.live_slots() {
-            ids.push(id);
-            trajs.push(self.traj_at(slot).clone());
-            embeddings.push(self.embedding_at(slot).to_vec());
-            codes.push(self.code_at(slot).clone());
+        let mut rows = Rows::default();
+        for slot in self.live_slots() {
+            let (src, i) = self.row_at(slot);
+            rows.push_row(src, i);
         }
-        let n = ids.len();
-        let base = ShardBase::build(ids, trajs, embeddings, codes, cfg);
         ShardState {
-            base: Arc::new(base),
-            delta: DeltaBlock::default(),
-            dead: vec![false; n],
-            dead_count: 0,
-            dead_in_indexed: 0,
-            forced_degraded: false,
             generation: self.generation + 1,
             publish_seq: self.publish_seq,
-            euclidean_backend: cfg.euclidean_backend,
+            ..ShardState::build(rows, cfg)
         }
     }
 
     /// True when the delta or tombstone count crosses the configured
     /// rebuild thresholds (applied per shard).
     pub fn needs_rebuild(&self, cfg: &EngineConfig) -> bool {
-        let indexed = self.base.len();
+        let indexed = self.base.rows.len();
         let delta = self.delta.len();
         let slack = cfg.rebuild_slack;
         // lint: allow(lossy-cast) — nonnegative fraction of a shard size that fits usize
@@ -704,25 +618,13 @@ impl ShardState {
     }
 
     /// Structural self-check: every invariant a torn publish would
-    /// break. The concurrency suite runs this on pinned states while a
-    /// writer churns.
+    /// break, plus the storage-of-record claim — the generation's
+    /// indexes read the base's own columns, not copies. The concurrency
+    /// suite runs this on pinned states while a writer churns.
     pub fn check_consistent(&self) -> Result<(), String> {
-        let b = self.base.len();
-        let d = self.delta.len();
-        if self.base.trajs.len() != b
-            || self.base.embeddings.len() != b
-            || self.base.codes.len() != b
-        {
-            return Err(format!("base arrays disagree on length {b}"));
-        }
-        if self.delta.trajs.len() != d
-            || self.delta.embeddings.len() != d
-            || self.delta.codes.len() != d
-        {
-            return Err(format!("delta arrays disagree on length {d}"));
-        }
-        if self.dead.len() != b + d {
-            return Err(format!("dead covers {} slots of {}", self.dead.len(), b + d));
+        let slots = self.slots();
+        if self.dead.len() != slots {
+            return Err(format!("dead covers {} slots of {slots}", self.dead.len()));
         }
         let dead_count = self.dead.iter().filter(|&&x| x).count();
         if dead_count != self.dead_count {
@@ -731,12 +633,12 @@ impl ShardState {
         let in_indexed = self.dead[..self.indexed()].iter().filter(|&&x| x).count();
         if in_indexed != self.dead_in_indexed {
             return Err(format!(
-                "dead_in_indexed {} but {} tombstones in the indexed region",
+                "dead_in_indexed {} but {} tombstones in the indexed block",
                 self.dead_in_indexed, in_indexed
             ));
         }
         let mut prev: Option<u64> = None;
-        for s in 0..b + d {
+        for s in 0..slots {
             let id = self.id_at(s);
             if let Some(p) = prev {
                 if id <= p {
@@ -745,15 +647,12 @@ impl ShardState {
             }
             prev = Some(id);
         }
-        if let Some(ix) = &self.base.indexes {
-            if ix.covers != b {
-                return Err(format!("indexes cover {} of {b} base slots", ix.covers));
+        match &self.base.indexes {
+            Some(ix) if !ix.shares(&self.base.rows) => {
+                Err("an index reads a private copy of the base columns".into())
             }
-            if ix.packed.len() != b {
-                return Err(format!("packed mirror holds {} of {b} codes", ix.packed.len()));
-            }
+            _ => Ok(()),
         }
-        Ok(())
     }
 }
 
@@ -783,9 +682,12 @@ mod tests {
     }
 
     fn state(n: u32) -> ShardState {
-        let (trajs, (embeddings, codes)): (Vec<_>, (Vec<_>, Vec<_>)) =
-            (0..n).map(entry).map(|(t, e, c)| (t, (e, c))).unzip();
-        ShardState::build((0..n as u64).collect(), trajs, embeddings, codes, &vp_cfg())
+        let mut rows = Rows::default();
+        for i in 0..n {
+            let (t, e, c) = entry(i);
+            rows.push(i as u64, t, &e, &c).unwrap();
+        }
+        ShardState::build(rows, &vp_cfg())
     }
 
     fn euclid(st: &ShardState, q: &[f32], k: usize) -> (Vec<SlotHit>, PathInfo) {
@@ -798,7 +700,8 @@ mod tests {
         let st = state(40);
         let (hits, path) = euclid(&st, &[1.0, 2.0, 3.0], 5);
         assert!(!path.fallback, "a matching query is served by the tree");
-        assert_eq!(hits, traj_index::euclidean_top_k(&st.base.embeddings, &[1.0, 2.0, 3.0], 5));
+        let embeddings: Vec<Vec<f32>> = (0..40).map(|i| entry(i).1).collect();
+        assert_eq!(hits, traj_index::euclidean_top_k(&embeddings, &[1.0, 2.0, 3.0], 5));
         // VpTree::top_k asserts on the width; the call site must not
         // reach it, and the scan that answers is counted as a fallback.
         let (hits, path) = euclid(&st, &[0.0; 5], 5);
@@ -809,9 +712,42 @@ mod tests {
     #[test]
     fn empty_vptree_answers_from_the_delta_without_a_fallback() {
         let (t, e, c) = entry(3);
-        let st = state(0).with_insert(0, t, e.clone(), c);
+        let st = state(0).with_insert(0, t, &e, &c).unwrap();
         let (hits, path) = euclid(&st, &e, 4);
         assert!(!path.fallback);
         assert_eq!(hits, vec![SlotHit { index: 0, distance: 0.0 }]);
+    }
+
+    #[test]
+    fn check_consistent_rejects_indexes_over_a_copy_of_the_columns() {
+        let st = state(10);
+        st.check_consistent().unwrap();
+        let mut copy = Rows::default();
+        for i in 0..10 {
+            copy.push_row(&st.base.rows, i);
+        }
+        let indexes = GenIndexes::try_build(&copy, &vp_cfg());
+        let base = Arc::new(ShardBase { rows: st.base.rows.clone(), indexes });
+        let err = ShardState { base, ..st }.check_consistent().unwrap_err();
+        assert!(err.contains("private copy"), "{err}");
+    }
+
+    #[test]
+    fn a_row_of_another_width_is_refused_and_the_state_is_untouched() {
+        let (t, e, c) = entry(1);
+        let st = state(4);
+        let wide = [0.0f32; 5];
+        assert_eq!(
+            st.with_insert(9, t.clone(), &wide, &c).err(),
+            Some(SearchError::InconsistentEmbeddings { position: 4, expected: 3, got: 5 })
+        );
+        assert_eq!(
+            st.with_insert(9, t.clone(), &e, &BinaryCode::from_floats(&wide)).err(),
+            Some(SearchError::InconsistentCodes { position: 4, expected: 3, got: 5 })
+        );
+        // The delta is empty, so it would take any width: the base decides.
+        let next = st.with_insert(9, t, &e, &c).unwrap();
+        assert_eq!((next.slots(), next.delta.len()), (5, 1));
+        next.check_consistent().unwrap();
     }
 }

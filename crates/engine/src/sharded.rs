@@ -40,8 +40,8 @@
 use crate::cell::{PublishCell, Sequenced};
 use crate::engine::{tlock, EngineConfig, EngineStats, Hit, Strategy};
 use crate::error::EngineError;
-use crate::shard::{self, ShardState};
-use crate::snapshot::{self, EntryRef, SnapshotView};
+use crate::shard::{self, Rows, ShardState};
+use crate::snapshot::{self, SnapshotView};
 use crate::telemetry::{EngineTelemetry, QueryInfo};
 use crate::trace::{self, QueryTrace, ShardTrace, ShardTraceRow, TraceCtx};
 use std::path::Path;
@@ -54,41 +54,29 @@ use traj_index::BinaryCode;
 use traj2hash::{ModelSpec, Traj2Hash};
 use tinynn::Tensor;
 
-/// Pre-encoded entries of one shard (or of the whole corpus, when
-/// flattened): parallel `(ids, trajs, embeddings, codes)` vectors.
-type Entries = (Vec<u64>, Vec<Trajectory>, Vec<Vec<f32>>, Vec<BinaryCode>);
-
-/// Partitions ascending-id entries across `n_shards` by `id % n_shards`.
-fn partition(entries: Entries, n_shards: usize) -> Vec<Entries> {
-    let (ids, trajs, embeddings, codes) = entries;
-    let mut parts: Vec<Entries> = (0..n_shards).map(|_| Default::default()).collect();
-    for (((id, traj), embedding), code) in ids.into_iter().zip(trajs).zip(embeddings).zip(codes)
-    {
-        // lint: allow(lossy-cast) — residue mod the shard count, which is a small usize
-        let p = &mut parts[(id % n_shards as u64) as usize];
-        p.0.push(id);
-        p.1.push(traj);
-        p.2.push(embedding);
-        p.3.push(code);
-    }
-    parts
+/// Every live row across the pinned shards as `(block, row)`, in
+/// ascending-id order.
+fn live_rows(states: &[Arc<ShardState>]) -> Vec<(&Rows, usize)> {
+    let mut rows: Vec<(&Rows, usize)> =
+        states.iter().flat_map(|st| st.live_slots().map(|slot| st.row_at(slot))).collect();
+    rows.sort_unstable_by_key(|&(block, i)| block.ids()[i]);
+    rows
 }
 
-/// Every live entry across the pinned shards, in ascending-id order.
-fn live_entries(states: &[Arc<ShardState>]) -> Vec<EntryRef<'_>> {
-    let mut entries: Vec<EntryRef<'_>> = states
-        .iter()
-        .flat_map(|st| {
-            st.live_slots().into_iter().map(move |(slot, id)| EntryRef {
-                id,
-                traj: st.traj_at(slot),
-                embedding: st.embedding_at(slot),
-                code: st.code_at(slot),
-            })
-        })
-        .collect();
-    entries.sort_unstable_by_key(|e| e.id);
-    entries
+/// Encodes `trajs` with `model` into one block; row `i` gets `ids[i]`
+/// and the sign code of its embedding (Eq. 16).
+fn encode_rows(
+    model: &Traj2Hash,
+    ids: impl IntoIterator<Item = u64>,
+    trajs: Vec<Trajectory>,
+    threads: usize,
+) -> Result<Rows, EngineError> {
+    let embeddings = model.embed_all_with_threads(&trajs, threads.max(1));
+    let mut rows = Rows::default();
+    for ((id, traj), e) in ids.into_iter().zip(trajs).zip(embeddings) {
+        rows.push(id, traj, &e, &BinaryCode::from_floats(&e))?;
+    }
+    Ok(rows)
 }
 
 /// Sharding knobs, on top of the per-shard [`EngineConfig`].
@@ -202,8 +190,8 @@ impl PinnedView {
     }
 
     /// Verifies every structural invariant of every pinned shard state
-    /// (array lengths, tombstone counts, slot ordering, index
-    /// coverage). A torn publish would trip this; the concurrency suite
+    /// (tombstone counts, slot ordering, indexes reading the base's own
+    /// columns). A torn publish would trip this; the concurrency suite
     /// runs it continuously under writer churn.
     pub fn check_consistent(&self) -> Result<(), String> {
         for (i, s) in self.states.iter().enumerate() {
@@ -288,9 +276,7 @@ fn fan_out(
         info.fallback |= path.fallback;
         info.degraded |= shard_degraded;
         info.spill |= path.spill;
-        if !shard_degraded && !path.fallback {
-            info.overfetch += st.dead_in_indexed;
-        }
+        info.overfetch += path.overfetch;
         if tracing {
             trace.push_shard(ShardTraceRow {
                 shard: si,
@@ -424,12 +410,9 @@ impl ShardedEngine {
     ) -> Result<Self, EngineError> {
         cfg.validate()?;
         scfg.validate()?;
-        let embeddings = model.embed_all_with_threads(&corpus, cfg.encode_threads.max(1));
-        let codes: Vec<BinaryCode> =
-            embeddings.iter().map(|e| BinaryCode::from_floats(e)).collect();
-        let n = corpus.len();
-        let ids: Vec<u64> = (0..n as u64).collect();
-        Ok(Self::from_parts(model, cfg, scfg, ids, corpus, embeddings, codes, n as u64))
+        let n = corpus.len() as u64;
+        let rows = encode_rows(&model, 0..n, corpus, cfg.encode_threads)?;
+        Ok(Self::from_parts(model, cfg, scfg, rows, n))
     }
 
     /// Builds from a borrowed model (byte-identical replica via
@@ -444,26 +427,21 @@ impl ShardedEngine {
         Self::build(replica, corpus, cfg, scfg)
     }
 
-    /// Assembles the engine from pre-encoded entries in ascending-id
+    /// Assembles the engine from pre-encoded rows in ascending-id
     /// order, distributing them across shards by `id % shards`. Both
     /// configs must already be validated.
-    #[allow(clippy::too_many_arguments)]
     fn from_parts(
         model: Traj2Hash,
         cfg: EngineConfig,
         scfg: ShardConfig,
-        ids: Vec<u64>,
-        trajs: Vec<Trajectory>,
-        embeddings: Vec<Vec<f32>>,
-        codes: Vec<BinaryCode>,
+        rows: Rows,
         next_id: u64,
     ) -> Self {
         let n_shards = scfg.shards;
-        let cells: Vec<ShardCell> = partition((ids, trajs, embeddings, codes), n_shards)
+        let cells: Vec<ShardCell> = rows
+            .partition(n_shards)
             .into_iter()
-            .map(|(ids, trajs, embeddings, codes)| {
-                ShardCell::new(ShardState::build(ids, trajs, embeddings, codes, &cfg))
-            })
+            .map(|part| ShardCell::new(ShardState::build(part, &cfg)))
             .collect();
         let set = Arc::new(ShardSet {
             cells,
@@ -513,14 +491,7 @@ impl ShardedEngine {
 
     /// Live ids in ascending order (collected across shards).
     pub fn ids(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self
-            .set
-            .pin_all()
-            .iter()
-            .flat_map(|s| s.live_slots().into_iter().map(|(_, id)| id))
-            .collect();
-        ids.sort_unstable();
-        ids
+        live_rows(&self.set.pin_all()).into_iter().map(|(block, i)| block.ids()[i]).collect()
     }
 
     /// True when `id` refers to a live trajectory.
@@ -639,16 +610,18 @@ impl ShardedEngine {
     /// untouched, and reads on the owning shard keep their pinned
     /// generation. An empty or non-finite trajectory is refused with
     /// [`EngineError::InvalidInput`] (the same check as the query entry
-    /// points) and nothing is stored, counted or published.
+    /// points), a row whose widths differ from the shard's with
+    /// [`EngineError::Search`]; either way nothing is stored, counted or
+    /// published.
     pub fn try_insert(&mut self, t: Trajectory) -> Result<u64, EngineError> {
         validate_trajectory(&t)?;
-        let embedding = self.model.embed(&t).data().to_vec();
-        let code = BinaryCode::from_floats(&embedding);
+        let embedding = self.model.embed(&t);
+        let code = BinaryCode::from_floats(embedding.data());
         let id = self.next_id;
-        self.next_id += 1;
         let si = self.shard_of(id);
         let cell = &self.set.cells[si];
-        let next = cell.pin().with_insert(id, t, embedding, code);
+        let next = cell.pin().with_insert(id, t, embedding.data(), &code)?;
+        self.next_id += 1;
         cell.publish(next);
         tlock(&self.set.telemetry).inserts += 1;
         traj_obs::counter("engine.inserts", 1);
@@ -695,9 +668,9 @@ impl ShardedEngine {
         let prev = self.set.cells[si].pin();
         let compacting = prev.dead_count > 0;
         let next = prev.rebuilt(&self.cfg);
-        let degraded = next.base.indexes.is_none();
+        let degraded = next.degraded();
         let generation = next.generation;
-        let covers = next.base.len();
+        let covers = next.base.rows.len();
         self.set.cells[si].publish(next);
         {
             let mut t = tlock(&self.set.telemetry);
@@ -791,19 +764,6 @@ impl ShardedEngine {
         healthy
     }
 
-    /// Owned copies of every live entry in ascending-id order:
-    /// `(ids, trajs, embeddings, codes)`.
-    fn flattened(states: &[Arc<ShardState>]) -> Entries {
-        let mut out = Entries::default();
-        for e in live_entries(states) {
-            out.0.push(e.id);
-            out.1.push(e.traj.clone());
-            out.2.push(e.embedding.to_vec());
-            out.3.push(e.code.clone());
-        }
-        out
-    }
-
     /// Builds a *replacement* engine: the current live corpus re-encoded
     /// with `model`, preserving every stable id and `next_id`, so a
     /// subsequent [`hot_swap`](ShardedEngine::hot_swap) is invisible to
@@ -813,21 +773,12 @@ impl ShardedEngine {
     /// swap.
     pub fn refreshed(&self, model: Traj2Hash) -> Result<ShardedEngine, EngineError> {
         let states = self.set.pin_all();
-        let (ids, trajs): (Vec<u64>, Vec<Trajectory>) =
-            live_entries(&states).into_iter().map(|e| (e.id, e.traj.clone())).unzip();
-        let embeddings = model.embed_all_with_threads(&trajs, self.cfg.encode_threads.max(1));
-        let codes: Vec<BinaryCode> =
-            embeddings.iter().map(|e| BinaryCode::from_floats(e)).collect();
-        Ok(Self::from_parts(
-            model,
-            self.cfg.clone(),
-            self.scfg.clone(),
-            ids,
-            trajs,
-            embeddings,
-            codes,
-            self.next_id,
-        ))
+        let (ids, trajs): (Vec<u64>, Vec<Trajectory>) = live_rows(&states)
+            .into_iter()
+            .map(|(block, i)| (block.ids()[i], block.traj(i).clone()))
+            .unzip();
+        let rows = encode_rows(&model, ids, trajs, self.cfg.encode_threads)?;
+        Ok(Self::from_parts(model, self.cfg.clone(), self.scfg.clone(), rows, self.next_id))
     }
 
     /// Atomically swaps `replacement`'s model, corpus, and per-shard
@@ -852,9 +803,12 @@ impl ShardedEngine {
         } else {
             // Shard counts differ: redistribute by id under *this*
             // engine's mapping.
-            let parts = partition(Self::flattened(&rep_states), self.scfg.shards);
-            for (cell, (ids, trajs, embeddings, codes)) in self.set.cells.iter().zip(parts) {
-                cell.publish(ShardState::build(ids, trajs, embeddings, codes, &cfg));
+            let mut parts = vec![Rows::default(); self.scfg.shards];
+            for (block, i) in live_rows(&rep_states) {
+                parts[self.shard_of(block.ids()[i])].push_row(block, i);
+            }
+            for (cell, part) in self.set.cells.iter().zip(parts) {
+                cell.publish(ShardState::build(part, &cfg));
             }
         }
         // The swapped-in states were built under the replacement's
@@ -894,7 +848,7 @@ impl ShardedEngine {
         snapshot::encode_view(&SnapshotView {
             model: &self.model,
             cfg: &self.cfg,
-            entries: live_entries(&states),
+            entries: live_rows(&states),
             next_id: self.next_id,
         })
     }
@@ -907,16 +861,7 @@ impl ShardedEngine {
         scfg.validate()?;
         let d = snapshot::decode_parts(bytes)?;
         d.cfg.validate()?;
-        Ok(Self::from_parts(
-            d.model,
-            d.cfg,
-            scfg,
-            d.ids,
-            d.trajs,
-            d.embeddings,
-            d.codes,
-            d.next_id,
-        ))
+        Ok(Self::from_parts(d.model, d.cfg, scfg, d.rows, d.next_id))
     }
 
     /// Writes a snapshot atomically and durably (unique fsync'd tmp →

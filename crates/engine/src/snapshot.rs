@@ -29,6 +29,7 @@
 
 use crate::engine::{EngineConfig, EuclideanBackend};
 use crate::error::EngineError;
+use crate::shard::Rows;
 use std::sync::Arc;
 use traj2hash::checkpoint::{
     decode_container, encode_container, PayloadReader, PayloadWriter,
@@ -64,35 +65,25 @@ fn read_f32s(r: &mut PayloadReader) -> Result<Vec<f32>, CheckpointError> {
     Ok(out)
 }
 
-/// One live corpus entry, borrowed from the pinned shard states.
-pub(crate) struct EntryRef<'a> {
-    pub id: u64,
-    pub traj: &'a Trajectory,
-    pub embedding: &'a [f32],
-    pub code: &'a BinaryCode,
-}
-
 /// Everything the snapshot format serializes, borrowed. The engine
 /// flattens its shards into this view, so the byte layout (`T2HSNAP1`)
-/// is shard-layout-free and loads under any shard count. Entries must
-/// be in ascending-id order (the engine re-sorts its interleaved shards
-/// before saving).
+/// is shard-layout-free and loads under any shard count. Entries are
+/// live rows as `(block, row)`, in ascending-id order (the engine
+/// re-sorts its interleaved shards before saving).
 pub(crate) struct SnapshotView<'a> {
     pub model: &'a Traj2Hash,
     pub cfg: &'a EngineConfig,
-    pub entries: Vec<EntryRef<'a>>,
+    pub entries: Vec<(&'a Rows, usize)>,
     pub next_id: u64,
 }
 
-/// A fully decoded snapshot, owned. The shard layout is *not*
-/// serialized — the engine redistributes entries by id on load.
+/// A fully decoded snapshot, owned: the corpus section lands straight
+/// in one [`Rows`] block. The shard layout is *not* serialized — the
+/// engine redistributes rows by id on load.
 pub(crate) struct DecodedSnapshot {
     pub model: Traj2Hash,
     pub cfg: EngineConfig,
-    pub ids: Vec<u64>,
-    pub trajs: Vec<Trajectory>,
-    pub embeddings: Vec<Vec<f32>>,
-    pub codes: Vec<BinaryCode>,
+    pub rows: Rows,
     pub next_id: u64,
 }
 
@@ -161,17 +152,18 @@ pub(crate) fn encode_view(view: &SnapshotView<'_>) -> Result<Vec<u8>, EngineErro
 
     // Corpus section: live entries only, in ascending-id order.
     w.u64(view.entries.len() as u64);
-    for e in &view.entries {
-        w.u64(e.id);
-        w.u64(e.traj.points.len() as u64);
-        for p in &e.traj.points {
+    for &(rows, i) in &view.entries {
+        w.u64(rows.ids()[i]);
+        w.u64(rows.traj(i).points.len() as u64);
+        for p in &rows.traj(i).points {
             w.f64(p.x);
             w.f64(p.y);
         }
-        write_f32s(&mut w, e.embedding);
-        w.u64(e.code.len() as u64);
-        w.u64(e.code.words().len() as u64);
-        for &word in e.code.words() {
+        write_f32s(&mut w, rows.embeddings().row(i));
+        let words = rows.codes().words(i);
+        w.u64(rows.codes().bits() as u64);
+        w.u64(words.len() as u64);
+        for &word in words {
             w.u64(word);
         }
     }
@@ -262,13 +254,10 @@ pub(crate) fn decode_parts(bytes: &[u8]) -> Result<DecodedSnapshot, EngineError>
 
     // Corpus section.
     let n = r.len_prefix(8 * 4)?;
-    let mut ids = Vec::with_capacity(n);
-    let mut trajs = Vec::with_capacity(n);
-    let mut embeddings = Vec::with_capacity(n);
-    let mut codes = Vec::with_capacity(n);
+    let mut rows = Rows::default();
     for e in 0..n {
         let id = r.u64()?;
-        if let Some(&prev) = ids.last() {
+        if let Some(&prev) = rows.ids().last() {
             if id <= prev {
                 return Err(malformed(format!("entry {e}: id {id} not ascending after {prev}")));
             }
@@ -301,13 +290,10 @@ pub(crate) fn decode_parts(bytes: &[u8]) -> Result<DecodedSnapshot, EngineError>
             words.push(r.u64()?);
         }
         let code = BinaryCode::from_words(words, bits).map_err(malformed)?;
-        ids.push(id);
-        trajs.push(Trajectory { points });
-        embeddings.push(embedding);
-        codes.push(code);
+        rows.push(id, Trajectory { points }, &embedding, &code)?;
     }
     r.expect_end()?;
-    Ok(DecodedSnapshot { model, cfg: engine_cfg, ids, trajs, embeddings, codes, next_id })
+    Ok(DecodedSnapshot { model, cfg: engine_cfg, rows, next_id })
 }
 
 fn read_bool(r: &mut PayloadReader, what: &str) -> Result<bool, EngineError> {

@@ -31,6 +31,16 @@ pub enum SearchError {
         /// Width of the offending code.
         got: usize,
     },
+    /// An embedding's width differs from the width of the rows already
+    /// stored (the Euclidean twin of `InconsistentCodes`).
+    InconsistentEmbeddings {
+        /// Position of the offending row.
+        position: usize,
+        /// Width of the stored rows.
+        expected: usize,
+        /// Width of the offending row.
+        got: usize,
+    },
     /// The requested lookup radius exceeds what table probing supports.
     RadiusUnsupported {
         /// Requested radius.
@@ -51,6 +61,10 @@ impl fmt::Display for SearchError {
             SearchError::InconsistentCodes { position, expected, got } => write!(
                 f,
                 "database code {position} has {got} bits, expected {expected}"
+            ),
+            SearchError::InconsistentEmbeddings { position, expected, got } => write!(
+                f,
+                "embedding {position} has {got} dimensions, expected {expected}"
             ),
             SearchError::RadiusUnsupported { radius, max } => {
                 write!(f, "lookup radius {radius} unsupported (max {max})")

@@ -13,28 +13,30 @@
 
 use crate::code::BinaryCode;
 use crate::error::SearchError;
+use crate::packed::PackedCodes;
 use crate::search::Hit;
 use crate::topk::{sort_hits, top_k_hits};
 use std::collections::HashMap;
+use std::sync::Arc;
 
-/// An exact Hamming k-NN index over fixed-width binary codes.
+/// An exact Hamming k-NN index over fixed-width binary codes. The index
+/// reads the caller's [`PackedCodes`] through a shared handle and keeps
+/// no copy of its own.
 pub struct MultiIndexHashing {
     /// Substring tables: `tables[s]` maps a substring value to the
     /// database ids having that substring.
     tables: Vec<HashMap<u64, Vec<u32>>>,
     /// Substring bit ranges `(start, len)`.
     chunks: Vec<(usize, usize)>,
-    codes: Vec<BinaryCode>,
-    bits: usize,
+    codes: Arc<PackedCodes>,
 }
 
-fn substring(code: &BinaryCode, start: usize, len: usize) -> u64 {
+/// Bits `start..start + len` of a code's packed words, as one value.
+fn substring(words: &[u64], start: usize, len: usize) -> u64 {
     debug_assert!(len <= 64);
     let mut out = 0u64;
-    for i in 0..len {
-        if code.bit(start + i) {
-            out |= 1 << i;
-        }
+    for i in start..start + len {
+        out |= ((words[i / 64] >> (i % 64)) & 1) << (i - start);
     }
     out
 }
@@ -67,20 +69,27 @@ impl MultiIndexHashing {
         Self::try_build(codes, m).unwrap_or_else(|e| panic!("MultiIndexHashing::build: {e}"))
     }
 
-    /// Builds the index with `m` substring tables.
+    /// Packs `codes` and builds the index over them with `m` substring
+    /// tables; see [`MultiIndexHashing::over`]. Databases mixing code
+    /// widths are [`SearchError::InconsistentCodes`] — an index built
+    /// over those would silently answer queries wrongly.
+    pub fn try_build(codes: Vec<BinaryCode>, m: usize) -> Result<Self, SearchError> {
+        Self::over(Arc::new(PackedCodes::build(&codes)?), m)
+    }
+
+    /// Builds the index with `m` substring tables over codes the caller
+    /// keeps sharing.
     ///
     /// An `m` that does not fit the code width degrades gracefully
     /// instead of failing: it is clamped so no table covers more than
     /// 64 bits (queries stay exact, just with different constants) and
-    /// so there are never more tables than bits. The hard errors are
-    /// `m == 0` ([`SearchError::NoTables`]) and databases mixing code
-    /// widths ([`SearchError::InconsistentCodes`]) — an index built
-    /// over those would silently answer queries wrongly.
-    pub fn try_build(codes: Vec<BinaryCode>, m: usize) -> Result<Self, SearchError> {
+    /// so there are never more tables than bits. The one hard error is
+    /// `m == 0` ([`SearchError::NoTables`]).
+    pub fn over(codes: Arc<PackedCodes>, m: usize) -> Result<Self, SearchError> {
         if m == 0 {
             return Err(SearchError::NoTables);
         }
-        let bits = codes.first().map(|c| c.len()).unwrap_or(64);
+        let bits = codes.bits();
         // Graceful clamping: at least div_ceil(bits, 64) tables so every
         // substring fits in a u64, at most one table per bit.
         let m = m.clamp(bits.div_ceil(64).max(1), bits.max(1));
@@ -96,23 +105,16 @@ impl MultiIndexHashing {
             start += len;
         }
         let mut tables: Vec<HashMap<u64, Vec<u32>>> = vec![HashMap::new(); m];
-        for (id, code) in codes.iter().enumerate() {
-            if code.len() != bits {
-                return Err(SearchError::InconsistentCodes {
-                    position: id,
-                    expected: bits,
-                    got: code.len(),
-                });
-            }
+        for id in 0..codes.len() {
             for (s, &(cs, cl)) in chunks.iter().enumerate() {
                 tables[s]
-                    .entry(substring(code, cs, cl))
+                    .entry(substring(codes.words(id), cs, cl))
                     .or_default()
                     // lint: allow(lossy-cast) — corpus slots are capped far below 2^32 (u32 postings by design)
                     .push(id as u32);
             }
         }
-        Ok(MultiIndexHashing { tables, chunks, codes, bits })
+        Ok(MultiIndexHashing { tables, chunks, codes })
     }
 
     /// Number of indexed codes.
@@ -123,6 +125,11 @@ impl MultiIndexHashing {
     /// True when the index is empty.
     pub fn is_empty(&self) -> bool {
         self.codes.is_empty()
+    }
+
+    /// The codes this index covers (the handle it was built over).
+    pub fn codes(&self) -> &Arc<PackedCodes> {
+        &self.codes
     }
 
     /// Number of substring tables.
@@ -150,16 +157,16 @@ impl MultiIndexHashing {
         if self.codes.is_empty() {
             return Ok(Vec::new());
         }
-        if query.len() != self.bits {
-            return Err(SearchError::WidthMismatch { query: query.len(), index: self.bits });
+        if query.len() != self.codes.bits() {
+            return Err(SearchError::WidthMismatch { query: query.len(), index: self.codes.bits() });
         }
         let m = self.tables.len();
         // lint: allow(lossy-cast) — u32 radius widens losslessly into usize
-        let sub_r = (radius as usize / m).min(self.bits);
+        let sub_r = (radius as usize / m).min(query.len());
         let mut seen = vec![false; self.codes.len()];
         let mut out = Vec::new();
         for (s, &(cs, cl)) in self.chunks.iter().enumerate() {
-            let q_sub = substring(query, cs, cl);
+            let q_sub = substring(query.words(), cs, cl);
             let table = &self.tables[s];
             for probe_r in 0..=sub_r.min(cl) {
                 let mut visit = |candidate_sub: u64| {
@@ -169,7 +176,7 @@ impl MultiIndexHashing {
                             let idx = id as usize;
                             if !seen[idx] {
                                 seen[idx] = true;
-                                let d = self.codes[idx].hamming(query);
+                                let d = self.codes.distance(idx, query);
                                 if d <= radius {
                                     out.push(Hit { index: idx, distance: d as f64 });
                                 }
@@ -200,16 +207,16 @@ impl MultiIndexHashing {
         if self.codes.is_empty() || k == 0 {
             return Ok(Vec::new());
         }
-        if query.len() != self.bits {
-            return Err(SearchError::WidthMismatch { query: query.len(), index: self.bits });
+        if query.len() != self.codes.bits() {
+            return Err(SearchError::WidthMismatch { query: query.len(), index: self.codes.bits() });
         }
         let m = self.tables.len();
         let mut seen = vec![false; self.codes.len()];
         // candidates[d] = ids at full-code distance d
-        let mut by_distance: Vec<Vec<u32>> = vec![Vec::new(); self.bits + 1];
+        let mut by_distance: Vec<Vec<u32>> = vec![Vec::new(); query.len() + 1];
         let mut found = 0usize;
         let mut probed_sub_radius: isize = -1;
-        for r in 0..=self.bits {
+        for r in 0..=query.len() {
             // Pigeonhole: codes at distance <= r differ by <= floor(r/m)
             // in some substring.
             let sub_r = r / m;
@@ -218,7 +225,7 @@ impl MultiIndexHashing {
                 // lint: allow(lossy-cast) — sub_r <= bits per chunk, a tiny positive count
                 probed_sub_radius = sub_r as isize;
                 for (s, &(cs, cl)) in self.chunks.iter().enumerate() {
-                    let q_sub = substring(query, cs, cl);
+                    let q_sub = substring(query.words(), cs, cl);
                     let table = &self.tables[s];
                     let mut visit = |candidate_sub: u64| {
                         if let Some(ids) = table.get(&candidate_sub) {
@@ -228,7 +235,7 @@ impl MultiIndexHashing {
                                 if !seen[idx] {
                                     seen[idx] = true;
                                     // lint: allow(lossy-cast) — u32 Hamming distance widens losslessly into usize
-                                    let d = self.codes[idx].hamming(query) as usize;
+                                    let d = self.codes.distance(idx, query) as usize;
                                     by_distance[d].push(id);
                                     found += 1;
                                 }
@@ -278,8 +285,8 @@ mod tests {
     #[test]
     fn substring_extraction() {
         let code = BinaryCode::from_signs(&[1, -1, 1, 1, -1, -1, 1, -1]);
-        assert_eq!(substring(&code, 0, 4), 0b1101);
-        assert_eq!(substring(&code, 4, 4), 0b0100);
+        assert_eq!(substring(code.words(), 0, 4), 0b1101);
+        assert_eq!(substring(code.words(), 4, 4), 0b0100);
     }
 
     #[test]

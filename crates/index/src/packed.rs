@@ -1,9 +1,9 @@
 //! Flat packed-code storage for memory-bandwidth Hamming scans.
 //!
 //! [`BinaryCode`] keeps each code in its own heap allocation, which is
-//! the right shape for hash-table keys but the wrong one for the
-//! brute-force scan path: a scan over `Vec<BinaryCode>` chases one
-//! pointer per candidate. [`PackedCodes`] lays every code out
+//! the right shape for a query but the wrong one for a corpus: a scan
+//! over a `Vec` of them chases one pointer per candidate.
+//! [`PackedCodes`] is the stored form of a corpus' codes: every code
 //! back-to-back in a single `u64` buffer so the scan is a straight walk
 //! over contiguous words, and [`PackedCodes::scan_into`] processes four
 //! codes per iteration with four independent popcount accumulators —
@@ -43,8 +43,9 @@ pub fn hamming_words(a: &[u64], b: &[u64]) -> u32 {
 }
 
 /// A corpus of equal-width binary codes packed into one contiguous
-/// `u64` buffer, `stride` words per code.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// `u64` buffer, `stride` words per code. An empty corpus has no width
+/// yet: the first code pushed sets it.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PackedCodes {
     words: Vec<u64>,
     stride: usize,
@@ -56,20 +57,55 @@ impl PackedCodes {
     /// Packs `codes` into the flat layout. Mixed widths are rejected —
     /// a strided scan over those would compare garbage words.
     pub fn build(codes: &[BinaryCode]) -> Result<Self, SearchError> {
-        let bits = codes.first().map(|c| c.len()).unwrap_or(0);
-        let stride = bits.div_ceil(64);
-        let mut words = Vec::with_capacity(stride * codes.len());
-        for (i, c) in codes.iter().enumerate() {
-            if c.len() != bits {
-                return Err(SearchError::InconsistentCodes {
-                    position: i,
-                    expected: bits,
-                    got: c.len(),
-                });
-            }
-            words.extend_from_slice(c.words());
+        let mut packed = PackedCodes::default();
+        packed.words.reserve(codes.first().map_or(0, |c| c.words().len()) * codes.len());
+        codes.iter().try_for_each(|c| packed.push(c))?;
+        Ok(packed)
+    }
+
+    /// `Ok` when a code of `bits` bits could be pushed: the corpus is
+    /// empty or already holds codes of that width.
+    pub fn check_width(&self, bits: usize) -> Result<(), SearchError> {
+        if self.n > 0 && bits != self.bits {
+            return Err(SearchError::InconsistentCodes {
+                position: self.n,
+                expected: self.bits,
+                got: bits,
+            });
         }
-        Ok(PackedCodes { words, stride, bits, n: codes.len() })
+        Ok(())
+    }
+
+    /// Appends `code`; a width mismatch is refused and stores nothing.
+    pub fn push(&mut self, code: &BinaryCode) -> Result<(), SearchError> {
+        self.check_width(code.len())?;
+        (self.bits, self.stride) = (code.len(), code.words().len());
+        self.words.extend_from_slice(code.words());
+        self.n += 1;
+        Ok(())
+    }
+
+    /// Appends code `i` of `src` — how codes move between blocks that
+    /// already share a width.
+    ///
+    /// # Panics
+    /// Panics if `i` is out of range or the widths differ.
+    pub fn push_from(&mut self, src: &PackedCodes, i: usize) {
+        assert!(self.n == 0 || self.bits == src.bits, "code length mismatch");
+        (self.bits, self.stride) = (src.bits, src.stride);
+        self.words.extend_from_slice(src.words(i));
+        self.n += 1;
+    }
+
+    /// The packed words of code `i` ([`BinaryCode::words`] of the code
+    /// that was pushed).
+    ///
+    /// # Panics
+    /// Panics if `i` is out of range.
+    #[inline]
+    pub fn words(&self, i: usize) -> &[u64] {
+        assert!(i < self.n, "code index {i} out of range {}", self.n);
+        &self.words[i * self.stride..(i + 1) * self.stride]
     }
 
     /// Number of packed codes.
@@ -93,9 +129,8 @@ impl PackedCodes {
     /// Panics if `i` is out of range or the widths differ.
     #[inline]
     pub fn distance(&self, i: usize, q: &BinaryCode) -> u32 {
-        assert!(i < self.n, "code index {i} out of range {}", self.n);
         assert_eq!(self.bits, q.len(), "code length mismatch");
-        hamming_words(&self.words[i * self.stride..(i + 1) * self.stride], q.words())
+        hamming_words(self.words(i), q.words())
     }
 
     /// Scans every packed code against `q`, invoking `out(index,

@@ -4,8 +4,11 @@
 
 use crate::code::BinaryCode;
 use crate::error::SearchError;
+use crate::matrix::euclidean_distance;
+use crate::packed::PackedCodes;
 use crate::topk::top_k_hits;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A scored candidate; lower score is better.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -21,15 +24,7 @@ pub fn euclidean_top_k(database: &[Vec<f32>], query: &[f32], k: usize) -> Vec<Hi
     let hits = database
         .iter()
         .enumerate()
-        .map(|(i, v)| Hit {
-            index: i,
-            distance: v
-                .iter()
-                .zip(query)
-                .map(|(&a, &b)| (a as f64 - b as f64).powi(2))
-                .sum::<f64>()
-                .sqrt(),
-        })
+        .map(|(i, v)| Hit { index: i, distance: euclidean_distance(v, query) })
         .collect();
     top_k_hits(hits, k)
 }
@@ -45,11 +40,12 @@ pub fn hamming_top_k(database: &[BinaryCode], query: &BinaryCode, k: usize) -> V
 }
 
 /// A hash-table index over binary codes supporting exact table lookups
-/// within Hamming radius 2 and the hybrid strategy of Section V-E.
+/// within Hamming radius 2 and the hybrid strategy of Section V-E. The
+/// table reads the caller's [`PackedCodes`] through a shared handle and
+/// keeps no copy of its own; buckets are keyed by a code's packed words.
 pub struct HammingTable {
-    buckets: HashMap<BinaryCode, Vec<usize>>,
-    codes: Vec<BinaryCode>,
-    bits: usize,
+    buckets: HashMap<Box<[u64]>, Vec<usize>>,
+    codes: Arc<PackedCodes>,
 }
 
 impl HammingTable {
@@ -63,22 +59,24 @@ impl HammingTable {
         Self::try_build(codes).unwrap_or_else(|e| panic!("HammingTable::build: {e}"))
     }
 
-    /// Builds the table from database codes, rejecting databases that
-    /// mix code widths with [`SearchError::InconsistentCodes`].
+    /// Packs `codes` and builds the table over them, rejecting databases
+    /// that mix code widths with [`SearchError::InconsistentCodes`].
     pub fn try_build(codes: Vec<BinaryCode>) -> Result<Self, SearchError> {
-        let bits = codes.first().map(|c| c.len()).unwrap_or(0);
-        let mut buckets: HashMap<BinaryCode, Vec<usize>> = HashMap::new();
-        for (i, c) in codes.iter().enumerate() {
-            if c.len() != bits {
-                return Err(SearchError::InconsistentCodes {
-                    position: i,
-                    expected: bits,
-                    got: c.len(),
-                });
-            }
-            buckets.entry(c.clone()).or_default().push(i);
+        Ok(Self::over(Arc::new(PackedCodes::build(&codes)?)))
+    }
+
+    /// Builds the table over codes the caller keeps sharing.
+    pub fn over(codes: Arc<PackedCodes>) -> Self {
+        let mut buckets: HashMap<Box<[u64]>, Vec<usize>> = HashMap::new();
+        for i in 0..codes.len() {
+            buckets.entry(codes.words(i).into()).or_default().push(i);
         }
-        Ok(HammingTable { buckets, codes, bits })
+        HammingTable { buckets, codes }
+    }
+
+    /// The codes this table indexes (the handle it was built over).
+    pub fn codes(&self) -> &Arc<PackedCodes> {
+        &self.codes
     }
 
     /// Number of indexed codes.
@@ -119,12 +117,12 @@ impl HammingTable {
         if self.codes.is_empty() {
             return Ok(Vec::new());
         }
-        if query.len() != self.bits {
-            return Err(SearchError::WidthMismatch { query: query.len(), index: self.bits });
+        if query.len() != self.codes.bits() {
+            return Err(SearchError::WidthMismatch { query: query.len(), index: self.codes.bits() });
         }
         let mut out = Vec::new();
         let probe = |code: &BinaryCode, dist: u32, out: &mut Vec<(u32, Vec<usize>)>| {
-            if let Some(members) = self.buckets.get(code) {
+            if let Some(members) = self.buckets.get(code.words()) {
                 match out.iter_mut().find(|(d, _)| *d == dist) {
                     Some((_, v)) => v.extend_from_slice(members),
                     None => out.push((dist, members.clone())),
@@ -133,14 +131,14 @@ impl HammingTable {
         };
         probe(query, 0, &mut out);
         if r >= 1 {
-            for i in 0..self.bits {
+            for i in 0..query.len() {
                 probe(&query.with_flipped(i), 1, &mut out);
             }
         }
         if r >= 2 {
-            for i in 0..self.bits {
+            for i in 0..query.len() {
                 let flipped = query.with_flipped(i);
-                for j in (i + 1)..self.bits {
+                for j in (i + 1)..query.len() {
                     probe(&flipped.with_flipped(j), 2, &mut out);
                 }
             }
@@ -170,7 +168,9 @@ impl HammingTable {
                 .collect();
             Ok(top_k_hits(hits, k))
         } else {
-            Ok(hamming_top_k(&self.codes, query, k))
+            let mut hits = Vec::with_capacity(self.codes.len());
+            self.codes.scan_into(query, |i, d| hits.push(Hit { index: i, distance: d as f64 }));
+            Ok(top_k_hits(hits, k))
         }
     }
 }

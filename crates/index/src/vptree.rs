@@ -8,8 +8,10 @@
 //! whole subtrees at query time. It complements the Hamming-space
 //! structures as the Euclidean-space index of this library.
 
+use crate::matrix::{euclidean_distance, EmbeddingMatrix};
 use crate::search::Hit;
 use crate::topk::sort_hits;
+use std::sync::Arc;
 
 #[derive(Debug)]
 enum Node {
@@ -25,39 +27,43 @@ enum Node {
     },
 }
 
-/// An exact Euclidean k-NN index over fixed-width embeddings.
+/// An exact Euclidean k-NN index over fixed-width embeddings. The tree
+/// reads the caller's [`EmbeddingMatrix`] through a shared handle and
+/// keeps no copy of its own.
 pub struct VpTree {
     root: Node,
-    data: Vec<Vec<f32>>,
-    dim: usize,
-}
-
-fn dist(a: &[f32], b: &[f32]) -> f64 {
-    a.iter()
-        .zip(b)
-        .map(|(&x, &y)| (x as f64 - y as f64).powi(2))
-        .sum::<f64>()
-        .sqrt()
+    data: Arc<EmbeddingMatrix>,
 }
 
 impl VpTree {
-    /// Builds the tree. Deterministic: the vantage point of each split is
-    /// the first element of the current id set.
+    /// Copies `data` into a matrix and builds the tree over it.
     ///
     /// # Panics
     /// Panics if embeddings have inconsistent widths.
     pub fn build(data: Vec<Vec<f32>>) -> Self {
-        let dim = data.first().map(Vec::len).unwrap_or(0);
-        for v in &data {
-            assert_eq!(v.len(), dim, "inconsistent embedding widths");
+        let mut matrix = EmbeddingMatrix::default();
+        for row in &data {
+            matrix.push(row).unwrap_or_else(|e| panic!("VpTree::build: {e}"));
         }
+        Self::over(Arc::new(matrix))
+    }
+
+    /// Builds the tree over embeddings the caller keeps sharing.
+    /// Deterministic: the vantage point of each split is the first
+    /// element of the current id set.
+    pub fn over(data: Arc<EmbeddingMatrix>) -> Self {
         // lint: allow(lossy-cast) — corpus slots are capped far below 2^32 (u32 node ids by design)
         let ids: Vec<u32> = (0..data.len() as u32).collect();
         let root = Self::build_node(&data, ids);
-        VpTree { root, data, dim }
+        VpTree { root, data }
     }
 
-    fn build_node(data: &[Vec<f32>], mut ids: Vec<u32>) -> Node {
+    /// The embeddings this tree indexes (the handle it was built over).
+    pub fn data(&self) -> &Arc<EmbeddingMatrix> {
+        &self.data
+    }
+
+    fn build_node(data: &EmbeddingMatrix, mut ids: Vec<u32>) -> Node {
         const LEAF_SIZE: usize = 16;
         if ids.len() <= LEAF_SIZE {
             return Node::Leaf(ids);
@@ -67,7 +73,7 @@ impl VpTree {
         let mut scored: Vec<(f64, u32)> = rest
             .into_iter()
             // lint: allow(lossy-cast) — u32 node ids widen losslessly into usize
-            .map(|id| (dist(&data[vantage as usize], &data[id as usize]), id))
+            .map(|id| (euclidean_distance(data.row(vantage as usize), data.row(id as usize)), id))
             .collect();
         // total_cmp puts NaN distances past the median split instead of
         // leaving the partition order comparator-dependent.
@@ -100,7 +106,7 @@ impl VpTree {
 
     /// Width of the indexed embeddings (0 for an empty tree).
     pub fn dim(&self) -> usize {
-        self.dim
+        self.data.dim()
     }
 
     /// True when the index holds nothing.
@@ -114,7 +120,7 @@ impl VpTree {
     /// # Panics
     /// Panics if the query width differs from the indexed embeddings'.
     pub fn top_k_counted(&self, query: &[f32], k: usize) -> (Vec<Hit>, usize) {
-        assert_eq!(query.len(), self.dim, "query width mismatch");
+        assert_eq!(query.len(), self.dim(), "query width mismatch");
         if self.data.is_empty() || k == 0 {
             return (Vec::new(), 0);
         }
@@ -181,14 +187,14 @@ impl VpTree {
             Node::Leaf(ids) => {
                 for &id in ids {
                     // lint: allow(lossy-cast) — u32 node ids widen losslessly into usize
-                    let d = dist(query, &self.data[id as usize]);
+                    let d = euclidean_distance(query, self.data.row(id as usize));
                     *evaluations += 1;
                     self.consider(id, d, k, best, tau);
                 }
             }
             Node::Inner { vantage, radius, inside, outside } => {
                 // lint: allow(lossy-cast) — u32 node ids widen losslessly into usize
-                let d = dist(query, &self.data[*vantage as usize]);
+                let d = euclidean_distance(query, self.data.row(*vantage as usize));
                 *evaluations += 1;
                 self.consider(*vantage, d, k, best, tau);
                 // Visit the more promising side first.

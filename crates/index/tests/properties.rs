@@ -1,7 +1,15 @@
 //! Property-based tests of binary codes and the search structures.
 
 use proptest::prelude::*;
-use traj_index::{euclidean_top_k, hamming_top_k, BinaryCode, HammingTable};
+use traj_index::{
+    euclidean_top_k, hamming_top_k, BinaryCode, EmbeddingMatrix, HammingTable, PackedCodes,
+    SearchError, VpTree,
+};
+
+/// Code widths around the word boundaries, and the embedding widths the
+/// flat stores must hold: none, one, the model's.
+const WIDTHS: [usize; 5] = [1, 63, 64, 65, 128];
+const DIMS: [usize; 3] = [0, 1, 32];
 
 fn signs_strategy(bits: usize) -> impl Strategy<Value = Vec<i8>> {
     proptest::collection::vec(proptest::bool::ANY, bits)
@@ -123,6 +131,74 @@ proptest! {
                     prop_assert!(d + 1e-9 >= worst.distance);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn packed_codes_by_push_equal_build_and_rows_round_trip(
+        signs in (0usize..5).prop_flat_map(|w| {
+            proptest::collection::vec(signs_strategy(WIDTHS[w]), 0..24)
+        }),
+        other in 0usize..5,
+    ) {
+        let codes: Vec<BinaryCode> = signs.iter().map(|s| BinaryCode::from_signs(s)).collect();
+        let built = PackedCodes::build(&codes).unwrap();
+        let (mut pushed, mut moved) = (PackedCodes::default(), PackedCodes::default());
+        for (i, c) in codes.iter().enumerate() {
+            pushed.push(c).unwrap();
+            moved.push_from(&built, i);
+            prop_assert_eq!(built.words(i), c.words());
+            prop_assert_eq!(built.distance(i, &codes[0]), c.hamming(&codes[0]));
+        }
+        prop_assert_eq!(&pushed, &built);
+        prop_assert_eq!(&moved, &built);
+        prop_assert_eq!((built.len(), built.bits()), (codes.len(), codes.first().map_or(0, |c| c.len())));
+        // Another width is a typed error that stores nothing; an empty
+        // corpus has no width yet and takes any.
+        let stranger = BinaryCode::zeros(WIDTHS[other]);
+        if codes.is_empty() || stranger.len() == built.bits() {
+            prop_assert_eq!(pushed.push(&stranger), Ok(()));
+        } else {
+            let refused = SearchError::InconsistentCodes {
+                position: codes.len(),
+                expected: built.bits(),
+                got: stranger.len(),
+            };
+            prop_assert_eq!(pushed.push(&stranger), Err(refused));
+            prop_assert_eq!(&pushed, &built);
+        }
+    }
+
+    #[test]
+    fn embedding_matrix_by_push_equals_the_packed_rows_and_round_trips(
+        rows in (0usize..3).prop_flat_map(|d| {
+            proptest::collection::vec(proptest::collection::vec(-10.0f32..10.0, DIMS[d]), 0..24)
+        }),
+        other in 0usize..3,
+    ) {
+        // `VpTree::build` is the adapter that packs `Vec` rows.
+        let tree = VpTree::build(rows.clone());
+        let built: &EmbeddingMatrix = tree.data();
+        let (mut pushed, mut moved) = (EmbeddingMatrix::default(), EmbeddingMatrix::default());
+        for (i, r) in rows.iter().enumerate() {
+            pushed.push(r).unwrap();
+            moved.push_from(built, i);
+            prop_assert_eq!(built.row(i), r.as_slice());
+        }
+        prop_assert_eq!(&pushed, built);
+        prop_assert_eq!(&moved, built);
+        prop_assert_eq!((built.len(), built.dim()), (rows.len(), rows.first().map_or(0, Vec::len)));
+        let stranger = vec![0.5f32; DIMS[other]];
+        if rows.is_empty() || stranger.len() == built.dim() {
+            prop_assert_eq!(pushed.push(&stranger), Ok(()));
+        } else {
+            let refused = SearchError::InconsistentEmbeddings {
+                position: rows.len(),
+                expected: built.dim(),
+                got: stranger.len(),
+            };
+            prop_assert_eq!(pushed.push(&stranger), Err(refused));
+            prop_assert_eq!(&pushed, built);
         }
     }
 }

@@ -7,8 +7,8 @@
 //! executes **every** interleaving of those steps, checking an
 //! invariant after each one. That is exact — not sampled — coverage of
 //! the schedule space, which is feasible because the publish protocol's
-//! critical sections ([`crate::cell::PublishCell::pin`] /
-//! [`publish`](crate::cell::PublishCell::publish)) are themselves
+//! critical sections ([`traj_engine::PublishCell::pin`] /
+//! [`publish`](traj_engine::PublishCell::publish)) are themselves
 //! atomic under the cell's lock: any real concurrent execution is
 //! equivalent to *some* sequential interleaving of these steps, so
 //! checking all interleavings checks all executions.
@@ -17,10 +17,12 @@
 //! `(Σ lens)! / Π lens!` ([`interleaving_count`]); tests assert the
 //! exact value so nobody can silently shrink the explored space.
 //!
-//! Used by the `loomlet_publish` suite to verify reader pin / writer
-//! publish / hot-swap schedules over real `ShardCell`s and the model
-//! blueprint cell: monotone publish sequences, no torn views, and
-//! every pinned value is one a writer actually published.
+//! Used by the `loomlet_publish` suite (which `mod`-includes this file;
+//! the enumerator is test tooling, not part of `traj-engine`'s API) to
+//! verify reader pin / writer publish / hot-swap schedules over real
+//! `ShardCell`s and the model blueprint cell: monotone publish
+//! sequences, no torn views, and every pinned value is one a writer
+//! actually published.
 
 use std::fmt;
 

@@ -420,6 +420,65 @@ fn check_degrade_drill(shards: usize) {
         engine.query(q, 10, Strategy::EuclideanBf).unwrap(),
         healthy[Strategy::EuclideanBf.index()]
     );
+
+    // The same drill over every region a shard can hold: indexed base
+    // rows, delta rows, and tombstones in both. One scan loop serves the
+    // healthy delta and the whole degraded shard, so the answers must
+    // be the same hits, bit for bit, for every strategy.
+    let fresh: Vec<u64> = dataset.query[1..5].iter().map(|t| engine.insert(t.clone())).collect();
+    for id in [2u64, 9, 40, fresh[1]] {
+        engine.remove(id).unwrap();
+    }
+    let stats = engine.stats();
+    assert_eq!((stats.delta, stats.dead, stats.degraded), (4, 4, false), "no rebuild fired");
+    let answers = |engine: &ShardedEngine| -> Vec<_> {
+        let per_k = |k| Strategy::ALL.map(|s| engine.query(q, k, s).unwrap());
+        [1usize, 10, 60].map(per_k).to_vec()
+    };
+    let healthy = answers(&engine);
+    engine.force_degrade();
+    assert!(engine.stats().degraded);
+    assert_eq!(answers(&engine), healthy, "degraded shards answer differently");
+    assert!(engine.recover());
+    assert_eq!(answers(&engine), healthy, "recovery changed the answers");
+}
+
+/// `QueryInfo::overfetch` is the tombstone margin a path actually added
+/// to the `k` it asked of an exact index: `Mih`, and `EuclideanBf` under
+/// the VP-tree. Scans and radius-2 balls filter instead, and report 0 —
+/// at the parent every healthy shard charged its tombstones to every
+/// strategy.
+#[test]
+fn overfetch_is_charged_only_to_the_paths_that_over_fetch() {
+    let (dataset, model) = world();
+    let removed = [0u64, 7, 13, 44, 80];
+    for shards in SHARDS {
+        for backend in [EuclideanBackend::BruteForce, EuclideanBackend::VpTree] {
+            let cfg = EngineConfig { euclidean_backend: backend, ..EngineConfig::default() };
+            let mut engine = build(&model, &dataset.database, cfg, shards);
+            for id in removed {
+                engine.remove(id).unwrap();
+            }
+            assert_eq!(engine.stats().dead, removed.len(), "no rebuild fired");
+            let mut charged = 0;
+            for strategy in Strategy::ALL {
+                let (_, info) = engine.query_with_info(&dataset.query[0], 5, strategy).unwrap();
+                let over_fetches = strategy == Strategy::Mih
+                    || (strategy == Strategy::EuclideanBf && backend == EuclideanBackend::VpTree);
+                let want = if over_fetches { removed.len() } else { 0 };
+                assert_eq!(
+                    info.overfetch,
+                    want,
+                    "{} at shards={shards} under {backend:?}",
+                    strategy.name()
+                );
+                charged += want;
+            }
+            // The engine's histogram inherits the per-query figure.
+            let overfetch = engine.telemetry().overfetch;
+            assert_eq!((overfetch.count(), overfetch.sum()), (5, charged as f64));
+        }
+    }
 }
 
 /// `hot_swap` must adopt the replacement's per-shard config: the
@@ -603,6 +662,33 @@ fn snapshot_survives_the_filesystem() {
             engine.query(&dataset.query[0], 10, Strategy::Mih).unwrap(),
         );
         assert_eq!(engine.telemetry().snapshot_saves, 1);
+    }
+}
+
+/// `T2HSNAP1` did not change with the row store. The fixture was written
+/// by the parent of that change (PR 16, `e55bb4a`): the tiny model of
+/// [`world`], `database[..20]` built at two shards, `query[0]` inserted
+/// (id 20) and id 7 removed. It must load into `Rows`, answer every
+/// strategy like the scan oracle over the rows it holds, and serialise
+/// back to the same bytes.
+#[test]
+fn snapshot_written_before_the_row_store_loads_and_reserialises_identically() {
+    let bytes: &[u8] = include_bytes!("fixtures/pr16_tiny_20rows.t2hsnap");
+    for shards in SHARDS {
+        let engine = ShardedEngine::from_snapshot_bytes(bytes, scfg(shards)).unwrap();
+        let ids: Vec<u64> = (0..=20).filter(|&id| id != 7).collect();
+        assert_eq!(engine.ids(), ids);
+        assert_eq!(engine.snapshot_bytes().unwrap(), bytes, "re-serialised at shards={shards}");
+        engine.pin().check_consistent().unwrap();
+
+        // The oracle numbers its rows 0..n, so it gets a stand-in for
+        // the row the fixture no longer holds and removes it again.
+        let row = |id: u64| engine.get(id).unwrap_or_else(|| engine.get(0).unwrap());
+        let corpus: Vec<Trajectory> = (0..=20).map(row).collect();
+        let mut oracle = Oracle::build(engine.model(), &corpus);
+        assert!(oracle.remove(7));
+        let queries = [row(3), row(12), row(20)];
+        assert_engine_matches(&engine, &oracle, engine.model(), &queries, &[1, 5, 30], "fixture");
     }
 }
 

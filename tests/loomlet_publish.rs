@@ -1,6 +1,6 @@
 //! Model-checking the publish protocol with the loomlet enumerator.
 //!
-//! [`traj_engine::loomlet::explore`] executes **every** interleaving of
+//! [`loomlet::explore`] executes **every** interleaving of
 //! a reader / writer / hot-swap schedule over real publish cells — a
 //! [`ShardCell`] holding genuine [`ShardState`] generations and the
 //! [`ModelBlueprint`] version cell — and checks the protocol's
@@ -19,11 +19,14 @@
 //! The enumeration count is asserted against the exact multinomial so
 //! the explored schedule space can never silently shrink.
 
+#[path = "common/loomlet.rs"]
+mod loomlet;
+
 use std::sync::Arc;
 
+use loomlet::{explore, interleaving_count, Step};
 use traj_data::{CityParams, Dataset, SplitSizes, Trajectory};
-use traj_engine::loomlet::{explore, interleaving_count, Step};
-use traj_engine::shard::ShardState;
+use traj_engine::shard::{Rows, ShardState};
 use traj_engine::sharded::ShardCell;
 use traj_engine::{EngineConfig, ModelBlueprint, PublishCell};
 use traj_index::BinaryCode;
@@ -53,13 +56,11 @@ fn entries(model: &Traj2Hash, trajs: &[Trajectory]) -> Vec<(u64, Trajectory, Vec
 }
 
 fn build_state(rows: &[(u64, Trajectory, Vec<f32>, BinaryCode)], cfg: &EngineConfig) -> ShardState {
-    ShardState::build(
-        rows.iter().map(|r| r.0).collect(),
-        rows.iter().map(|r| r.1.clone()).collect(),
-        rows.iter().map(|r| r.2.clone()).collect(),
-        rows.iter().map(|r| r.3.clone()).collect(),
-        cfg,
-    )
+    let mut block = Rows::default();
+    for (id, traj, emb, code) in rows {
+        block.push(*id, traj.clone(), emb, code).unwrap();
+    }
+    ShardState::build(block, cfg)
 }
 
 /// The shared state each schedule runs over: both publish cells plus
@@ -183,7 +184,7 @@ fn every_interleaving_of_reader_writer_swap_holds_the_invariants() {
             let (traj, emb, code) = (ins_traj, ins_emb, ins_code);
             Box::new(move |w: &mut World| {
                 let cur = w.shard.pin();
-                let next = cur.with_insert(ins_id, traj.clone(), emb.clone(), code.clone());
+                let next = cur.with_insert(ins_id, traj.clone(), &emb, &code).unwrap();
                 let seq = w.shard.publish(next);
                 w.published.push(seq);
             })
