@@ -1,10 +1,52 @@
-//! Typed training errors, replacing the library-code asserts the seed
-//! used (a bad config or degenerate dataset should be handleable by
-//! the caller, not abort the process).
+//! Typed training and encoding errors, replacing the library-code
+//! asserts the seed used (a bad config, a degenerate dataset or a
+//! hostile trajectory should be handleable by the caller, not abort the
+//! process).
 
 use crate::checkpoint::CheckpointError;
 use std::fmt;
+use traj_data::Trajectory;
 use traj_dist::PruneError;
+
+/// Why [`crate::Traj2Hash::try_embed`] refused a trajectory.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum EmbedError {
+    /// The trajectory has no points: there is no first token to read out.
+    Empty,
+    /// A coordinate is NaN or infinite: every embedding value, and every
+    /// distance computed from it, would be NaN.
+    NonFinite {
+        /// Position of the first offending point.
+        point: usize,
+    },
+}
+
+impl EmbedError {
+    /// `Ok` exactly when [`crate::Traj2Hash::try_embed`] accepts `t`, for
+    /// callers that must refuse an input before doing any other work.
+    pub fn check(t: &Trajectory) -> Result<(), EmbedError> {
+        if t.is_empty() {
+            return Err(EmbedError::Empty);
+        }
+        match t.points.iter().position(|p| !(p.x.is_finite() && p.y.is_finite())) {
+            Some(point) => Err(EmbedError::NonFinite { point }),
+            None => Ok(()),
+        }
+    }
+}
+
+impl fmt::Display for EmbedError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            EmbedError::Empty => write!(f, "trajectory has no points"),
+            EmbedError::NonFinite { point } => {
+                write!(f, "point {point} has a non-finite coordinate")
+            }
+        }
+    }
+}
+
+impl std::error::Error for EmbedError {}
 
 /// Why training could not start or complete.
 #[derive(Debug)]

@@ -30,6 +30,7 @@
 
 use crate::config::Readout;
 use crate::encoder::{GpsChannelEncoder, GridChannelEncoder};
+use crate::error::EmbedError;
 use crate::model::Traj2Hash;
 use tinynn::tensor::{
     add_bias, matmul_into, matmul_nt_into, softmax_rows_in_place, MatMut, MatRef,
@@ -209,12 +210,9 @@ fn grid_direction(s: &mut Scratch, enc: &GridChannelEncoder, n: usize, reversed:
     mean_rows(&s.z, &mut s.fused[d..]);
 }
 
-/// The Euclidean embedding `h_f^T` of `t` (Eq. 15).
-///
-/// # Panics
-/// Panics on an empty trajectory.
-pub(crate) fn embed(model: &Traj2Hash, t: &Trajectory) -> Tensor {
-    assert!(!t.is_empty(), "cannot encode an empty trajectory");
+/// The Euclidean embedding `h_f^T` of `t` (Eq. 15), or why `t` has none.
+pub(crate) fn try_embed(model: &Traj2Hash, t: &Trajectory) -> Result<Tensor, EmbedError> {
+    EmbedError::check(t)?;
     let s = &mut *model.scratch.borrow_mut();
     let (gps, grid) = (&model.gps, model.grid.as_ref());
     let (n, d) = (t.len(), gps.dim);
@@ -245,5 +243,5 @@ pub(crate) fn embed(model: &Traj2Hash, t: &Trajectory) -> Tensor {
         mlp(&model.fuse, &s.fused, 1, &mut s.z, &mut s.hidden);
         matmul_into(MatMut::new(out_dir, 1, width), MatRef::new(&s.z, 1, d), w_p.value.view());
     }
-    Tensor::from_vec(1, directions * width, out)
+    Ok(Tensor::from_vec(1, directions * width, out))
 }

@@ -52,7 +52,7 @@ pub mod trainer;
 
 pub use checkpoint::{Checkpoint, CheckpointError, RecoveryEvent, RecoveryKind};
 pub use config::{ModelConfig, Readout, TrainConfig};
-pub use error::TrainError;
+pub use error::{EmbedError, TrainError};
 pub use iofault::{
     clean_stale_tmps, durable_write, durable_write_retry, with_fault_plan, FaultPlan, FaultRule,
     FaultWhen, RetryPolicy, WriteFault, WriteReceipt,

@@ -9,10 +9,12 @@
 
 use crate::config::ModelConfig;
 use crate::encoder::{GpsChannelEncoder, GridChannelEncoder};
+use crate::error::EmbedError;
 use crate::infer::{self, Scratch};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cell::RefCell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use tinynn::{Mlp, Param, ParamSet, Tape, Tensor, Var};
 use traj_data::{NormStats, Trajectory};
@@ -220,11 +222,23 @@ impl Traj2Hash {
 
     /// Inference: the Euclidean embedding as a plain tensor — the value
     /// of [`Traj2Hash::embed_var`], bit for bit, computed without a tape.
+    /// An empty trajectory or a non-finite coordinate is an
+    /// [`EmbedError`], not a panic and not a NaN embedding.
+    pub fn try_embed(&self, t: &Trajectory) -> Result<Tensor, EmbedError> {
+        infer::try_embed(self, t)
+    }
+
+    /// [`Traj2Hash::try_embed`] for trajectories the caller knows to be
+    /// well-formed.
     ///
     /// # Panics
-    /// Panics on an empty trajectory.
+    /// Panics on an empty trajectory or a non-finite coordinate.
     pub fn embed(&self, t: &Trajectory) -> Tensor {
-        infer::embed(self, t)
+        match self.try_embed(t) {
+            Ok(embedding) => embedding,
+            Err(EmbedError::Empty) => panic!("cannot encode an empty trajectory"),
+            Err(e) => panic!("cannot encode the trajectory: {e}"),
+        }
     }
 
     /// Inference: the hard binary code as `+-1` signs (Eq. 16).
@@ -241,9 +255,12 @@ impl Traj2Hash {
         ts.iter().map(|t| self.embed(t).data().to_vec()).collect()
     }
 
-    /// Batch embedding across `threads` scoped worker threads. Each
-    /// worker rebuilds a replica from [`Traj2Hash::spec`] and encodes a
-    /// contiguous slice of the corpus; results keep input order and are
+    /// Batch embedding on `threads` threads: this one and `threads - 1`
+    /// scoped workers, each worker on a replica rebuilt from
+    /// [`Traj2Hash::spec`]. Every thread claims the next unclaimed
+    /// trajectory until none is left, so a thread that starts late or
+    /// runs on a slower core takes fewer of them instead of holding the
+    /// call up with a fixed share. Results keep input order and are
     /// bit-identical to [`Traj2Hash::embed_all`] (every embed is an
     /// independent forward pass). `threads <= 1` stays on this thread.
     pub fn embed_all_with_threads(&self, ts: &[Trajectory], threads: usize) -> Vec<Vec<f32>> {
@@ -253,25 +270,30 @@ impl Traj2Hash {
         }
         let spec = self.spec();
         let values = self.params.clone_values();
-        let chunk = ts.len().div_ceil(threads);
-        let mut out: Vec<Vec<Vec<f32>>> = Vec::with_capacity(threads);
+        let next = AtomicUsize::new(0);
+        let claim = |model: &Traj2Hash| -> Vec<(usize, Vec<f32>)> {
+            let mut mine = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(t) = ts.get(i) else { return mine };
+                mine.push((i, model.embed(t).data().to_vec()));
+            }
+        };
+        let mut out = vec![Vec::new(); ts.len()];
         std::thread::scope(|scope| {
-            let handles: Vec<_> = ts
-                .chunks(chunk)
-                .map(|slice| {
-                    let spec = &spec;
-                    let values = &values;
-                    scope.spawn(move || {
-                        let replica = Traj2Hash::from_spec(spec, values);
-                        replica.embed_all(slice)
-                    })
-                })
+            let (claim, spec, values) = (&claim, &spec, &values);
+            let workers: Vec<_> = (1..threads)
+                .map(|_| scope.spawn(move || claim(&Traj2Hash::from_spec(spec, values))))
                 .collect();
-            for h in handles {
-                out.push(h.join().expect("encoder worker panicked"));
+            let mut done = claim(self);
+            for w in workers {
+                done.extend(w.join().expect("encoder worker panicked"));
+            }
+            for (i, embedding) in done {
+                out[i] = embedding;
             }
         });
-        out.into_iter().flatten().collect()
+        out
     }
 
     /// [`Traj2Hash::embed_all`] under the name the benchmark calls.
@@ -333,6 +355,22 @@ mod tests {
         let e = model.embed(&trajs[0]);
         assert_eq!(e.shape(), (1, model.embedding_dim()));
         assert!(e.is_finite());
+    }
+
+    #[test]
+    fn try_embed_refuses_what_embed_panics_on() {
+        let (model, trajs) = setup(ModelConfig::tiny());
+        assert_eq!(model.try_embed(&trajs[0]).unwrap(), model.embed(&trajs[0]));
+        assert_eq!(model.try_embed(&Trajectory::new(Vec::new())), Err(EmbedError::Empty));
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut t = trajs[0].clone();
+            t.points[2].y = bad;
+            assert_eq!(model.try_embed(&t), Err(EmbedError::NonFinite { point: 2 }));
+            let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| model.embed(&t)));
+            assert!(panicked.is_err(), "embed must not hand back a NaN embedding");
+        }
+        // A refusal leaves the scratch buffers usable.
+        assert!(model.embed(&trajs[1]).is_finite());
     }
 
     #[test]

@@ -350,6 +350,7 @@ fn run_batch(
         let (res_tx, res_rx) = mpsc::channel::<(usize, Vec<Tensor>)>();
         item = std::thread::scope(|scope| -> Result<f32, TrainError> {
             let mut grad_txs: Vec<mpsc::Sender<Vec<Tensor>>> = Vec::new();
+            let mut workers = Vec::new();
             for start in (0..n).step_by(chunk) {
                 let end = (start + chunk).min(n);
                 let my_trajs = &plan.trajs[start..end];
@@ -359,7 +360,7 @@ fn run_batch(
                 grad_txs.push(grad_tx);
                 let spec = &spec;
                 let values = &values;
-                scope.spawn(move || {
+                workers.push(scope.spawn(move || {
                     let replica = Traj2Hash::from_spec(spec, values);
                     let forwards: Vec<(Tape, Var)> = my_trajs
                         .iter()
@@ -385,7 +386,7 @@ fn run_batch(
                             .send((start + off, replica.params.take_grads()))
                             .expect("gradient result channel closed");
                     }
-                });
+                }));
             }
             drop(val_tx);
             drop(res_tx);
@@ -422,6 +423,15 @@ fn run_batch(
             for _ in 0..n {
                 let (k, g) = res_rx.recv().expect("gradient worker died");
                 per_slot[k] = Some(g);
+            }
+            // The scope waits only for each worker's closure to return;
+            // `join` waits for the thread itself, so its allocator arena
+            // is free again before the next batch spawns. Otherwise a
+            // worker still exiting sends its successor to a fresh arena,
+            // which grows to a batch of tapes and stays: 65 MiB more
+            // peak RSS, in some runs and not in others.
+            for w in workers {
+                w.join().expect("gradient worker died");
             }
             Ok(item)
         })?;

@@ -1,7 +1,7 @@
 //! Typed errors of the serving engine.
 
 use std::fmt;
-use traj2hash::CheckpointError;
+use traj2hash::{CheckpointError, EmbedError};
 use traj_index::SearchError;
 
 /// Why an engine operation failed.
@@ -52,6 +52,12 @@ impl std::error::Error for EngineError {
 impl From<SearchError> for EngineError {
     fn from(e: SearchError) -> Self {
         EngineError::Search(e)
+    }
+}
+
+impl From<EmbedError> for EngineError {
+    fn from(e: EmbedError) -> Self {
+        EngineError::InvalidInput(e.to_string())
     }
 }
 

@@ -51,7 +51,7 @@ use traj_data::Trajectory;
 use traj_index::search::Hit as SlotHit;
 use traj_index::topk::top_k_hits;
 use traj_index::BinaryCode;
-use traj2hash::{ModelSpec, Traj2Hash};
+use traj2hash::{EmbedError, ModelSpec, Traj2Hash};
 use tinynn::Tensor;
 
 /// Every live row across the pinned shards as `(block, row)`, in
@@ -506,6 +506,14 @@ impl ShardedEngine {
         state.slot_of(id).map(|s| state.traj_at(s).clone())
     }
 
+    /// The embedding stored for the live trajectory with stable id `id`
+    /// — the row the Euclidean strategies rank it by.
+    pub fn embedding(&self, id: u64) -> Option<Vec<f32>> {
+        let state = self.set.cells[self.shard_of(id)].pin();
+        let (rows, i) = state.row_at(state.slot_of(id)?);
+        Some(rows.embeddings().row(i).to_vec())
+    }
+
     /// Cumulative telemetry (shared with every reader).
     pub fn telemetry(&self) -> EngineTelemetry {
         tlock(&self.set.telemetry).clone()
@@ -594,7 +602,7 @@ impl ShardedEngine {
         k: usize,
         strategy: Strategy,
     ) -> Result<Vec<Vec<Hit>>, EngineError> {
-        qs.iter().try_for_each(validate_trajectory)?;
+        qs.iter().try_for_each(EmbedError::check)?;
         let states = self.set.pin_all();
         let threads = self.scfg.fan_out_threads;
         qs.iter()
@@ -614,8 +622,7 @@ impl ShardedEngine {
     /// [`EngineError::Search`]; either way nothing is stored, counted or
     /// published.
     pub fn try_insert(&mut self, t: Trajectory) -> Result<u64, EngineError> {
-        validate_trajectory(&t)?;
-        let embedding = self.model.embed(&t);
+        let embedding = self.model.try_embed(&t)?;
         let code = BinaryCode::from_floats(embedding.data());
         let id = self.next_id;
         let si = self.shard_of(id);
@@ -917,21 +924,6 @@ impl ShardedEngine {
     }
 }
 
-/// Rejects a trajectory the encoder cannot embed, as a query or as an
-/// insert: no points (the encoder asserts on it) or a non-finite
-/// coordinate (every distance would be NaN and the ranking meaningless).
-fn validate_trajectory(t: &Trajectory) -> Result<(), EngineError> {
-    if t.is_empty() {
-        return Err(EngineError::InvalidInput("trajectory has no points".into()));
-    }
-    match t.points.iter().position(|p| !(p.x.is_finite() && p.y.is_finite())) {
-        Some(i) => Err(EngineError::InvalidInput(format!(
-            "point {i} has a non-finite coordinate"
-        ))),
-        None => Ok(()),
-    }
-}
-
 /// Shared query path: validate, encode with the given model, pin-free
 /// (states already pinned), fan out, merge, record.
 fn query_pinned(
@@ -943,7 +935,8 @@ fn query_pinned(
     strategy: Strategy,
     threads: usize,
 ) -> Result<(Vec<Hit>, QueryInfo, QueryTrace), EngineError> {
-    validate_trajectory(q)?;
+    // Refused by the encoder's own rule, before the early return below.
+    EmbedError::check(q)?;
     let mut trace = TraceCtx::new();
     let degraded = states.iter().any(|s| s.degraded());
     let live: usize = states.iter().map(|s| s.live()).sum();
@@ -955,7 +948,7 @@ fn query_pinned(
     }
     let t0 = Instant::now();
     trace.step("embed");
-    let embedding = model.embed(q).data().to_vec();
+    let embedding = model.try_embed(q)?.data().to_vec();
     let code = BinaryCode::from_floats(&embedding);
     let encode_seconds = t0.elapsed().as_secs_f64();
     let (hits, info) = fan_out(states, strategy, &embedding, &code, k, threads, &mut trace);

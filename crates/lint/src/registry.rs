@@ -203,6 +203,13 @@ pub const ATOMIC_INTENTS: &[AtomicIntent] = &[
         why: "unique temp-file suffix; uniqueness needs atomicity, not ordering",
     },
     AtomicIntent {
+        path: "crates/core/src/model.rs",
+        atomic: "next",
+        allowed: &["Relaxed"],
+        why: "bulk-encode claim cursor; a claim needs atomicity only — the trajectories \
+              are read-only and every result reaches the caller through its thread's join",
+    },
+    AtomicIntent {
         path: "crates/engine/src/trace.rs",
         atomic: "QUERY_IDS",
         allowed: &["Relaxed"],

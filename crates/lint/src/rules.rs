@@ -163,10 +163,12 @@ pub fn no_silent_clamp(file: &ScannedFile, out: &mut Vec<Finding>) {
 /// `no-panic-in-engine`: crates on the serving and evaluation paths
 /// must never panic on operational input — a poisoned query or a dead
 /// worker must surface as a typed error (`EngineError`, `EvalError`),
-/// not take the process down. Applies to `crates/engine/src` and
-/// `crates/eval/src`.
+/// not take the process down. Applies to `crates/engine/src`,
+/// `crates/eval/src` and the encoder forward the engine calls,
+/// `crates/core/src/infer.rs`.
 pub fn no_panic_in_engine(file: &ScannedFile, out: &mut Vec<Finding>) {
-    if !file.path.contains("crates/engine/src") && !file.path.contains("crates/eval/src") {
+    const COVERED: &[&str] = &["crates/engine/src", "crates/eval/src", "crates/core/src/infer.rs"];
+    if !COVERED.iter().any(|p| file.path.contains(p)) {
         return;
     }
     const PATTERNS: &[&str] = &["panic!", ".expect(", "unreachable!", "todo!", "unimplemented!"];
@@ -548,7 +550,9 @@ mod tests {
     #[test]
     fn engine_panic_rule_is_path_scoped() {
         let src = "fn f() { panic!(\"boom\"); }\n";
-        for covered in ["crates/engine/src/engine.rs", "crates/eval/src/groundtruth.rs"] {
+        for covered in
+            ["crates/engine/src/engine.rs", "crates/eval/src/groundtruth.rs", "crates/core/src/infer.rs"]
+        {
             let file = scan(covered, src, false);
             let mut out = Vec::new();
             check_file(&file, true, &mut out);

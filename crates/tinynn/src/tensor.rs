@@ -54,32 +54,35 @@ fn max_lanes(v: &[f32]) -> f32 {
     m
 }
 
-/// Branch-free `exp` with ~3e-7 relative error, written so the
-/// auto-vectorizer can apply it lane-wise across a row (`f32::exp` calls
-/// into libm and keeps softmax scalar). Splits `x = k ln2 + f` with
-/// `|f| <= ln2 / 2` and evaluates a degree-5 Taylor polynomial for
-/// `e^f`, then scales by `2^k` through the exponent bits. Deterministic;
-/// inputs are clamped to the finite range so the bit shift cannot
-/// overflow.
+/// Branch-free `exp` with ~3e-7 relative error, free of everything that
+/// keeps a caller's loop scalar on baseline x86-64 (SSE2): no libm call
+/// (`f32::exp`, `f32::floor`) and no float-to-int cast (`as i32`
+/// saturates, which compiles to a scalar `cvttss2si` with a
+/// compare-and-select around it, once per element). Splits
+/// `x = k ln2 + f` with `|f| <= ln2 / 2` and evaluates a degree-5 Taylor
+/// polynomial for `e^f`, then scales by `2^k` through the exponent bits.
+/// Deterministic; inputs are clamped to the finite range so the bit
+/// shift cannot overflow, and the clamp passes NaN through to the
+/// result.
 #[inline]
 fn exp_approx(x: f32) -> f32 {
     const LOG2_E: f32 = std::f32::consts::LOG2_E;
     const LN_2: f32 = std::f32::consts::LN_2;
-    // Round-to-nearest without `floor()`: on baseline x86-64 (SSE2)
-    // `f32::floor` is a libm call, which would block vectorization of
-    // every caller loop. Adding and subtracting 1.5 * 2^23 snaps the
-    // value to an integer via the float rounding mode; exact for
-    // |t| < 2^22, and t = x log2(e) is within [-126, 127] here.
+    // Round-to-nearest by the float rounding mode: adding 1.5 * 2^23
+    // leaves no fraction bits, so `t` holds `MAGIC + k` exactly, with
+    // the integer `k` sitting in its low mantissa bits (ulp is 1 at this
+    // magnitude; exact for |k| < 2^22, and k is within [-126, 127]).
     const MAGIC: f32 = 12_582_912.0;
     let x = x.clamp(-87.0, 88.0);
-    let k = (x * LOG2_E + MAGIC) - MAGIC;
+    let t = x * LOG2_E + MAGIC;
+    let k = t - MAGIC;
     let f = x - k * LN_2;
     // e^f for |f| <= ln2/2 ~ 0.347: degree-5 Taylor, max rel. err ~2e-7.
     let p = 1.0
         + f * (1.0 + f * (0.5 + f * (1.0 / 6.0 + f * (1.0 / 24.0 + f * (1.0 / 120.0)))));
-    // lint: allow(lossy-cast) — k is a clamped f32 exponent in [-126, 127]; biased value fits 8 bits
-    let scale = f32::from_bits(((k as i32 + 127) as u32) << 23);
-    scale * p
+    // `k + 127` as integer arithmetic on the bit pattern of `t`.
+    let biased = t.to_bits().wrapping_sub(MAGIC.to_bits()).wrapping_add(127);
+    f32::from_bits(biased << 23) * p
 }
 
 /// A borrowed `rows x cols` matrix whose consecutive rows start `stride`
@@ -105,7 +108,8 @@ impl<'a> MatRef<'a> {
     /// The `len` columns starting at `start`, in place.
     pub fn cols_range(self, start: usize, len: usize) -> Self {
         assert!(start + len <= self.cols, "cols_range out of range");
-        MatRef { data: &self.data[start..], cols: len, ..self }
+        // A zero-row matrix has no data to skip into.
+        MatRef { data: &self.data[start.min(self.data.len())..], cols: len, ..self }
     }
 
     #[inline]
@@ -132,6 +136,7 @@ impl<'a> MatMut<'a> {
     /// The `len` columns starting at `start`, in place.
     pub fn cols_range(self, start: usize, len: usize) -> Self {
         assert!(start + len <= self.cols, "cols_range out of range");
+        let start = start.min(self.data.len());
         MatMut { data: &mut self.data[start..], cols: len, ..self }
     }
 
@@ -141,16 +146,64 @@ impl<'a> MatMut<'a> {
     }
 }
 
+/// One `MR x NR` tile of `out = a * b` at row `i`, column `j`: every
+/// cell's sum is formed from `0.0` in ascending `k` in an accumulator
+/// array small enough to stay in registers, then written once.
+#[inline(always)]
+fn matmul_tile<const MR: usize, const NR: usize>(
+    out: &mut MatMut<'_>,
+    a: MatRef<'_>,
+    b: MatRef<'_>,
+    i: usize,
+    j: usize,
+) {
+    let mut acc = [[0.0f32; NR]; MR];
+    for k in 0..b.rows {
+        let b_row = &b.row(k)[j..j + NR];
+        for (r, sums) in acc.iter_mut().enumerate() {
+            let av = a.row(i + r)[k];
+            for (sum, &bv) in sums.iter_mut().zip(b_row) {
+                *sum += av * bv;
+            }
+        }
+    }
+    for (r, sums) in acc.iter().enumerate() {
+        out.row_mut(i + r)[j..j + NR].copy_from_slice(sums);
+    }
+}
+
+/// The `MR` output rows starting at `i`, in tiles 16, 4 and 1 wide.
+#[inline(always)]
+fn matmul_band<const MR: usize>(out: &mut MatMut<'_>, a: MatRef<'_>, b: MatRef<'_>, i: usize) {
+    let mut j = 0;
+    while j + 16 <= out.cols {
+        matmul_tile::<MR, 16>(out, a, b, i, j);
+        j += 16;
+    }
+    while j + 4 <= out.cols {
+        matmul_tile::<MR, 4>(out, a, b, i, j);
+        j += 4;
+    }
+    while j < out.cols {
+        matmul_tile::<MR, 1>(out, a, b, i, j);
+        j += 1;
+    }
+}
+
 /// `out = a (n x m) * b (m x p)`.
 ///
-/// Blocked ikj kernel: the reduction dimension is tiled so the active
-/// rows of the right operand stay resident in L1/L2 across all rows
-/// of the output, and the inner loop runs over contiguous memory in
-/// both the right operand and the output, which lets LLVM vectorize
-/// it. For a fixed output cell, contributions are accumulated in
-/// ascending `k` regardless of the tile size, so results are
-/// bit-identical to the untiled kernel — and row `i` of the output
-/// depends on row `i` of `a` alone.
+/// Register-tiled: the output is covered by `2 x 16` tiles — eight
+/// accumulator registers on baseline x86-64 — with `2 x 4`, `2 x 1` and
+/// one-row tiles for the tails, each summed in registers over the whole
+/// shared dimension and stored once. The output is written, never
+/// read: a loop that keeps its sums in the output row reloads and
+/// stores that row for every `k`.
+///
+/// A tile changes which cells are in flight together, not the order of
+/// any cell's sum: whatever tile a cell falls in, its products are added
+/// to `0.0` in ascending `k`, one rounded multiply and one rounded add
+/// each, so every result bit is that of the plain one-row-at-a-time ikj
+/// loop — and row `i` of the output depends on row `i` of `a` alone.
 pub fn matmul_into(mut out: MatMut<'_>, a: MatRef<'_>, b: MatRef<'_>) {
     assert_eq!(
         a.cols, b.rows,
@@ -158,22 +211,13 @@ pub fn matmul_into(mut out: MatMut<'_>, a: MatRef<'_>, b: MatRef<'_>) {
         a.rows, a.cols, b.rows, b.cols
     );
     assert_eq!((out.rows, out.cols), (a.rows, b.cols), "matmul output shape mismatch");
-    // Tile height of the right-operand panel; 64 rows of up to ~256
-    // f32 columns keep the panel within a typical 64 KiB L1.
-    const KC: usize = 64;
-    for i in 0..out.rows {
-        out.row_mut(i).fill(0.0);
+    let mut i = 0;
+    while i + 2 <= out.rows {
+        matmul_band::<2>(&mut out, a, b, i);
+        i += 2;
     }
-    for kb in (0..a.cols).step_by(KC) {
-        let kend = (kb + KC).min(a.cols);
-        for i in 0..a.rows {
-            let out_row = out.row_mut(i);
-            for (k, &av) in a.row(i)[kb..kend].iter().enumerate() {
-                for (o, &bv) in out_row.iter_mut().zip(b.row(kb + k)) {
-                    *o += av * bv;
-                }
-            }
-        }
+    if i < out.rows {
+        matmul_band::<1>(&mut out, a, b, i);
     }
 }
 
@@ -198,12 +242,12 @@ fn matmul_transposed_into(mut out: MatMut<'_>, a: MatRef<'_>, b_t: MatRef<'_>) {
 /// summation order from the shape of `b` alone: with a short shared
 /// dimension (per-head attention, `d_head << n_keys`) the dot-product
 /// kernel's horizontal reductions dominate, so `b^T` is materialized
-/// into `b_t` and the wide ikj kernel runs instead. Because the choice
-/// never looks at `a`, a one-row `a` yields exactly row 0 of the full
-/// product.
+/// into `b_t` and the tiled ascending-`k` kernel runs instead. Because
+/// the choice never looks at `a`, a one-row `a` yields exactly row 0 of
+/// the full product.
 pub fn matmul_nt_into(out: MatMut<'_>, a: MatRef<'_>, b: MatRef<'_>, b_t: &mut Vec<f32>) {
     if b.rows >= 4 * b.cols {
-        b_t.clear();
+        // Every cell is overwritten below, so only growth is filled.
         b_t.resize(b.rows * b.cols, 0.0);
         for r in 0..b.rows {
             for (c, &x) in b.row(r).iter().enumerate() {
@@ -220,27 +264,30 @@ pub fn matmul_nt_into(out: MatMut<'_>, a: MatRef<'_>, b: MatRef<'_>, b_t: &mut V
 /// rows.
 ///
 /// Attention computes a softmax over every `n x n` score matrix, so
-/// this kernel avoids the two scalar-latency traps of the naive
-/// loop: libm `exp` (replaced by the vectorizable [`exp_approx`],
-/// ~3e-7 relative error) and serial max/sum reduction chains
-/// (replaced by eight-lane folds like [`dot_lanes`]).
+/// this kernel avoids the scalar-latency traps of the naive loop: libm
+/// `exp` (replaced by [`exp_approx`], ~3e-7 relative error) and serial
+/// max/sum reduction chains (replaced by eight-lane folds like
+/// [`dot_lanes`]). The exponentials are one element-wise pass of their
+/// own, which is the loop shape LLVM vectorizes; the sum pass then adds
+/// the stored values in the lane order a fused loop would.
 pub fn softmax_rows_in_place(data: &mut [f32], cols: usize) {
     for row in data.chunks_exact_mut(cols.max(1)) {
         let max = max_lanes(row);
+        for x in row.iter_mut() {
+            *x = exp_approx(*x - max);
+        }
         let mut sum_acc = [0.0f32; 8];
-        let chunks = row.len() / 8;
-        for c in 0..chunks {
-            let v = &mut row[c * 8..c * 8 + 8];
+        let chunks = row.chunks_exact(8);
+        let tail = chunks.remainder();
+        for v in chunks {
             for l in 0..8 {
-                v[l] = exp_approx(v[l] - max);
                 sum_acc[l] += v[l];
             }
         }
         let mut sum = ((sum_acc[0] + sum_acc[4]) + (sum_acc[2] + sum_acc[6]))
             + ((sum_acc[1] + sum_acc[5]) + (sum_acc[3] + sum_acc[7]));
-        for x in &mut row[chunks * 8..] {
-            *x = exp_approx(*x - max);
-            sum += *x;
+        for &x in tail {
+            sum += x;
         }
         if sum > 0.0 {
             let inv = 1.0 / sum;
@@ -727,8 +774,7 @@ mod tests {
     }
 
     #[test]
-    fn matmul_blocking_covers_tall_reductions() {
-        // Reduction dimension longer than one tile exercises the k-blocking.
+    fn matmul_covers_tall_reductions() {
         let a = Tensor::from_vec(2, 150, (0..300).map(|i| ((i % 7) as f32) - 3.0).collect());
         let b = Tensor::from_vec(150, 3, (0..450).map(|i| ((i % 5) as f32) * 0.25).collect());
         let c = a.matmul(&b);
@@ -807,5 +853,183 @@ mod tests {
         assert_eq!(a.data(), &[6.0, 12.0]);
         a.scale_assign(2.0);
         assert_eq!(a.data(), &[12.0, 24.0]);
+    }
+}
+
+/// The kernels above replaced a blocked ikj matmul, a cast-based
+/// `exp_approx` and a softmax that summed inside its `exp` loop. Those
+/// are kept here, verbatim and for tests only, as the references the
+/// replacements must equal in every `to_bits()`.
+#[cfg(test)]
+mod bit_identity {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn matmul_ikj_reference(mut out: MatMut<'_>, a: MatRef<'_>, b: MatRef<'_>) {
+        const KC: usize = 64;
+        for i in 0..out.rows {
+            out.row_mut(i).fill(0.0);
+        }
+        for kb in (0..a.cols).step_by(KC) {
+            let kend = (kb + KC).min(a.cols);
+            for i in 0..a.rows {
+                let out_row = out.row_mut(i);
+                for (k, &av) in a.row(i)[kb..kend].iter().enumerate() {
+                    for (o, &bv) in out_row.iter_mut().zip(b.row(kb + k)) {
+                        *o += av * bv;
+                    }
+                }
+            }
+        }
+    }
+
+    fn exp_cast_reference(x: f32) -> f32 {
+        const LOG2_E: f32 = std::f32::consts::LOG2_E;
+        const LN_2: f32 = std::f32::consts::LN_2;
+        const MAGIC: f32 = 12_582_912.0;
+        let x = x.clamp(-87.0, 88.0);
+        let k = (x * LOG2_E + MAGIC) - MAGIC;
+        let f = x - k * LN_2;
+        let p = 1.0
+            + f * (1.0 + f * (0.5 + f * (1.0 / 6.0 + f * (1.0 / 24.0 + f * (1.0 / 120.0)))));
+        let scale = f32::from_bits(((k as i32 + 127) as u32) << 23);
+        scale * p
+    }
+
+    fn softmax_reference(data: &mut [f32], cols: usize) {
+        for row in data.chunks_exact_mut(cols.max(1)) {
+            let max = max_lanes(row);
+            let mut sum_acc = [0.0f32; 8];
+            let chunks = row.len() / 8;
+            for c in 0..chunks {
+                let v = &mut row[c * 8..c * 8 + 8];
+                for l in 0..8 {
+                    v[l] = exp_cast_reference(v[l] - max);
+                    sum_acc[l] += v[l];
+                }
+            }
+            let mut sum = ((sum_acc[0] + sum_acc[4]) + (sum_acc[2] + sum_acc[6]))
+                + ((sum_acc[1] + sum_acc[5]) + (sum_acc[3] + sum_acc[7]));
+            for x in &mut row[chunks * 8..] {
+                *x = exp_cast_reference(*x - max);
+                sum += *x;
+            }
+            if sum > 0.0 {
+                let inv = 1.0 / sum;
+                for x in row.iter_mut() {
+                    *x *= inv;
+                }
+            }
+        }
+    }
+
+    /// `n` values from a seeded LCG: mostly within `[-4, 4)`, one in
+    /// eight a signed zero or a subnormal — or, when `wild`, an infinity.
+    fn values(seed: u32, n: usize, wild: bool) -> Vec<f32> {
+        const ALL: [f32; 6] = [0.0, -0.0, 1.0e-40, -3.0e-39, f32::INFINITY, f32::NEG_INFINITY];
+        let special = &ALL[..if wild { 6 } else { 4 }];
+        let mut s = seed;
+        let mut next = move || {
+            s = s.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            s >> 8
+        };
+        (0..n)
+            .map(|_| match next() {
+                r if r % 8 == 0 => special[next() as usize % special.len()],
+                r => r as f32 / (1u32 << 21) as f32 - 4.0,
+            })
+            .collect()
+    }
+
+    fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}: cell {i} is {g:e}, the reference {w:e}");
+        }
+    }
+
+    const ROWS: [usize; 8] = [0, 1, 2, 3, 5, 7, 72, 73];
+    const WIDE_COLS: [usize; 4] = [63, 64, 65, 96];
+    const SHARED: [usize; 6] = [0, 1, 16, 64, 65, 150];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// Random shapes, every operand a strided `cols_range` view of a
+        /// wider buffer, the output's other columns holding a sentinel.
+        #[test]
+        fn tiled_matmul_equals_the_ikj_loop(
+            shape in (0usize..ROWS.len(), 0usize..SHARED.len()),
+            cols in 1usize..=44,
+            pads in ((0usize..3, 0usize..3), (0usize..3, 0usize..3), (0usize..3, 0usize..3)),
+            seed in 0u32..u32::MAX,
+        ) {
+            let (n, m) = (ROWS[shape.0], SHARED[shape.1]);
+            let (pad_a, pad_b, pad_out) = pads;
+            let p = if cols <= 40 { cols } else { WIDE_COLS[cols - 41] };
+            let width = |pad: (usize, usize), cols: usize| pad.0 + cols + pad.1;
+            let (wa, wb, wo) = (width(pad_a, m), width(pad_b, p), width(pad_out, p));
+            // Infinities turn most of a wide sum into NaN, so half the
+            // cases go without them.
+            let wild = seed % 2 == 1;
+            let (a, b) = (values(seed, n * wa, wild), values(!seed, m * wb, wild));
+            let a_view = MatRef::new(&a, n, wa).cols_range(pad_a.0, m);
+            let b_view = MatRef::new(&b, m, wb).cols_range(pad_b.0, p);
+            const SENTINEL: f32 = 1234.5;
+            let (mut got, mut want) = (vec![SENTINEL; n * wo], vec![SENTINEL; n * wo]);
+            let out_view = |buf| MatMut::new(buf, n, wo).cols_range(pad_out.0, p);
+            matmul_into(out_view(&mut got), a_view, b_view);
+            matmul_ikj_reference(out_view(&mut want), a_view, b_view);
+            assert_same_bits(&got, &want, &format!("{n}x{m} * {m}x{p}"));
+            for row in got.chunks_exact(wo.max(1)) {
+                let outside = row[..pad_out.0].iter().chain(&row[pad_out.0 + p..]);
+                prop_assert!(outside.into_iter().all(|&x| x == SENTINEL), "wrote outside the range");
+            }
+
+            // The wide `Q K^T` regime runs the same tiles over its
+            // materialized `K^T`.
+            if m > 0 && p >= 4 * m {
+                let q = Tensor::from_vec(n, m, values(seed, n * m, wild));
+                let keys = Tensor::from_vec(p, m, values(!seed, p * m, wild));
+                let mut want = Tensor::zeros(n, p);
+                matmul_ikj_reference(want.view_mut(), q.view(), keys.transpose().view());
+                assert_same_bits(q.matmul_nt(&keys).data(), want.data(), "q * k^T");
+            }
+        }
+    }
+
+    #[test]
+    fn exp_approx_equals_the_cast_based_exponent() {
+        let sweep = (-51_200..=51_200).map(|i| i as f32 / 512.0);
+        let edges = [-87.0f32, 88.0, -87.000_01, 88.000_01, -86.999_99, 87.999_99, 0.0, -0.0];
+        let wild = [1.0e-40, f32::INFINITY, f32::NEG_INFINITY, f32::MAX, f32::MIN];
+        for x in sweep.chain(edges).chain(wild) {
+            let (got, want) = (exp_approx(x), exp_cast_reference(x));
+            assert_eq!(got.to_bits(), want.to_bits(), "exp_approx({x:e}): {got:e}, reference {want:e}");
+        }
+        assert!(exp_approx(f32::NAN).is_nan() && exp_cast_reference(f32::NAN).is_nan());
+    }
+
+    #[test]
+    fn softmax_equals_the_fused_loop() {
+        for cols in [1usize, 7, 8, 9, 69, 72] {
+            let mut rows = values(cols as u32, 3 * cols, true);
+            rows.iter_mut().for_each(|x| *x = if x.is_finite() { *x * 8.0 } else { *x });
+            rows.extend(std::iter::repeat_n(f32::NEG_INFINITY, cols));
+            rows.extend((0..cols).map(|i| if i == cols / 2 { f32::NAN } else { i as f32 * 0.3 }));
+            let mut want = rows.clone();
+            softmax_rows_in_place(&mut rows, cols);
+            softmax_reference(&mut want, cols);
+            for (i, (g, w)) in rows.iter().zip(&want).enumerate() {
+                assert!(
+                    g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                    "cols {cols} row {} cell {}: {g:e}, the reference {w:e}",
+                    i / cols,
+                    i % cols
+                );
+            }
+            // NaN in, NaN out: the trainer's divergence guard reads it.
+            assert!(rows[4 * cols..].iter().any(|x| x.is_nan()), "cols {cols}: NaN swallowed");
+        }
     }
 }

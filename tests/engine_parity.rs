@@ -681,6 +681,15 @@ fn snapshot_written_before_the_row_store_loads_and_reserialises_identically() {
         assert_eq!(engine.snapshot_bytes().unwrap(), bytes, "re-serialised at shards={shards}");
         engine.pin().check_consistent().unwrap();
 
+        // The stored rows were computed by `e55bb4a`'s kernels; today's
+        // must reproduce every bit of them from the snapshot's own model.
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        for &id in &ids {
+            let stored = engine.embedding(id).unwrap();
+            let fresh = engine.model().embed(&engine.get(id).unwrap());
+            assert_eq!(bits(fresh.data()), bits(&stored), "row {id} re-embeds differently");
+        }
+
         // The oracle numbers its rows 0..n, so it gets a stand-in for
         // the row the fixture no longer holds and removes it again.
         let row = |id: u64| engine.get(id).unwrap_or_else(|| engine.get(0).unwrap());
