@@ -7,6 +7,7 @@
 //! Hamming-space representation (Section V-A3). Simplifications relative
 //! to the original systems are documented per type and in DESIGN.md.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cltsim;

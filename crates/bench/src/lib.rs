@@ -6,6 +6,8 @@
 //! applicable `--city` / `--measure` filters; results print as aligned
 //! text tables in the same layout as the paper's.
 
+#![forbid(unsafe_code)]
+
 pub mod gtbench;
 pub mod harness;
 pub mod methods;

@@ -37,6 +37,7 @@
 //! be persisted to a checksummed [`checkpoint`] file and resumed after
 //! a crash via [`TrainConfig::resume`].
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod checkpoint;

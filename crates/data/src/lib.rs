@@ -6,6 +6,7 @@
 //! city generators that stand in for the Porto/ChengDu taxi corpora (see
 //! DESIGN.md for the substitution rationale).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod augment;

@@ -6,6 +6,7 @@
 //! pairwise distance matrices with the `exp(-theta * D)` similarity
 //! transform used as WMSE supervision (Section IV-F).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bounds;

@@ -1,19 +1,13 @@
 //! The publish cell: the one synchronization point of the concurrent
 //! serving stack.
 //!
-//! A [`PublishCell`] holds `RwLock<Arc<T>>` — readers [`pin`] the
-//! current value by cloning the `Arc` under a brief read lock, the
-//! writer [`publish`]es a replacement under the write lock. The cell
-//! stamps a strictly monotone sequence number (via [`Sequenced`]) into
-//! every published value, which is the invariant the loomlet
-//! interleaving tests and the shard concurrency suite assert: a reader
-//! can never observe the sequence move backwards, and every pinned
-//! value is exactly one that a writer published.
-//!
-//! Both publish points of [`crate::ShardedEngine`] are instances:
-//! per-shard [`crate::shard::ShardState`] cells, and the
-//! model-blueprint cell readers refresh their replica from after a hot
-//! swap.
+//! A [`PublishCell`] holds an `Arc<T>` and a sequence counter behind one
+//! `RwLock` — readers [`pin`] the current value by cloning the `Arc`
+//! under a brief read lock, the writer [`publish`]es a replacement under
+//! the write lock. The cell owns the counter and hands each publish the
+//! strictly increasing sequence it is about to stamp, so the value can
+//! record it. [`crate::ShardedEngine`] has exactly one cell: the view
+//! (model blueprint + every shard state) its readers pin.
 //!
 //! ## Poison policy
 //!
@@ -21,24 +15,15 @@
 //! sanctioned `RwLock` acquisition points (registered in traj-lint's
 //! `LOCK_HELPERS`, which bans bare `.read()`/`.write()` everywhere
 //! else). Recovery is sound *here* because of what the lock protects:
-//! the `Arc<T>` inside is only ever replaced wholesale, so even if a
-//! writer panics mid-[`publish`] the slot still holds the previous,
-//! fully published value — there is no partially-mutated state a
-//! poisoned guard could expose.
+//! the slot is only ever replaced wholesale, so even if a writer panics
+//! mid-[`publish`] it still holds the previous, fully published value
+//! and its sequence — there is no partially-mutated state a poisoned
+//! guard could expose.
 //!
 //! [`pin`]: PublishCell::pin
 //! [`publish`]: PublishCell::publish
 
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
-
-/// A value type carrying the publish sequence number the cell stamps.
-pub trait Sequenced {
-    /// The value's publish sequence.
-    fn seq(&self) -> u64;
-    /// Stamps the publish sequence (called by the cell under the write
-    /// lock, never by user code).
-    fn set_seq(&mut self, seq: u64);
-}
 
 /// Poison-proof read of an `RwLock`: a panicked writer must not wedge
 /// readers. See the module docs for why recovery is sound for publish
@@ -61,55 +46,36 @@ pub fn rwrite<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 }
 
 /// One atomic publish point: readers pin the current value, the writer
-/// swaps in the next generation. See the module docs.
+/// swaps in the next. See the module docs.
 pub struct PublishCell<T> {
-    slot: RwLock<Arc<T>>,
+    /// The sequence of the published value, and the value.
+    slot: RwLock<(u64, Arc<T>)>,
 }
 
-impl<T: Sequenced> PublishCell<T> {
-    /// A cell initially holding `value` (its sequence is kept as-is;
-    /// the first [`publish`](PublishCell::publish) stamps `seq + 1`).
+impl<T> PublishCell<T> {
+    /// A cell initially holding `value`, at sequence 0.
     pub fn new(value: T) -> PublishCell<T> {
-        PublishCell { slot: RwLock::new(Arc::new(value)) }
+        PublishCell { slot: RwLock::new((0, Arc::new(value))) }
     }
 
     /// Pins the current value: a brief read lock to clone the `Arc`,
     /// after which the holder's view is immutable for as long as it
     /// pleases and entirely off the lock.
     pub fn pin(&self) -> Arc<T> {
-        Arc::clone(&rread(&self.slot))
+        Arc::clone(&rread(&self.slot).1)
     }
 
-    /// The sequence of the currently published value, without cloning.
-    pub fn seq(&self) -> u64 {
-        rread(&self.slot).seq()
-    }
-
-    /// Publishes `next`, stamping it with the successor of the current
-    /// value's sequence. Returns the stamped sequence. Readers pinned
-    /// to the previous value are unaffected; new pins observe `next`.
-    pub fn publish(&self, mut next: T) -> u64 {
+    /// Publishes the value `next` makes of the sequence it is handed —
+    /// the successor of the current one — and returns that value as
+    /// pinned. `next` runs under the write lock: keep it to assembling
+    /// parts built off-lock. Readers pinned to the previous value are
+    /// unaffected; new pins observe the returned one.
+    pub fn publish(&self, next: impl FnOnce(u64) -> T) -> Arc<T> {
         let mut guard = rwrite(&self.slot);
-        let seq = guard.seq() + 1;
-        next.set_seq(seq);
-        *guard = Arc::new(next);
-        seq
-    }
-
-    /// Derives and publishes the next value from the current one, in
-    /// one critical section (`f` runs under the write lock — keep it
-    /// cheap; heavy rebuilds belong off-lock via [`pin`] + [`publish`]).
-    /// Returns the stamped sequence.
-    ///
-    /// [`pin`]: PublishCell::pin
-    /// [`publish`]: PublishCell::publish
-    pub fn update(&self, f: impl FnOnce(&T) -> T) -> u64 {
-        let mut guard = rwrite(&self.slot);
-        let mut next = f(&guard);
-        let seq = guard.seq() + 1;
-        next.set_seq(seq);
-        *guard = Arc::new(next);
-        seq
+        let seq = guard.0 + 1;
+        let value = Arc::new(next(seq));
+        *guard = (seq, Arc::clone(&value));
+        value
     }
 }
 
@@ -117,79 +83,46 @@ impl<T: Sequenced> PublishCell<T> {
 mod tests {
     use super::*;
 
-    #[derive(Clone, Debug, PartialEq)]
-    struct V {
-        payload: u64,
-        seq: u64,
-    }
-
-    impl Sequenced for V {
-        fn seq(&self) -> u64 {
-            self.seq
-        }
-        fn set_seq(&mut self, seq: u64) {
-            self.seq = seq;
-        }
-    }
-
-    fn cell(payload: u64) -> PublishCell<V> {
-        PublishCell::new(V { payload, seq: 0 })
-    }
+    /// `(payload, stamped sequence)`.
+    type V = (u64, u64);
 
     #[test]
-    fn publish_stamps_monotone_sequences() {
-        let c = cell(10);
-        assert_eq!(c.seq(), 0);
-        assert_eq!(c.publish(V { payload: 11, seq: 999 }), 1, "stamp overrides caller seq");
-        assert_eq!(c.publish(V { payload: 12, seq: 0 }), 2);
-        let pinned = c.pin();
-        assert_eq!((pinned.payload, pinned.seq), (12, 2));
+    fn publish_hands_out_strictly_increasing_sequences() {
+        let c: PublishCell<V> = PublishCell::new((10, 0));
+        assert_eq!(*c.publish(|seq| (11, seq)), (11, 1));
+        assert_eq!(*c.publish(|seq| (12, seq)), (12, 2));
+        assert_eq!(*c.pin(), (12, 2));
     }
 
     #[test]
     fn pinned_readers_keep_their_generation_across_publishes() {
-        let c = cell(1);
+        let c: PublishCell<V> = PublishCell::new((1, 0));
         let old = c.pin();
-        c.publish(V { payload: 2, seq: 0 });
-        assert_eq!(old.payload, 1, "pin must be immune to later publishes");
-        assert_eq!(c.pin().payload, 2);
+        let new = c.publish(|seq| (2, seq));
+        assert_eq!(old.0, 1, "pin must be immune to later publishes");
+        assert!(Arc::ptr_eq(&new, &c.pin()), "publish returns the value as pinned");
     }
 
-    #[test]
-    fn update_derives_under_the_lock() {
-        let c = cell(5);
-        let seq = c.update(|v| V { payload: v.payload * 2, seq: 0 });
-        assert_eq!(seq, 1);
-        assert_eq!(c.pin().payload, 10);
-    }
-
-    /// Satellite: a writer that panics while holding the cell's write
-    /// lock must not wedge subsequent `rread`/`rwrite` callers — the
-    /// poison-proof helpers recover, readers still pin and serve, and
-    /// the next publish proceeds with a monotone sequence.
+    /// A writer that panics while holding the cell's write lock must
+    /// not wedge subsequent `rread`/`rwrite` callers — the poison-proof
+    /// helpers recover, readers still pin and serve, and the next
+    /// publish proceeds with the next sequence.
     #[test]
     fn poisoned_cell_still_pins_and_publishes() {
-        let c = std::sync::Arc::new(cell(7));
-        c.publish(V { payload: 8, seq: 0 });
+        let c: Arc<PublishCell<V>> = Arc::new(PublishCell::new((7, 0)));
+        c.publish(|seq| (8, seq));
 
-        let c2 = std::sync::Arc::clone(&c);
+        let c2 = Arc::clone(&c);
         let result = std::thread::spawn(move || {
-            c2.update(|_| panic!("writer dies while holding the write lock"))
+            c2.publish(|_| panic!("writer dies while holding the write lock"))
         })
         .join();
         assert!(result.is_err(), "the writer thread must have panicked");
 
         // Readers recover the last published value through the poison.
-        let pinned = c.pin();
-        assert_eq!((pinned.payload, pinned.seq), (8, 1), "last published value survives");
-        assert_eq!(c.seq(), 1);
-
-        // The next writer recovers too, and the sequence stays monotone.
-        assert_eq!(c.publish(V { payload: 9, seq: 0 }), 2);
-        assert_eq!(c.pin().payload, 9);
-
-        // And a derived update still works on the poisoned lock.
-        assert_eq!(c.update(|v| V { payload: v.payload + 1, seq: 0 }), 3);
-        assert_eq!(c.pin().payload, 10);
+        assert_eq!(*c.pin(), (8, 1), "last published value survives");
+        // The next writer recovers too; the failed publish took no sequence.
+        assert_eq!(*c.publish(|seq| (9, seq)), (9, 2));
+        assert_eq!(*c.pin(), (9, 2));
     }
 }

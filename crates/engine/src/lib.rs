@@ -26,11 +26,14 @@
 //!   [`ShardedEngine::load_snapshot`] persist model parameters,
 //!   corpus, embeddings, and codes in the CRC-checksummed container
 //!   format, so cold-start never re-encodes;
-//! * **a model-checked publish protocol** — the engine's swap points
-//!   are [`cell::PublishCell`]s, whose pin/publish invariants the
+//! * **a model-checked publish protocol** — the engine has one swap
+//!   point, a [`cell::PublishCell`] over the model and every shard it
+//!   encoded, so each operation is one pin or one publish; the
 //!   `loomlet` interleaving enumerator (`tests/common/loomlet.rs`)
-//!   verifies exhaustively.
+//!   runs every interleaving of whole engine operations against the
+//!   scan oracle.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cell;
@@ -42,11 +45,9 @@ pub mod snapshot;
 pub mod telemetry;
 pub mod trace;
 
-pub use cell::{PublishCell, Sequenced};
+pub use cell::PublishCell;
 pub use engine::{EngineConfig, EngineStats, EuclideanBackend, Hit, Strategy};
 pub use error::EngineError;
-pub use sharded::{
-    ModelBlueprint, PinnedView, ReaderSpec, ShardConfig, ShardReader, ShardedEngine,
-};
+pub use sharded::{PinnedView, ReaderSpec, ShardConfig, ShardReader, ShardedEngine};
 pub use telemetry::{EngineTelemetry, QueryInfo, StrategyTelemetry};
 pub use trace::{QueryTrace, ShardTrace, ShardTraceRow, TraceCtx};

@@ -102,11 +102,11 @@ impl Rows {
         &self.codes
     }
 
-    /// `Ok` when a row with this embedding and code fits the block's
-    /// widths (an empty block fits anything).
-    fn check_widths(&self, embedding: &[f32], code: &BinaryCode) -> Result<(), SearchError> {
-        self.embeddings.check_width(embedding.len())?;
-        self.codes.check_width(code.len())
+    /// `Ok` when a row with a `dim`-wide embedding and a `bits`-wide
+    /// code fits the block's widths (an empty block fits anything).
+    pub(crate) fn check_widths(&self, dim: usize, bits: usize) -> Result<(), SearchError> {
+        self.embeddings.check_width(dim)?;
+        self.codes.check_width(bits)
     }
 
     /// Appends one row. A width mismatch on either half is refused
@@ -118,7 +118,7 @@ impl Rows {
         embedding: &[f32],
         code: &BinaryCode,
     ) -> Result<(), SearchError> {
-        self.check_widths(embedding, code)?;
+        self.check_widths(embedding.len(), code.len())?;
         Arc::make_mut(&mut self.embeddings).push(embedding)?;
         Arc::make_mut(&mut self.codes).push(code)?;
         self.ids.push(id);
@@ -452,8 +452,10 @@ pub struct ShardState {
     pub forced_degraded: bool,
     /// Rebuild counter of this shard; bumps when a new base is built.
     pub generation: u64,
-    /// Publish counter: bumps on *every* published state, strictly
-    /// monotone per shard. Readers assert this never moves backwards.
+    /// The sequence of the engine view in which this state was first
+    /// published (stamped by the engine at publish): strictly
+    /// increasing per shard, unchanged while other shards publish.
+    /// Readers assert this never moves backwards.
     pub publish_seq: u64,
     /// Which structure serves `EuclideanBf` (frozen from the engine
     /// config so pinned readers need nothing else).
@@ -563,7 +565,7 @@ impl ShardState {
             self.slots() == 0 || self.id_at(self.slots() - 1) < id,
             "insert id must be monotone"
         );
-        self.base.rows.check_widths(embedding, code)?;
+        self.base.rows.check_widths(embedding.len(), code.len())?;
         let mut next = self.clone();
         next.delta.push(id, traj, embedding, code)?;
         next.dead.push(false);
@@ -597,11 +599,7 @@ impl ShardState {
             let (src, i) = self.row_at(slot);
             rows.push_row(src, i);
         }
-        ShardState {
-            generation: self.generation + 1,
-            publish_seq: self.publish_seq,
-            ..ShardState::build(rows, cfg)
-        }
+        ShardState { generation: self.generation + 1, ..ShardState::build(rows, cfg) }
     }
 
     /// True when the delta or tombstone count crosses the configured
@@ -615,6 +613,13 @@ impl ShardState {
         // lint: allow(lossy-cast) — nonnegative fraction of a shard size that fits usize
         let dead_cap = slack.max((self.slots() as f64 * cfg.max_dead_fraction) as usize);
         delta > delta_cap || self.dead_count > dead_cap
+    }
+
+    /// `Ok` when every stored row is as wide as a model of embedding
+    /// width `dim` makes it (Eq. 15 / Eq. 16: `dim` floats, `dim` bits).
+    pub(crate) fn check_widths(&self, dim: usize) -> Result<(), SearchError> {
+        self.base.rows.check_widths(dim, dim)?;
+        self.delta.check_widths(dim, dim)
     }
 
     /// Structural self-check: every invariant a torn publish would
@@ -653,15 +658,6 @@ impl ShardState {
             }
             _ => Ok(()),
         }
-    }
-}
-
-impl crate::cell::Sequenced for ShardState {
-    fn seq(&self) -> u64 {
-        self.publish_seq
-    }
-    fn set_seq(&mut self, seq: u64) {
-        self.publish_seq = seq;
     }
 }
 

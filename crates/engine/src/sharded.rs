@@ -7,10 +7,15 @@
 //!   (`id % shards`, so the mapping survives compaction and reload); a
 //!   caller that wants one shard writes `ShardConfig { shards: 1, .. }`;
 //! * each shard's state is an **immutable per-generation snapshot**
-//!   ([`crate::shard::ShardState`]) published behind an `Arc` swap —
-//!   readers pin a generation with one brief read-lock `Arc::clone`,
-//!   then search entirely lock-free; the writer builds the next state
-//!   off to the side and publishes it atomically;
+//!   ([`crate::shard::ShardState`]), and the engine publishes **one
+//!   view** — the model blueprint and every shard state that model
+//!   encoded — behind its single [`PublishCell`]. A read is one pin (a
+//!   brief read-lock `Arc::clone`), then lock-free; a write builds the
+//!   next shard state off to the side, derives the next view from the
+//!   current one (`O(shards)` `Arc` clones) and publishes once. So a
+//!   query can never rank rows of one model against a query encoded by
+//!   another, nor merge shards of two models: a hot swap installs the
+//!   model and all its shards in the same step;
 //! * every query fans out across shards (sequentially or on a scoped
 //!   thread pool, [`ShardConfig::fan_out_threads`]) and per-shard hits
 //!   merge through the shared NaN-sound `topk` helper under the
@@ -22,7 +27,7 @@
 //!   blocks reads on the others, and even the compacting shard keeps
 //!   serving its previous generation until the new one is published;
 //! * [`ShardedEngine::query_many`] answers request batches against
-//!   shards pinned once for the whole batch; each member then takes the
+//!   one view pinned for the whole batch; each member then takes the
 //!   single-query path.
 //!
 //! ## Reading from other threads
@@ -33,11 +38,16 @@
 //! byte-identical model replica: call [`ShardedEngine::reader`] for a
 //! [`ReaderSpec`] (cheap, `Send`), move it into the reader thread, and
 //! [`ReaderSpec::into_reader`] builds the replica locally. A
-//! [`ShardReader`] shares the engine's shard set and telemetry,
-//! refreshes its replica automatically after a hot swap, and answers
-//! queries bit-identically to the writer.
+//! [`ShardReader`] shares the engine's published view and telemetry,
+//! rebuilds its replica from the blueprint inside the view it pinned
+//! whenever that is not the one it was built from, and answers queries
+//! bit-identically to the writer.
+//!
+//! The engine is the only writer of its cell (the `Rc`s make it neither
+//! `Send` nor `Sync`), so the view a write pins at its start is still
+//! the current one when it publishes.
 
-use crate::cell::{PublishCell, Sequenced};
+use crate::cell::PublishCell;
 use crate::engine::{tlock, EngineConfig, EngineStats, Hit, Strategy};
 use crate::error::EngineError;
 use crate::shard::{self, Rows, ShardState};
@@ -107,95 +117,102 @@ impl ShardConfig {
 }
 
 /// The `Send + Sync` recipe readers rebuild their model replica from.
-/// Published behind a [`PublishCell`] whose sequence (`version`) bumps
-/// on every hot swap, so readers know to refresh their replica.
-pub struct ModelBlueprint {
+struct ModelBlueprint {
     spec: ModelSpec,
     values: Vec<Tensor>,
-    version: u64,
 }
 
 impl ModelBlueprint {
-    /// Captures `model`'s spec and parameter values. The version starts
-    /// at 0 and is stamped by the cell on publish.
-    pub fn of(model: &Traj2Hash) -> ModelBlueprint {
-        ModelBlueprint { spec: model.spec(), values: model.params.clone_values(), version: 0 }
+    /// Captures `model`'s spec and parameter values.
+    fn of(model: &Traj2Hash) -> ModelBlueprint {
+        ModelBlueprint { spec: model.spec(), values: model.params.clone_values() }
     }
 
     /// Builds a byte-identical model replica from the blueprint.
-    pub fn instantiate(&self) -> Traj2Hash {
+    fn instantiate(&self) -> Traj2Hash {
         Traj2Hash::from_spec(&self.spec, &self.values)
     }
+}
 
-    /// The blueprint's publish version (bumps on every hot swap).
-    pub fn version(&self) -> u64 {
-        self.version
+/// What the engine publishes and every read pins: a model and the
+/// shard states holding the rows that model encoded.
+struct EngineView {
+    blueprint: Arc<ModelBlueprint>,
+    /// One state per shard, `id % shards`.
+    states: Vec<Arc<ShardState>>,
+    /// The sequence the cell stamped on this view.
+    seq: u64,
+}
+
+impl EngineView {
+    /// A view in which every shard changed: each state is stamped `seq`.
+    fn of(blueprint: Arc<ModelBlueprint>, states: Vec<ShardState>, seq: u64) -> EngineView {
+        let states =
+            states.into_iter().map(|s| Arc::new(ShardState { publish_seq: seq, ..s })).collect();
+        EngineView { blueprint, states, seq }
+    }
+
+    fn live(&self) -> usize {
+        self.states.iter().map(|s| s.live()).sum()
+    }
+
+    fn degraded(&self) -> bool {
+        self.states.iter().any(|s| s.degraded())
     }
 }
 
-impl Sequenced for ModelBlueprint {
-    fn seq(&self) -> u64 {
-        self.version
-    }
-    fn set_seq(&mut self, seq: u64) {
-        self.version = seq;
-    }
-}
-
-/// One shard's publish point: readers pin the current generation, the
-/// writer swaps in the next. The cell stamps the strictly monotone
-/// per-shard `publish_seq` the concurrency and loomlet suites assert
-/// never moves backwards under a pinned reader.
-pub type ShardCell = PublishCell<ShardState>;
-
-/// Everything shared between the writer and its readers: the shard
-/// cells, the cumulative telemetry, and the model blueprint.
+/// Everything shared between the writer and its readers: the published
+/// view and the cumulative telemetry.
 struct ShardSet {
-    cells: Vec<ShardCell>,
+    view: PublishCell<EngineView>,
     telemetry: Mutex<EngineTelemetry>,
-    model: PublishCell<ModelBlueprint>,
     /// Process-unique trace instance id: flight-recorder traces carry
     /// it so offline validation can group per-shard publish-seq checks
     /// by the engine that produced them.
     trace_instance: u64,
 }
 
-impl ShardSet {
-    fn pin_all(&self) -> Vec<Arc<ShardState>> {
-        self.cells.iter().map(|c| c.pin()).collect()
-    }
-}
-
-/// A pinned, fully consistent view of every shard at one instant. The
-/// corpus it describes cannot change underneath the holder — that is
-/// the generation-pinning read protocol.
+/// A pinned, fully consistent view of the engine at one instant: its
+/// model and every shard. The corpus it describes cannot change
+/// underneath the holder.
 pub struct PinnedView {
-    states: Vec<Arc<ShardState>>,
+    view: Arc<EngineView>,
 }
 
 impl PinnedView {
-    /// Per-shard publish sequence numbers (strictly monotone per shard).
+    /// The sequence of the pinned view: every publish (insert, remove,
+    /// rebuild, degrade, hot swap) takes the next one.
+    pub fn seq(&self) -> u64 {
+        self.view.seq
+    }
+
+    /// Per shard, the view sequence at which it last changed (strictly
+    /// increasing per shard).
     pub fn publish_seqs(&self) -> Vec<u64> {
-        self.states.iter().map(|s| s.publish_seq).collect()
+        self.view.states.iter().map(|s| s.publish_seq).collect()
     }
 
     /// Per-shard rebuild generation counters.
     pub fn generations(&self) -> Vec<u64> {
-        self.states.iter().map(|s| s.generation).collect()
+        self.view.states.iter().map(|s| s.generation).collect()
     }
 
     /// Live entries across all shards.
     pub fn live(&self) -> usize {
-        self.states.iter().map(|s| s.live()).sum()
+        self.view.live()
     }
 
     /// Verifies every structural invariant of every pinned shard state
     /// (tombstone counts, slot ordering, indexes reading the base's own
-    /// columns). A torn publish would trip this; the concurrency suite
-    /// runs it continuously under writer churn.
+    /// columns) and the pairing the view exists for: every stored row
+    /// is as wide as the view's model encodes. A torn publish would
+    /// trip this; the concurrency suite runs it continuously under
+    /// writer churn.
     pub fn check_consistent(&self) -> Result<(), String> {
-        for (i, s) in self.states.iter().enumerate() {
+        let dim = self.view.blueprint.spec.cfg.dim;
+        for (i, s) in self.view.states.iter().enumerate() {
             s.check_consistent().map_err(|e| format!("shard {i}: {e}"))?;
+            s.check_widths(dim).map_err(|e| format!("shard {i} vs the view's model: {e}"))?;
         }
         Ok(())
     }
@@ -412,7 +429,7 @@ impl ShardedEngine {
         scfg.validate()?;
         let n = corpus.len() as u64;
         let rows = encode_rows(&model, 0..n, corpus, cfg.encode_threads)?;
-        Ok(Self::from_parts(model, cfg, scfg, rows, n))
+        Self::from_parts(model, cfg, scfg, rows, n)
     }
 
     /// Builds from a borrowed model (byte-identical replica via
@@ -429,29 +446,29 @@ impl ShardedEngine {
 
     /// Assembles the engine from pre-encoded rows in ascending-id
     /// order, distributing them across shards by `id % shards`. Both
-    /// configs must already be validated.
+    /// configs must already be validated. Rows `model` did not encode —
+    /// of another width — are refused.
     fn from_parts(
         model: Traj2Hash,
         cfg: EngineConfig,
         scfg: ShardConfig,
         rows: Rows,
         next_id: u64,
-    ) -> Self {
+    ) -> Result<Self, EngineError> {
+        let dim = model.embedding_dim();
+        rows.check_widths(dim, dim)?;
         let n_shards = scfg.shards;
-        let cells: Vec<ShardCell> = rows
-            .partition(n_shards)
-            .into_iter()
-            .map(|part| ShardCell::new(ShardState::build(part, &cfg)))
-            .collect();
+        let states =
+            rows.partition(n_shards).into_iter().map(|part| ShardState::build(part, &cfg));
+        let view = EngineView::of(Arc::new(ModelBlueprint::of(&model)), states.collect(), 0);
         let set = Arc::new(ShardSet {
-            cells,
+            view: PublishCell::new(view),
             telemetry: Mutex::new(EngineTelemetry::default()),
-            model: PublishCell::new(ModelBlueprint::of(&model)),
             trace_instance: trace::next_instance_id(),
         });
         // Construction counts as each shard's first rebuild.
         tlock(&set.telemetry).rebuilds += n_shards as u64;
-        ShardedEngine { model, cfg, scfg, set, next_id, generation: 1 }
+        Ok(ShardedEngine { model, cfg, scfg, set, next_id, generation: 1 })
     }
 
     fn shard_of(&self, id: u64) -> usize {
@@ -481,7 +498,7 @@ impl ShardedEngine {
 
     /// Number of live trajectories across all shards.
     pub fn len(&self) -> usize {
-        self.set.pin_all().iter().map(|s| s.live()).sum()
+        self.set.view.pin().live()
     }
 
     /// True when no live trajectory remains.
@@ -491,25 +508,27 @@ impl ShardedEngine {
 
     /// Live ids in ascending order (collected across shards).
     pub fn ids(&self) -> Vec<u64> {
-        live_rows(&self.set.pin_all()).into_iter().map(|(block, i)| block.ids()[i]).collect()
+        live_rows(&self.set.view.pin().states).into_iter().map(|(block, i)| block.ids()[i]).collect()
     }
 
     /// True when `id` refers to a live trajectory.
     pub fn contains(&self, id: u64) -> bool {
-        self.set.cells[self.shard_of(id)].pin().slot_of(id).is_some()
+        self.set.view.pin().states[self.shard_of(id)].slot_of(id).is_some()
     }
 
     /// The live trajectory with stable id `id` (cloned out of the
     /// pinned shard state).
     pub fn get(&self, id: u64) -> Option<Trajectory> {
-        let state = self.set.cells[self.shard_of(id)].pin();
+        let view = self.set.view.pin();
+        let state = &view.states[self.shard_of(id)];
         state.slot_of(id).map(|s| state.traj_at(s).clone())
     }
 
     /// The embedding stored for the live trajectory with stable id `id`
     /// — the row the Euclidean strategies rank it by.
     pub fn embedding(&self, id: u64) -> Option<Vec<f32>> {
-        let state = self.set.cells[self.shard_of(id)].pin();
+        let view = self.set.view.pin();
+        let state = &view.states[self.shard_of(id)];
         let (rows, i) = state.row_at(state.slot_of(id)?);
         Some(rows.embeddings().row(i).to_vec())
     }
@@ -523,21 +542,21 @@ impl ShardedEngine {
     /// swap/build counter; per-shard rebuild generations are visible
     /// through [`ShardedEngine::pin`].
     pub fn stats(&self) -> EngineStats {
-        let states = self.set.pin_all();
+        let view = self.set.view.pin();
+        let states = &view.states;
         EngineStats {
-            live: states.iter().map(|s| s.live()).sum(),
+            live: view.live(),
             indexed: states.iter().map(|s| s.indexed()).sum(),
             delta: states.iter().map(|s| s.slots() - s.indexed()).sum(),
             dead: states.iter().map(|s| s.dead_count).sum(),
             generation: self.generation,
-            degraded: states.iter().any(|s| s.degraded()),
+            degraded: view.degraded(),
         }
     }
 
-    /// Pins a consistent view of every shard (the generation-pinning
-    /// read protocol, exposed for tests and diagnostics).
+    /// Pins the published view (exposed for tests and diagnostics).
     pub fn pin(&self) -> PinnedView {
-        PinnedView { states: self.set.pin_all() }
+        PinnedView { view: self.set.view.pin() }
     }
 
     /// A `Send` handle for spawning readers on other threads.
@@ -587,11 +606,11 @@ impl ShardedEngine {
         k: usize,
         strategy: Strategy,
     ) -> Result<(Vec<Hit>, QueryInfo, QueryTrace), EngineError> {
-        let states = self.set.pin_all();
-        query_pinned(&self.set, &states, &self.model, q, k, strategy, self.scfg.fan_out_threads)
+        let view = self.set.view.pin();
+        query_pinned(&self.set, &view, &self.model, q, k, strategy, self.scfg.fan_out_threads)
     }
 
-    /// Answers a batch of queries against shards pinned once for the
+    /// Answers a batch of queries against one view pinned for the
     /// whole batch, so every member sees the same corpus; each member
     /// then takes the single-query path, so results, telemetry and
     /// traces are those of calling [`ShardedEngine::query`] per query.
@@ -603,36 +622,48 @@ impl ShardedEngine {
         strategy: Strategy,
     ) -> Result<Vec<Vec<Hit>>, EngineError> {
         qs.iter().try_for_each(EmbedError::check)?;
-        let states = self.set.pin_all();
+        let view = self.set.view.pin();
         let threads = self.scfg.fan_out_threads;
         qs.iter()
             .map(|q| {
-                query_pinned(&self.set, &states, &self.model, q, k, strategy, threads)
+                query_pinned(&self.set, &view, &self.model, q, k, strategy, threads)
                     .map(|(hits, _, _)| hits)
             })
             .collect()
     }
 
+    /// Publishes `view` with shard `si` replaced by `next` (stamped
+    /// with the publish's sequence) and everything else shared,
+    /// returning the new view. The one publish of every single-shard
+    /// write.
+    fn publish_shard(&self, view: &EngineView, si: usize, next: ShardState) -> Arc<EngineView> {
+        let blueprint = Arc::clone(&view.blueprint);
+        let mut states = view.states.clone();
+        self.set.view.publish(|seq| {
+            states[si] = Arc::new(ShardState { publish_seq: seq, ..next });
+            EngineView { blueprint, states, seq }
+        })
+    }
+
     /// Encodes and inserts a trajectory, returning its stable id. Only
-    /// the owning shard republishes; reads on every other shard are
-    /// untouched, and reads on the owning shard keep their pinned
-    /// generation. An empty or non-finite trajectory is refused with
-    /// [`EngineError::InvalidInput`] (the same check as the query entry
-    /// points), a row whose widths differ from the shard's with
-    /// [`EngineError::Search`]; either way nothing is stored, counted or
-    /// published.
+    /// the owning shard's state changes; a reader that pinned before
+    /// the publish keeps its view. An empty or non-finite trajectory is
+    /// refused with [`EngineError::InvalidInput`] (the same check as
+    /// the query entry points), a row whose widths differ from the
+    /// shard's with [`EngineError::Search`]; either way nothing is
+    /// stored, counted or published.
     pub fn try_insert(&mut self, t: Trajectory) -> Result<u64, EngineError> {
         let embedding = self.model.try_embed(&t)?;
         let code = BinaryCode::from_floats(embedding.data());
         let id = self.next_id;
         let si = self.shard_of(id);
-        let cell = &self.set.cells[si];
-        let next = cell.pin().with_insert(id, t, embedding.data(), &code)?;
+        let view = self.set.view.pin();
+        let next = view.states[si].with_insert(id, t, embedding.data(), &code)?;
         self.next_id += 1;
-        cell.publish(next);
+        let view = self.publish_shard(&view, si, next);
         tlock(&self.set.telemetry).inserts += 1;
         traj_obs::counter("engine.inserts", 1);
-        self.maybe_rebuild_shard(si);
+        self.maybe_rebuild_shard(&view, si);
         Ok(id)
     }
 
@@ -650,35 +681,35 @@ impl ShardedEngine {
     /// Tombstones the trajectory with stable id `id` on its shard.
     pub fn remove(&mut self, id: u64) -> Result<(), EngineError> {
         let si = self.shard_of(id);
-        let cell = &self.set.cells[si];
-        let pinned = cell.pin();
-        let slot = pinned.slot_of(id).ok_or(EngineError::UnknownId(id))?;
-        cell.publish(pinned.with_remove(slot));
+        let view = self.set.view.pin();
+        let slot = view.states[si].slot_of(id).ok_or(EngineError::UnknownId(id))?;
+        let view = self.publish_shard(&view, si, view.states[si].with_remove(slot));
         tlock(&self.set.telemetry).removes += 1;
         traj_obs::counter("engine.removes", 1);
-        self.maybe_rebuild_shard(si);
+        self.maybe_rebuild_shard(&view, si);
         Ok(())
     }
 
-    fn maybe_rebuild_shard(&self, si: usize) {
-        if self.set.cells[si].pin().needs_rebuild(&self.cfg) {
-            self.rebuild_shard(si);
+    fn maybe_rebuild_shard(&self, view: &EngineView, si: usize) {
+        if view.states[si].needs_rebuild(&self.cfg) {
+            self.rebuild_shard(view, si);
         }
     }
 
-    /// Compacts and re-indexes one shard. The next generation is built
-    /// entirely off the publish lock — readers (on this shard and all
-    /// others) keep serving the previous generation until the single
-    /// atomic publish at the end.
-    fn rebuild_shard(&self, si: usize) {
+    /// Compacts and re-indexes shard `si` of `view` (the current one)
+    /// and returns the view it published. The next generation is built
+    /// entirely off the publish lock — readers keep serving the view
+    /// they pinned, or the current one, until the single publish at the
+    /// end.
+    fn rebuild_shard(&self, view: &EngineView, si: usize) -> Arc<EngineView> {
         let t0 = Instant::now();
-        let prev = self.set.cells[si].pin();
+        let prev = &view.states[si];
         let compacting = prev.dead_count > 0;
         let next = prev.rebuilt(&self.cfg);
         let degraded = next.degraded();
         let generation = next.generation;
         let covers = next.base.rows.len();
-        self.set.cells[si].publish(next);
+        let published = self.publish_shard(view, si, next);
         {
             let mut t = tlock(&self.set.telemetry);
             t.rebuilds += 1;
@@ -717,24 +748,26 @@ impl ShardedEngine {
             // installed without an obs recorder.
             traj_obs::flight::force_dump("engine.degraded");
         }
+        published
     }
 
-    /// Forces compaction + re-index of every shard, one at a time (each
-    /// shard keeps serving while the others rebuild).
+    /// Forces compaction + re-index of every shard, one publish per
+    /// shard (queries keep being answered while each rebuilds).
     pub fn compact(&mut self) {
-        for si in 0..self.set.cells.len() {
-            self.rebuild_shard(si);
+        let mut view = self.set.view.pin();
+        for si in 0..self.scfg.shards {
+            view = self.rebuild_shard(&view, si);
         }
     }
 
-    /// Drops every shard's indexes, forcing degraded linear-scan
-    /// serving until [`recover`](ShardedEngine::recover) or a rebuild.
-    /// Results stay exact; only the access path changes.
+    /// Drops every shard's indexes in one publish, forcing degraded
+    /// linear-scan serving until [`recover`](ShardedEngine::recover) or
+    /// a rebuild. Results stay exact; only the access path changes.
     pub fn force_degrade(&mut self) {
-        for cell in &self.set.cells {
-            let next = cell.pin().with_degraded();
-            cell.publish(next);
-        }
+        let view = self.set.view.pin();
+        let states = view.states.iter().map(|s| s.with_degraded()).collect();
+        let blueprint = Arc::clone(&view.blueprint);
+        self.set.view.publish(|seq| EngineView::of(blueprint, states, seq));
         tlock(&self.set.telemetry).degraded_rebuilds += 1;
         if traj_obs::enabled() {
             traj_obs::counter("engine.degraded_entries", 1);
@@ -750,21 +783,21 @@ impl ShardedEngine {
     /// Rebuilds every degraded shard; returns `true` when all shards
     /// are healthy afterwards.
     pub fn recover(&mut self) -> bool {
-        let mut was_degraded = false;
-        for si in 0..self.set.cells.len() {
-            if self.set.cells[si].pin().degraded() {
-                was_degraded = true;
-                self.rebuild_shard(si);
+        let mut view = self.set.view.pin();
+        let was_degraded = view.degraded();
+        for si in 0..self.scfg.shards {
+            if view.states[si].degraded() {
+                view = self.rebuild_shard(&view, si);
             }
         }
-        let healthy = !self.set.pin_all().iter().any(|s| s.degraded());
+        let healthy = !view.degraded();
         if was_degraded && healthy {
             tlock(&self.set.telemetry).recoveries += 1;
             if traj_obs::enabled() {
                 traj_obs::counter("engine.recoveries", 1);
                 traj_obs::event(
                     "engine.recovered",
-                    &[("generation", self.generation.into()), ("live", self.len().into())],
+                    &[("generation", self.generation.into()), ("live", view.live().into())],
                 );
             }
         }
@@ -779,22 +812,23 @@ impl ShardedEngine {
     /// snapshot the replacement, validate it by loading it back, then
     /// swap.
     pub fn refreshed(&self, model: Traj2Hash) -> Result<ShardedEngine, EngineError> {
-        let states = self.set.pin_all();
-        let (ids, trajs): (Vec<u64>, Vec<Trajectory>) = live_rows(&states)
+        let view = self.set.view.pin();
+        let (ids, trajs): (Vec<u64>, Vec<Trajectory>) = live_rows(&view.states)
             .into_iter()
             .map(|(block, i)| (block.ids()[i], block.traj(i).clone()))
             .unzip();
         let rows = encode_rows(&model, ids, trajs, self.cfg.encode_threads)?;
-        Ok(Self::from_parts(model, self.cfg.clone(), self.scfg.clone(), rows, self.next_id))
+        Self::from_parts(model, self.cfg.clone(), self.scfg.clone(), rows, self.next_id)
     }
 
-    /// Atomically swaps `replacement`'s model, corpus, and per-shard
-    /// [`EngineConfig`] into this engine, shard by shard, keeping
+    /// Swaps `replacement`'s model, corpus, and per-shard
+    /// [`EngineConfig`] into this engine in **one publish** — the new
+    /// model and every shard it encoded go live together — keeping
     /// cumulative telemetry, this engine's shard count, and the
-    /// monotone per-shard publish sequence. Readers that pinned before
-    /// the swap finish their queries on the old generation; readers
-    /// that pin after see the new one (and refresh their model replica
-    /// via the bumped blueprint version).
+    /// increasing per-shard publish sequence. A query that pinned
+    /// before the swap finishes on the old model and the old rows; one
+    /// that pins after sees the new model and the new rows, and a
+    /// reader rebuilds its replica from the blueprint in that view.
     ///
     /// The replacement is typically produced by
     /// [`refreshed`](ShardedEngine::refreshed) and round-tripped through
@@ -802,35 +836,31 @@ impl ShardedEngine {
     /// live are the bytes that were validated on disk.
     pub fn hot_swap(&mut self, replacement: ShardedEngine) {
         let ShardedEngine { model, cfg, set: rep_set, next_id: rep_next, .. } = replacement;
-        let rep_states = rep_set.pin_all();
-        if rep_states.len() == self.set.cells.len() {
-            for (cell, st) in self.set.cells.iter().zip(&rep_states) {
-                cell.publish((**st).clone());
-            }
+        let rep = rep_set.view.pin();
+        let states: Vec<ShardState> = if rep.states.len() == self.scfg.shards {
+            rep.states.iter().map(|st| (**st).clone()).collect()
         } else {
             // Shard counts differ: redistribute by id under *this*
             // engine's mapping.
             let mut parts = vec![Rows::default(); self.scfg.shards];
-            for (block, i) in live_rows(&rep_states) {
+            for (block, i) in live_rows(&rep.states) {
                 parts[self.shard_of(block.ids()[i])].push_row(block, i);
             }
-            for (cell, part) in self.set.cells.iter().zip(parts) {
-                cell.publish(ShardState::build(part, &cfg));
-            }
-        }
+            parts.into_iter().map(|part| ShardState::build(part, &cfg)).collect()
+        };
+        // Everything is built before the cell is touched: the write
+        // lock is held only to stamp and swap.
+        let blueprint = Arc::new(ModelBlueprint::of(&model));
+        let view = self.set.view.publish(|seq| EngineView::of(blueprint, states, seq));
         // The swapped-in states were built under the replacement's
         // config (its Euclidean backend is frozen into them), so later
         // per-shard rebuilds, `config()` and snapshots must use it too.
         self.cfg = cfg;
-        // Build the blueprint before touching the cell: the write lock
-        // is held only for the Arc swap, never across the clone.
-        self.set.model.publish(ModelBlueprint::of(&model));
         self.model = model;
         // next_id only moves forward: a stale replacement must not make
         // the engine re-issue ids that are already out there.
         self.next_id = self.next_id.max(rep_next);
         self.generation += 1;
-        let degraded = self.set.pin_all().iter().any(|s| s.degraded());
         tlock(&self.set.telemetry).hot_swaps += 1;
         if traj_obs::enabled() {
             traj_obs::counter("engine.hot_swaps", 1);
@@ -838,8 +868,8 @@ impl ShardedEngine {
                 "engine.hot_swap",
                 &[
                     ("generation", self.generation.into()),
-                    ("live", self.len().into()),
-                    ("degraded", degraded.into()),
+                    ("live", view.live().into()),
+                    ("degraded", view.degraded().into()),
                 ],
             );
         }
@@ -851,11 +881,11 @@ impl ShardedEngine {
     /// container. The shard layout is not serialized, so the bytes load
     /// under any shard count.
     pub fn snapshot_bytes(&self) -> Result<Vec<u8>, EngineError> {
-        let states = self.set.pin_all();
+        let view = self.set.view.pin();
         snapshot::encode_view(&SnapshotView {
             model: &self.model,
             cfg: &self.cfg,
-            entries: live_rows(&states),
+            entries: live_rows(&view.states),
             next_id: self.next_id,
         })
     }
@@ -868,7 +898,7 @@ impl ShardedEngine {
         scfg.validate()?;
         let d = snapshot::decode_parts(bytes)?;
         d.cfg.validate()?;
-        Ok(Self::from_parts(d.model, d.cfg, scfg, d.rows, d.next_id))
+        Self::from_parts(d.model, d.cfg, scfg, d.rows, d.next_id)
     }
 
     /// Writes a snapshot atomically and durably (unique fsync'd tmp →
@@ -924,11 +954,12 @@ impl ShardedEngine {
     }
 }
 
-/// Shared query path: validate, encode with the given model, pin-free
-/// (states already pinned), fan out, merge, record.
+/// Shared query path over an already pinned view: validate, encode
+/// with `model` (a replica of the view's blueprint), fan out, merge,
+/// record.
 fn query_pinned(
     set: &ShardSet,
-    states: &[Arc<ShardState>],
+    view: &EngineView,
     model: &Traj2Hash,
     q: &Trajectory,
     k: usize,
@@ -938,13 +969,12 @@ fn query_pinned(
     // Refused by the encoder's own rule, before the early return below.
     EmbedError::check(q)?;
     let mut trace = TraceCtx::new();
-    let degraded = states.iter().any(|s| s.degraded());
-    let live: usize = states.iter().map(|s| s.live()).sum();
-    if k == 0 || live == 0 {
+    let states = &view.states;
+    if k == 0 || view.live() == 0 {
         trace.step("empty");
         let qt = trace.finish(strategy, 0.0);
         qt.offer_to_flight("sharded", set.trace_instance);
-        return Ok((Vec::new(), empty_query_info(strategy, degraded, states.len()), qt));
+        return Ok((Vec::new(), empty_query_info(strategy, view.degraded(), states.len()), qt));
     }
     let t0 = Instant::now();
     trace.step("embed");
@@ -968,48 +998,38 @@ pub struct ReaderSpec {
 
 impl ReaderSpec {
     /// Builds the reader (instantiating a local model replica from the
-    /// current blueprint). Call this *on the reader thread*. The
+    /// published blueprint). Call this *on the reader thread*. The
     /// blueprint `Arc` is pinned out of the cell first, so the replica
     /// build never holds the publish lock (a guard held across
-    /// `instantiate` would stall every hot swap behind a full model
+    /// `instantiate` would stall every publish behind a full model
     /// rebuild — the exact hazard `no-guard-across-compute` flags).
     pub fn into_reader(self) -> ShardReader {
-        let bp = self.set.model.pin();
-        let model = bp.instantiate();
-        ShardReader { set: self.set, model, model_version: bp.version }
+        let blueprint = Arc::clone(&self.set.view.pin().blueprint);
+        let model = blueprint.instantiate();
+        ShardReader { set: self.set, model, blueprint }
     }
 }
 
-/// A per-thread query handle over the shared shard set. Queries are
-/// lock-free after the per-shard generation pin and bit-identical to
-/// the writer's: same shared search core, same merge order, and a model
-/// replica rebuilt from the blueprint whenever a hot swap bumps its
-/// version.
+/// A per-thread query handle over the shared published view. Queries
+/// are lock-free after the one pin and bit-identical to the writer's:
+/// same shared search core, same merge order, and a model replica of
+/// the blueprint in the very view the query searches.
 pub struct ShardReader {
     set: Arc<ShardSet>,
     model: Traj2Hash,
-    model_version: u64,
+    /// The blueprint `model` was instantiated from.
+    blueprint: Arc<ModelBlueprint>,
 }
 
 impl ShardReader {
-    /// Refreshes the local model replica if a hot swap published a new
-    /// blueprint since this reader last looked.
-    fn refresh_model(&mut self) {
-        if self.set.model.seq() != self.model_version {
-            let bp = self.set.model.pin();
-            self.model = bp.instantiate();
-            self.model_version = bp.version;
-        }
-    }
-
-    /// Pins a consistent view of every shard.
+    /// Pins the published view.
     pub fn pin(&self) -> PinnedView {
-        PinnedView { states: self.set.pin_all() }
+        PinnedView { view: self.set.view.pin() }
     }
 
     /// Top-k search; bit-identical to the owning engine's
     /// [`ShardedEngine::query`]. `&mut self` only because the model
-    /// replica may need refreshing after a hot swap — the shared state
+    /// replica may need rebuilding after a hot swap — the shared state
     /// is never written.
     pub fn query(
         &mut self,
@@ -1039,10 +1059,84 @@ impl ShardReader {
         k: usize,
         strategy: Strategy,
     ) -> Result<(Vec<Hit>, QueryInfo, QueryTrace), EngineError> {
-        self.refresh_model();
-        let states = self.set.pin_all();
+        let view = self.set.view.pin();
+        // The rows in `view` were encoded by `view.blueprint`: answer
+        // with a replica of exactly that one.
+        if !Arc::ptr_eq(&view.blueprint, &self.blueprint) {
+            self.model = view.blueprint.instantiate();
+            self.blueprint = Arc::clone(&view.blueprint);
+        }
         // Readers fan out sequentially: reader-side parallelism comes
         // from running many readers, not from splitting one query.
-        query_pinned(&self.set, &states, &self.model, q, k, strategy, 1)
+        query_pinned(&self.set, &view, &self.model, q, k, strategy, 1)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use traj_data::{CityParams, Dataset, SplitSizes};
+    use traj2hash::{ModelConfig, ModelContext};
+
+    /// A 12-row corpus, a probe, and two models of different widths.
+    fn world() -> (Vec<Trajectory>, Trajectory, Traj2Hash, Traj2Hash) {
+        let sizes = SplitSizes { seeds: 16, validation: 20, corpus: 60, query: 2, database: 12 };
+        let dataset = Dataset::generate(CityParams::test_city(), sizes, 11);
+        let model = |mcfg: ModelConfig, seed| {
+            let ctx = ModelContext::prepare(&dataset.training_visible(), &mcfg, 11);
+            Traj2Hash::new(mcfg, &ctx, seed)
+        };
+        let wide = model(ModelConfig::tiny(), 13);
+        let narrow = model(ModelConfig { dim: 8, grid_dim: 8, ..ModelConfig::tiny() }, 17);
+        (dataset.database.clone(), dataset.query[0].clone(), wide, narrow)
+    }
+
+    fn build(model: Traj2Hash, corpus: &[Trajectory]) -> ShardedEngine {
+        let scfg = ShardConfig { shards: 2, fan_out_threads: 0 };
+        ShardedEngine::build(model, corpus.to_vec(), EngineConfig::default(), scfg).unwrap()
+    }
+
+    #[test]
+    fn a_query_that_pinned_before_a_swap_finishes_on_the_old_model_and_rows() {
+        let (corpus, probe, wide, narrow) = world();
+        let mut engine = build(wide, &corpus);
+        let before: Vec<Vec<Hit>> =
+            Strategy::ALL.iter().map(|&s| engine.query(&probe, 5, s).unwrap()).collect();
+        // A reader mid-query: view pinned, replica of its blueprint in hand.
+        let pinned = engine.set.view.pin();
+        let replica = pinned.blueprint.instantiate();
+
+        let replacement = engine.refreshed(narrow).unwrap();
+        engine.hot_swap(replacement);
+
+        for (&s, want) in Strategy::ALL.iter().zip(&before) {
+            let (hits, _, _) = query_pinned(&engine.set, &pinned, &replica, &probe, 5, s, 1).unwrap();
+            assert_eq!(&hits, want, "{} across the swap", s.name());
+            assert_ne!(&engine.query(&probe, 5, s).unwrap(), want, "{} after it", s.name());
+        }
+    }
+
+    #[test]
+    fn rows_a_model_did_not_encode_are_refused_and_fail_the_consistency_check() {
+        let (corpus, _, wide, narrow) = world();
+        let rows = encode_rows(&narrow, 0..12, corpus.clone(), 1).unwrap();
+        let scfg = ShardConfig { shards: 2, fan_out_threads: 0 };
+        let refused = ShardedEngine::from_parts(wide, EngineConfig::default(), scfg, rows, 12);
+        assert!(matches!(
+            refused.err(),
+            Some(EngineError::Search(traj_index::SearchError::InconsistentEmbeddings { .. }))
+        ));
+
+        // A view pairing one engine's model with another's shards — what
+        // a swap published piecewise would let a reader pin.
+        let (a, b) = (build(narrow, &corpus[..6]), build(world().2, &corpus[..6]));
+        let (a, b) = (a.set.view.pin(), b.set.view.pin());
+        let mixed = EngineView {
+            blueprint: Arc::clone(&a.blueprint),
+            states: vec![Arc::clone(&a.states[0]), Arc::clone(&b.states[1])],
+            seq: 0,
+        };
+        let err = PinnedView { view: Arc::new(mixed) }.check_consistent().unwrap_err();
+        assert!(err.contains("shard 1 vs the view's model"), "{err}");
     }
 }

@@ -4,6 +4,7 @@
 //! top-k computation, ranking glue over embeddings/hash codes, and plain
 //! text table rendering for the experiment harnesses.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod error;

@@ -6,6 +6,7 @@
 //! comparator of Fig. 7, and the fast coarse-grid triplet generation of
 //! Section IV-F.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod embedding;

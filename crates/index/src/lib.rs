@@ -13,6 +13,7 @@
 //! place; the `build` / `try_build` constructors taking `Vec`s of rows
 //! are adapters that pack a column first.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cluster;

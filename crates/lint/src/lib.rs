@@ -2,14 +2,15 @@
 //!
 //! A lightweight source lint driver: a character-level scanner
 //! ([`source`]) feeds a token-level pass ([`tokens`]: function
-//! boundaries, lock-guard scopes) and eleven rules ([`rules`]) that
+//! boundaries, lock-guard scopes) and twelve rules ([`rules`]) that
 //! encode invariants this repository has already been burned by —
 //! NaN-unsound float sorts, panicking library code, a serving crate
 //! that must never take the process down, bare lock acquisitions that
 //! decide poison policy ad hoc, guards held across compute,
 //! silently-wrapping casts, undeclared atomic orderings, query entry
-//! points that dodge per-query tracing, and container magics that must
-//! not collide (all centrally declared in [`registry`]).
+//! points that dodge per-query tracing, undeclared `unsafe`, and
+//! container magics that must not collide (all centrally declared in
+//! [`registry`]).
 //!
 //! No rustc plugin, no external dependencies: the whole pass runs in
 //! milliseconds and works in the fully-offline build environment. The
@@ -24,6 +25,7 @@
 //!    repo root (hard-capped at 20 entries so the escape hatch cannot
 //!    become a landfill).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod registry;
@@ -205,23 +207,25 @@ pub fn parse_allowlist(text: &str) -> Result<Vec<AllowEntry>, LintError> {
     Ok(entries)
 }
 
-/// Collects the `.rs` files the gate covers: everything under
-/// `crates/*/src` and the root meta-crate's `src/`, skipping `vendor/`,
-/// `target/`, and lint fixtures.
+/// Collects the `.rs` files the gate covers: every package's `src/`,
+/// `tests/` and `examples/` — the member crates under `crates/*` and the
+/// root meta-crate — skipping `vendor/`, `target/`, and lint fixtures.
+/// Test and example files are exempt from every rule but
+/// `unsafe-registry` ([`is_test_path`]).
 pub fn default_targets(root: &Path) -> Result<Vec<PathBuf>, LintError> {
     let mut files = Vec::new();
+    let mut packages = vec![root.to_path_buf()];
     let crates = root.join("crates");
     if crates.is_dir() {
-        for entry in read_dir_sorted(&crates)? {
-            let src = entry.join("src");
-            if src.is_dir() {
-                walk_rs(&src, &mut files)?;
+        packages.extend(read_dir_sorted(&crates)?);
+    }
+    for package in packages {
+        for dir in ["src", "tests", "examples"] {
+            let dir = package.join(dir);
+            if dir.is_dir() {
+                walk_rs(&dir, &mut files)?;
             }
         }
-    }
-    let root_src = root.join("src");
-    if root_src.is_dir() {
-        walk_rs(&root_src, &mut files)?;
     }
     files.sort();
     Ok(files)
@@ -279,6 +283,7 @@ pub fn run(root: &Path, files: &[PathBuf], allow: &[AllowEntry]) -> Result<LintR
     let mut helper_seen = vec![false; registry::LOCK_HELPERS.len()];
     let mut print_seen = vec![false; registry::RAW_PRINT_ALLOWED.len()];
     let mut traced_seen = vec![false; registry::TRACED_ENTRY_POINTS.len()];
+    let mut unsafe_seen = vec![false; registry::UNSAFE_SITES.len()];
 
     for file in files {
         let text =
@@ -321,6 +326,13 @@ pub fn run(root: &Path, files: &[PathBuf], allow: &[AllowEntry]) -> Result<LintR
                 && scanned.lines.iter().any(|l| rules::contains_word(&l.masked, &decl))
             {
                 traced_seen[i] = true;
+            }
+        }
+        for (i, site) in registry::UNSAFE_SITES.iter().enumerate() {
+            if site.path == rel
+                && scanned.lines.iter().any(|l| rules::contains_word(&l.masked, "unsafe"))
+            {
+                unsafe_seen[i] = true;
             }
         }
         check_file(&scanned, is_lib_crate_path(&rel), &mut raw_findings);
@@ -369,6 +381,12 @@ pub fn run(root: &Path, files: &[PathBuf], allow: &[AllowEntry]) -> Result<LintR
                 "stale traced entry point: `fn {}` is not defined in {}",
                 entry.func, entry.path
             ));
+        }
+    }
+
+    for (site, seen) in registry::UNSAFE_SITES.iter().zip(&unsafe_seen) {
+        if !seen && !site.path.starts_with(registry::FIXTURE_PATH_PREFIX) {
+            report.warnings.push(format!("stale unsafe site: {} contains no `unsafe`", site.path));
         }
     }
 

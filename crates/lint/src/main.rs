@@ -4,8 +4,8 @@
 //! traj-lint [--root DIR] [--allowlist FILE] [--fix-list] [FILES...]
 //! ```
 //!
-//! With no `FILES`, scans every library source under `crates/*/src` and
-//! the root `src/`. Exit codes: 0 clean, 1 findings, 2 driver error.
+//! With no `FILES`, scans `src/`, `tests/` and `examples/` of the root
+//! package and of every crate under `crates/`. Exit codes: 0 clean, 1 findings, 2 driver error.
 //! `--fix-list` additionally prints a ready-to-paste `lint.allow` entry
 //! per finding to make triage cheap.
 

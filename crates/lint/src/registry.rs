@@ -2,7 +2,7 @@
 //! format header, sanctioned lock helper, compute boundary, and atomic
 //! ordering intent used anywhere in the workspace must be declared.
 //!
-//! Six tables live here:
+//! Seven tables live here:
 //!
 //! * [`KNOWN_MAGICS`] — container magics, backing the
 //!   `checkpoint-magic-registry` rule;
@@ -18,7 +18,9 @@
 //!   stdout/stderr directly, backing `no-raw-print-in-lib`;
 //! * [`TRACED_ENTRY_POINTS`] — the `query*` entry points sanctioned
 //!   without a visible trace type in their span, backing
-//!   `trace-span-coverage`.
+//!   `trace-span-coverage`;
+//! * [`UNSAFE_SITES`] — the files sanctioned to contain `unsafe`,
+//!   backing `unsafe-registry`.
 //!
 //! Declaring intent centrally is the point: a new lock helper, a new
 //! atomic, or a stronger ordering shows up as a diff *to this file*,
@@ -75,8 +77,10 @@ pub const LOCK_HELPERS: &[LockHelper] = &[
     LockHelper {
         path: "crates/obs/src/lib.rs",
         name: "olock",
-        why: "recorder-internal Mutex; sink buffers stay structurally valid after a \
-              panicking append",
+        why: "recorder-internal Mutex (sink buffers, flight-ring slots); both stay \
+              structurally valid after a panicking append — a slot is one Option moved \
+              in or out — and the poisoned guard is released before the poison dump \
+              drains the ring through this same helper",
     },
     LockHelper {
         path: "crates/obs/src/lib.rs",
@@ -123,7 +127,9 @@ pub const LOCK_HELPERS: &[LockHelper] = &[
 /// or telemetry guard across any of these stalls every reader behind
 /// a long computation and widens the poison blast radius to the whole
 /// serving plane. Snapshot first (`Arc::clone(&rread(..))`), drop the
-/// guard, then compute. The forward-only evaluator has no entry of its
+/// guard, then compute — the engine's writes build the next shard state
+/// (`with_insert`, `rebuilt`, `refreshed`) before `PublishCell::publish`
+/// takes the write lock to assemble the view from finished parts. The forward-only evaluator has no entry of its
 /// own: it is reached only through `embed` / `embed_all` /
 /// `embed_all_with_threads`, which are listed.
 pub const COMPUTE_CALLS: &[&str] = &[
@@ -132,8 +138,10 @@ pub const COMPUTE_CALLS: &[&str] = &[
     "embed_batch",
     "embed_all",
     "embed_all_with_threads",
+    "with_insert",
     "rebuilt",
     "rebuild_shard",
+    "refreshed",
     "instantiate",
     "encode_view",
     "decode_parts",
@@ -246,21 +254,7 @@ pub const ATOMIC_INTENTS: &[AtomicIntent] = &[
         atomic: "head",
         allowed: &["Relaxed"],
         why: "ring write cursor; slot claims need atomicity only — the entry payload \
-              is published by the slot's AcqRel swap, not by this index",
-    },
-    AtomicIntent {
-        path: "crates/obs/src/flight.rs",
-        atomic: "slots",
-        allowed: &["AcqRel"],
-        why: "ring-cell AtomicPtr swap: Release publishes the boxed entry to the \
-              drainer, Acquire claims sole ownership of the displaced one",
-    },
-    AtomicIntent {
-        path: "crates/obs/src/flight.rs",
-        atomic: "slot",
-        allowed: &["AcqRel"],
-        why: "drain/Drop loop over the ring cells; same publish/claim pairing as \
-              `slots`",
+              is handed over under the slot's Mutex, not by this index",
     },
     AtomicIntent {
         path: "crates/obs/src/flight.rs",
@@ -368,6 +362,30 @@ pub const TRACED_ENTRY_POINTS: &[TracedEntryPoint] = &[
     },
 ];
 
+/// A file sanctioned to contain `unsafe` (the `unsafe-registry` rule's
+/// ground truth). Library crates cannot appear here: each carries
+/// `#![forbid(unsafe_code)]`.
+#[derive(Debug, Clone, Copy)]
+pub struct UnsafeSite {
+    /// Repo-relative file the `unsafe` lives in.
+    pub path: &'static str,
+    /// One-line rationale: what safe code cannot express there.
+    pub why: &'static str,
+}
+
+/// The workspace's `unsafe`, all of it.
+pub const UNSAFE_SITES: &[UnsafeSite] = &[
+    UnsafeSite {
+        path: "tests/embed_allocations.rs",
+        why: "test-only counting `GlobalAlloc`: the trait is unsafe to implement, and \
+              counting allocations is how the zero-allocation disabled path is held",
+    },
+    UnsafeSite {
+        path: "crates/demo/src/pass.rs",
+        why: "lint fixture pin: exercises the declared-site path",
+    },
+];
+
 /// The lint fixture namespace: registry entries under this prefix pin
 /// fixture behaviour and are exempt from staleness warnings.
 pub const FIXTURE_PATH_PREFIX: &str = "crates/demo/";
@@ -443,6 +461,20 @@ mod tests {
                 e.path
             );
             assert!(e.func.starts_with("query"), "{}: rule only matches query*", e.func);
+        }
+    }
+
+    #[test]
+    fn unsafe_sites_are_unique_outside_library_crates_and_carry_rationale() {
+        let mut seen = std::collections::HashSet::new();
+        for u in UNSAFE_SITES {
+            assert!(seen.insert(u.path), "{} declared twice", u.path);
+            assert!(!u.why.trim().is_empty(), "{}: empty rationale", u.path);
+            assert!(
+                !u.path.contains("/src/") || u.path.starts_with(FIXTURE_PATH_PREFIX),
+                "{}: library code forbids unsafe",
+                u.path
+            );
         }
     }
 

@@ -11,7 +11,7 @@
 
 use crate::registry::{
     ATOMIC_INTENTS, COMPUTE_CALLS, KNOWN_MAGICS, LOCK_HELPERS, RAW_PRINT_ALLOWED,
-    TRACED_ENTRY_POINTS,
+    TRACED_ENTRY_POINTS, UNSAFE_SITES,
 };
 use crate::source::ScannedFile;
 use crate::tokens::{
@@ -53,6 +53,7 @@ pub const RULES: &[&str] = &[
     "no-lossy-as-cast",
     "atomic-ordering-registry",
     "trace-span-coverage",
+    "unsafe-registry",
 ];
 
 /// Short aliases accepted in `// lint: allow(...)` annotations.
@@ -69,6 +70,7 @@ fn rule_aliases(rule: &str) -> &[&str] {
         "no-lossy-as-cast" => &["lossy-cast", "no-lossy-as-cast"],
         "atomic-ordering-registry" => &["atomic-ordering", "atomic-ordering-registry"],
         "trace-span-coverage" => &["trace-span", "trace-span-coverage"],
+        "unsafe-registry" => &["unsafe", "unsafe-registry"],
         _ => &[],
     }
 }
@@ -489,6 +491,32 @@ pub fn trace_span_coverage(file: &ScannedFile, out: &mut Vec<Finding>) {
     }
 }
 
+/// `unsafe-registry`: the workspace keeps its `unsafe` where a reviewer
+/// can count it. An `unsafe` anywhere the gate scans — tests and
+/// examples included, this rule has no test exemption — must sit in a
+/// file declared in [`UNSAFE_SITES`] with its reason. (Library crates
+/// also carry `#![forbid(unsafe_code)]`, so rustc says it first.)
+pub fn unsafe_registry(file: &ScannedFile, out: &mut Vec<Finding>) {
+    if UNSAFE_SITES.iter().any(|u| u.path == file.path) {
+        return;
+    }
+    for (idx, line) in file.lines.iter().enumerate() {
+        if !contains_word(&line.masked, "unsafe") || is_allowed(file, idx, "unsafe-registry") {
+            continue;
+        }
+        out.push(Finding {
+            rule: "unsafe-registry",
+            path: file.path.clone(),
+            line: idx + 1,
+            snippet: line.raw.trim().to_string(),
+            message: "`unsafe` in a file not declared in UNSAFE_SITES \
+                      (crates/lint/src/registry.rs); write it in safe Rust or declare the \
+                      file with its reason"
+                .to_string(),
+        });
+    }
+}
+
 /// Runs every rule applicable to `file`. `lib_crate` gates the
 /// unwrap and lossy-cast rules: binaries and dev-tooling crates
 /// (bench, lint) may unwrap and cast, library crates may not.
@@ -506,6 +534,7 @@ pub fn check_file(file: &ScannedFile, lib_crate: bool, out: &mut Vec<Finding>) {
     no_guard_across_compute(file, out);
     atomic_ordering_registry(file, out);
     trace_span_coverage(file, out);
+    unsafe_registry(file, out);
 }
 
 #[cfg(test)]
@@ -739,6 +768,24 @@ mod tests {
         // Annotation suppresses.
         let allowed = "// lint: allow(trace-span) — bench-only probe\npub fn query_probe(&self) -> usize {\n    self.n()\n}\n";
         assert!(run(engine, allowed).is_empty());
+    }
+
+    #[test]
+    fn unsafe_needs_a_declared_file_tests_included() {
+        let run = |path: &str, src: &str, test_file: bool| -> Vec<Finding> {
+            let mut out = Vec::new();
+            unsafe_registry(&scan(path, src, test_file), &mut out);
+            out
+        };
+        let block = "fn f(p: *const u8) -> u8 {\n    unsafe { *p }\n}\n";
+        assert_eq!(run("crates/x/src/a.rs", block, false).len(), 1);
+        // No test exemption: an undeclared test file is flagged too …
+        assert_eq!(run("tests/other.rs", block, true).len(), 1);
+        // … and the declared one is not.
+        assert!(run("tests/embed_allocations.rs", block, true).is_empty());
+        // The word in a comment, a string or the lint name is not a use.
+        let talk = "#![forbid(unsafe_code)]\n// unsafe\nconst S: &str = \"unsafe\";\n";
+        assert!(run("crates/x/src/lib.rs", talk, false).is_empty());
     }
 
     #[test]

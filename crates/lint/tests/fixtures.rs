@@ -41,6 +41,7 @@ fn run_rule(rule: &str, fixture: &Path, which: &str) -> Vec<Finding> {
         "no-lossy-as-cast" => rules::no_lossy_as_cast(&file, &mut out),
         "atomic-ordering-registry" => rules::atomic_ordering_registry(&file, &mut out),
         "trace-span-coverage" => rules::trace_span_coverage(&file, &mut out),
+        "unsafe-registry" => rules::unsafe_registry(&file, &mut out),
         other => panic!("unknown rule {other}"),
     }
     out
@@ -137,6 +138,11 @@ fn fixture_atomic_ordering_registry() {
 #[test]
 fn fixture_trace_span_coverage() {
     check_rule_fixtures("trace-span-coverage");
+}
+
+#[test]
+fn fixture_unsafe_registry() {
+    check_rule_fixtures("unsafe-registry");
 }
 
 #[test]

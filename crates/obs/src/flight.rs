@@ -1,5 +1,5 @@
-//! Tail-exemplar flight recorder: a lock-free ring buffer of recent
-//! slow-query traces, force-dumped to JSONL when the engine degrades,
+//! Tail-exemplar flight recorder: a ring buffer of recent slow-query
+//! traces, force-dumped to JSONL when the engine degrades,
 //! a refresh fails, or a panic poisons an instrumented lock.
 //!
 //! Aggregate histograms (PR 5) answer "what is p99"; the flight
@@ -9,19 +9,21 @@
 //! latency lands at or above the configured tail bucket, so fast
 //! queries pay one atomic load and one bucket comparison.
 //!
-//! The ring is a fixed array of `AtomicPtr` slots. Capture swaps a
-//! boxed entry in and frees whatever it displaced; drain swaps nulls
-//! in and takes ownership of what it finds. Neither path ever blocks a
-//! query thread on a lock — only [`force_dump`] serializes (via
-//! `try_lock`, so a dump contended by another dump is skipped rather
-//! than waited for, which keeps the poison path re-entrancy safe).
+//! The ring is a fixed array of `Mutex<Option<FlightEntry>>` slots, each
+//! held only to move one entry in or out: capture replaces a slot's
+//! entry and counts what it displaced, drain takes what it finds. The
+//! capture path already allocates per entry and runs for tail exemplars
+//! only, so an uncontended slot lock costs nothing that shows. Only
+//! [`force_dump`] serializes on more than a slot (via `try_lock`, so a
+//! dump contended by another dump is skipped rather than waited for,
+//! which keeps the poison path re-entrancy safe).
 
 use crate::hist::bucket_of;
 use crate::jsonl::{escape_into, parse_json, push_fields, validate_record, Json};
-use crate::Field;
+use crate::{olock, Field};
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 /// Configuration for a [`FlightRecorder`].
@@ -76,10 +78,10 @@ impl FlightEntry {
     }
 }
 
-/// The lock-free ring buffer of tail exemplars. Install one globally
-/// with [`install`]; producers reach it through [`offer`].
+/// The ring buffer of tail exemplars. Install one globally with
+/// [`install`]; producers reach it through [`offer`].
 pub struct FlightRecorder {
-    slots: Vec<AtomicPtr<FlightEntry>>,
+    slots: Vec<Mutex<Option<FlightEntry>>>,
     head: AtomicUsize,
     seq: AtomicU64,
     threshold_bucket: usize,
@@ -101,7 +103,7 @@ impl FlightRecorder {
             0.0
         };
         FlightRecorder {
-            slots: (0..capacity).map(|_| AtomicPtr::new(std::ptr::null_mut())).collect(),
+            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
             head: AtomicUsize::new(0),
             seq: AtomicU64::new(0),
             threshold_bucket: if threshold == 0.0 { 0 } else { bucket_of(threshold) },
@@ -144,15 +146,9 @@ impl FlightRecorder {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         fields.push(("flight_seq", seq.into()));
         fields.push(("seconds", seconds.into()));
-        let entry = Box::into_raw(Box::new(FlightEntry { seq, name, fields }));
         let idx = self.head.fetch_add(1, Ordering::Relaxed) % self.slots.len();
-        let old = self.slots[idx].swap(entry, Ordering::AcqRel);
-        if !old.is_null() {
-            // SAFETY: the swap transferred sole ownership of `old` to
-            // this thread; it was created by Box::into_raw in this
-            // function (or is null, excluded above) and no other thread
-            // can reach it after the swap.
-            drop(unsafe { Box::from_raw(old) });
+        let displaced = olock(&self.slots[idx]).replace(FlightEntry { seq, name, fields });
+        if displaced.is_some() {
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
         self.captured.fetch_add(1, Ordering::Relaxed);
@@ -161,15 +157,8 @@ impl FlightRecorder {
 
     /// Takes every retained entry out of the ring, oldest first.
     pub fn drain(&self) -> Vec<FlightEntry> {
-        let mut out = Vec::new();
-        for slot in &self.slots {
-            let p = slot.swap(std::ptr::null_mut(), Ordering::AcqRel);
-            if !p.is_null() {
-                // SAFETY: same ownership transfer as in `offer` — the
-                // swap makes this thread the unique owner of `p`.
-                out.push(*unsafe { Box::from_raw(p) });
-            }
-        }
+        let mut out: Vec<FlightEntry> =
+            self.slots.iter().filter_map(|slot| olock(slot).take()).collect();
         out.sort_by_key(|e| e.seq);
         out
     }
@@ -218,20 +207,6 @@ impl FlightRecorder {
         match file.write_all(body.as_bytes()) {
             Ok(()) => entries.len(),
             Err(_) => 0,
-        }
-    }
-}
-
-impl Drop for FlightRecorder {
-    fn drop(&mut self) {
-        for slot in &self.slots {
-            let p = slot.swap(std::ptr::null_mut(), Ordering::AcqRel);
-            if !p.is_null() {
-                // SAFETY: `&mut self` guarantees no concurrent access;
-                // every non-null pointer is an unclaimed Box from
-                // `offer`.
-                drop(unsafe { Box::from_raw(p) });
-            }
         }
     }
 }
@@ -640,6 +615,23 @@ mod tests {
         assert_eq!(validate_flight_dump(&text), Ok(1));
         assert!(text.contains("obs.lock.poisoned"));
         assert!(!DUMPING.load(Ordering::SeqCst), "guard must reset after dump");
+
+        // A poisoned ring slot: `olock`'s poison arm dumps, the dump
+        // drains this very slot through `olock` again, and the latch
+        // stops the recursion there — no deadlock, and the entry the
+        // slot held reaches the dump file or the drain exactly once.
+        offer(2e-3, || trace_fields(101, "1", &[7]));
+        let holder = Arc::clone(&rec);
+        let poisoner = std::thread::spawn(move || {
+            let _held = holder.slots[1].lock().unwrap();
+            panic!("poisons the slot holding trace 101");
+        });
+        assert!(poisoner.join().is_err() && rec.slots[1].is_poisoned());
+        let drained = rec.drain().len();
+        let text = std::fs::read_to_string(&path).expect("read dump");
+        let dumped = validate_flight_dump(&text).expect("dump still validates, ids unique");
+        assert_eq!((dumped + drained) as u64, rec.captured() - rec.dropped());
+        assert!(!DUMPING.load(Ordering::SeqCst), "guard must reset after the poisoned drain");
 
         uninstall();
         assert!(!installed());

@@ -40,6 +40,7 @@
 //! );
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod flight;
@@ -192,13 +193,15 @@ thread_local! {
 /// from poison means a panic unwound through instrumented code — that
 /// is exactly the moment tail exemplars matter, so the poison arm
 /// force-dumps the flight recorder (re-entrancy-guarded) before
-/// continuing.
+/// continuing. The poisoned guard is released first: the dump drains
+/// the flight ring, whose slots are taken through this helper too.
 pub(crate) fn olock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     match m.lock() {
         Ok(g) => g,
         Err(poisoned) => {
+            drop(poisoned);
             flight::poison_dump("obs.lock.poisoned");
-            poisoned.into_inner()
+            m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
         }
     }
 }

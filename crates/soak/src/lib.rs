@@ -22,6 +22,7 @@
 //! ticks retry, never as aborts. The JSONL telemetry stream (`OBS_JSONL`)
 //! is the run's artifact. See `DESIGN.md` §12.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod config;

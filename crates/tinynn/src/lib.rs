@@ -19,6 +19,7 @@
 //! one trajectory at a time, which is both simple and fast enough for the
 //! scaled-down experiments this repository runs.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod gradcheck;

@@ -18,6 +18,8 @@
 //!   encode → hash → index → search, with incremental updates, lock-free
 //!   readers + snapshots
 
+#![forbid(unsafe_code)]
+
 pub use tinynn;
 pub use traj2hash;
 pub use traj_baselines;

@@ -6,23 +6,21 @@
 //! as a sequence of *atomic steps* (closures over a shared state) and
 //! executes **every** interleaving of those steps, checking an
 //! invariant after each one. That is exact — not sampled — coverage of
-//! the schedule space, which is feasible because the publish protocol's
-//! critical sections ([`traj_engine::PublishCell::pin`] /
-//! [`publish`](traj_engine::PublishCell::publish)) are themselves
-//! atomic under the cell's lock: any real concurrent execution is
-//! equivalent to *some* sequential interleaving of these steps, so
-//! checking all interleavings checks all executions.
+//! the schedule space, and it covers real executions whenever each step
+//! has a single linearisation point: the engine publishes everything
+//! through one cell, so a read is one [`traj_engine::PublishCell::pin`]
+//! and a write one [`publish`](traj_engine::PublishCell::publish), and
+//! any concurrent execution of engine calls is equivalent to *some*
+//! sequential interleaving of the calls.
 //!
 //! The step count is the multinomial coefficient
 //! `(Σ lens)! / Π lens!` ([`interleaving_count`]); tests assert the
 //! exact value so nobody can silently shrink the explored space.
 //!
 //! Used by the `loomlet_publish` suite (which `mod`-includes this file;
-//! the enumerator is test tooling, not part of `traj-engine`'s API) to
-//! verify reader pin / writer publish / hot-swap schedules over real
-//! `ShardCell`s and the model blueprint cell: monotone publish
-//! sequences, no torn views, and every pinned value is one a writer
-//! actually published.
+//! the enumerator is test tooling, not part of `traj-engine`'s API) over
+//! a real `ShardedEngine` + `ShardReader` and over the flight
+//! recorder's ring.
 
 use std::fmt;
 

@@ -50,6 +50,14 @@ pub fn other_model(dataset: &Dataset) -> Traj2Hash {
     Traj2Hash::new(mcfg, &ctx, 17)
 }
 
+/// A model of another width than [`world`]'s (8 floats / bits against
+/// 16): rows it encoded cannot pass for the other model's.
+pub fn narrow_model(dataset: &Dataset) -> Traj2Hash {
+    let mcfg = ModelConfig { dim: 8, grid_dim: 8, ..ModelConfig::tiny() };
+    let ctx = ModelContext::prepare(&dataset.training_visible(), &mcfg, 11);
+    Traj2Hash::new(mcfg, &ctx, 17)
+}
+
 /// A byte-identical copy (`Traj2Hash` is not `Clone`).
 pub fn replica(model: &Traj2Hash) -> Traj2Hash {
     Traj2Hash::from_spec(&model.spec(), &model.params.clone_values())

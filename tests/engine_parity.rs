@@ -25,7 +25,7 @@
 #[path = "common/oracle.rs"]
 mod oracle;
 
-use oracle::{assert_engine_matches, world, Oracle};
+use oracle::{assert_engine_matches, narrow_model, world, Oracle};
 use proptest::prelude::*;
 use traj_data::{CityParams, Dataset, SplitSizes, Trajectory};
 use traj_engine::{
@@ -706,6 +706,35 @@ fn corrupted_snapshots_are_rejected_not_loaded() {
     let (dataset, model) = world();
     for shards in SHARDS {
         check_corrupted_snapshots(&build_default(&model, &dataset.database[..30], shards));
+    }
+}
+
+/// A well-formed, checksummed snapshot whose rows were encoded by a
+/// model of another width than the one it carries — one model's header
+/// spliced onto another's corpus — is refused with a typed error, never
+/// loaded into an engine that would rank 8-wide rows with 16-wide
+/// queries.
+#[test]
+fn a_snapshot_pairing_a_model_with_rows_it_did_not_encode_is_refused() {
+    use traj2hash::checkpoint::{decode_container, encode_container};
+    use traj_engine::snapshot::{MAGIC, VERSION};
+    let (dataset, wide) = world();
+    let narrow = narrow_model(&dataset);
+    // A payload is `model + engine sections | corpus`, and the corpus of
+    // an empty engine is its 8-byte row count: that locates the split.
+    let payload = |model: &Traj2Hash, corpus: &[Trajectory]| {
+        let bytes = build_default(model, corpus, 1).snapshot_bytes().unwrap();
+        decode_container(&bytes, MAGIC, VERSION).unwrap().1.to_vec()
+    };
+    let corpus = &dataset.database[..10];
+    let head = |model: &Traj2Hash| payload(model, &[]).len() - 8;
+    let mut spliced = payload(&wide, corpus)[..head(&wide)].to_vec();
+    spliced.extend_from_slice(&payload(&narrow, corpus)[head(&narrow)..]);
+    for shards in SHARDS {
+        let loaded =
+            ShardedEngine::from_snapshot_bytes(&encode_container(MAGIC, VERSION, &spliced), scfg(shards));
+        let err = loaded.err().expect("a mixed-width snapshot must not load").to_string();
+        assert!(err.contains("width") || err.contains("dimensions"), "shards={shards}: {err}");
     }
 }
 

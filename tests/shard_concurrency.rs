@@ -17,22 +17,23 @@
 //! * **pinned views are frozen** — a view pinned before a burst of
 //!   writes describes the same corpus afterwards;
 //! * and once the writer goes quiet, readers and writer agree with a
-//!   fresh single-shard engine over the surviving corpus, bit for bit.
+//!   fresh single-shard engine over the surviving corpus, bit for bit;
+//! * **swaps are atomic** — while the writer alternates between two
+//!   models, every answer is the old engine's or the new engine's, never
+//!   a query encoded by one model ranked against rows encoded by the
+//!   other.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-use traj_data::{CityParams, Dataset, SplitSizes, Trajectory};
+use traj_data::{Dataset, Trajectory};
 use traj_engine::{EngineConfig, Hit, ShardConfig, ShardedEngine, Strategy};
-use traj2hash::{ModelConfig, ModelContext, Traj2Hash};
+use traj2hash::Traj2Hash;
 
-fn world() -> (Dataset, Traj2Hash) {
-    let sizes = SplitSizes { seeds: 16, validation: 20, corpus: 150, query: 8, database: 90 };
-    let dataset = Dataset::generate(CityParams::test_city(), sizes, 11);
-    let mcfg = ModelConfig::tiny();
-    let ctx = ModelContext::prepare(&dataset.training_visible(), &mcfg, 11);
-    let model = Traj2Hash::new(mcfg, &ctx, 13);
-    (dataset, model)
-}
+#[allow(dead_code)]
+#[path = "common/oracle.rs"]
+mod oracle;
+
+use oracle::{narrow_model, other_model, replica, world};
 
 fn assert_well_formed(hits: &[Hit], k: usize, what: &str) {
     assert!(hits.len() <= k, "{what}: more than k hits");
@@ -128,9 +129,7 @@ fn readers_never_observe_torn_or_regressing_state_under_writer_churn() {
                 }
             }
             if step == 75 {
-                let replica =
-                    Traj2Hash::from_spec(&engine.model().spec(), &engine.model().params.clone_values());
-                let replacement = engine.refreshed(replica).unwrap();
+                let replacement = engine.refreshed(other_model(&dataset)).unwrap();
                 engine.hot_swap(replacement);
             }
         }
@@ -171,4 +170,79 @@ fn readers_never_observe_torn_or_regressing_state_under_writer_churn() {
             );
         }
     }
+}
+
+/// Every `(query, strategy)` answer of a fresh engine over `corpus`.
+fn answers(model: &Traj2Hash, corpus: &[Trajectory], queries: &[Trajectory]) -> Vec<Vec<Hit>> {
+    let engine = ShardedEngine::build_from(
+        model,
+        corpus.to_vec(),
+        EngineConfig::default(),
+        ShardConfig { shards: 1, fan_out_threads: 0 },
+    )
+    .unwrap();
+    queries
+        .iter()
+        .flat_map(|q| Strategy::ALL.map(|s| engine.query(q, 5, s).unwrap()))
+        .collect()
+}
+
+/// Two readers query a fixed corpus while the writer runs 200
+/// `refreshed` + `hot_swap` cycles alternating between `a` and `b`;
+/// every answer must be engine-A's or engine-B's.
+fn check_swaps_are_atomic(dataset: &Dataset, a: &Traj2Hash, b: &Traj2Hash) {
+    let corpus = &dataset.database[..30];
+    let queries = &dataset.query[..4];
+    let (want_a, want_b) = (answers(a, corpus, queries), answers(b, corpus, queries));
+    assert_ne!(want_a, want_b, "the two models must answer differently");
+    let scfg = ShardConfig { shards: 3, fan_out_threads: 0 };
+    let mut engine =
+        ShardedEngine::build_from(a, corpus.to_vec(), EngineConfig::default(), scfg).unwrap();
+
+    let stop = AtomicBool::new(false);
+    let specs = [engine.reader(), engine.reader()];
+    let answered: usize = std::thread::scope(|scope| {
+        let readers: Vec<_> = specs
+            .into_iter()
+            .map(|spec| {
+                let (stop, want_a, want_b) = (&stop, &want_a, &want_b);
+                scope.spawn(move || {
+                    let mut reader = spec.into_reader();
+                    let mut n = 0usize;
+                    while !stop.load(Ordering::Relaxed) {
+                        let case = n % want_a.len();
+                        let (q, strategy) = (&queries[case / 5], Strategy::ALL[case % 5]);
+                        let got = reader.query(q, 5, strategy).unwrap();
+                        assert!(
+                            got == want_a[case] || got == want_b[case],
+                            "{} answer is neither the old engine's nor the new one's",
+                            strategy.name()
+                        );
+                        n += 1;
+                    }
+                    n
+                })
+            })
+            .collect();
+        for cycle in 0..200 {
+            let next = if cycle % 2 == 0 { b } else { a };
+            let replacement = engine.refreshed(replica(next)).unwrap();
+            engine.hot_swap(replacement);
+        }
+        stop.store(true, Ordering::Relaxed);
+        readers.into_iter().map(|r| r.join().expect("a reader saw a torn swap")).sum()
+    });
+    assert!(answered >= 2, "readers never got a query through");
+}
+
+#[test]
+fn hot_swaps_are_atomic_between_models_of_one_width() {
+    let (dataset, a) = world();
+    check_swaps_are_atomic(&dataset, &a, &other_model(&dataset));
+}
+
+#[test]
+fn hot_swaps_are_atomic_between_models_of_different_widths() {
+    let (dataset, a) = world();
+    check_swaps_are_atomic(&dataset, &a, &narrow_model(&dataset));
 }
