@@ -110,6 +110,13 @@ run_gt_smoke() {
     cargo run -q --release -p traj-bench --bin gt_bench -- --smoke
 }
 
+# The Fig. 5 program end to end at 200-1 000 rows (seconds): trains the
+# tiny model, builds the one-shard engines, answers every strategy.
+run_fig5_tiny() {
+    echo "==> fig5 --scale tiny (the search-figure program through the serving engine)"
+    cargo run -q --release -p traj-bench --bin fig5 -- --scale tiny >/dev/null
+}
+
 if [[ "${1:-}" == "prune" ]]; then
     echo "==> cargo test --test prune_parity (pruned == dense, property-based)"
     cargo test -q --test prune_parity
@@ -156,6 +163,8 @@ echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
 run_gt_smoke
+
+run_fig5_tiny
 
 run_t2h
 

@@ -1,102 +1,45 @@
-//! Extension experiment (beyond the paper): the paper's Hamming-Hybrid
-//! strategy falls back to a full scan whenever the radius-2 ball holds
-//! fewer than k results (footnote 5's empty-bucket problem). This
-//! harness compares it against two exact pruning indexes this library
-//! adds — multi-index hashing for Hamming space and a VP-tree for
-//! Euclidean space — over both a clustered and a uniform (adversarial)
-//! code distribution.
+//! Extension experiment (beyond the paper): the paper's three strategies
+//! beside the structures this library adds — the radius-2 table alone,
+//! multi-index hashing for exact Hamming top-k, and a VP-tree for exact
+//! Euclidean top-k — at 2K / 20K / 100K rows, top-10 queries. Every row
+//! is the serving engine answering over the trained model's own codes
+//! (see `traj_bench::SearchBed`); the VP-tree rows come from a second
+//! engine built with `EuclideanBackend::VpTree`.
 //!
 //! ```text
-//! cargo run -p traj-bench --release --bin ext_indexes
+//! cargo run -p traj-bench --release --bin ext_indexes -- --scale small
 //! ```
 
-use std::time::Instant;
-use traj_bench::{clustered_workload, CommonArgs};
-use traj_eval::{fmt_ms, TextTable};
-use traj_index::{euclidean_top_k, hamming_top_k, HammingTable, MultiIndexHashing, VpTree};
+use traj_bench::{CommonArgs, SearchBed};
+use traj_engine::{EuclideanBackend, Strategy};
 
 fn main() {
     let args = CommonArgs::parse(&std::env::args().skip(1).collect::<Vec<_>>());
-    let bits = 32;
     let k = 10;
-    let n_query = 100;
-    println!(
-        "# Extension — exact index structures vs the paper's strategies (bits={bits}, k={k})\n"
-    );
-    for (label, max_flips, clusters_per) in [("clustered", 2usize, 400usize), ("uniform", bits, 1)]
-    {
-        let mut table = TextTable::new(vec![
-            "Distribution",
-            "DB size",
-            "Euclid-BF (ms)",
-            "VP-tree (ms)",
-            "Hamming-BF (ms)",
-            "Hybrid (ms)",
-            "MIH (ms)",
-        ]);
-        for n_db in [20_000usize, 100_000] {
-            let clusters = if clusters_per == 1 { n_db } else { n_db / clusters_per };
-            let w = clustered_workload(n_db, n_query, bits, clusters, max_flips, args.seed);
-
-            let t0 = Instant::now();
-            for q in &w.query_embeddings {
-                std::hint::black_box(euclidean_top_k(&w.db_embeddings, q, k));
+    let mut bed = SearchBed::train(&args.scale, args.seed);
+    let mut table = SearchBed::table(&["DB size", "Strategy"]);
+    for paper_rows in [2_000, 20_000, 100_000] {
+        let legs = [
+            (EuclideanBackend::BruteForce, &Strategy::ALL[..]),
+            (EuclideanBackend::VpTree, &[Strategy::EuclideanBf][..]),
+        ];
+        for (backend, strategies) in legs {
+            let engine = bed.engine(paper_rows, backend);
+            for &strategy in strategies {
+                let name = match backend {
+                    EuclideanBackend::BruteForce => strategy.name(),
+                    EuclideanBackend::VpTree => "Euclidean-VP-tree",
+                };
+                let mut row = vec![engine.len().to_string(), name.to_string()];
+                row.extend(bed.measure(&engine, strategy, k).cells());
+                eprintln!("[ext_indexes] {}", row.join(" | "));
+                table.add_row(row);
             }
-            let bf_e = t0.elapsed().as_secs_f64() / n_query as f64;
-
-            let vp = VpTree::build(w.db_embeddings.clone());
-            let t1 = Instant::now();
-            for q in &w.query_embeddings {
-                std::hint::black_box(vp.top_k(q, k));
-            }
-            let vp_t = t1.elapsed().as_secs_f64() / n_query as f64;
-
-            let t2 = Instant::now();
-            for q in &w.query_codes {
-                std::hint::black_box(hamming_top_k(&w.db_codes, q, k));
-            }
-            let bf_h = t2.elapsed().as_secs_f64() / n_query as f64;
-
-            let hybrid = HammingTable::build(w.db_codes.clone());
-            let t3 = Instant::now();
-            for q in &w.query_codes {
-                std::hint::black_box(hybrid.hybrid_top_k(q, k).expect("matching widths"));
-            }
-            let hy = t3.elapsed().as_secs_f64() / n_query as f64;
-
-            let mih = MultiIndexHashing::build(w.db_codes.clone(), 4);
-            let t4 = Instant::now();
-            for q in &w.query_codes {
-                std::hint::black_box(mih.top_k(q, k).expect("matching widths"));
-            }
-            let mi = t4.elapsed().as_secs_f64() / n_query as f64;
-
-            // sanity: MIH must agree with brute force
-            let a = mih.top_k(&w.query_codes[0], k).expect("matching widths");
-            let b = hamming_top_k(&w.db_codes, &w.query_codes[0], k);
-            assert_eq!(
-                a.iter().map(|h| h.distance).collect::<Vec<_>>(),
-                b.iter().map(|h| h.distance).collect::<Vec<_>>()
-            );
-
-            table.add_row(vec![
-                label.to_string(),
-                format!("{}K", n_db / 1000),
-                fmt_ms(bf_e),
-                fmt_ms(vp_t),
-                fmt_ms(bf_h),
-                fmt_ms(hy),
-                fmt_ms(mi),
-            ]);
-            eprintln!(
-                "[ext_indexes] {label} db={n_db}: euclid-bf {:.3} vp {:.3} | hamming-bf {:.3} hybrid {:.3} mih {:.3} (ms)",
-                bf_e * 1e3, vp_t * 1e3, bf_h * 1e3, hy * 1e3, mi * 1e3
-            );
         }
-        println!("{}", table.render());
     }
     println!(
-        "On the uniform distribution the radius-2 ball is empty, so Hybrid pays\n\
-         the probe cost AND the fallback scan, while MIH stays exact and sub-scan."
+        "{}",
+        bed.header(&format!("Extension — every engine strategy and the VP-tree backend (k = {k})"))
     );
+    println!("{}", table.render());
 }

@@ -1,57 +1,29 @@
-//! Fig. 5: mean per-query time of the three search strategies
+//! Fig. 5: per-query search time of the three search strategies
 //! (Euclidean-BF, Hamming-BF, Hamming-Hybrid) as the database grows from
-//! 20K to 100K, top-50 queries.
-//!
-//! Codes/embeddings come from the clustered synthetic workload (see
-//! `traj_bench::clustered_workload`): the strategies' latency depends on
-//! database size and code clustering, not on which encoder produced the
-//! codes; EXPERIMENTS.md documents this next to the figure.
+//! 20K to 100K rows, top-50 queries — timed through the serving engine
+//! over the trained model's own codes (see `traj_bench::SearchBed`).
 //!
 //! ```text
-//! cargo run -p traj-bench --release --bin fig5
+//! cargo run -p traj-bench --release --bin fig5 -- --scale small
 //! ```
 
-use traj_bench::{clustered_workload, time_search_strategies, CommonArgs};
-use traj_eval::{fmt_ms, TextTable};
+use traj_bench::{CommonArgs, SearchBed};
+use traj_engine::{EuclideanBackend, Strategy};
 
 fn main() {
     let args = CommonArgs::parse(&std::env::args().skip(1).collect::<Vec<_>>());
-    let bits = args.scale.model.dim.max(32);
-    let n_query = 200;
     let k = 50;
-    println!(
-        "# Fig. 5 reproduction — query time vs database size (bits={bits}, k={k}, {n_query} queries)\n"
-    );
-    let mut table = TextTable::new(vec![
-        "DB size",
-        "Euclidean-BF (ms)",
-        "Hamming-BF (ms)",
-        "Hamming-Hybrid (ms)",
-    ]);
-    for n_db in [20_000usize, 40_000, 60_000, 80_000, 100_000] {
-        // cluster count scales with the database so bucket occupancy
-        // stays realistic (most queries find >= 50 neighbours in radius 2)
-        let clusters = (n_db / 400).max(1);
-        let w = clustered_workload(n_db, n_query, bits, clusters, 2, args.seed);
-        let t = time_search_strategies(
-            &w.db_embeddings,
-            &w.db_codes,
-            &w.query_embeddings,
-            &w.query_codes,
-            k,
-        );
-        table.add_row(vec![
-            format!("{}K", n_db / 1000),
-            fmt_ms(t.euclidean_bf),
-            fmt_ms(t.hamming_bf),
-            fmt_ms(t.hamming_hybrid),
-        ]);
-        eprintln!(
-            "[fig5] db={n_db}: euclid {:.3}ms hamming {:.3}ms hybrid {:.3}ms",
-            t.euclidean_bf * 1e3,
-            t.hamming_bf * 1e3,
-            t.hamming_hybrid * 1e3
-        );
+    let mut bed = SearchBed::train(&args.scale, args.seed);
+    let mut table = SearchBed::table(&["DB size", "Strategy"]);
+    for paper_rows in [20_000, 40_000, 60_000, 80_000, 100_000] {
+        let engine = bed.engine(paper_rows, EuclideanBackend::BruteForce);
+        for strategy in [Strategy::EuclideanBf, Strategy::HammingBf, Strategy::Hybrid] {
+            let mut row = vec![engine.len().to_string(), strategy.name().to_string()];
+            row.extend(bed.measure(&engine, strategy, k).cells());
+            eprintln!("[fig5] {}", row.join(" | "));
+            table.add_row(row);
+        }
     }
+    println!("{}", bed.header(&format!("Fig. 5 — search time vs database size (k = {k})")));
     println!("{}", table.render());
 }

@@ -1,48 +1,28 @@
-//! Fig. 6: mean per-query time of the three search strategies as the
-//! requested `k` varies from 10 to 50 with a fixed 100K database.
+//! Fig. 6: per-query search time of the three search strategies as the
+//! requested `k` varies from 10 to 50 over a fixed 100K-row database —
+//! timed through the serving engine over the trained model's own codes
+//! (see `traj_bench::SearchBed`).
 //!
 //! ```text
-//! cargo run -p traj-bench --release --bin fig6
+//! cargo run -p traj-bench --release --bin fig6 -- --scale small
 //! ```
 
-use traj_bench::{clustered_workload, time_search_strategies, CommonArgs};
-use traj_eval::{fmt_ms, TextTable};
+use traj_bench::{CommonArgs, SearchBed};
+use traj_engine::{EuclideanBackend, Strategy};
 
 fn main() {
     let args = CommonArgs::parse(&std::env::args().skip(1).collect::<Vec<_>>());
-    let bits = args.scale.model.dim.max(32);
-    let n_db = 100_000;
-    let n_query = 200;
-    println!(
-        "# Fig. 6 reproduction — query time vs k (db={n_db}, bits={bits}, {n_query} queries)\n"
-    );
-    let w = clustered_workload(n_db, n_query, bits, n_db / 400, 2, args.seed);
-    let mut table = TextTable::new(vec![
-        "k",
-        "Euclidean-BF (ms)",
-        "Hamming-BF (ms)",
-        "Hamming-Hybrid (ms)",
-    ]);
-    for k in [10usize, 20, 30, 40, 50] {
-        let t = time_search_strategies(
-            &w.db_embeddings,
-            &w.db_codes,
-            &w.query_embeddings,
-            &w.query_codes,
-            k,
-        );
-        table.add_row(vec![
-            k.to_string(),
-            fmt_ms(t.euclidean_bf),
-            fmt_ms(t.hamming_bf),
-            fmt_ms(t.hamming_hybrid),
-        ]);
-        eprintln!(
-            "[fig6] k={k}: euclid {:.3}ms hamming {:.3}ms hybrid {:.3}ms",
-            t.euclidean_bf * 1e3,
-            t.hamming_bf * 1e3,
-            t.hamming_hybrid * 1e3
-        );
+    let mut bed = SearchBed::train(&args.scale, args.seed);
+    let engine = bed.engine(100_000, EuclideanBackend::BruteForce);
+    let mut table = SearchBed::table(&["k", "Strategy"]);
+    for k in [10, 20, 30, 40, 50] {
+        for strategy in [Strategy::EuclideanBf, Strategy::HammingBf, Strategy::Hybrid] {
+            let mut row = vec![k.to_string(), strategy.name().to_string()];
+            row.extend(bed.measure(&engine, strategy, k).cells());
+            eprintln!("[fig6] {}", row.join(" | "));
+            table.add_row(row);
+        }
     }
+    println!("{}", bed.header(&format!("Fig. 6 — search time vs k ({} rows)", engine.len())));
     println!("{}", table.render());
 }

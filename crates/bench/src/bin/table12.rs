@@ -1,7 +1,6 @@
 //! Tables I and II in one pass: trains each method once per
 //! (city, measure) and evaluates it in both Euclidean space (Table I)
-//! and Hamming space (Table II). Produces exactly the same rows as the
-//! `table1` and `table2` binaries at half the compute.
+//! and Hamming space (Table II).
 //!
 //! ```text
 //! cargo run -p traj-bench --release --bin table12 -- --scale small

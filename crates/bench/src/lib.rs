@@ -12,8 +12,10 @@ pub mod gtbench;
 pub mod harness;
 pub mod methods;
 pub mod scale;
+pub mod searchbed;
 
 pub use gtbench::*;
 pub use harness::*;
 pub use methods::*;
 pub use scale::*;
+pub use searchbed::{Pass, SearchBed};

@@ -13,7 +13,6 @@ pub mod augment;
 pub mod drift;
 pub mod normalize;
 pub mod porto_csv;
-pub mod simplify;
 pub mod splits;
 pub mod synthetic;
 pub mod types;
@@ -24,7 +23,6 @@ pub use porto_csv::{
     PolylineError, PORTO_ORIGIN,
 };
 pub use drift::{DriftSchedule, DriftingGenerator};
-pub use simplify::douglas_peucker;
 pub use splits::{Dataset, SplitSizes};
 pub use synthetic::{CityGenerator, CityParams};
 pub use types::{BoundingBox, Point, Trajectory};

@@ -193,7 +193,8 @@ impl GenIndexes {
 
 /// How a strategy produced its answer, for telemetry.
 pub(crate) struct PathInfo {
-    /// Candidates considered before top-k selection.
+    /// Rows whose distance to the query was evaluated — this shard's
+    /// share of [`QueryInfo::candidates`](crate::QueryInfo::candidates).
     pub candidates: usize,
     /// The index could not serve the query and a full scan answered it.
     pub fallback: bool,
@@ -282,19 +283,32 @@ impl SearchCtx<'_> {
         hits
     }
 
+    /// The live top-k of an exact index's over-fetched `answer` merged
+    /// with the scanned `delta`, charged with the distance evaluations
+    /// the index spent plus the delta rows scanned.
+    fn merge_indexed(
+        &self,
+        answer: Vec<SlotHit>,
+        evaluations: usize,
+        delta: Vec<SlotHit>,
+        k: usize,
+    ) -> (Vec<SlotHit>, PathInfo) {
+        let candidates = evaluations + delta.len();
+        let mut hits: Vec<SlotHit> = answer.into_iter().filter(|h| !self.dead[h.index]).collect();
+        hits.extend(delta);
+        let path = PathInfo { overfetch: self.dead_in_indexed, ..PathInfo::scan(candidates, false) };
+        (top_k_hits(hits, k), path)
+    }
+
     fn euclidean_hits(&self, q: &[f32], k: usize) -> (Vec<SlotHit>, PathInfo) {
-        let mut hits: Vec<SlotHit> = match self.indexes.and_then(|ix| ix.euclid.as_ref()) {
+        let (answer, evaluations) = match self.indexes.and_then(|ix| ix.euclid.as_ref()) {
             // An empty tree has no width to compare against, and nothing
             // to find.
-            Some(vp) if vp.is_empty() => Vec::new(),
+            Some(vp) if vp.is_empty() => (Vec::new(), 0),
             // Over-fetch by the tombstone count so filtering cannot eat
             // into the true top-k: the tree is exact, so the first
             // k + dead_in_indexed hits contain at least k live ones.
-            Some(vp) if vp.dim() == q.len() => vp
-                .top_k(q, k + self.dead_in_indexed)
-                .into_iter()
-                .filter(|h| !self.dead[h.index])
-                .collect(),
+            Some(vp) if vp.dim() == q.len() => vp.top_k_counted(q, k + self.dead_in_indexed),
             // No tree, or a query `VpTree::top_k` would panic on (wrong
             // width): scan. That is the design under the brute-force
             // backend, and a fallback only when a VP-tree should have
@@ -304,19 +318,13 @@ impl SearchCtx<'_> {
                 return select(self.scan_euclid(q, WHOLE), k, lost_index);
             }
         };
-        hits.extend(self.scan_euclid(q, DELTA));
-        let (top, path) = select(hits, k, false);
-        (top, PathInfo { overfetch: self.dead_in_indexed, ..path })
+        self.merge_indexed(answer, evaluations, self.scan_euclid(q, DELTA), k)
     }
 
     fn mih_hits(&self, q: &BinaryCode, k: usize) -> (Vec<SlotHit>, PathInfo) {
-        match self.indexes.map(|ix| ix.mih.top_k(q, k + self.dead_in_indexed)) {
-            Some(Ok(hits)) => {
-                let mut hits: Vec<SlotHit> =
-                    hits.into_iter().filter(|h| !self.dead[h.index]).collect();
-                hits.extend(self.scan_hamming(q, DELTA));
-                let (top, path) = select(hits, k, false);
-                (top, PathInfo { overfetch: self.dead_in_indexed, ..path })
+        match self.indexes.map(|ix| ix.mih.top_k_counted(q, k + self.dead_in_indexed)) {
+            Some(Ok((answer, evaluations))) => {
+                self.merge_indexed(answer, evaluations, self.scan_hamming(q, DELTA), k)
             }
             // Degraded, or the index rejected the query.
             _ => select(self.scan_hamming(q, WHOLE), k, true),

@@ -25,7 +25,8 @@ pub struct StrategyTelemetry {
     pub degraded_queries: u64,
     /// Wall-clock per query, in seconds.
     pub latency: Histogram,
-    /// Candidates considered before top-k selection.
+    /// Rows whose distance was evaluated per query (see
+    /// [`QueryInfo::candidates`]).
     pub candidates: Histogram,
 }
 
@@ -136,7 +137,11 @@ pub struct QueryInfo {
     /// True when the answer came from a full linear scan because the
     /// index could not serve the query.
     pub linear_fallback: bool,
-    /// Candidates considered before top-k selection.
+    /// Rows whose distance to the query was evaluated, summed over the
+    /// shards: every live row of a scan, the rows of a radius-2 ball,
+    /// the distance evaluations an exact index (`Mih`, the VP-tree)
+    /// spent, plus the live delta rows scanned beside any index — the
+    /// work a strategy did, not the size of its answer.
     pub candidates: usize,
     /// Tombstone over-fetch margin the index path applied (0 on scan
     /// paths).

@@ -204,8 +204,19 @@ impl MultiIndexHashing {
     /// ([`SearchError::WidthMismatch`]) — there is no correct answer
     /// for them.
     pub fn top_k(&self, query: &BinaryCode, k: usize) -> Result<Vec<Hit>, SearchError> {
+        self.top_k_counted(query, k).map(|(hits, _)| hits)
+    }
+
+    /// [`top_k`](MultiIndexHashing::top_k) plus the number of full-code
+    /// distance evaluations spent — every distinct row a probe reached —
+    /// for comparing pruning effectiveness against a scan.
+    pub fn top_k_counted(
+        &self,
+        query: &BinaryCode,
+        k: usize,
+    ) -> Result<(Vec<Hit>, usize), SearchError> {
         if self.codes.is_empty() || k == 0 {
-            return Ok(Vec::new());
+            return Ok((Vec::new(), 0));
         }
         if query.len() != self.codes.bits() {
             return Err(SearchError::WidthMismatch { query: query.len(), index: self.codes.bits() });
@@ -257,7 +268,7 @@ impl MultiIndexHashing {
                         ids.iter().map(move |&id| Hit { index: id as usize, distance: d as f64 })
                     })
                     .collect();
-                return Ok(top_k_hits(hits, k));
+                return Ok((top_k_hits(hits, k), found));
             }
         }
         unreachable!("search must terminate within the code width");
@@ -332,8 +343,10 @@ mod tests {
     fn k_larger_than_database_returns_everything() {
         let db = random_codes(7, 16, 3);
         let mih = MultiIndexHashing::build(db.clone(), 2);
-        let hits = mih.top_k(&db[0], 50).unwrap();
+        let (hits, evaluations) = mih.top_k_counted(&db[0], 50).unwrap();
         assert_eq!(hits.len(), 7);
+        // every row is reached exactly once, whichever tables hold it
+        assert_eq!(evaluations, 7);
     }
 
     #[test]

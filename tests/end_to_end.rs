@@ -188,3 +188,51 @@ fn validation_model_selection_restores_best_epoch() {
     let recomputed = traj2hash::validation_hr10(&model, &data);
     assert!((recomputed - best).abs() < 1e-9);
 }
+
+/// The figure program (`fig5` / `fig6` / `ext_indexes`) at `tiny`: every
+/// strategy answers at every size, the exact strategies agree query by
+/// query, and the candidates column counts work done, not answer size.
+#[test]
+fn search_bed_rows_agree_across_strategies_and_count_work() {
+    use traj_bench::{Pass, Scale, SearchBed};
+    use traj_engine::EuclideanBackend;
+
+    fn distances(pass: &Pass) -> Vec<Vec<f64>> {
+        pass.answers.iter().map(|(hits, _)| hits.iter().map(|h| h.distance).collect()).collect()
+    }
+    fn candidates(pass: &Pass) -> Vec<usize> {
+        pass.answers.iter().map(|(_, info)| info.candidates).collect()
+    }
+
+    let k = 10;
+    let mut bed = SearchBed::train(&Scale::tiny(), 42);
+    for paper_rows in [20_000, 100_000] {
+        let engine = bed.engine(paper_rows, EuclideanBackend::BruteForce);
+        let rows = engine.len();
+        assert_eq!(rows, paper_rows / 100);
+        let [euclid, scan, table, mih, hybrid] =
+            Strategy::ALL.map(|strategy| bed.measure(&engine, strategy, k));
+        for pass in [&euclid, &scan, &table, &mih, &hybrid] {
+            assert_eq!(pass.answers.len(), traj_bench::searchbed::QUERIES);
+            assert_eq!(pass.cells().len(), Pass::COLUMNS.len());
+            assert_eq!(pass.fallbacks(), 0);
+        }
+        assert_eq!(distances(&mih), distances(&scan), "MIH is exact");
+        // a spilled Hybrid is the scan; an un-spilled one holds >= k rows
+        // within radius 2, which are the scan's top-k
+        assert_eq!(distances(&hybrid), distances(&scan), "Hybrid is exact");
+        assert_eq!((scan.short(), mih.short(), hybrid.short()), (0, 0, 0));
+
+        assert!(candidates(&scan).iter().all(|&c| c == rows));
+        assert!(candidates(&table).iter().all(|&c| c <= rows));
+        // evaluations spent, not the size of the answer
+        assert!(candidates(&mih).iter().all(|&c| (k..=rows).contains(&c)));
+        assert!(candidates(&mih).iter().any(|&c| c > k), "MIH never probes exactly k rows");
+
+        let vp_engine = bed.engine(paper_rows, EuclideanBackend::VpTree);
+        let vp = bed.measure(&vp_engine, Strategy::EuclideanBf, k);
+        assert_eq!(distances(&vp), distances(&euclid), "the VP-tree is exact");
+        assert!(candidates(&euclid).iter().all(|&c| c == rows));
+        assert!(candidates(&vp).iter().all(|&c| (k..rows).contains(&c)), "the VP-tree prunes");
+    }
+}
