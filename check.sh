@@ -20,11 +20,14 @@
 #                       round-trip of an instrumented train/serve
 #                       workload with a degrade drill)
 #   ./check.sh ops      ops-surface suite only: the per-query trace
-#                       parity proptests (trace totals reconcile with
-#                       the scan oracle's counts; disabled-mode output
+#                       parity proptests (shard rows sum to the query's
+#                       record, whose totals are the scan oracle's
+#                       counts; stage clocks within the total; the path
+#                       labels of a degrade drill; disabled-mode output
 #                       byte-identical) and the end-to-end HTTP scrape
 #                       of /metrics, /healthz, and /traces against a
-#                       live engine
+#                       live engine (every flight line carries its
+#                       stage clocks and per-shard paths)
 #   ./check.sh lint     static analysis only: builds and runs traj-lint
 #                       over the workspace (extra args are forwarded,
 #                       e.g. ./check.sh lint --fix-list)
@@ -42,6 +45,9 @@
 #                       workspace) against the crates and runs all four
 #                       workloads end to end at tiny scale — the only
 #                       compile-and-run check of t2h_bench/src/api.rs
+#   ./check.sh size     non-test Rust lines per crate: everything before
+#                       the first `#[cfg(test)]` of each file under
+#                       crates/*/src, as a table with the workspace total
 #   ./check.sh sanitize dynamic race detection: the shard concurrency
 #                       suite under ThreadSanitizer (with -Zbuild-std so
 #                       std's own atomics are instrumented). The workspace
@@ -146,6 +152,19 @@ fi
 
 if [[ "${1:-}" == "sanitize" ]]; then
     run_sanitize
+    exit 0
+fi
+
+if [[ "${1:-}" == "size" ]]; then
+    find crates/*/src -name '*.rs' | sort | xargs awk '
+        FNR == 1 { counting = 1; split(FILENAME, part, "/"); crate = part[2] }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { counting = 0 }
+        counting { lines[crate]++; total++ }
+        END {
+            for (c in lines) printf "%-12s %6d\n", c, lines[c] | "sort"
+            close("sort")
+            printf "%-12s %6d\n", "workspace", total
+        }'
     exit 0
 fi
 

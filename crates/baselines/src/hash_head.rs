@@ -7,8 +7,8 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use tinynn::{clip_grad_norm, Adam, Linear, ParamSet, Tape, Tensor, Var};
-use traj_dist::DistanceMatrix;
-use traj2hash::loss::{rank_pairs, ranking_hash_loss, sample_companions};
+use traj_dist::SparseSimilarity;
+use traj2hash::loss::{rank_pairs, ranking_hash_loss, sample_companions_sparse};
 
 /// Configuration of the hash-head training.
 #[derive(Debug, Clone)]
@@ -60,7 +60,7 @@ impl HashHead {
     /// supervision matrix; returns the head and its per-epoch losses.
     pub fn train(
         seed_embeddings: &[Vec<f32>],
-        sim: &DistanceMatrix,
+        sim: &SparseSimilarity,
         cfg: &HashHeadConfig,
     ) -> (HashHead, Vec<f32>) {
         assert_eq!(seed_embeddings.len(), sim.n());
@@ -90,7 +90,7 @@ impl HashHead {
                 let mut loss: Option<Var> = None;
                 for &i in batch {
                     let companions =
-                        sample_companions(i, sim.row(i), cfg.samples_per_anchor, &mut rng);
+                        sample_companions_sparse(i, sim, cfg.samples_per_anchor, &mut rng);
                     if companions.len() < 2 {
                         continue;
                     }
@@ -145,21 +145,22 @@ impl HashHead {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use traj_dist::DistanceMatrix;
+    use traj_data::Trajectory;
+    use traj_dist::{pruned_self_top_k, sparse_similarity, Measure, PrunedTopK};
 
     /// A toy setting: embeddings on a line; similarity = closeness.
-    fn toy() -> (Vec<Vec<f32>>, DistanceMatrix) {
+    fn toy() -> (Vec<Vec<f32>>, SparseSimilarity) {
         let n = 30;
         let embeddings: Vec<Vec<f32>> =
             (0..n).map(|i| vec![i as f32 / n as f32, 1.0 - i as f32 / n as f32]).collect();
-        let mut sim = DistanceMatrix::zeros(n);
-        for i in 0..n {
-            for j in 0..n {
-                let d = (i as f64 - j as f64).abs() / n as f64;
-                sim.set_sym(i, j, (-3.0 * d).exp());
-            }
-        }
-        (embeddings, sim)
+        // Parallel segments 100 m apart: the Hausdorff distance of i and
+        // j is 100·|i − j|, which θ maps to exp(−3·|i − j| / n).
+        let trajs: Vec<Trajectory> = (0..n)
+            .map(|i| Trajectory::from_xy(&[(100.0 * i as f64, 0.0), (100.0 * i as f64, 50.0)]))
+            .collect();
+        let all_pairs = PrunedTopK::new(n).keeping_distances();
+        let d = pruned_self_top_k(&trajs, Measure::Hausdorff, &all_pairs).unwrap().distances.unwrap();
+        (embeddings, sparse_similarity(&d, 3.0 / (100.0 * n as f64)))
     }
 
     #[test]

@@ -9,8 +9,8 @@ use rand::{RngExt, SeedableRng};
 use std::collections::HashMap;
 use tinynn::{clip_grad_norm, Adam, Tape, Var};
 use traj_data::Trajectory;
-use traj_dist::DistanceMatrix;
-use traj2hash::loss::{approx_similarity, rank_weights, sample_companions, wmse_term};
+use traj_dist::SparseSimilarity;
+use traj2hash::loss::{approx_similarity, rank_weights, sample_companions_sparse, wmse_term};
 
 /// Configuration of the baseline WMSE training loop.
 #[derive(Debug, Clone)]
@@ -47,7 +47,7 @@ impl Default for WmseConfig {
 pub fn train_wmse(
     encoder: &dyn TrajEncoder,
     seeds: &[Trajectory],
-    sim: &DistanceMatrix,
+    sim: &SparseSimilarity,
     cfg: &WmseConfig,
 ) -> Vec<f32> {
     assert_eq!(seeds.len(), sim.n(), "similarity matrix must cover the seeds");
@@ -75,7 +75,7 @@ pub fn train_wmse(
             let mut loss: Option<Var> = None;
             for &i in batch {
                 let companions =
-                    sample_companions(i, sim.row(i), cfg.samples_per_anchor, &mut rng);
+                    sample_companions_sparse(i, sim, cfg.samples_per_anchor, &mut rng);
                 if companions.is_empty() {
                     continue;
                 }
@@ -111,15 +111,16 @@ mod tests {
     use super::*;
     use crate::encoders::GruMetricEncoder;
     use traj_data::{CityGenerator, CityParams, NormStats};
-    use traj_dist::{auto_theta, distance_matrix, similarity_matrix, Measure};
+    use traj_dist::{auto_theta_sparse, pruned_self_top_k, sparse_similarity, Measure, PrunedTopK};
 
     #[test]
     fn wmse_training_reduces_loss() {
         let seeds = CityGenerator::new(CityParams::test_city(), 11).generate(16);
         let norm = NormStats::fit(&seeds);
         let enc = GruMetricEncoder::plain(8, norm, 1);
-        let d = distance_matrix(&seeds, Measure::Dtw);
-        let s = similarity_matrix(&d, auto_theta(&d, 0.5));
+        let all_pairs = PrunedTopK::new(seeds.len()).keeping_distances();
+        let d = pruned_self_top_k(&seeds, Measure::Dtw, &all_pairs).unwrap().distances.unwrap();
+        let s = sparse_similarity(&d, auto_theta_sparse(&d, 0.5));
         let losses = train_wmse(&enc, &seeds, &s, &WmseConfig { epochs: 5, ..Default::default() });
         assert_eq!(losses.len(), 5);
         assert!(

@@ -9,7 +9,7 @@
 //! ```
 
 use std::sync::Arc;
-use traj_bench::{build_dataset, eval_euclidean, eval_hamming, test_ground_truth, CommonArgs};
+use traj_bench::{build_dataset, eval_traj2hash, test_ground_truth, CommonArgs};
 use traj_eval::{fmt4, TextTable};
 use traj_grid::{GridEmbedding, Node2vecConfig, Node2vecEmbedding};
 use traj2hash::{train, ModelContext, Traj2Hash, TrainData};
@@ -80,12 +80,7 @@ fn main() {
             None => Traj2Hash::new(mcfg, &ctx, args.seed),
         };
         train(&mut model, &data, &scale.train).expect("training failed");
-        let db_e = model.embed_all(&dataset.database);
-        let q_e = model.embed_all(&dataset.query);
-        let me = eval_euclidean(&db_e, &q_e, &truth);
-        let db_h = model.hash_all(&dataset.database);
-        let q_h = model.hash_all(&dataset.query);
-        let mh = eval_hamming(&db_h, &q_h, &truth);
+        let (me, mh) = eval_traj2hash(&model, &dataset, &truth);
         table.add_row(vec![
             name.to_string(),
             "Euclidean".to_string(),

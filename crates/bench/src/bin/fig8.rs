@@ -5,7 +5,7 @@
 //! cargo run -p traj-bench --release --bin fig8 -- --city porto --measure dtw
 //! ```
 
-use traj_bench::{build_dataset, eval_euclidean, eval_hamming, test_ground_truth, CommonArgs};
+use traj_bench::{build_dataset, eval_traj2hash, test_ground_truth, CommonArgs};
 use traj_eval::{fmt4, TextTable};
 use traj2hash::{train, ModelContext, Traj2Hash, TrainData};
 
@@ -30,16 +30,7 @@ fn main() {
             tcfg.alpha = alpha;
             let mut model = Traj2Hash::new(scale.model.clone(), &ctx, args.seed);
             train(&mut model, &data, &tcfg).expect("training failed");
-            let me = eval_euclidean(
-                &model.embed_all(&dataset.database),
-                &model.embed_all(&dataset.query),
-                &truth,
-            );
-            let mh = eval_hamming(
-                &model.hash_all(&dataset.database),
-                &model.hash_all(&dataset.query),
-                &truth,
-            );
+            let (me, mh) = eval_traj2hash(&model, &dataset, &truth);
             table.add_row(vec![
                 measure.name().to_string(),
                 format!("{alpha}"),

@@ -26,7 +26,6 @@ fn main() {
     let dataset = build_dataset(city, scale, args.seed);
     let ctx = ModelContext::prepare(&dataset.training_visible(), &scale.model, args.seed);
     let data = TrainData::prepare(&dataset, measure, &scale.train).expect("failed to prepare training supervision");
-    let dense_sim = data.sim.to_dense();
     let truth = test_ground_truth(&dataset.query, &dataset.database, measure);
 
     let mut table = TextTable::new(vec!["Epochs", "HR@10", "HR@50", "R10@50", "final loss"]);
@@ -35,7 +34,7 @@ fn main() {
         let losses = train_wmse(
             &enc,
             &dataset.seeds,
-            &dense_sim,
+            &data.sim,
             &WmseConfig { epochs, lr: scale.train.lr, seed: args.seed, ..WmseConfig::default() },
         );
         let m = eval_euclidean(

@@ -8,8 +8,8 @@
 
 use traj_baselines::{Fresh, FreshConfig, HashHead, HashHeadConfig};
 use traj_bench::{
-    build_dataset, eval_euclidean, eval_hamming, test_ground_truth, train_dense, train_traj2hash,
-    CommonArgs, DenseMethod,
+    build_dataset, eval_euclidean, eval_hamming, eval_traj2hash, test_ground_truth, train_dense,
+    train_traj2hash, CommonArgs, DenseMethod,
 };
 use traj_eval::{fmt4, Metrics, TextTable};
 use traj2hash::{ModelContext, TrainData};
@@ -42,7 +42,6 @@ fn main() {
         for measure in args.measures() {
             let truth = test_ground_truth(&dataset.query, &dataset.database, measure);
             let data = TrainData::prepare(&dataset, measure, &scale.train).expect("failed to prepare training supervision");
-            let dense_sim = data.sim.to_dense();
             let head_cfg = HashHeadConfig {
                 bits,
                 alpha: scale.train.alpha,
@@ -58,7 +57,7 @@ fn main() {
                 push(&mut euclid_table, city.name(), method.name(), measure.name(), &me);
 
                 let seed_embs = enc.embed_all(&dataset.seeds);
-                let (head, _) = HashHead::train(&seed_embs, &dense_sim, &head_cfg);
+                let (head, _) = HashHead::train(&seed_embs, &data.sim, &head_cfg);
                 let mh = eval_hamming(&head.hash_all(&db_emb), &head.hash_all(&q_emb), &truth);
                 push(&mut hamming_table, city.name(), method.name(), measure.name(), &mh);
                 eprintln!(
@@ -88,16 +87,7 @@ fn main() {
             eprintln!("[table12] {} Fresh {}: hamming {mf}", city.name(), measure.name());
 
             let (model, _) = train_traj2hash(&dataset, &ctx, &data, scale, args.seed);
-            let me = eval_euclidean(
-                &model.embed_all(&dataset.database),
-                &model.embed_all(&dataset.query),
-                &truth,
-            );
-            let mh = eval_hamming(
-                &model.hash_all(&dataset.database),
-                &model.hash_all(&dataset.query),
-                &truth,
-            );
+            let (me, mh) = eval_traj2hash(&model, &dataset, &truth);
             push(&mut euclid_table, city.name(), "Traj2Hash", measure.name(), &me);
             push(&mut hamming_table, city.name(), "Traj2Hash", measure.name(), &mh);
             eprintln!(

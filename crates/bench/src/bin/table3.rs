@@ -6,7 +6,7 @@
 //! cargo run -p traj-bench --release --bin table3 -- --scale small
 //! ```
 
-use traj_bench::{build_dataset, eval_euclidean, eval_hamming, test_ground_truth, CommonArgs};
+use traj_bench::{build_dataset, eval_traj2hash, test_ground_truth, CommonArgs};
 use traj_dist::Measure;
 use traj_eval::{fmt4, TextTable};
 use traj2hash::{train, ModelContext, Traj2Hash, TrainData};
@@ -51,12 +51,9 @@ fn main() {
             for (name, mcfg, tcfg) in &variants {
                 let mut model = Traj2Hash::new(mcfg.clone(), &ctx, args.seed);
                 let report = train(&mut model, &data, tcfg).expect("training failed");
-                let db_e = model.embed_all(&dataset.database);
-                let q_e = model.embed_all(&dataset.query);
-                euclid.push(eval_euclidean(&db_e, &q_e, &truth));
-                let db_h = model.hash_all(&dataset.database);
-                let q_h = model.hash_all(&dataset.query);
-                hamming.push(eval_hamming(&db_h, &q_h, &truth));
+                let (me, mh) = eval_traj2hash(&model, &dataset, &truth);
+                euclid.push(me);
+                hamming.push(mh);
                 eprintln!(
                     "[table3] {} {} {}: euclid {} | hamming {} ({:.1}s)",
                     city.name(),

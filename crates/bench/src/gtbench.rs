@@ -137,7 +137,7 @@ pub fn run_gt_bench(cfg: &GtBenchConfig) -> GtBenchReport {
     let generate_secs = t.elapsed().as_secs_f64();
     let (queries, database) = all.split_at(cfg.queries);
 
-    let opts = GroundTruthOptions { cell_m: cfg.cell_m, dense_oracle: false, threads: None };
+    let opts = GroundTruthOptions { cell_m: cfg.cell_m, threads: None };
     let t = Instant::now();
     let (pruned, stats) =
         ground_truth_top_k_with(queries, database, cfg.measure, cfg.k, &opts)

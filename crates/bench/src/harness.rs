@@ -1,8 +1,11 @@
 //! Evaluation glue shared by the table/figure binaries.
 
-use traj_data::Trajectory;
+use traj2hash::Traj2Hash;
+use traj_data::{Dataset, Trajectory};
 use traj_dist::Measure;
-use traj_eval::{ground_truth_top_k, pack_codes, rank_euclidean, rank_hamming, Metrics};
+use traj_eval::{
+    ground_truth_top_k, pack_codes, pack_codes_from_floats, rank_euclidean, rank_hamming, Metrics,
+};
 
 /// Exact ground truth for the test protocol: each query's true top-50 in
 /// the database, via the bucket-pruned exact driver.
@@ -35,6 +38,21 @@ pub fn eval_hamming(
     let q = pack_codes(query_signs);
     let predicted = rank_hamming(&db, &q, 50);
     Metrics::evaluate(&predicted, truth)
+}
+
+/// `(Euclidean, Hamming)` metrics of a Traj2Hash model over the test
+/// split from one forward per trajectory: its codes are the signs of
+/// the embeddings in hand (Eq. 16), packed by the `x > 0` rule
+/// `hash_signs` applies.
+pub fn eval_traj2hash(
+    model: &Traj2Hash,
+    dataset: &Dataset,
+    truth: &[Vec<usize>],
+) -> (Metrics, Metrics) {
+    let db = model.embed_all(&dataset.database);
+    let q = model.embed_all(&dataset.query);
+    let predicted = rank_hamming(&pack_codes_from_floats(&db), &pack_codes_from_floats(&q), 50);
+    (eval_euclidean(&db, &q, truth), Metrics::evaluate(&predicted, truth))
 }
 
 #[cfg(test)]

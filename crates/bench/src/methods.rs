@@ -81,9 +81,6 @@ pub fn train_dense(
     // self-supervised corpora are capped so CPU baselines stay tractable
     let corpus_cap = (dataset.corpus.len()).min(64 * scale.baseline_epochs.max(1));
     let corpus_sample = &dataset.corpus[..corpus_cap];
-    // the baseline trainers take a dense similarity matrix; materialize
-    // the sparse supervision once for whichever arm needs it
-    let dense_sim = data.sim.to_dense();
     match method {
         DenseMethod::T2vec => {
             let enc = T2vecEncoder::new(dim, norm, seed);
@@ -103,7 +100,7 @@ pub fn train_dense(
         }
         DenseMethod::NtNoSam => {
             let enc = GruMetricEncoder::plain(dim, norm, seed);
-            train_wmse(&enc, &dataset.seeds, &dense_sim, &wmse);
+            train_wmse(&enc, &dataset.seeds, &data.sim, &wmse);
             Box::new(enc)
         }
         DenseMethod::NeuTraj => {
@@ -114,13 +111,13 @@ pub fn train_dense(
                 ctx.grid_emb.clone(),
                 seed,
             );
-            train_wmse(&enc, &dataset.seeds, &dense_sim, &wmse);
+            train_wmse(&enc, &dataset.seeds, &data.sim, &wmse);
             Box::new(enc)
         }
         DenseMethod::Transformer => {
             let enc =
                 TransformerEncoder::new(dim, scale.model.blocks, scale.model.heads, norm, seed);
-            train_wmse(&enc, &dataset.seeds, &dense_sim, &wmse);
+            train_wmse(&enc, &dataset.seeds, &data.sim, &wmse);
             Box::new(enc)
         }
         DenseMethod::TrajGat => {
@@ -132,7 +129,7 @@ pub fn train_dense(
                 &dataset.seeds,
                 seed,
             );
-            train_wmse(&enc, &dataset.seeds, &dense_sim, &wmse);
+            train_wmse(&enc, &dataset.seeds, &data.sim, &wmse);
             Box::new(enc)
         }
     }

@@ -7,7 +7,7 @@
 //! [`ShardedEngine::query_with_info`]. Every number it reports is the
 //! engine's own: search time is `QueryInfo::fanout_seconds +
 //! merge_seconds`, the work column is `QueryInfo::candidates`, spills
-//! are the `hybrid_spills` telemetry delta. There is no second timer,
+//! are the answers whose `QueryInfo::spill` is set. There is no second timer,
 //! no second top-k and no second code generator — the codes searched are
 //! the ones the trained model emits.
 
@@ -57,8 +57,6 @@ pub struct Pass {
     pub k: usize,
     /// Per query, what `query_with_info` returned.
     pub answers: Vec<(Vec<Hit>, QueryInfo)>,
-    /// `hybrid_spills` the engine counted during the pass.
-    pub spills: u64,
 }
 
 impl Pass {
@@ -69,6 +67,12 @@ impl Pass {
     /// Queries answered with fewer than `k` hits.
     pub fn short(&self) -> usize {
         self.answers.iter().filter(|(hits, _)| hits.len() < self.k).count()
+    }
+
+    /// Queries whose radius-2 ball came up short and spilled into a
+    /// scan — what they add to the engine's `hybrid_spills`.
+    pub fn spills(&self) -> usize {
+        self.answers.iter().filter(|(_, i)| i.spill).count()
     }
 
     /// Queries a scan answered because the index could not.
@@ -87,7 +91,7 @@ impl Pass {
             fmt_ms(p50),
             format!("{}-{}", fmt_ms(p25), fmt_ms(p75)),
             format!("{candidates:.0}"),
-            self.spills.to_string(),
+            self.spills().to_string(),
             self.short().to_string(),
             self.fallbacks().to_string(),
         ]
@@ -137,11 +141,9 @@ impl SearchBed {
                 .collect()
         };
         run(&self.queries);
-        let spills_before = engine.telemetry().hybrid_spills;
         let answers = run(&self.queries);
-        let spills = engine.telemetry().hybrid_spills - spills_before;
         self.encode_seconds.extend(answers.iter().map(|(_, i)| i.encode_seconds));
-        Pass { k, answers, spills }
+        Pass { k, answers }
     }
 
     /// An empty result table: the caller's label columns, then

@@ -190,17 +190,17 @@ pub fn validation_hr10_with_threads(model: &Traj2Hash, data: &TrainData, threads
     let mut total = 0usize;
     for (qi, &q) in data.val_queries.iter().enumerate() {
         let qe = &embeddings[q];
-        let mut order: Vec<usize> =
-            (0..data.validation.len()).filter(|&j| j != q).collect();
-        let d2 = |a: &[f32], b: &[f32]| -> f32 {
-            a.iter().zip(b).map(|(&x, &y)| (x - y) * (x - y)).sum()
-        };
+        let d2 = |e: &[f32]| -> f32 { qe.iter().zip(e).map(|(&x, &y)| (x - y) * (x - y)).sum() };
+        let mut order: Vec<(f32, usize)> = (0..data.validation.len())
+            .filter(|&j| j != q)
+            .map(|j| (d2(&embeddings[j]), j))
+            .collect();
         // total_cmp: a poisoned (NaN) embedding distance sorts last
         // instead of anywhere the comparator happens to leave it.
-        order.sort_by(|&a, &b| d2(qe, &embeddings[a]).total_cmp(&d2(qe, &embeddings[b])));
+        order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let predicted = &order[..10.min(order.len())];
         let truth = &data.val_truth[qi];
-        hits += predicted.iter().filter(|p| truth.contains(p)).count();
+        hits += predicted.iter().filter(|(_, p)| truth.contains(p)).count();
         total += truth.len();
     }
     if total == 0 {
@@ -845,6 +845,10 @@ mod tests {
             report.epoch_losses
         );
         let hr_after = validation_hr10(&model, &data);
+        // Recorded at c2d81b1, whose ranking evaluated both distances
+        // inside every comparator call: the ranking is the same one.
+        assert_eq!((hr_before, hr_after), (0.7583333333333333, 0.8041666666666667));
+        assert_eq!(report.val_hr10, [0.7625, 0.7708333333333334, 0.775, 0.8041666666666667]);
         assert!(
             hr_after >= hr_before,
             "training should not hurt validation HR@10 ({hr_before} -> {hr_after})"

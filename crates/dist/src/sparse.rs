@@ -32,7 +32,6 @@
 //! and ascending-index tie-breaks.
 
 use crate::bounds::BoundProfile;
-use crate::matrix::DistanceMatrix;
 use crate::measure::Measure;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -255,7 +254,7 @@ pub fn pruned_top_k(
 
 /// Exact pruned top-k of every corpus trajectory against the rest of the
 /// corpus (the supervision self-join: the diagonal is excluded, matching
-/// [`DistanceMatrix::top_k_row`]).
+/// [`crate::matrix::DistanceMatrix::top_k_row`]).
 pub fn pruned_self_top_k(
     corpus: &[Trajectory],
     measure: Measure,
@@ -686,33 +685,6 @@ impl SparseSimilarity {
         }
         out
     }
-
-    /// Materializes a dense, symmetric similarity matrix — glue for the
-    /// baseline trainers that still take a `DistanceMatrix`. A pair
-    /// stored in either direction uses its exact value; a pair stored in
-    /// neither uses the tighter (smaller) of the two row floors. On a
-    /// fully-stored structure (small corpora, where nothing prunes) the
-    /// result is bit-identical to the dense `similarity_matrix`.
-    pub fn to_dense(&self) -> DistanceMatrix {
-        let n = self.n;
-        let mut m = DistanceMatrix::zeros(n);
-        for i in 0..n {
-            m.set_sym(i, i, 1.0);
-            let (cols, vals) = self.row(i);
-            for j in i + 1..n {
-                let fwd = cols.binary_search(&j).ok().map(|p| vals[p]);
-                let v = match fwd.or_else(|| {
-                    let (jc, jv) = self.row(j);
-                    jc.binary_search(&i).ok().map(|p| jv[p])
-                }) {
-                    Some(exact) => exact,
-                    None => self.floors[i].min(self.floors[j]),
-                };
-                m.set_sym(i, j, v);
-            }
-        }
-        m
-    }
 }
 
 /// Builds the sparse similarity structure from a pruned self-join's
@@ -894,13 +866,6 @@ mod tests {
                     (a - b).abs() < 1e-12,
                     "sim mismatch at ({i},{j}): sparse {a} dense {b}"
                 );
-            }
-        }
-        // And the dense glue reproduces it too.
-        let glued = ss.to_dense();
-        for i in 0..trajs.len() {
-            for j in 0..trajs.len() {
-                assert!((glued.get(i, j) - dense.get(i, j)).abs() < 1e-12);
             }
         }
     }

@@ -50,4 +50,4 @@ pub use engine::{EngineConfig, EngineStats, EuclideanBackend, Hit, Strategy};
 pub use error::EngineError;
 pub use sharded::{PinnedView, ReaderSpec, ShardConfig, ShardReader, ShardedEngine};
 pub use telemetry::{EngineTelemetry, QueryInfo, StrategyTelemetry};
-pub use trace::{QueryTrace, ShardTrace, ShardTraceRow, TraceCtx};
+pub use trace::{QueryTrace, ShardRow};

@@ -203,11 +203,15 @@ pub(crate) struct PathInfo {
     /// Tombstone margin added to the `k` asked of an exact index; 0 on
     /// every path that filters a scan or a ball instead.
     pub overfetch: usize,
+    /// One word naming *why* the path looked the way it did, stamped by
+    /// [`search`] (see [`path_taxonomy`]); `"empty"` until then, which
+    /// is also what a search of nothing, or for nothing, keeps.
+    pub path: &'static str,
 }
 
 impl PathInfo {
     pub fn scan(candidates: usize, fallback: bool) -> PathInfo {
-        PathInfo { candidates, fallback, spill: false, overfetch: 0 }
+        PathInfo { candidates, fallback, spill: false, overfetch: 0, path: "empty" }
     }
 }
 
@@ -367,10 +371,8 @@ impl SearchCtx<'_> {
     }
 }
 
-/// The taxonomy label a finished search stamps on its shard trace: one
-/// word naming *why* the path looked the way it did, so tail exemplars
-/// in the flight recorder read without cross-referencing `PathInfo`
-/// bit-by-bit.
+/// The taxonomy label of a finished search, so tail exemplars in the
+/// flight recorder read without cross-referencing `PathInfo` bit-by-bit.
 fn path_taxonomy(ctx: &SearchCtx<'_>, strategy: Strategy, path: &PathInfo) -> &'static str {
     if path.fallback {
         // The configured index could not answer; a full scan did.
@@ -394,19 +396,15 @@ fn path_taxonomy(ctx: &SearchCtx<'_>, strategy: Strategy, path: &PathInfo) -> &'
 
 /// Answers one strategy over the view: the search core behind every
 /// shard of the engine. Hits carry *slot* indices into the view;
-/// callers map them to stable ids. The shard trace receives one
-/// taxonomy step describing how the answer was produced (a no-op when
-/// tracing is disabled).
+/// callers map them to stable ids.
 pub(crate) fn search(
     ctx: &SearchCtx<'_>,
     strategy: Strategy,
     q_emb: &[f32],
     q_code: &BinaryCode,
     k: usize,
-    trace: &mut crate::trace::ShardTrace,
 ) -> (Vec<SlotHit>, PathInfo) {
     if k == 0 || ctx.total_slots() == 0 {
-        trace.step("empty");
         return (Vec::new(), PathInfo::scan(0, false));
     }
     let (hits, path) = match strategy {
@@ -417,8 +415,7 @@ pub(crate) fn search(
         Strategy::Mih => ctx.mih_hits(q_code, k),
         Strategy::Hybrid => ctx.table_hits(q_code, k, true),
     };
-    trace.step(path_taxonomy(ctx, strategy, &path));
-    (hits, path)
+    (hits, PathInfo { path: path_taxonomy(ctx, strategy, &path), ..path })
 }
 
 // ---------------------------------------------------------------------
@@ -672,7 +669,6 @@ impl ShardState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::ShardTrace;
 
     fn vp_cfg() -> EngineConfig {
         EngineConfig { euclidean_backend: EuclideanBackend::VpTree, ..EngineConfig::default() }
@@ -696,7 +692,7 @@ mod tests {
 
     fn euclid(st: &ShardState, q: &[f32], k: usize) -> (Vec<SlotHit>, PathInfo) {
         let code = BinaryCode::from_floats(q);
-        search(&st.ctx(), Strategy::EuclideanBf, q, &code, k, &mut ShardTrace::new(false))
+        search(&st.ctx(), Strategy::EuclideanBf, q, &code, k)
     }
 
     #[test]

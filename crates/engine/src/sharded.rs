@@ -53,7 +53,7 @@ use crate::error::EngineError;
 use crate::shard::{self, Rows, ShardState};
 use crate::snapshot::{self, SnapshotView};
 use crate::telemetry::{EngineTelemetry, QueryInfo};
-use crate::trace::{self, QueryTrace, ShardTrace, ShardTraceRow, TraceCtx};
+use crate::trace::{self, QueryTrace, ShardRow};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -218,42 +218,28 @@ impl PinnedView {
     }
 }
 
-/// Aggregated fan-out outcome for one query.
-struct FanInfo {
-    candidates: usize,
-    fallback: bool,
-    degraded: bool,
-    spill: bool,
-    overfetch: usize,
-    fanout_seconds: f64,
-    merge_seconds: f64,
-}
-
-/// Searches every pinned shard and merges to the global top-k. Each
+/// Searches every pinned shard and merges to the global top-k, filling
+/// `trace.info` with the work done and the fan-out / merge clocks and,
+/// on an active trace, `trace.shards` with one row per shard. Each
 /// shard orders its hits by `(distance, slot)` and its slots ascend in
 /// id, so merging under `(distance, id)` yields the same list at every
 /// shard count: the top-k of all live rows under `(distance, id)`.
 fn fan_out(
     states: &[Arc<ShardState>],
-    strategy: Strategy,
     q_emb: &[f32],
     q_code: &BinaryCode,
     k: usize,
     threads: usize,
-    trace: &mut TraceCtx,
-) -> (Vec<Hit>, FanInfo) {
+    trace: &mut QueryTrace,
+) -> Vec<Hit> {
     let t0 = Instant::now();
-    trace.step("fanout");
-    let tracing = trace.active();
+    let strategy = trace.info.strategy;
     let n = states.len();
-    let mut results: Vec<(Vec<SlotHit>, shard::PathInfo, ShardTrace)> = (0..n)
-        .map(|_| (Vec::new(), shard::PathInfo::scan(0, false), ShardTrace::new(tracing)))
-        .collect();
+    let mut results: Vec<(Vec<SlotHit>, shard::PathInfo)> =
+        (0..n).map(|_| (Vec::new(), shard::PathInfo::scan(0, false))).collect();
     if threads <= 1 || n <= 1 {
         for (st, slot) in states.iter().zip(results.iter_mut()) {
-            let (hits, path) = shard::search(&st.ctx(), strategy, q_emb, q_code, k, &mut slot.2);
-            slot.0 = hits;
-            slot.1 = path;
+            *slot = shard::search(&st.ctx(), strategy, q_emb, q_code, k);
         }
     } else {
         let workers = threads.min(n);
@@ -264,46 +250,35 @@ fn fan_out(
                 scope.spawn(move || {
                     for (j, slot) in out_chunk.iter_mut().enumerate() {
                         let st = &states[base + j];
-                        let (hits, path) =
-                            shard::search(&st.ctx(), strategy, q_emb, q_code, k, &mut slot.2);
-                        slot.0 = hits;
-                        slot.1 = path;
+                        *slot = shard::search(&st.ctx(), strategy, q_emb, q_code, k);
                     }
                 });
             }
         });
     }
-    let fanout_seconds = t0.elapsed().as_secs_f64();
+    trace.info.fanout_seconds = t0.elapsed().as_secs_f64();
 
     let t1 = Instant::now();
-    trace.step("merge");
+    let tracing = trace.active();
+    let info = &mut trace.info;
     let mut merged: Vec<SlotHit> = Vec::new();
-    let mut info = FanInfo {
-        candidates: 0,
-        fallback: false,
-        degraded: false,
-        spill: false,
-        overfetch: 0,
-        fanout_seconds,
-        merge_seconds: 0.0,
-    };
-    for (si, (st, (hits, path, strace))) in states.iter().zip(results).enumerate() {
-        let shard_degraded = st.degraded();
+    for (si, (st, (hits, path))) in states.iter().zip(results).enumerate() {
+        let degraded = st.degraded();
         info.candidates += path.candidates;
-        info.fallback |= path.fallback;
-        info.degraded |= shard_degraded;
+        info.linear_fallback |= path.fallback;
+        info.degraded |= degraded;
         info.spill |= path.spill;
         info.overfetch += path.overfetch;
         if tracing {
-            trace.push_shard(ShardTraceRow {
+            trace.shards.push(ShardRow {
                 shard: si,
                 publish_seq: st.publish_seq,
                 generation: st.generation,
-                degraded: shard_degraded,
+                degraded,
                 candidates: path.candidates,
                 fallback: path.fallback,
                 spill: path.spill,
-                steps: strace.into_steps(),
+                path: path.path,
             });
         }
         // Re-key per-shard slot hits by stable id: `top_k_hits` breaks
@@ -321,87 +296,34 @@ fn fan_out(
         .map(|h| Hit { id: h.index as u64, distance: h.distance })
         .collect();
     info.merge_seconds = t1.elapsed().as_secs_f64();
-    (hits, info)
+    hits
 }
 
-/// Folds one answered query into telemetry and the obs recorder, seals
-/// the trace, and offers it to the flight recorder as a tail-latency
-/// exemplar. Returns the [`QueryInfo`] and the sealed [`QueryTrace`].
-fn record_query(
-    set: &ShardSet,
-    strategy: Strategy,
-    k_shards: usize,
-    info: &FanInfo,
-    encode_seconds: f64,
-    seconds: f64,
-    mut trace: TraceCtx,
-) -> (QueryInfo, QueryTrace) {
-    let q = QueryInfo {
-        strategy,
-        degraded: info.degraded,
-        linear_fallback: info.fallback,
-        candidates: info.candidates,
-        overfetch: info.overfetch,
-        seconds,
-        shards: k_shards,
-        encode_seconds,
-        fanout_seconds: info.fanout_seconds,
-        merge_seconds: info.merge_seconds,
-    };
-    {
-        let mut t = tlock(&set.telemetry);
-        let s = &mut t.strategies[strategy.index()];
-        s.queries += 1;
-        s.latency.record(seconds);
-        s.candidates.record(info.candidates as f64);
-        if info.fallback {
-            s.linear_fallbacks += 1;
-        }
-        if info.degraded {
-            s.degraded_queries += 1;
-        }
-        if info.spill {
-            t.hybrid_spills += 1;
-        }
-        t.overfetch.record(info.overfetch as f64);
-    }
+/// Folds one answered query's record into telemetry, mirrors it to the
+/// obs recorder, and offers the trace to the flight recorder as a
+/// tail-latency exemplar.
+fn record_query(set: &ShardSet, trace: &QueryTrace) {
+    let q = &trace.info;
+    tlock(&set.telemetry).fold(q);
     if traj_obs::enabled() {
-        traj_obs::observe_secs(strategy.metric_name(), seconds);
-        traj_obs::observe_value("engine.query.candidates", info.candidates as f64);
-        traj_obs::observe_value("engine.query.overfetch", info.overfetch as f64);
-        traj_obs::observe_secs("engine.query.encode_secs", encode_seconds);
-        traj_obs::observe_secs("engine.query.fanout_secs", info.fanout_seconds);
-        traj_obs::observe_secs("engine.query.merge_secs", info.merge_seconds);
-        traj_obs::observe_value("engine.query.shards", k_shards as f64);
-        if info.fallback {
+        traj_obs::observe_secs(q.strategy.metric_name(), q.seconds);
+        traj_obs::observe_value("engine.query.candidates", q.candidates as f64);
+        traj_obs::observe_value("engine.query.overfetch", q.overfetch as f64);
+        traj_obs::observe_secs("engine.query.encode_secs", q.encode_seconds);
+        traj_obs::observe_secs("engine.query.fanout_secs", q.fanout_seconds);
+        traj_obs::observe_secs("engine.query.merge_secs", q.merge_seconds);
+        traj_obs::observe_value("engine.query.shards", q.shards as f64);
+        if q.linear_fallback {
             traj_obs::counter("engine.linear_fallbacks", 1);
         }
-        if info.degraded {
+        if q.degraded {
             traj_obs::counter("engine.degraded_queries", 1);
         }
-        if info.spill {
+        if q.spill {
             traj_obs::counter("engine.hybrid_spills", 1);
         }
     }
-    trace.step("record");
-    let qt = trace.finish(strategy, seconds);
-    qt.offer_to_flight("sharded", set.trace_instance);
-    (q, qt)
-}
-
-fn empty_query_info(strategy: Strategy, degraded: bool, shards: usize) -> QueryInfo {
-    QueryInfo {
-        strategy,
-        degraded,
-        linear_fallback: false,
-        candidates: 0,
-        overfetch: 0,
-        seconds: 0.0,
-        shards,
-        encode_seconds: 0.0,
-        fanout_seconds: 0.0,
-        merge_seconds: 0.0,
-    }
+    trace.offer_to_flight("sharded", set.trace_instance);
 }
 
 /// The serving engine: owns the model and the sharded corpus, answers
@@ -584,28 +506,28 @@ impl ShardedEngine {
         self.query_with_info(q, k, strategy).map(|(hits, _)| hits)
     }
 
-    /// [`query`](ShardedEngine::query) plus per-query diagnostics,
-    /// including the per-shard fan-out and merge timings.
+    /// [`query`](ShardedEngine::query) plus the query's record: work
+    /// counters and the encode / fan-out / merge clocks.
     pub fn query_with_info(
         &self,
         q: &Trajectory,
         k: usize,
         strategy: Strategy,
     ) -> Result<(Vec<Hit>, QueryInfo), EngineError> {
-        self.query_traced(q, k, strategy).map(|(hits, info, _)| (hits, info))
+        self.query_traced(q, k, strategy).map(|(hits, trace)| (hits, trace.info))
     }
 
     /// [`query_with_info`](ShardedEngine::query_with_info) plus the
-    /// sealed per-query [`QueryTrace`]: per-shard pinned publish seqs,
-    /// candidate counts, fallback taxonomy, and the fan-out/merge step
-    /// clock. The trace is empty (inert) unless an obs recorder or a
-    /// flight recorder is installed.
+    /// rest of the [`QueryTrace`]: a query id and, per shard, the
+    /// pinned publish seq, candidate count and path taxonomy. Beyond
+    /// its `info` the trace is inert unless an obs recorder or a flight
+    /// recorder is installed.
     pub fn query_traced(
         &self,
         q: &Trajectory,
         k: usize,
         strategy: Strategy,
-    ) -> Result<(Vec<Hit>, QueryInfo, QueryTrace), EngineError> {
+    ) -> Result<(Vec<Hit>, QueryTrace), EngineError> {
         let view = self.set.view.pin();
         query_pinned(&self.set, &view, &self.model, q, k, strategy, self.scfg.fan_out_threads)
     }
@@ -627,7 +549,7 @@ impl ShardedEngine {
         qs.iter()
             .map(|q| {
                 query_pinned(&self.set, &view, &self.model, q, k, strategy, threads)
-                    .map(|(hits, _, _)| hits)
+                    .map(|(hits, _)| hits)
             })
             .collect()
     }
@@ -965,27 +887,25 @@ fn query_pinned(
     k: usize,
     strategy: Strategy,
     threads: usize,
-) -> Result<(Vec<Hit>, QueryInfo, QueryTrace), EngineError> {
+) -> Result<(Vec<Hit>, QueryTrace), EngineError> {
     // Refused by the encoder's own rule, before the early return below.
     EmbedError::check(q)?;
-    let mut trace = TraceCtx::new();
-    let states = &view.states;
+    let mut trace = QueryTrace::begin(strategy, view.states.len());
     if k == 0 || view.live() == 0 {
-        trace.step("empty");
-        let qt = trace.finish(strategy, 0.0);
-        qt.offer_to_flight("sharded", set.trace_instance);
-        return Ok((Vec::new(), empty_query_info(strategy, view.degraded(), states.len()), qt));
+        // Nothing is encoded or searched, and nothing is counted: only
+        // the flight recorder sees an answer that did no work.
+        trace.info.degraded = view.degraded();
+        trace.offer_to_flight("sharded", set.trace_instance);
+        return Ok((Vec::new(), trace));
     }
     let t0 = Instant::now();
-    trace.step("embed");
     let embedding = model.try_embed(q)?.data().to_vec();
     let code = BinaryCode::from_floats(&embedding);
-    let encode_seconds = t0.elapsed().as_secs_f64();
-    let (hits, info) = fan_out(states, strategy, &embedding, &code, k, threads, &mut trace);
-    let seconds = t0.elapsed().as_secs_f64();
-    let (q_info, qt) =
-        record_query(set, strategy, states.len(), &info, encode_seconds, seconds, trace);
-    Ok((hits, q_info, qt))
+    trace.info.encode_seconds = t0.elapsed().as_secs_f64();
+    let hits = fan_out(&view.states, &embedding, &code, k, threads, &mut trace);
+    trace.info.seconds = t0.elapsed().as_secs_f64();
+    record_query(set, &trace);
+    Ok((hits, trace))
 }
 
 /// A `Send` recipe for building a [`ShardReader`] on another thread.
@@ -1047,18 +967,18 @@ impl ShardReader {
         k: usize,
         strategy: Strategy,
     ) -> Result<(Vec<Hit>, QueryInfo), EngineError> {
-        self.query_traced(q, k, strategy).map(|(hits, info, _)| (hits, info))
+        self.query_traced(q, k, strategy).map(|(hits, trace)| (hits, trace.info))
     }
 
-    /// [`query_with_info`](ShardReader::query_with_info) plus the sealed
-    /// per-query [`QueryTrace`] (inert unless a trace consumer is
+    /// [`query_with_info`](ShardReader::query_with_info) plus the rest
+    /// of the [`QueryTrace`] (inert unless a trace consumer is
     /// installed).
     pub fn query_traced(
         &mut self,
         q: &Trajectory,
         k: usize,
         strategy: Strategy,
-    ) -> Result<(Vec<Hit>, QueryInfo, QueryTrace), EngineError> {
+    ) -> Result<(Vec<Hit>, QueryTrace), EngineError> {
         let view = self.set.view.pin();
         // The rows in `view` were encoded by `view.blueprint`: answer
         // with a replica of exactly that one.
@@ -1110,7 +1030,7 @@ mod tests {
         engine.hot_swap(replacement);
 
         for (&s, want) in Strategy::ALL.iter().zip(&before) {
-            let (hits, _, _) = query_pinned(&engine.set, &pinned, &replica, &probe, 5, s, 1).unwrap();
+            let (hits, _) = query_pinned(&engine.set, &pinned, &replica, &probe, 5, s, 1).unwrap();
             assert_eq!(&hits, want, "{} across the swap", s.name());
             assert_ne!(&engine.query(&probe, 5, s).unwrap(), want, "{} after it", s.name());
         }

@@ -80,6 +80,18 @@ impl EngineTelemetry {
         self.strategies.iter().map(|s| s.linear_fallbacks).sum()
     }
 
+    /// Folds one answered query into the counters and histograms.
+    pub(crate) fn fold(&mut self, q: &QueryInfo) {
+        let s = &mut self.strategies[q.strategy.index()];
+        s.queries += 1;
+        s.latency.record(q.seconds);
+        s.candidates.record(q.candidates as f64);
+        s.linear_fallbacks += u64::from(q.linear_fallback);
+        s.degraded_queries += u64::from(q.degraded);
+        self.hybrid_spills += u64::from(q.spill);
+        self.overfetch.record(q.overfetch as f64);
+    }
+
     /// Renders a compact human-readable block, one row per strategy
     /// plus the lifecycle counters.
     pub fn summary(&self) -> String {
@@ -126,7 +138,9 @@ impl EngineTelemetry {
     }
 }
 
-/// Per-query diagnostics returned by
+/// The one record of an answered query: the fan-out fills it, the
+/// telemetry folds it, [`QueryTrace`](crate::QueryTrace) seals it and
+/// the flight recorder dumps it. Returned by
 /// [`ShardedEngine::query_with_info`](crate::ShardedEngine::query_with_info).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryInfo {
@@ -137,6 +151,9 @@ pub struct QueryInfo {
     /// True when the answer came from a full linear scan because the
     /// index could not serve the query.
     pub linear_fallback: bool,
+    /// True when a `Hybrid` radius-2 ball came up short on some shard
+    /// and spilled into a scan (designed behaviour, not a fallback).
+    pub spill: bool,
     /// Rows whose distance to the query was evaluated, summed over the
     /// shards: every live row of a scan, the rows of a radius-2 ball,
     /// the distance evaluations an exact index (`Mih`, the VP-tree)

@@ -7,9 +7,8 @@
 //! lower-bound pruning skips the vast majority of exact distance
 //! computations while returning bit-for-bit the dense result (see
 //! `traj_dist::sparse` for the exactness argument). The dense
-//! all-pairs scan is kept behind [`GroundTruthOptions::dense_oracle`] as
-//! the parity oracle the pruned path is tested against, and for
-//! measures/workloads where pruning cannot win.
+//! all-pairs scan, [`dense_ground_truth_top_k`], is the parity oracle
+//! the pruned path is tested against.
 
 use crate::error::EvalError;
 use traj_data::Trajectory;
@@ -21,16 +20,13 @@ use traj_index::{top_k_hits, Hit};
 pub struct GroundTruthOptions {
     /// Coarse-grid cell size (meters) for the pruned driver's buckets.
     pub cell_m: f64,
-    /// Compute via the dense all-pairs scan instead of the pruned
-    /// driver — the parity oracle.
-    pub dense_oracle: bool,
     /// Worker thread cap; `None` uses the available parallelism.
     pub threads: Option<usize>,
 }
 
 impl Default for GroundTruthOptions {
     fn default() -> Self {
-        GroundTruthOptions { cell_m: 500.0, dense_oracle: false, threads: None }
+        GroundTruthOptions { cell_m: 500.0, threads: None }
     }
 }
 
@@ -48,7 +44,7 @@ pub fn ground_truth_top_k(
 }
 
 /// [`ground_truth_top_k`] with explicit options, also returning the
-/// pruning counters (all-exact counters on the dense oracle path).
+/// pruning counters.
 pub fn ground_truth_top_k_with(
     queries: &[Trajectory],
     database: &[Trajectory],
@@ -56,16 +52,6 @@ pub fn ground_truth_top_k_with(
     k: usize,
     opts: &GroundTruthOptions,
 ) -> Result<(Vec<Vec<usize>>, PruneStats), EvalError> {
-    if opts.dense_oracle {
-        let rows = dense_ground_truth_top_k(queries, database, measure, k, opts.threads)?;
-        let pairs = (queries.len() * database.len()) as u64;
-        let stats = PruneStats {
-            pairs_total: pairs,
-            pairs_exact: pairs,
-            ..PruneStats::default()
-        };
-        return Ok((rows, stats));
-    }
     let cfg = PrunedTopK {
         k,
         cell_m: opts.cell_m,
@@ -154,19 +140,6 @@ mod tests {
                 dense_ground_truth_top_k(queries, database, measure, 5, None).unwrap();
             assert_eq!(pruned, dense, "parity failed for {measure}");
         }
-    }
-
-    #[test]
-    fn dense_oracle_flag_routes_to_dense_path() {
-        let trajs = CityGenerator::new(CityParams::test_city(), 5).generate(40);
-        let (queries, database) = trajs.split_at(8);
-        let opts = GroundTruthOptions { dense_oracle: true, ..GroundTruthOptions::default() };
-        let (rows, stats) =
-            ground_truth_top_k_with(queries, database, Measure::Dtw, 5, &opts).unwrap();
-        assert_eq!(rows, dense_ground_truth_top_k(queries, database, Measure::Dtw, 5, None).unwrap());
-        assert_eq!(stats.pairs_total, stats.pairs_exact);
-        assert_eq!(stats.pairs_total, (queries.len() * database.len()) as u64);
-        assert_eq!(stats.pairs_pruned_bucket + stats.pairs_pruned_lb, 0);
     }
 
     #[test]

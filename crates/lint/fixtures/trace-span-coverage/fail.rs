@@ -1,5 +1,5 @@
 // Fixture: public query entry points on the serving crate that neither
-// create/accept a TraceCtx nor appear in TRACED_ENTRY_POINTS. Both must
+// return/fill a QueryTrace nor appear in TRACED_ENTRY_POINTS. Both must
 // be flagged.
 pub fn query(&self, k: usize) -> Vec<Hit> {
     self.scan(k)

@@ -1,16 +1,15 @@
-// Fixture: every public query entry point is trace-covered — it owns a
-// TraceCtx, returns the sealed QueryTrace, is internal plumbing, or
-// carries a justified annotation.
+// Fixture: every public query entry point is trace-covered — it
+// returns the QueryTrace it filled, is internal plumbing, or carries a
+// justified annotation.
 pub fn query_traced(&self, k: usize) -> (Vec<Hit>, QueryTrace) {
-    let mut trace = TraceCtx::new();
-    trace.step("embed");
+    let mut trace = QueryTrace::begin(self.strategy, 1);
     let hits = self.scan(k, &mut trace);
-    (hits, trace.finish())
+    (hits, trace)
 }
 
-// Internal plumbing accepts the ctx; `pub(crate)` is not an entry point.
-pub(crate) fn query_inner(&self, k: usize, trace: &mut TraceCtx) -> Vec<Hit> {
-    self.scan(k, trace)
+// Internal plumbing; `pub(crate)` is not an entry point.
+pub(crate) fn query_inner(&self, k: usize) -> Vec<Hit> {
+    self.scan(k)
 }
 
 // Non-query public API is out of the rule's scope.

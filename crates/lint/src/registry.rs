@@ -320,10 +320,9 @@ pub const RAW_PRINT_ALLOWED: &[RawPrintAllowance] = &[RawPrintAllowance {
           and a silent accept failure would look like a healthy-but-mute server",
 }];
 
-/// A `query*` entry point sanctioned without a visible `TraceCtx` /
-/// `QueryTrace` in its span (the `trace-span-coverage` rule's ground
-/// truth): either it delegates to a traced sibling, or it is not a
-/// query entry point at all despite the name.
+/// A `query*` entry point sanctioned without a visible `QueryTrace` in
+/// its span (the `trace-span-coverage` rule's ground truth): it
+/// delegates to a traced sibling.
 #[derive(Debug, Clone, Copy)]
 pub struct TracedEntryPoint {
     /// Repo-relative file the function is defined in.
@@ -335,9 +334,8 @@ pub struct TracedEntryPoint {
 }
 
 /// The traced-entry-point registry. Every public `query*` function in
-/// `crates/engine` must create or accept a `TraceCtx` (or return the
-/// sealed `QueryTrace`); the ones listed here are sanctioned because
-/// they delegate into one that does.
+/// `crates/engine` must return or fill a `QueryTrace`; the ones listed
+/// here are sanctioned because they delegate into one that does.
 pub const TRACED_ENTRY_POINTS: &[TracedEntryPoint] = &[
     TracedEntryPoint {
         path: "crates/engine/src/sharded.rs",
@@ -354,11 +352,6 @@ pub const TRACED_ENTRY_POINTS: &[TracedEntryPoint] = &[
         path: "crates/engine/src/sharded.rs",
         func: "query_many",
         why: "runs every member through query_pinned, the traced single-query path",
-    },
-    TracedEntryPoint {
-        path: "crates/engine/src/trace.rs",
-        func: "query_id",
-        why: "accessor on TraceCtx itself, not a query entry point",
     },
 ];
 

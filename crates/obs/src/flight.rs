@@ -346,102 +346,92 @@ fn parse_u64_list(text: &str, key: &str) -> Result<Vec<u64>, String> {
         .collect()
 }
 
+/// Per-shard last-seen publish seq, keyed `(engine, instance,
+/// shard_count)`, in flight_seq order (dumps append drains in seq
+/// order). The optional `instance` field separates traces from
+/// unrelated engine instances whose seqs would otherwise conflate.
+type LastSeqs = std::collections::BTreeMap<(String, u64, usize), Vec<u64>>;
+
+/// The checks of one `flight.trace` line beyond its record shape.
+fn validate_trace(doc: &Json, last_seqs: &mut LastSeqs) -> Result<(), String> {
+    let [encode, fanout, merge, total] =
+        ["encode_us", "fanout_us", "merge_us", "total_us"].map(|key| field_u64(doc, key));
+    let (stages, total) = (encode?.saturating_add(fanout?).saturating_add(merge?), total?);
+    if stages > total {
+        return Err(format!("stages sum to {stages} us, over total_us {total}"));
+    }
+    let engine = field_str(doc, "engine")?.to_string();
+    let shards = field_u64(doc, "shards")? as usize; // lint: allow(lossy-cast) — shard counts are tiny
+    let seqs = parse_u64_list(field_str(doc, "shard_seqs")?, "shard_seqs")?;
+    let gens = parse_u64_list(field_str(doc, "shard_gens")?, "shard_gens")?;
+    let cands = parse_u64_list(field_str(doc, "shard_candidates")?, "shard_candidates")?;
+    let paths = field_str(doc, "shard_paths")?;
+    let paths: Vec<&str> = if paths.is_empty() { Vec::new() } else { paths.split(',').collect() };
+    if paths.iter().any(|p| p.is_empty()) {
+        return Err("shard_paths has an empty label".into());
+    }
+    for (key, len) in [
+        ("shard_seqs", seqs.len()),
+        ("shard_gens", gens.len()),
+        ("shard_candidates", cands.len()),
+        ("shard_paths", paths.len()),
+    ] {
+        if len != shards {
+            return Err(format!("{key} has {len} items for {shards} shards"));
+        }
+    }
+    if gens.contains(&0) {
+        return Err("shard generation 0 (generations start at 1)".into());
+    }
+    let total = field_u64(doc, "candidates")?;
+    let sum: u64 = cands.iter().sum();
+    if total != sum {
+        return Err(format!("candidates {total} != per-shard sum {sum}"));
+    }
+    let instance = match doc.get("fields").and_then(|f| f.get("instance")) {
+        Some(_) => field_u64(doc, "instance")?,
+        None => 0,
+    };
+    let entry = last_seqs.entry((engine, instance, shards)).or_insert_with(|| vec![0; shards]);
+    for (shard, (&seq, last)) in seqs.iter().zip(entry.iter_mut()).enumerate() {
+        if seq < *last {
+            return Err(format!("shard {shard} publish seq went backwards ({last} then {seq})"));
+        }
+        *last = seq;
+    }
+    Ok(())
+}
+
 /// Offline self-validation of a flight-recorder dump file: every line
 /// is a well-formed `flight.dump` header or `flight.trace` event; trace
-/// query ids are unique; step clocks are strictly monotone from 0; the
-/// per-shard lists agree with the shard count and the candidate total;
-/// and per-shard publish seqs are non-decreasing across traces from the
-/// same engine/shard-count group. Returns the number of trace lines.
+/// query ids are unique; the encode, fan-out and merge clocks sum to at
+/// most the total; the per-shard lists agree with the shard count and
+/// the candidate total; and per-shard publish seqs are non-decreasing
+/// across traces from the same engine/shard-count group. Returns the
+/// number of trace lines.
 pub fn validate_flight_dump(text: &str) -> Result<usize, String> {
-    use std::collections::{BTreeMap, BTreeSet};
-    let mut ids = BTreeSet::new();
-    // (engine, instance, shard_count) -> per-shard last-seen publish
-    // seq, in flight_seq order (dumps append drains in seq order). The
-    // optional `instance` field separates traces from unrelated engine
-    // instances whose seqs would otherwise conflate.
-    let mut last_seqs: BTreeMap<(String, u64, usize), Vec<u64>> = BTreeMap::new();
+    let mut ids = std::collections::BTreeSet::new();
+    let mut last_seqs = LastSeqs::new();
     let mut traces = 0usize;
     for (lineno, line) in text.lines().enumerate() {
         let n = lineno + 1;
-        let rs = validate_record(line).map_err(|e| format!("line {n}: {e}"))?;
+        let at = |e: String| format!("line {n}: {e}");
+        let rs = validate_record(line).map_err(at)?;
         if rs.kind != "event" {
-            return Err(format!("line {n}: unexpected kind '{}' in flight dump", rs.kind));
+            return Err(at(format!("unexpected kind '{}' in flight dump", rs.kind)));
         }
         match rs.name.as_str() {
             "flight.dump" => continue,
             "flight.trace" => {}
-            other => return Err(format!("line {n}: unexpected event '{other}' in flight dump")),
+            other => return Err(at(format!("unexpected event '{other}' in flight dump"))),
         }
         traces += 1;
-        let doc = parse_json(line).map_err(|e| format!("line {n}: {e}"))?;
-        let id = field_u64(&doc, "query_id").map_err(|e| format!("line {n}: {e}"))?;
+        let doc = parse_json(line).map_err(at)?;
+        let id = field_u64(&doc, "query_id").map_err(at)?;
         if !ids.insert(id) {
-            return Err(format!("line {n}: duplicate query_id {id}"));
+            return Err(at(format!("duplicate query_id {id}")));
         }
-        let steps = field_str(&doc, "steps").map_err(|e| format!("line {n}: {e}"))?;
-        let mut prev_clock: Option<u64> = None;
-        for step in steps.split(',').filter(|s| !s.is_empty()) {
-            let (clock, label) = step
-                .split_once(':')
-                .ok_or_else(|| format!("line {n}: malformed step {step:?}"))?;
-            if label.is_empty() {
-                return Err(format!("line {n}: step {step:?} has an empty label"));
-            }
-            let clock: u64 = clock
-                .parse()
-                .map_err(|_| format!("line {n}: step {step:?} has a non-integer clock"))?;
-            match prev_clock {
-                None if clock != 0 => {
-                    return Err(format!("line {n}: step clock starts at {clock}, not 0"));
-                }
-                Some(p) if clock <= p => {
-                    return Err(format!("line {n}: step clocks not strictly monotone ({p} then {clock})"));
-                }
-                _ => {}
-            }
-            prev_clock = Some(clock);
-        }
-        if prev_clock.is_none() {
-            return Err(format!("line {n}: trace has no steps"));
-        }
-        let engine = field_str(&doc, "engine").map_err(|e| format!("line {n}: {e}"))?.to_string();
-        let shards = field_u64(&doc, "shards").map_err(|e| format!("line {n}: {e}"))? as usize; // lint: allow(lossy-cast) — shard counts are tiny
-        let seqs = parse_u64_list(field_str(&doc, "shard_seqs").map_err(|e| format!("line {n}: {e}"))?, "shard_seqs")
-            .map_err(|e| format!("line {n}: {e}"))?;
-        let gens = parse_u64_list(field_str(&doc, "shard_gens").map_err(|e| format!("line {n}: {e}"))?, "shard_gens")
-            .map_err(|e| format!("line {n}: {e}"))?;
-        let cands = parse_u64_list(
-            field_str(&doc, "shard_candidates").map_err(|e| format!("line {n}: {e}"))?,
-            "shard_candidates",
-        )
-        .map_err(|e| format!("line {n}: {e}"))?;
-        for (key, len) in [("shard_seqs", seqs.len()), ("shard_gens", gens.len()), ("shard_candidates", cands.len())] {
-            if len != shards {
-                return Err(format!("line {n}: {key} has {len} items for {shards} shards"));
-            }
-        }
-        if gens.contains(&0) {
-            return Err(format!("line {n}: shard generation 0 (generations start at 1)"));
-        }
-        let total = field_u64(&doc, "candidates").map_err(|e| format!("line {n}: {e}"))?;
-        let sum: u64 = cands.iter().sum();
-        if total != sum {
-            return Err(format!("line {n}: candidates {total} != per-shard sum {sum}"));
-        }
-        let instance = match doc.get("fields").and_then(|f| f.get("instance")) {
-            Some(_) => field_u64(&doc, "instance").map_err(|e| format!("line {n}: {e}"))?,
-            None => 0,
-        };
-        let entry =
-            last_seqs.entry((engine, instance, shards)).or_insert_with(|| vec![0; shards]);
-        for (shard, (&seq, last)) in seqs.iter().zip(entry.iter_mut()).enumerate() {
-            if seq < *last {
-                return Err(format!(
-                    "line {n}: shard {shard} publish seq went backwards ({last} then {seq})"
-                ));
-            }
-            *last = seq;
-        }
+        validate_trace(&doc, &mut last_seqs).map_err(at)?;
     }
     Ok(traces)
 }
@@ -454,6 +444,7 @@ mod tests {
         let total: u64 = cands.iter().sum();
         let cand_list = cands.iter().map(u64::to_string).collect::<Vec<_>>().join(",");
         let gens = cands.iter().map(|_| "1").collect::<Vec<_>>().join(",");
+        let paths = cands.iter().map(|_| "indexed").collect::<Vec<_>>().join(",");
         (
             "flight.trace",
             vec![
@@ -462,10 +453,14 @@ mod tests {
                 ("engine", "sharded".into()),
                 ("shards", (cands.len() as u64).into()),
                 ("candidates", total.into()),
-                ("steps", "0:embed,1:fanout,2:merge,3:record".into()),
+                ("encode_us", 300u64.into()),
+                ("fanout_us", 150u64.into()),
+                ("merge_us", 2u64.into()),
+                ("total_us", 460u64.into()),
                 ("shard_seqs", seqs.to_string().into()),
                 ("shard_gens", gens.into()),
                 ("shard_candidates", cand_list.into()),
+                ("shard_paths", paths.into()),
             ],
         )
     }
@@ -562,9 +557,29 @@ mod tests {
         let bad_total = good.replace("\"candidates\":5", "\"candidates\":9");
         assert!(validate_flight_dump(&bad_total).unwrap_err().contains("per-shard sum"));
 
-        // Non-monotone step clocks.
-        let bad_steps = good.replace("0:embed,1:fanout", "0:embed,0:fanout");
-        assert!(validate_flight_dump(&bad_steps).unwrap_err().contains("monotone"));
+        // Each clock must be there and nonnegative, and the stages may
+        // not outrun the total (300 + 150 + 2 against 460).
+        for key in ["encode_us", "fanout_us", "merge_us", "total_us"] {
+            let missing = good.replace(&format!("\"{key}\":"), &format!("\"no_{key}\":"));
+            let err = validate_flight_dump(&missing).unwrap_err();
+            assert!(err.contains(&format!("missing numeric field '{key}'")), "{err}");
+            let negative = good.replace(&format!("\"{key}\":"), &format!("\"{key}\":-"));
+            let err = validate_flight_dump(&negative).unwrap_err();
+            assert!(err.contains(&format!("'{key}'")) && err.contains("nonnegative"), "{err}");
+        }
+        for (stage, over) in [("encode_us\":300", "309"), ("fanout_us\":150", "159"), ("merge_us\":2", "11")] {
+            let (key, _) = stage.split_once(':').unwrap();
+            let slow = good.replace(stage, &format!("{key}:{over}"));
+            assert!(validate_flight_dump(&slow).unwrap_err().contains("over total_us 460"));
+        }
+
+        // One path label per shard, none empty.
+        let missing = good.replace("\"shard_paths\":", "\"no_shard_paths\":");
+        assert!(validate_flight_dump(&missing).unwrap_err().contains("'shard_paths'"));
+        let one = good.replace("indexed,indexed", "indexed");
+        assert!(validate_flight_dump(&one).unwrap_err().contains("shard_paths has 1 items"));
+        let blank = good.replace("indexed,indexed", "indexed,");
+        assert!(validate_flight_dump(&blank).unwrap_err().contains("empty label"));
 
         // Publish seq going backwards within a shard.
         let older = FlightEntry {

@@ -6,9 +6,20 @@ use traj_baselines::{
     TransformerEncoder, WmseConfig,
 };
 use traj_data::{CityParams, Dataset, NormStats, SplitSizes};
-use traj_dist::{auto_theta, distance_matrix, similarity_matrix, Measure};
+use traj_dist::{
+    auto_theta_sparse, pruned_self_top_k, sparse_similarity, Measure, PrunedTopK, SparseSimilarity,
+};
 use traj_eval::{ground_truth_top_k, pack_codes, rank_euclidean, rank_hamming, Metrics};
 use traj_index::HammingTable;
+
+/// The seeds' similarity supervision with every pair stored, the form
+/// `TrainData::prepare` hands the trainers on a corpus this small.
+fn seed_similarity(dataset: &Dataset, measure: Measure) -> SparseSimilarity {
+    let all_pairs = PrunedTopK::new(dataset.seeds.len()).keeping_distances();
+    let sweep = pruned_self_top_k(&dataset.seeds, measure, &all_pairs).expect("seed self-join");
+    let d = sweep.distances.expect("keeping_distances() retains them");
+    sparse_similarity(&d, auto_theta_sparse(&d, 0.5))
+}
 
 fn world() -> Dataset {
     let sizes = SplitSizes { seeds: 24, validation: 10, corpus: 100, query: 10, database: 100 };
@@ -22,8 +33,7 @@ fn wmse_trained_gru_beats_untrained_on_search() {
     let truth = ground_truth_top_k(&dataset.query, &dataset.database, measure, 50)
         .expect("ground truth computation failed");
     let norm = NormStats::fit(&dataset.training_visible());
-    let d = distance_matrix(&dataset.seeds, measure);
-    let sim = similarity_matrix(&d, auto_theta(&d, 0.5));
+    let sim = seed_similarity(&dataset, measure);
 
     let eval = |enc: &dyn TrajEncoder| -> Metrics {
         let db = enc.embed_all(&dataset.database);
@@ -51,8 +61,7 @@ fn hash_head_gives_baseline_a_working_hamming_representation() {
     let truth = ground_truth_top_k(&dataset.query, &dataset.database, measure, 50)
         .expect("ground truth computation failed");
     let norm = NormStats::fit(&dataset.training_visible());
-    let d = distance_matrix(&dataset.seeds, measure);
-    let sim = similarity_matrix(&d, auto_theta(&d, 0.5));
+    let sim = seed_similarity(&dataset, measure);
 
     let enc = TransformerEncoder::new(16, 1, 2, norm, 4);
     train_wmse(&enc, &dataset.seeds, &sim, &WmseConfig { epochs: 5, ..WmseConfig::default() });

@@ -1,8 +1,9 @@
 //! Steady-state `Traj2Hash::embed` allocates its result and nothing
 //! else: no tape, no per-op tensor, no weight clone — whatever the
 //! trajectory length, block count or head count. And with no recorder
-//! and no flight recorder installed, the per-query trace context and
-//! the `traj_obs` record calls allocate nothing at all.
+//! and no flight recorder installed, the `traj_obs` record calls
+//! allocate nothing at all and a whole engine query no more than it did
+//! before its trace was folded into its record.
 //!
 //! This file holds exactly one test: the counter is process-wide, and
 //! libtest would run a second test on a second thread.
@@ -11,7 +12,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use traj2hash::{ModelConfig, ModelContext, Readout, Traj2Hash};
 use traj_data::{CityGenerator, CityParams, Trajectory};
-use traj_engine::{Strategy, TraceCtx};
+use traj_engine::{EngineConfig, ShardConfig, ShardedEngine, Strategy};
 
 struct Counting;
 
@@ -41,6 +42,9 @@ unsafe impl GlobalAlloc for Counting {
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
+
+/// Allocations of one `ShardedEngine::query`, in `Strategy::ALL` order.
+const PARENT_QUERY_ALLOCATIONS: [usize; 5] = [10, 10, 316, 24, 321];
 
 fn allocations_of(f: impl FnOnce()) -> usize {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
@@ -76,21 +80,26 @@ fn second_embed_of_a_length_allocates_only_its_result() {
         }
     }
 
-    // The disabled path of one query, as `ShardedEngine` drives it. A
-    // count, so it repeats; the nanoseconds of one disabled record call
-    // are `t2h_bench`'s `obs.disabled_record_ns`.
+    // The disabled path: a count, so it repeats; the nanoseconds of one
+    // disabled record call are `t2h_bench`'s `obs.disabled_record_ns`.
     assert!(!traj_obs::enabled() && !traj_obs::flight::installed());
     let count = allocations_of(|| {
-        let mut trace = TraceCtx::new();
-        trace.step("embed");
-        trace.step("fanout");
-        trace.shard_trace().step("indexed");
-        trace.step("merge");
-        trace.step("record");
-        let sealed = trace.finish(Strategy::HammingBf, 0.0);
-        assert!(!sealed.active && sealed.steps.is_empty() && sealed.shards.is_empty());
         traj_obs::counter("test.noop", 1);
         traj_obs::observe_secs("test.noop", 0.5);
     });
-    assert_eq!(count, 0, "the disabled trace and record path made {count} allocations");
+    assert_eq!(count, 0, "the disabled record path made {count} allocations");
+
+    // One whole query per strategy over two shards, second of its
+    // length. Ceilings counted at c2d81b1, where a disabled trace
+    // context rode along: the inert trace may not cost an allocation more.
+    let model = Traj2Hash::new(base, &ctx, 3);
+    let scfg = ShardConfig { shards: 2, fan_out_threads: 0 };
+    let engine = ShardedEngine::build(model, trajs.clone(), EngineConfig::default(), scfg).unwrap();
+    for (strategy, ceiling) in Strategy::ALL.into_iter().zip(PARENT_QUERY_ALLOCATIONS) {
+        let first = engine.query(&trajs[0], 5, strategy).unwrap();
+        let mut second = Vec::new();
+        let count = allocations_of(|| second = engine.query(&trajs[0], 5, strategy).unwrap());
+        assert_eq!(second, first);
+        assert!(count <= ceiling, "{} query: {count} allocations, {ceiling} before", strategy.name());
+    }
 }

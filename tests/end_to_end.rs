@@ -222,6 +222,10 @@ fn search_bed_rows_agree_across_strategies_and_count_work() {
         // within radius 2, which are the scan's top-k
         assert_eq!(distances(&hybrid), distances(&scan), "Hybrid is exact");
         assert_eq!((scan.short(), mih.short(), hybrid.short()), (0, 0, 0));
+        // spills are summed from the answers: only Hybrid has any, and
+        // the engine counted them twice, warm-up and measured pass
+        assert_eq!([&euclid, &scan, &table, &mih].map(Pass::spills), [0; 4]);
+        assert_eq!(engine.telemetry().hybrid_spills, 2 * hybrid.spills() as u64);
 
         assert!(candidates(&scan).iter().all(|&c| c == rows));
         assert!(candidates(&table).iter().all(|&c| c <= rows));

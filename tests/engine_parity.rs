@@ -510,11 +510,11 @@ fn hot_swap_adopts_the_replacement_config() {
         assert_eq!(engine.config().euclidean_backend, EuclideanBackend::VpTree);
         let rec = std::sync::Arc::new(traj_obs::InMemoryRecorder::default());
         traj_obs::with_local_recorder(rec, || {
-            let (_, _, trace) =
+            let (_, trace) =
                 engine.query_traced(&dataset.query[0], 5, Strategy::EuclideanBf).unwrap();
-            assert_eq!(trace.shard_count(), 3);
+            assert_eq!(trace.shards.len(), 3);
             for row in &trace.shards {
-                assert_eq!(row.steps, ["indexed"], "shard {} lost its VP-tree", row.shard);
+                assert_eq!(row.path, "indexed", "shard {} lost its VP-tree", row.shard);
             }
         });
         let reloaded =

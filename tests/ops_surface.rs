@@ -71,9 +71,9 @@ fn ops_surface_serves_metrics_health_and_flight_traces() {
     let mut queries = 0u64;
     for q in &dataset.query {
         for strategy in Strategy::ALL {
-            let (hits, _info, trace) = sharded.query_traced(q, 7, strategy).expect("query");
+            let (hits, trace) = sharded.query_traced(q, 7, strategy).expect("query");
             assert!(!hits.is_empty(), "{} returned no hits", strategy.name());
-            assert!(trace.active, "recorder installed, trace must be live");
+            assert!(trace.active(), "recorder installed, trace must be live");
             queries += 1;
         }
     }
@@ -112,14 +112,25 @@ fn ops_surface_serves_metrics_health_and_flight_traces() {
 
     // /traces drains the ring as NDJSON; every line is a well-formed
     // flight.trace event and the whole body passes the same structural
-    // self-validation as an on-disk dump (unique query ids, monotone
-    // step clocks, per-shard seqs/candidates reconciling).
+    // self-validation as an on-disk dump (unique query ids, stage
+    // clocks within the total, per-shard seqs/candidates reconciling).
+    // Each line says where its query's time went and by which path
+    // each of the three shards answered.
     let (status, traces) = http_get(addr, "/traces");
     assert_eq!(status, 200, "{traces}");
     let lines: Vec<&str> = traces.lines().filter(|l| !l.is_empty()).collect();
     assert!(!lines.is_empty(), "no flight traces served");
     for line in &lines {
         traj_obs::validate_record(line).unwrap_or_else(|e| panic!("bad trace line: {e}\n{line}"));
+        let doc = traj_obs::parse_json(line).expect("validated above");
+        let field = |key: &str| doc.get("fields").and_then(|f| f.get(key));
+        let us = |key: &str| {
+            field(key).and_then(|v| v.as_f64()).unwrap_or_else(|| panic!("no {key}: {line}"))
+        };
+        assert!(us("encode_us") + us("fanout_us") + us("merge_us") <= us("total_us"), "{line}");
+        assert!(us("encode_us") > 0.0, "a tiny-model encode takes whole microseconds: {line}");
+        let paths = field("shard_paths").and_then(|v| v.as_str()).expect("shard_paths");
+        assert_eq!(paths.split(',').count(), 3, "{line}");
     }
     let validated = traj_obs::flight::validate_flight_dump(&traces)
         .unwrap_or_else(|e| panic!("flight self-validation failed: {e}\n{traces}"));
@@ -130,7 +141,7 @@ fn ops_surface_serves_metrics_health_and_flight_traces() {
     let (status, empty) = http_get(addr, "/traces");
     assert_eq!(status, 200);
     assert!(empty.is_empty(), "second scrape should find a drained ring: {empty:?}");
-    let (_, _, _trace) = sharded.query_traced(&dataset.query[0], 5, Strategy::Mih).expect("query");
+    sharded.query(&dataset.query[0], 5, Strategy::Mih).expect("query");
     let (_, refilled) = http_get(addr, "/traces");
     assert_eq!(refilled.lines().filter(|l| !l.is_empty()).count(), 1, "{refilled}");
 

@@ -1,16 +1,17 @@
 //! Per-query traces agree with the engine they observe.
 //!
 //! The tracing layer must be a pure observer: for any corpus and any
-//! shard count, the engine's [`QueryTrace`] fans out across exactly the
-//! configured shard count, its candidate totals reconcile with
-//! [`QueryInfo`](traj_engine::QueryInfo), and — for the strategies
-//! whose candidate sets are partition-invariant — its total equals the
-//! count the scan oracle derives from the live rows: every live row for
-//! `HammingBf` and for `EuclideanBf` on the default brute-force backend,
-//! the radius-2 ball for `Table`. `Mih` over-fetches `k + tombstones`
-//! *per shard* and `Hybrid` decides its radius-2 spill per shard, so
-//! their work counts legitimately depend on the topology while the hit
-//! lists do not.
+//! shard count, the engine's [`QueryTrace`](traj_engine::QueryTrace)
+//! fans out across exactly the configured shard count, its shard rows
+//! reconcile with its [`QueryInfo`](traj_engine::QueryInfo) record
+//! (candidates, spill, stage clocks within the total), and — for the
+//! strategies whose candidate sets are partition-invariant — its total
+//! equals the count the scan oracle derives from the live rows: every
+//! live row for `HammingBf` and for `EuclideanBf` on the default
+//! brute-force backend, the radius-2 ball for `Table`. `Mih` over-fetches
+//! `k + tombstones` *per shard* and `Hybrid` decides its radius-2 spill
+//! per shard, so their work counts legitimately depend on the topology
+//! while the hit lists do not.
 //!
 //! With tracing compiled in but no consumer installed, `query` output
 //! must be byte-identical to `query_traced` and the traces inert.
@@ -22,7 +23,7 @@ mod oracle;
 use oracle::{embed, world, Oracle};
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex, MutexGuard};
-use traj_engine::{EngineConfig, QueryTrace, ShardConfig, ShardedEngine, Strategy};
+use traj_engine::{EngineConfig, ShardConfig, ShardedEngine, Strategy};
 
 /// Trace activation is process-global (`traj_obs::enabled()` counts
 /// thread-local recorders too), so tests asserting active vs inert
@@ -36,13 +37,6 @@ fn gate() -> MutexGuard<'static, ()> {
 /// partitioned; only these have an oracle-derived total.
 fn partition_invariant(strategy: Strategy) -> bool {
     matches!(strategy, Strategy::HammingBf | Strategy::EuclideanBf | Strategy::Table)
-}
-
-fn assert_clock_monotone(trace: &QueryTrace) {
-    assert!(!trace.steps.is_empty(), "active trace must stamp steps");
-    for (i, &(clock, label)) in trace.steps.iter().enumerate() {
-        assert_eq!(clock, i as u64, "step clock must count from 0 ({label})");
-    }
 }
 
 fn check_trace_parity(shards: usize, corpus_len: usize, k: usize, qi: usize) {
@@ -64,37 +58,50 @@ fn check_trace_parity(shards: usize, corpus_len: usize, k: usize, qi: usize) {
     traj_obs::with_local_recorder(rec, || {
         let mut ids = std::collections::HashSet::new();
         for strategy in Strategy::ALL {
-            let (hits, info, trace) = engine.query_traced(q, k, strategy).unwrap();
+            let (hits, trace) = engine.query_traced(q, k, strategy).unwrap();
+            let (info, name) = (trace.info, strategy.name());
             assert_eq!(
                 hits,
                 oracle.top_k(strategy, &q_emb, k),
                 "{} hits diverged at shards={shards} k={k}",
                 strategy.name()
             );
-            assert!(trace.active, "recorder installed, traces must be live");
+            assert!(trace.active(), "recorder installed, traces must be live");
             assert!(ids.insert(trace.query_id), "query ids must be process-unique");
+            assert_eq!(info.strategy, strategy);
             assert_eq!(
-                trace.shard_count(),
-                shards,
-                "{} fan-out must cover every configured shard",
-                strategy.name()
+                (trace.shards.len(), info.shards),
+                (shards, shards),
+                "{name} fan-out must cover every configured shard"
             );
-            // The trace's totals are the same numbers QueryInfo reports.
-            assert_eq!(trace.candidates(), info.candidates, "{} trace", strategy.name());
+            // The record is the sum of its shard rows.
+            let row_candidates: usize = trace.shards.iter().map(|r| r.candidates).sum();
+            assert_eq!(row_candidates, info.candidates, "{name} trace");
             if partition_invariant(strategy) {
                 assert_eq!(
-                    trace.candidates(),
+                    info.candidates,
                     oracle.candidates(strategy, &q_emb),
-                    "{} candidate total must be the oracle's count at shards={shards}",
-                    strategy.name()
+                    "{name} candidate total must be the oracle's count at shards={shards}"
                 );
             }
-            assert_clock_monotone(&trace);
-            // Every shard row carries exactly one taxonomy label on a
-            // healthy engine, and pins a live publish seq.
+            let spilled = trace.shards.iter().any(|r| r.path == "hybrid_spill");
+            assert_eq!(info.spill, spilled, "{name} spill vs the shard paths");
+            assert!(!info.spill || strategy == Strategy::Hybrid, "{name} cannot spill");
+            // The stage clocks run one after another inside the total.
+            let stages = info.encode_seconds + info.fanout_seconds + info.merge_seconds;
+            assert!(info.encode_seconds > 0.0 && info.fanout_seconds > 0.0, "{info:?}");
+            assert!(stages <= info.seconds, "{name} stages {stages} over {}", info.seconds);
+            // A healthy engine: no shard is degraded or falls back, and
+            // each names the path its strategy is designed to take.
+            assert!(!info.degraded && !info.linear_fallback);
             for row in &trace.shards {
-                assert_eq!(row.steps.len(), 1, "{:?}", row.steps);
-                assert!(!row.degraded && !row.fallback);
+                assert!(!row.degraded && !row.fallback && row.spill == (row.path == "hybrid_spill"));
+                let designed: &[&str] = match strategy {
+                    Strategy::HammingBf | Strategy::EuclideanBf => &["designed_scan"],
+                    Strategy::Hybrid => &["indexed", "hybrid_spill"],
+                    Strategy::Table | Strategy::Mih => &["indexed"],
+                };
+                assert!(designed.contains(&row.path), "{name}: {row:?}");
             }
         }
     });
@@ -133,7 +140,7 @@ fn disabled_mode_output_is_byte_identical_and_traces_inert() {
         for q in dataset.query.iter().take(4) {
             for strategy in Strategy::ALL {
                 let plain = engine.query(q, 9, strategy).unwrap();
-                let (hits, _info, trace) = engine.query_traced(q, 9, strategy).unwrap();
+                let (hits, trace) = engine.query_traced(q, 9, strategy).unwrap();
                 assert_eq!(plain.len(), hits.len());
                 for (a, b) in plain.iter().zip(&hits) {
                     assert_eq!(a.id, b.id, "{} ids diverged", strategy.name());
@@ -144,11 +151,12 @@ fn disabled_mode_output_is_byte_identical_and_traces_inert() {
                         strategy.name()
                     );
                 }
-                assert!(!trace.active, "trace must be inert with no consumer installed");
+                assert!(!trace.active(), "trace must be inert with no consumer installed");
                 assert_eq!(trace.query_id, 0);
-                assert!(trace.steps.is_empty());
-                assert_eq!(trace.shard_count(), 0);
-                assert_eq!(trace.candidates(), 0);
+                assert!(trace.shards.is_empty());
+                // The record is filled either way.
+                assert_eq!((trace.info.strategy, trace.info.shards), (strategy, shards));
+                assert!(trace.info.candidates > 0 && trace.info.seconds > 0.0);
             }
         }
     }
@@ -168,21 +176,25 @@ fn degrade_drill_is_visible_in_the_trace_taxonomy() {
     let q = &dataset.query[0];
     let rec = Arc::new(traj_obs::InMemoryRecorder::default());
     traj_obs::with_local_recorder(rec, || {
-        let (_, _, healthy) = sharded.query_traced(q, 5, Strategy::Mih).unwrap();
-        assert!(healthy.shards.iter().all(|r| !r.degraded && r.steps == ["indexed"]));
-        let (_, _, scan) = sharded.query_traced(q, 5, Strategy::HammingBf).unwrap();
-        assert!(scan.shards.iter().all(|r| r.steps == ["designed_scan"]));
+        // Every shard takes `path`, in `degraded` mode or not, and the
+        // record says whether the answer was a fallback.
+        let expect = |engine: &ShardedEngine, strategy, path: &str, degraded, fallback| {
+            let (_, trace) = engine.query_traced(q, 5, strategy).unwrap();
+            let paths: Vec<&str> = trace.shards.iter().map(|r| r.path).collect();
+            assert_eq!(paths, [path; 3], "{}", strategy.name());
+            assert!(trace.shards.iter().all(|r| r.degraded == degraded && r.fallback == fallback));
+            assert_eq!((trace.info.degraded, trace.info.linear_fallback), (degraded, fallback));
+        };
+        expect(&sharded, Strategy::Mih, "indexed", false, false);
+        expect(&sharded, Strategy::HammingBf, "designed_scan", false, false);
 
         sharded.force_degrade();
         // Mih lost its index: the scan that answers is a fallback.
-        let (_, _, fb) = sharded.query_traced(q, 5, Strategy::Mih).unwrap();
-        assert!(fb.shards.iter().all(|r| r.degraded && r.steps == ["fallback_scan"]));
+        expect(&sharded, Strategy::Mih, "fallback_scan", true, true);
         // HammingBf always scans: degraded, but never a fallback.
-        let (_, _, deg) = sharded.query_traced(q, 5, Strategy::HammingBf).unwrap();
-        assert!(deg.shards.iter().all(|r| r.degraded && r.steps == ["degraded_scan"]));
+        expect(&sharded, Strategy::HammingBf, "degraded_scan", true, false);
 
         assert!(sharded.recover());
-        let (_, _, back) = sharded.query_traced(q, 5, Strategy::Mih).unwrap();
-        assert!(back.shards.iter().all(|r| !r.degraded && r.steps == ["indexed"]));
+        expect(&sharded, Strategy::Mih, "indexed", false, false);
     });
 }
