@@ -29,8 +29,7 @@
 #                       live engine (every flight line carries its
 #                       stage clocks and per-shard paths)
 #   ./check.sh lint     static analysis only: builds and runs traj-lint
-#                       over the workspace (extra args are forwarded,
-#                       e.g. ./check.sh lint --fix-list)
+#                       over the workspace (extra args are forwarded)
 #   ./check.sh prune    pruned-driver suite only: the pruned==dense
 #                       parity proptests (every measure, random corpora,
 #                       thread counts) plus a 10K-database gt_bench
@@ -47,13 +46,16 @@
 #                       compile-and-run check of t2h_bench/src/api.rs
 #   ./check.sh size     non-test Rust lines per crate: everything before
 #                       the first `#[cfg(test)]` of each file under
-#                       crates/*/src, as a table with the workspace total
+#                       crates/*/src, as a table with the workspace total,
+#                       then the crates that watch the system (lint+obs)
+#                       beside the crates that are the paper (core+grid)
 #   ./check.sh sanitize dynamic race detection: the shard concurrency
 #                       suite under ThreadSanitizer (with -Zbuild-std so
 #                       std's own atomics are instrumented). The workspace
-#                       has no `unsafe` of its own (traj-lint
-#                       `unsafe-registry`), so there is nothing for Miri
-#                       to interpret. Without a nightly toolchain carrying
+#                       has no `unsafe` of its own (the workspace lint
+#                       `unsafe_code = "deny"` in Cargo.toml), so there is
+#                       nothing for Miri to interpret. Without a nightly
+#                       toolchain carrying
 #                       rust-src it runs the deterministic checks of the
 #                       same protocol instead and says so in one line.
 set -euo pipefail
@@ -164,6 +166,8 @@ if [[ "${1:-}" == "size" ]]; then
             for (c in lines) printf "%-12s %6d\n", c, lines[c] | "sort"
             close("sort")
             printf "%-12s %6d\n", "workspace", total
+            printf "%-12s %6d\n", "lint+obs", lines["lint"] + lines["obs"]
+            printf "%-12s %6d\n", "core+grid", lines["core"] + lines["grid"]
         }'
     exit 0
 fi

@@ -47,7 +47,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Distinguishes the tmp files of concurrent writers; unique per write
-/// within a process.
+/// within a process. `Relaxed`: uniqueness needs atomicity, not ordering.
 static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 /// What a [`FaultPlan`] rule does to a matched write attempt.
@@ -123,6 +123,8 @@ pub struct FaultRule {
 #[derive(Debug, Default)]
 pub struct FaultPlan {
     rules: Vec<FaultRule>,
+    /// Write attempts and injected faults: `Relaxed` counters, since
+    /// each attempt needs a unique index and nothing else is published.
     attempts: AtomicU64,
     injected: AtomicU64,
 }

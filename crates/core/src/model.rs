@@ -270,6 +270,8 @@ impl Traj2Hash {
         }
         let spec = self.spec();
         let values = self.params.clone_values();
+        // Claim cursor. `Relaxed`: a claim needs atomicity only; the
+        // trajectories are read-only and results come back through joins.
         let next = AtomicUsize::new(0);
         let claim = |model: &Traj2Hash| -> Vec<(usize, Vec<f32>)> {
             let mut mine = Vec::new();

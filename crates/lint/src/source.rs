@@ -12,9 +12,6 @@
 //! * `in_test` — whether the line sits inside a `#[cfg(test)]` item
 //!   (detected by brace matching on the masked text).
 //!
-//! Byte-string literals are additionally collected with their contents
-//! and line numbers for the container-magic registry rule.
-//!
 //! The lexer understands line and nested block comments, string, raw
 //! string (`r#"..."#`), byte-string, raw byte-string, and char literals,
 //! and disambiguates lifetimes (`'a`) from char literals by look-ahead —
@@ -33,16 +30,6 @@ pub struct Line {
     pub in_test: bool,
 }
 
-/// A byte-string literal found in code (not in comments).
-#[derive(Debug, Clone)]
-pub struct ByteLiteral {
-    /// 1-based line of the opening quote.
-    pub line: usize,
-    /// Literal contents, unescaped only trivially (escapes are kept
-    /// verbatim — registry magics never contain escapes).
-    pub value: String,
-}
-
 /// A fully scanned source file.
 #[derive(Debug, Clone)]
 pub struct ScannedFile {
@@ -50,8 +37,6 @@ pub struct ScannedFile {
     pub path: String,
     /// Per-line views, index 0 = line 1.
     pub lines: Vec<Line>,
-    /// Byte-string literals in code position.
-    pub byte_literals: Vec<ByteLiteral>,
 }
 
 #[derive(Clone, Copy, PartialEq)]
@@ -61,8 +46,6 @@ enum State {
     BlockComment(u32),
     Str,
     RawStr(u32),
-    ByteStr,
-    RawByteStr(u32),
     Char,
 }
 
@@ -71,12 +54,9 @@ enum State {
 /// and fixture files.
 pub fn scan(path: &str, text: &str, whole_file_test: bool) -> ScannedFile {
     let mut lines: Vec<Line> = Vec::new();
-    let mut byte_literals: Vec<ByteLiteral> = Vec::new();
-
     let mut state = State::Code;
-    let mut current_literal: Option<(usize, String)> = None;
 
-    for (idx, raw_line) in text.lines().enumerate() {
+    for raw_line in text.lines() {
         let chars: Vec<char> = raw_line.chars().collect();
         let mut masked = String::with_capacity(raw_line.len());
         let mut comment = String::new();
@@ -116,16 +96,14 @@ pub fn scan(path: &str, text: &str, whole_file_test: bool) -> ScannedFile {
                         continue;
                     }
                     'b' if next == Some('"') => {
-                        state = State::ByteStr;
-                        current_literal = Some((idx + 1, String::new()));
+                        state = State::Str;
                         masked.push_str("b\"");
                         i += 2;
                         continue;
                     }
                     'b' if next == Some('r') && raw_prefix(&chars, i + 2).is_some() => {
                         let hashes = raw_prefix(&chars, i + 2).unwrap_or(0);
-                        state = State::RawByteStr(hashes);
-                        current_literal = Some((idx + 1, String::new()));
+                        state = State::RawStr(hashes);
                         let consumed = 2 + hashes as usize + 1;
                         masked.push_str(&" ".repeat(consumed));
                         i += consumed;
@@ -172,14 +150,8 @@ pub fn scan(path: &str, text: &str, whole_file_test: bool) -> ScannedFile {
                     comment.push(c);
                     masked.push(' ');
                 }
-                State::Str | State::ByteStr => {
+                State::Str => {
                     if c == '\\' {
-                        if let Some((_, buf)) = &mut current_literal {
-                            buf.push(c);
-                            if let Some(n) = next {
-                                buf.push(n);
-                            }
-                        }
                         masked.push(' ');
                         if next.is_some() {
                             masked.push(' ');
@@ -187,35 +159,19 @@ pub fn scan(path: &str, text: &str, whole_file_test: bool) -> ScannedFile {
                             continue;
                         }
                     } else if c == '"' {
-                        if state == State::ByteStr {
-                            if let Some((line, value)) = current_literal.take() {
-                                byte_literals.push(ByteLiteral { line, value });
-                            }
-                        }
                         state = State::Code;
                         masked.push('"');
                     } else {
-                        if let Some((_, buf)) = &mut current_literal {
-                            buf.push(c);
-                        }
                         masked.push(' ');
                     }
                 }
-                State::RawStr(hashes) | State::RawByteStr(hashes) => {
+                State::RawStr(hashes) => {
                     if c == '"' && closes_raw(&chars, i + 1, hashes) {
-                        if matches!(state, State::RawByteStr(_)) {
-                            if let Some((line, value)) = current_literal.take() {
-                                byte_literals.push(ByteLiteral { line, value });
-                            }
-                        }
                         state = State::Code;
                         let consumed = 1 + hashes as usize;
                         masked.push_str(&" ".repeat(consumed));
                         i += consumed;
                         continue;
-                    }
-                    if let Some((_, buf)) = &mut current_literal {
-                        buf.push(c);
                     }
                     masked.push(' ');
                 }
@@ -235,14 +191,13 @@ pub fn scan(path: &str, text: &str, whole_file_test: bool) -> ScannedFile {
         }
         // Unterminated single-line states fall back to code at EOL (a
         // char literal or plain string cannot span lines in valid Rust).
-        if matches!(state, State::Str | State::ByteStr | State::Char) {
+        if matches!(state, State::Str | State::Char) {
             state = State::Code;
-            current_literal = None;
         }
         lines.push(Line { raw: raw_line.to_string(), masked, comment, in_test: whole_file_test });
     }
 
-    let mut file = ScannedFile { path: path.to_string(), lines, byte_literals };
+    let mut file = ScannedFile { path: path.to_string(), lines };
     if !whole_file_test {
         mark_test_regions(&mut file);
     }
@@ -361,12 +316,12 @@ mod tests {
     }
 
     #[test]
-    fn byte_literals_are_collected_with_lines() {
-        let src = "const M: &[u8; 8] = b\"T2HCKPT1\";\n// b\"NOTAMAGIC\" in comment\n";
+    fn byte_strings_are_masked() {
+        let src = "let a = b\"x.unwrap()\"; let b = br#\"y.unwrap()\"#;\nlet c = 1;\n";
         let f = scan("x.rs", src, false);
-        assert_eq!(f.byte_literals.len(), 1);
-        assert_eq!(f.byte_literals[0].value, "T2HCKPT1");
-        assert_eq!(f.byte_literals[0].line, 1);
+        assert!(!f.lines[0].masked.contains("unwrap"), "{}", f.lines[0].masked);
+        assert!(f.lines[0].masked.contains("let b ="));
+        assert!(f.lines[1].masked.contains("let c = 1;"));
     }
 
     #[test]

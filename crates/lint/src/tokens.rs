@@ -106,10 +106,6 @@ pub struct FnSpan {
     pub body_open: usize,
     /// Token index of the matching `}`.
     pub body_close: usize,
-    /// 1-based line of the `fn` keyword.
-    pub start_line: usize,
-    /// 1-based line of the closing brace.
-    pub end_line: usize,
 }
 
 /// Finds every `fn` item with a body. Nested functions and functions
@@ -145,8 +141,6 @@ pub fn function_spans(tokens: &[Token]) -> Vec<FnSpan> {
                         fn_token: i,
                         body_open: open,
                         body_close: close,
-                        start_line: tokens[i].line,
-                        end_line: tokens[close].line,
                     });
                 }
             }
@@ -278,8 +272,6 @@ pub fn acquisitions(tokens: &[Token], helper_names: &[&str]) -> Vec<Acquisition>
 pub struct GuardScope {
     /// The binding name (`"<temporary>"` for unbound guards).
     pub binding: String,
-    /// The acquisition that produced the guard.
-    pub acquired_line: usize,
     /// First token index at which the guard is live (just past the
     /// acquisition).
     pub start: usize,
@@ -398,7 +390,6 @@ pub fn guard_scope(
             }
             return GuardScope {
                 binding: name,
-                acquired_line: acq.line,
                 start: call_close + 1,
                 end,
             };
@@ -408,7 +399,6 @@ pub fn guard_scope(
         let end = statement_end(tokens, acq.call_close + 1, body_close);
         return GuardScope {
             binding: "<temporary>".into(),
-            acquired_line: acq.line,
             start: acq.call_close + 1,
             end,
         };
@@ -424,7 +414,6 @@ pub fn guard_scope(
         let end = match_brace(tokens, k).unwrap_or(body_close).min(body_close);
         return GuardScope {
             binding: "<scrutinee>".into(),
-            acquired_line: acq.line,
             start: acq.call_close + 1,
             end,
         };
@@ -433,7 +422,7 @@ pub fn guard_scope(
     // Plain expression statement (`tlock(&t).hits += 1;`): temporary,
     // dead at the `;`.
     let end = statement_end(tokens, acq.call_close + 1, body_close);
-    GuardScope { binding: "<temporary>".into(), acquired_line: acq.line, start: acq.call_close + 1, end }
+    GuardScope { binding: "<temporary>".into(), start: acq.call_close + 1, end }
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@
 //! which keeps the poison path re-entrancy safe).
 
 use crate::hist::bucket_of;
-use crate::jsonl::{escape_into, parse_json, push_fields, validate_record, Json};
+use crate::jsonl::{event_line, parse_json, validate_record, Json};
 use crate::{olock, Field};
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -69,23 +69,26 @@ impl FlightEntry {
     /// the [`JsonlRecorder`](crate::JsonlRecorder) event schema so the
     /// same validator reads both.
     pub fn to_json_line(&self) -> String {
-        let mut line = String::from("{\"kind\":\"event\",\"name\":\"");
-        escape_into(&mut line, self.name);
-        line.push_str("\",\"fields\":");
-        push_fields(&mut line, &self.fields);
-        line.push('}');
-        line
+        event_line(self.name, &self.fields)
     }
 }
 
 /// The ring buffer of tail exemplars. Install one globally with
 /// [`install`]; producers reach it through [`offer`].
+///
+/// Every atomic here is `Relaxed`: each needs atomicity only. An entry
+/// is handed over under its slot's `Mutex`, never by an index, and the
+/// drain orders entries by `seq`.
 pub struct FlightRecorder {
     slots: Vec<Mutex<Option<FlightEntry>>>,
+    /// Write cursor: the next slot a capture claims.
     head: AtomicUsize,
+    /// The next capture's sequence stamp.
     seq: AtomicU64,
     threshold_bucket: usize,
+    /// Entries captured (monotone; read only for reporting).
     captured: AtomicU64,
+    /// Entries overwritten before a drain (monotone; reporting only).
     dropped: AtomicU64,
     dump_path: Option<PathBuf>,
     dump_file: Mutex<()>,
@@ -187,18 +190,13 @@ impl FlightRecorder {
         if entries.is_empty() {
             return 0;
         }
-        let mut header = String::from("{\"kind\":\"event\",\"name\":\"flight.dump\",\"fields\":");
-        push_fields(
-            &mut header,
-            &[("reason", reason.into()), ("entries", entries.len().into())],
-        );
-        header.push('}');
         let Ok(mut file) =
             std::fs::OpenOptions::new().create(true).append(true).open(path)
         else {
             return 0;
         };
-        let mut body = header;
+        let mut body =
+            event_line("flight.dump", &[("reason", reason.into()), ("entries", entries.len().into())]);
         body.push('\n');
         for e in &entries {
             body.push_str(&e.to_json_line());
@@ -216,14 +214,17 @@ impl FlightRecorder {
 // ---------------------------------------------------------------------
 
 /// Whether a flight recorder is installed: one relaxed load, the
-/// disabled fast path for [`offer`].
+/// disabled fast path for [`offer`] (a stale read costs one captured or
+/// uncaptured trace). Install and uninstall use `SeqCst` so the count
+/// is totally ordered with the `FLIGHT` slot swaps.
 static FLIGHT_ACTIVE: AtomicUsize = AtomicUsize::new(0);
 
 static FLIGHT: RwLock<Option<Arc<FlightRecorder>>> = RwLock::new(None);
 
 /// Re-entrancy guard for [`poison_dump`]: a dump triggered by lock
 /// poison must not recurse into another dump if the dump path itself
-/// trips a poisoned lock.
+/// trips a poisoned lock. `SeqCst`: it runs on panic paths, where a
+/// total order is worth more than the saved fence.
 static DUMPING: AtomicBool = AtomicBool::new(false);
 
 /// Poison-proof read of the global flight slot; recovery is sound

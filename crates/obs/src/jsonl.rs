@@ -36,9 +36,8 @@ use std::sync::Mutex;
 // ---------------------------------------------------------------------
 
 /// Escapes `s` into `out` as JSON string contents (no surrounding
-/// quotes). Shared with the flight recorder's dump writer so both
-/// sinks emit byte-identical line schemas.
-pub(crate) fn escape_into(out: &mut String, s: &str) {
+/// quotes).
+fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -56,7 +55,7 @@ pub(crate) fn escape_into(out: &mut String, s: &str) {
 
 /// Writes an f64 as a JSON value. JSON has no NaN/inf literals, so
 /// non-finite values become `null` — the reader treats them as absent.
-pub(crate) fn push_f64(out: &mut String, v: f64) {
+fn push_f64(out: &mut String, v: f64) {
     if v.is_finite() {
         let _ = write!(out, "{v}");
     } else {
@@ -64,7 +63,7 @@ pub(crate) fn push_f64(out: &mut String, v: f64) {
     }
 }
 
-pub(crate) fn push_value(out: &mut String, v: &Value) {
+fn push_value(out: &mut String, v: &Value) {
     match v {
         Value::U64(x) => {
             let _ = write!(out, "{x}");
@@ -84,7 +83,7 @@ pub(crate) fn push_value(out: &mut String, v: &Value) {
     }
 }
 
-pub(crate) fn push_fields(out: &mut String, fields: &[Field]) {
+fn push_fields(out: &mut String, fields: &[Field]) {
     out.push('{');
     for (i, (k, v)) in fields.iter().enumerate() {
         if i > 0 {
@@ -98,11 +97,23 @@ pub(crate) fn push_fields(out: &mut String, fields: &[Field]) {
     out.push('}');
 }
 
+/// One `{"kind":"event","name":..,"fields":{..}}` line (no newline): the
+/// event schema the JSONL sink streams, the flight ring drains and its
+/// dumps write, so one validator reads all three.
+pub(crate) fn event_line(name: &str, fields: &[Field]) -> String {
+    let mut line = String::from("{\"kind\":\"event\",\"name\":\"");
+    escape_into(&mut line, name);
+    line.push_str("\",\"fields\":");
+    push_fields(&mut line, fields);
+    line.push('}');
+    line
+}
+
 /// A recorder that streams events and spans to a JSONL file and keeps
 /// counters/gauges/histograms aggregated in memory, appending them as
 /// summary lines on [`flush`](Recorder::flush) (and on drop).
 ///
-/// Enabled from bench binaries via `OBS_JSONL=path` — see
+/// Enabled from binaries via `OBS_JSONL=path` — see
 /// [`init_from_env`](crate::init_from_env).
 pub struct JsonlRecorder {
     out: Mutex<BufWriter<File>>,
@@ -117,14 +128,9 @@ impl JsonlRecorder {
     }
 
     /// A snapshot of everything aggregated so far (streamed events and
-    /// spans are retained here too, so summaries match the file).
+    /// spans are retained here too, so the snapshot matches the file).
     pub fn aggregates(&self) -> Aggregates {
         olock(&self.agg).clone()
-    }
-
-    /// Human-readable summary of the aggregated state.
-    pub fn summary(&self) -> String {
-        olock(&self.agg).summary()
     }
 
     /// Appends one line. IO failures are swallowed: losing telemetry
@@ -151,12 +157,7 @@ impl Recorder for JsonlRecorder {
 
     fn event(&self, name: &str, fields: &[Field]) {
         olock(&self.agg).apply_event(name, fields);
-        let mut line = String::from("{\"kind\":\"event\",\"name\":\"");
-        escape_into(&mut line, name);
-        line.push_str("\",\"fields\":");
-        push_fields(&mut line, fields);
-        line.push('}');
-        self.write_line(&line);
+        self.write_line(&event_line(name, fields));
     }
 
     fn span_end(&self, path: &str, seconds: f64, fields: &[Field]) {

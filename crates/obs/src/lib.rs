@@ -20,11 +20,12 @@
 //!
 //! ## Sinks
 //!
-//! * [`InMemoryRecorder`] — aggregates everything; tests assert on it
-//!   and anything can print its [`summary`](InMemoryRecorder::summary).
+//! * [`InMemoryRecorder`] — aggregates everything; tests assert on its
+//!   [`aggregates`](InMemoryRecorder::aggregates) and `/metrics` renders
+//!   them.
 //! * [`JsonlRecorder`] — streams events/spans as JSON lines and dumps
 //!   aggregated counters/gauges/histograms on [`flush`](Recorder::flush);
-//!   enabled in the bench binaries via `OBS_JSONL=path`.
+//!   enabled in binaries via `OBS_JSONL=path` ([`init_from_env`]).
 //!
 //! ## Emitting
 //!
@@ -176,7 +177,9 @@ pub trait Recorder: Send + Sync {
 
 /// Number of installed recorders (global slot counts 1, each thread
 /// local counts 1). The disabled fast path is a single relaxed load of
-/// this counter.
+/// this counter (a stale read costs one recorded or unrecorded event).
+/// Install and uninstall use `SeqCst` so the count is totally ordered
+/// with the `GLOBAL` swaps.
 static ACTIVE: AtomicUsize = AtomicUsize::new(0);
 
 static GLOBAL: RwLock<Option<Arc<dyn Recorder>>> = RwLock::new(None);
@@ -398,68 +401,20 @@ impl Drop for Span {
     }
 }
 
-/// Times `f` under a span named `name`.
-pub fn time<R>(name: &'static str, f: impl FnOnce() -> R) -> R {
-    let _span = span(name);
-    f()
-}
-
 // ---------------------------------------------------------------------
 // Environment bootstrap for binaries
 // ---------------------------------------------------------------------
 
-/// A handle to the recorder [`init_from_env`] installed, for summaries
-/// and explicit flushing from bench binaries.
-pub enum ObsHandle {
-    /// JSONL exporter (from `OBS_JSONL=path`).
-    Jsonl(Arc<JsonlRecorder>),
-    /// In-memory aggregation (the default for bench summaries).
-    Memory(Arc<InMemoryRecorder>),
-}
-
-impl ObsHandle {
-    /// Human-readable summary of everything aggregated so far.
-    pub fn summary(&self) -> String {
-        match self {
-            ObsHandle::Jsonl(r) => r.summary(),
-            ObsHandle::Memory(r) => r.summary(),
-        }
-    }
-
-    /// Aggregated state snapshot.
-    pub fn aggregates(&self) -> Aggregates {
-        match self {
-            ObsHandle::Jsonl(r) => r.aggregates(),
-            ObsHandle::Memory(r) => r.aggregates(),
-        }
-    }
-
-    /// Flushes buffered output (JSONL metric summary lines).
-    pub fn flush(&self) {
-        match self {
-            ObsHandle::Jsonl(r) => Recorder::flush(&**r),
-            ObsHandle::Memory(r) => Recorder::flush(&**r),
-        }
-    }
-}
-
-/// Bench/binary bootstrap: installs the JSONL exporter globally when
-/// `OBS_JSONL=path` is set, otherwise an in-memory recorder, and
-/// returns a handle for summaries. Library code never calls this —
+/// Binary bootstrap: installs the JSONL exporter globally when
+/// `OBS_JSONL=path` is set, otherwise an in-memory recorder (which
+/// backs the ops server's `/metrics`). Library code never calls this —
 /// recorder installation is the application's decision.
-pub fn init_from_env() -> std::io::Result<ObsHandle> {
+pub fn init_from_env() -> std::io::Result<()> {
     match std::env::var_os("OBS_JSONL") {
-        Some(path) => {
-            let rec = Arc::new(JsonlRecorder::create(std::path::Path::new(&path))?);
-            install(rec.clone());
-            Ok(ObsHandle::Jsonl(rec))
-        }
-        None => {
-            let rec = Arc::new(InMemoryRecorder::default());
-            install(rec.clone());
-            Ok(ObsHandle::Memory(rec))
-        }
+        Some(path) => install(Arc::new(JsonlRecorder::create(std::path::Path::new(&path))?)),
+        None => install(Arc::new(InMemoryRecorder::default())),
     }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -1,11 +1,9 @@
 //! In-memory aggregation: the recorder tests assert against, and the
-//! shared [`Aggregates`] state every sink renders its human-readable
-//! summary from.
+//! shared [`Aggregates`] state both sinks keep and `/metrics` renders.
 
 use crate::hist::Histogram;
 use crate::{olock, Field, Recorder, Value};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// A recorded discrete event.
@@ -43,7 +41,7 @@ impl SpanRecord {
 }
 
 /// Everything a recorder has aggregated: the shared state behind both
-/// the in-memory sink and the JSONL sink's summary section.
+/// the in-memory sink and the JSONL sink's flushed metric lines.
 #[derive(Debug, Clone, Default)]
 pub struct Aggregates {
     /// Monotonic counters by name.
@@ -108,82 +106,6 @@ impl Aggregates {
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms.get(name)
     }
-
-    /// Renders the aggregated state as an aligned human-readable block:
-    /// counters, gauges, histogram quantiles, per-path span totals, and
-    /// per-name event counts.
-    pub fn summary(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("== obs summary ==\n");
-        if !self.counters.is_empty() {
-            out.push_str("counters:\n");
-            for (name, v) in &self.counters {
-                let _ = writeln!(out, "  {name:<44} {v}");
-            }
-        }
-        if !self.gauges.is_empty() {
-            out.push_str("gauges:\n");
-            for (name, v) in &self.gauges {
-                let _ = writeln!(out, "  {name:<44} {v:.6}");
-            }
-        }
-        if !self.histograms.is_empty() {
-            out.push_str("histograms:\n");
-            for (name, h) in &self.histograms {
-                let _ = writeln!(
-                    out,
-                    "  {name:<44} n={:<7} p50={} p95={} p99={} mean={} max={}",
-                    h.count(),
-                    fmt_mag(h.p50()),
-                    fmt_mag(h.p95()),
-                    fmt_mag(h.p99()),
-                    fmt_mag(h.mean()),
-                    fmt_mag(h.max()),
-                );
-            }
-        }
-        if !self.spans.is_empty() {
-            // count + total seconds per distinct path
-            let mut by_path: BTreeMap<&str, (u64, f64)> = BTreeMap::new();
-            for s in &self.spans {
-                let e = by_path.entry(&s.path).or_insert((0, 0.0));
-                e.0 += 1;
-                e.1 += s.seconds;
-            }
-            out.push_str("spans:\n");
-            for (path, (n, total)) in by_path {
-                let _ = writeln!(out, "  {path:<44} n={n:<7} total={total:.3}s");
-            }
-        }
-        if !self.events.is_empty() {
-            let mut by_name: BTreeMap<&str, u64> = BTreeMap::new();
-            for e in &self.events {
-                *by_name.entry(&e.name).or_insert(0) += 1;
-            }
-            out.push_str("events:\n");
-            for (name, n) in by_name {
-                let _ = writeln!(out, "  {name:<44} n={n}");
-            }
-        }
-        out
-    }
-}
-
-/// Formats a magnitude compactly: sub-second values as latencies
-/// (ns/us/ms/s), everything at 1 or above as a plain number — histogram
-/// names say which unit they carry.
-fn fmt_mag(v: f64) -> String {
-    if v == 0.0 {
-        "0".to_string()
-    } else if v < 1e-6 {
-        format!("{:.0}ns", v * 1e9)
-    } else if v < 1e-3 {
-        format!("{:.1}us", v * 1e6)
-    } else if v < 1.0 {
-        format!("{:.2}ms", v * 1e3)
-    } else {
-        format!("{v:.2}")
-    }
 }
 
 /// A recorder that aggregates everything in memory. Cheap enough for
@@ -191,7 +113,6 @@ fn fmt_mag(v: f64) -> String {
 #[derive(Default)]
 pub struct InMemoryRecorder {
     inner: Mutex<Aggregates>,
-    records: AtomicU64,
 }
 
 impl InMemoryRecorder {
@@ -199,43 +120,26 @@ impl InMemoryRecorder {
     pub fn aggregates(&self) -> Aggregates {
         olock(&self.inner).clone()
     }
-
-    /// Total recorder invocations (counters + gauges + observations +
-    /// events + spans) — the call count the overhead gate multiplies by
-    /// the measured per-call no-op cost.
-    pub fn record_count(&self) -> u64 {
-        self.records.load(Ordering::Relaxed)
-    }
-
-    /// Human-readable summary of the aggregated state.
-    pub fn summary(&self) -> String {
-        olock(&self.inner).summary()
-    }
 }
 
 impl Recorder for InMemoryRecorder {
     fn counter(&self, name: &str, delta: u64) {
-        self.records.fetch_add(1, Ordering::Relaxed);
         olock(&self.inner).apply_counter(name, delta);
     }
 
     fn gauge(&self, name: &str, value: f64) {
-        self.records.fetch_add(1, Ordering::Relaxed);
         olock(&self.inner).apply_gauge(name, value);
     }
 
     fn observe(&self, name: &str, value: f64) {
-        self.records.fetch_add(1, Ordering::Relaxed);
         olock(&self.inner).apply_observe(name, value);
     }
 
     fn event(&self, name: &str, fields: &[Field]) {
-        self.records.fetch_add(1, Ordering::Relaxed);
         olock(&self.inner).apply_event(name, fields);
     }
 
     fn span_end(&self, path: &str, seconds: f64, fields: &[Field]) {
-        self.records.fetch_add(1, Ordering::Relaxed);
         olock(&self.inner).apply_span(path, seconds, fields);
     }
 
@@ -249,7 +153,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn aggregation_and_summary_cover_every_kind() {
+    fn aggregation_covers_every_kind() {
         let rec = InMemoryRecorder::default();
         rec.counter("engine.inserts", 2);
         rec.counter("engine.inserts", 1);
@@ -270,23 +174,8 @@ mod tests {
         assert_eq!(agg.events_named("train.rollback").count(), 1);
         let ev = agg.events_named("train.rollback").next().expect("event");
         assert_eq!(ev.field("epoch"), Some(&Value::U64(3)));
-        assert_eq!(rec.record_count(), 2 + 1 + 100 + 1 + 1);
-
-        let text = rec.summary();
-        assert!(text.contains("engine.inserts"), "{text}");
-        assert!(text.contains("train.val_hr10"), "{text}");
-        assert!(text.contains("engine.query.mih"), "{text}");
-        assert!(text.contains("p99="), "{text}");
-        assert!(text.contains("train/epoch"), "{text}");
-        assert!(text.contains("train.rollback"), "{text}");
-    }
-
-    #[test]
-    fn magnitude_formatting_picks_sane_units() {
-        assert_eq!(fmt_mag(0.0), "0");
-        assert_eq!(fmt_mag(5e-8), "50ns");
-        assert_eq!(fmt_mag(2.5e-5), "25.0us");
-        assert_eq!(fmt_mag(1.5e-2), "15.00ms");
-        assert_eq!(fmt_mag(140.0), "140.00");
+        assert_eq!(agg.spans.len(), 1);
+        assert_eq!(agg.spans[0].path, "train/epoch");
+        assert_eq!(agg.spans[0].field("loss"), Some(&Value::F64(0.5)));
     }
 }

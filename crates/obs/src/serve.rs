@@ -11,7 +11,7 @@
 //! * `/traces` — drains the flight recorder (`flight.rs`) as JSONL.
 //!
 //! No HTTP library, no async runtime: requests are tiny GETs from a
-//! scraper, so a short read with a timeout and a `Connection: close`
+//! scraper, so a short read under one deadline and a `Connection: close`
 //! response is the whole protocol. [`validate_exposition`] parses the
 //! exposition format back so `check.sh ops` can gate the scrape output
 //! offline.
@@ -22,7 +22,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------
 // Health cell
@@ -32,6 +32,8 @@ use std::time::Duration;
 /// the ops server reads it. Starts healthy with detail `"startup"`
 /// until the first report lands.
 pub struct OpsHealth {
+    /// `Relaxed`: a stale read serves one slightly old verdict, which a
+    /// scraper tolerates by design.
     healthy: AtomicBool,
     detail: Mutex<String>,
 }
@@ -73,6 +75,8 @@ impl OpsHealth {
 /// on [`shutdown`](OpsServer::shutdown) or drop.
 pub struct OpsServer {
     addr: SocketAddr,
+    /// Shutdown latch, set once and checked per accept; not hot, so
+    /// `SeqCst` states the intent for free.
     stop: Arc<AtomicBool>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
@@ -137,14 +141,24 @@ fn accept_loop(listener: TcpListener, stop: Arc<AtomicBool>, health: Arc<OpsHeal
     }
 }
 
-/// Reads the request head (up to 8 KiB, 2 s timeout) and writes one
-/// response. Any IO failure just drops the connection — a scraper
-/// retries, the engine must not care.
+/// The whole request head must arrive within this long. It is one
+/// deadline, not a per-read timeout: the accept thread serves one
+/// connection at a time, so a client trickling a byte per read would
+/// otherwise hold every endpoint for as long as it liked.
+const HEAD_DEADLINE: Duration = Duration::from_secs(2);
+
+/// Reads the request head (up to 8 KiB, within [`HEAD_DEADLINE`]) and
+/// writes one response. Any IO failure or a missed deadline just drops
+/// the connection — a scraper retries, the engine must not care.
 fn handle_conn(mut stream: TcpStream, health: &OpsHealth) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
+    let deadline = Instant::now() + HEAD_DEADLINE;
     let mut buf = Vec::with_capacity(512);
     let mut chunk = [0u8; 512];
     loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
         match stream.read(&mut chunk) {
             Ok(0) => break,
             Ok(n) => {

@@ -54,13 +54,10 @@ fn parse_args(cfg: &mut SoakConfig) {
 }
 
 fn main() -> ExitCode {
-    let obs = match traj_obs::init_from_env() {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("traj-soak: cannot open OBS_JSONL sink: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    if let Err(e) = traj_obs::init_from_env() {
+        eprintln!("traj-soak: cannot open OBS_JSONL sink: {e}");
+        return ExitCode::FAILURE;
+    }
     let workdir = std::env::temp_dir().join(format!("traj-soak-{}", std::process::id()));
     let mut cfg = SoakConfig::demo(workdir);
     parse_args(&mut cfg);
@@ -140,7 +137,6 @@ fn main() -> ExitCode {
             }
         }
     }
-    drop(obs);
     if failed {
         ExitCode::FAILURE
     } else {

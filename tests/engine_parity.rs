@@ -16,7 +16,8 @@
 //!    (property-based).
 //! 3. **Snapshots** — save → load → query roundtrips exactly, and
 //!    corrupted/truncated/wrong-magic snapshots are rejected with typed
-//!    errors, never a panic or a silently wrong engine.
+//!    errors, never a panic or a silently wrong engine; and each of the
+//!    four on-disk formats' loaders refuses the other three by magic.
 //!
 //! The stateful model test against the scan oracle lives in
 //! `shard_parity`.
@@ -735,6 +736,62 @@ fn a_snapshot_pairing_a_model_with_rows_it_did_not_encode_is_refused() {
             ShardedEngine::from_snapshot_bytes(&encode_container(MAGIC, VERSION, &spliced), scfg(shards));
         let err = loaded.err().expect("a mixed-width snapshot must not load").to_string();
         assert!(err.contains("width") || err.contains("dimensions"), "shards={shards}: {err}");
+    }
+}
+
+/// The workspace's four on-disk formats carry four distinct headers, so
+/// each loader refuses the other three formats' bytes as foreign, with
+/// its own typed error, before reading anything else.
+#[test]
+fn every_loader_refuses_the_other_formats_by_magic() {
+    let (dataset, model) = world();
+    let tnn1 = model.save_bytes();
+    let tns1 = model.params.save_state_bytes();
+    let ckpt = traj2hash::Checkpoint {
+        epoch: 1,
+        adam_steps: 3,
+        triplet_cursor: 0,
+        lr: 0.1,
+        best_epoch: 0,
+        best_val: None,
+        params_state: tns1.clone(),
+        best_params: tnn1.clone(),
+        epoch_losses: vec![0.5],
+        val_hr10: Vec::new(),
+        recoveries: Vec::new(),
+    }
+    .encode();
+    let snap = build_default(&model, &dataset.database[..10], 1).snapshot_bytes().unwrap();
+    let formats = [("TNN1", &tnn1), ("TNS1", &tns1), ("T2HCKPT1", &ckpt), ("T2HSNAP1", &snap)];
+    for (magic, bytes) in formats {
+        assert!(bytes.starts_with(magic.as_bytes()), "{magic} bytes open with their magic");
+    }
+    // Each loader accepts its own format: the refusals below are about
+    // the header, not a loader that refuses everything.
+    model.load_bytes(&tnn1).unwrap();
+    model.params.load_state_bytes(&tns1).unwrap();
+    traj2hash::Checkpoint::decode(&ckpt).unwrap();
+    ShardedEngine::from_snapshot_bytes(&snap, scfg(1)).unwrap();
+
+    for (magic, bytes) in formats {
+        if magic != "TNN1" {
+            assert_eq!(model.load_bytes(bytes), Err("bad magic in parameter blob".into()), "{magic}");
+        }
+        if magic != "TNS1" {
+            let err = model.params.load_state_bytes(bytes);
+            assert_eq!(err, Err("bad magic in parameter blob".into()), "{magic}");
+        }
+        if magic != "T2HCKPT1" {
+            let err = traj2hash::Checkpoint::decode(bytes).err();
+            assert!(matches!(err, Some(CheckpointError::BadMagic)), "{magic}: {err:?}");
+        }
+        if magic != "T2HSNAP1" {
+            let err = ShardedEngine::from_snapshot_bytes(bytes, scfg(1)).err();
+            assert!(
+                matches!(err, Some(EngineError::Snapshot(CheckpointError::BadMagic))),
+                "{magic}: {err:?}"
+            );
+        }
     }
 }
 

@@ -7,14 +7,15 @@
 //! the health cell, and `/traces` must drain the flight ring as NDJSON
 //! that passes the same self-validation as an on-disk flight dump.
 //!
-//! The recorder and the flight ring are process-global, so this file
-//! holds exactly one `#[test]` (each file under `tests/` is its own
-//! test binary — nothing else shares the process).
+//! The recorder and the flight ring are process-global, so exactly one
+//! `#[test]` here touches them (each file under `tests/` is its own
+//! test binary — nothing else shares the process). The stalled-client
+//! test uses only its own server and health cell.
 
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use traj_data::{CityParams, Dataset, SplitSizes};
 use traj_engine::{EngineConfig, ShardConfig, ShardedEngine, Strategy};
 use traj2hash::{ModelConfig, ModelContext, Traj2Hash};
@@ -148,4 +149,36 @@ fn ops_surface_serves_metrics_health_and_flight_traces() {
     server.shutdown();
     traj_obs::flight::uninstall();
     traj_obs::uninstall();
+}
+
+/// One accept thread serves every endpoint, so a client that never
+/// finishes its request head must not hold it: the head has one 2 s
+/// deadline in all, not 2 s per read. Client A trickles a byte every
+/// 200 ms for 5 s; a `GET /healthz` behind it is answered within 3 s.
+#[test]
+fn a_stalled_client_cannot_mute_healthz() {
+    let mut server = traj_obs::OpsServer::start(0, traj_obs::OpsHealth::new()).expect("bind");
+    let addr = server.addr();
+
+    // Connected first, so accepted first: the listen queue is FIFO.
+    let mut stalled = TcpStream::connect(addr).expect("connect stalled client");
+    stalled.write_all(b"G").expect("first byte");
+    let trickle = std::thread::spawn(move || {
+        for &byte in b"ET /healthz HTTP/1.1\r\nHos" {
+            std::thread::sleep(Duration::from_millis(200));
+            // The server may already have dropped us: that is the point.
+            if stalled.write_all(&[byte]).is_err() {
+                break;
+            }
+        }
+    });
+
+    let start = Instant::now();
+    let (status, body) = http_get(addr, "/healthz");
+    let waited = start.elapsed();
+    assert_eq!(status, 200, "{body}");
+    assert!(waited < Duration::from_secs(3), "/healthz waited {waited:?} behind a stalled client");
+
+    trickle.join().expect("trickling client");
+    server.shutdown();
 }
