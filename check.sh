@@ -15,6 +15,11 @@
 #                       multi-reader concurrency tests (N readers pinning
 #                       views under writer churn; every answer across
 #                       200 hot swaps the old engine's or the new one's)
+#   ./check.sh train    training suite only: traj2hash unit tests (one
+#                       batch path bit-identical at 1..4 threads and
+#                       above the slot count, resume bit-for-bit with and
+#                       without a rollback) plus the divergence-guard,
+#                       kernel-golden and torn-write integration tests
 #   ./check.sh obs      observability suite only: traj-obs unit tests
 #                       and the telemetry integration tests (JSONL
 #                       round-trip of an instrumented train/serve
@@ -92,6 +97,15 @@ if [[ "${1:-}" == "obs" ]]; then
     echo "==> cargo test --test obs_telemetry"
     cargo test -q --test obs_telemetry
     echo "Observability checks passed."
+    exit 0
+fi
+
+if [[ "${1:-}" == "train" ]]; then
+    echo "==> cargo test -p traj2hash"
+    cargo test -q -p traj2hash
+    echo "==> cargo test --test fault_tolerance --test kernel_golden --test torn_writes"
+    cargo test -q --test fault_tolerance --test kernel_golden --test torn_writes
+    echo "Training checks passed."
     exit 0
 fi
 

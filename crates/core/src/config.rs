@@ -144,21 +144,8 @@ pub struct TrainConfig {
     pub seed: u64,
     /// Compute validation HR@10 each epoch and keep the best parameters.
     pub validate: bool,
-    /// Divergence guard: an epoch loss above `divergence_factor` times
-    /// the last good epoch loss triggers a rollback (non-finite losses
-    /// always do). Must exceed 1.
-    pub divergence_factor: f32,
-    /// Maximum rollback retries of a single epoch before training gives
-    /// up with [`crate::TrainError::Diverged`].
-    pub max_rollbacks: usize,
-    /// Multiplier applied to the learning rate on each rollback
-    /// (exponential backoff); must lie in `(0, 1)`.
-    pub lr_backoff: f32,
-    /// Write a checkpoint after every `checkpoint_every` completed
-    /// epochs (0 disables periodic saves; a final checkpoint is still
-    /// written whenever `checkpoint_path` is set).
-    pub checkpoint_every: usize,
-    /// Where to persist checkpoints; `None` disables checkpointing.
+    /// Where to write the checkpoint after every accepted epoch; `None`
+    /// disables checkpointing.
     pub checkpoint_path: Option<std::path::PathBuf>,
     /// When true and `checkpoint_path` names a valid checkpoint,
     /// training restores it and continues from the saved epoch instead
@@ -192,10 +179,6 @@ impl Default for TrainConfig {
             clip_norm: 5.0,
             seed: 7,
             validate: true,
-            divergence_factor: 4.0,
-            max_rollbacks: 3,
-            lr_backoff: 0.5,
-            checkpoint_every: 0,
             checkpoint_path: None,
             resume: false,
             num_threads: 1,
@@ -279,15 +262,6 @@ impl TrainConfig {
         if self.use_triplets && self.triplet_batch == 0 {
             return fail("triplet_batch must be positive when triplets are enabled".into());
         }
-        if !(self.divergence_factor.is_finite() && self.divergence_factor > 1.0) {
-            return fail(format!(
-                "divergence_factor must exceed 1, got {}",
-                self.divergence_factor
-            ));
-        }
-        if !(self.lr_backoff.is_finite() && 0.0 < self.lr_backoff && self.lr_backoff < 1.0) {
-            return fail(format!("lr_backoff must lie in (0, 1), got {}", self.lr_backoff));
-        }
         Ok(())
     }
 }
@@ -340,10 +314,6 @@ mod tests {
             (TrainConfig { theta_target: 0.0, ..ok() }, "theta_target"),
             (TrainConfig { theta_target: 1.0, ..ok() }, "theta_target"),
             (TrainConfig { triplet_batch: 0, ..ok() }, "triplet_batch"),
-            (TrainConfig { divergence_factor: 1.0, ..ok() }, "divergence_factor"),
-            (TrainConfig { divergence_factor: f32::NAN, ..ok() }, "divergence_factor"),
-            (TrainConfig { lr_backoff: 0.0, ..ok() }, "lr_backoff"),
-            (TrainConfig { lr_backoff: 1.0, ..ok() }, "lr_backoff"),
         ];
         for (cfg, field) in cases {
             match cfg.validate() {

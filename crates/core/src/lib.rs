@@ -33,8 +33,9 @@
 //! ([`TrainConfig::validate`]), diverging epochs roll back to the last
 //! good state with a reduced learning rate (recorded as
 //! [`RecoveryEvent`]s in the [`TrainReport`]), and the full training
-//! state — parameters, Adam moments, scheduler position, history — can
-//! be persisted to a checksummed [`checkpoint`] file and resumed after
+//! state — parameters, Adam moments, scheduler position, history — is
+//! written to a checksummed [`checkpoint`] file after every accepted
+//! epoch when [`TrainConfig::checkpoint_path`] is set, and resumed after
 //! a crash via [`TrainConfig::resume`].
 
 #![forbid(unsafe_code)]

@@ -3,13 +3,14 @@
 //! objective, combined as `L = L_s + gamma * (L_r + L_t)` (Eq. 21),
 //! optimized with Adam under the HashNet `tanh(beta x)` continuation.
 //!
-//! The trainer is fault-tolerant: every completed epoch snapshots the
-//! full optimizer state in memory, a divergence guard rolls back and
-//! halves the learning rate when an epoch loss goes non-finite or
-//! spikes (the `tanh(beta x)` continuation sharpens gradients every
-//! epoch, which is exactly where late-training blow-ups live), and the
-//! whole state can be persisted to a checksummed on-disk checkpoint
-//! (see [`crate::checkpoint`]) and resumed with `TrainConfig::resume`.
+//! The trainer is fault-tolerant: its state of record is one
+//! [`Checkpoint`] holding the last accepted epoch's full optimizer
+//! state, a divergence guard rolls back to it and halves the learning
+//! rate when an epoch loss goes non-finite or spikes (the
+//! `tanh(beta x)` continuation sharpens gradients every epoch, which is
+//! exactly where late-training blow-ups live), and the same state is
+//! written to a checksummed on-disk checkpoint (see
+//! [`crate::checkpoint`]) and resumed with `TrainConfig::resume`.
 
 use crate::checkpoint::{Checkpoint, RecoveryEvent, RecoveryKind};
 use crate::config::TrainConfig;
@@ -19,6 +20,7 @@ use crate::model::Traj2Hash;
 use crate::plan::{triplet_plan, wmse_plan, BatchPlan, LossTerm};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::ops::Range;
 use std::sync::mpsc;
 use tinynn::{clip_grad_norm, verify_tape, Adam, Param, Tape, Tensor, Var};
 use traj_data::{Dataset, Trajectory};
@@ -272,14 +274,15 @@ fn batch_loss(
 /// **in slot order**, clip, and take one optimizer step. Returns the
 /// batch loss.
 ///
-/// With `threads > 1`, slots are distributed in contiguous chunks over a
-/// `std::thread::scope` pool. Each worker rebuilds a read-only replica
-/// from the model spec + value snapshot (the `Rc`-based tape never
-/// crosses a thread), keeps its tapes alive across the values → upstream-
-/// gradients barrier via channels, and returns per-slot gradients. The
-/// single-threaded path runs the identical forward/loss/harvest/reduce
-/// arithmetic, which is what makes `num_threads = 1` and `num_threads
-/// = N` agree bit-for-bit.
+/// Slots are split into contiguous chunks, one per thread. The calling
+/// thread runs the first chunk on `model` itself; `threads - 1` scoped
+/// workers each rebuild a read-only replica from the model spec + value
+/// snapshot (the `Rc`-based tape never crosses a thread), keep their
+/// tapes alive across the values → upstream-gradients barrier, and hand
+/// back per-slot gradients through `join`. Every slot's arithmetic is
+/// the same whichever thread runs it, and the reduction order is fixed,
+/// so every `num_threads` agrees bit-for-bit. At one thread nothing is
+/// spawned and no replica is built.
 ///
 /// With `verify` set (the trainer's debug-build hook), the compiled
 /// plan and the recorded loss tape are statically verified *before*
@@ -309,149 +312,93 @@ fn run_batch(
             )));
         }
     }
-    let threads = threads.clamp(1, n);
-    let mut per_slot: Vec<Option<Vec<Tensor>>> = (0..n).map(|_| None).collect();
-    let item: f32;
+    let chunk = n.div_ceil(threads.clamp(1, n));
+    // Only workers read the snapshot, so one thread takes none.
+    let shared = (chunk < n).then(|| (model.spec(), model.params.clone_values()));
 
-    if threads == 1 {
-        let forwards: Vec<(Tape, Var)> = plan
-            .trajs
-            .iter()
-            .map(|t| {
-                let tape = Tape::new();
-                let v = model.embed_var(&tape, t);
-                (tape, v)
-            })
+    let (item, per_slot) = std::thread::scope(|scope| -> Result<_, TrainError> {
+        let (val_tx, val_rx) = mpsc::channel::<(usize, Vec<Tensor>)>();
+        let mut grad_txs: Vec<(Range<usize>, mpsc::Sender<Vec<Tensor>>)> = Vec::new();
+        let mut workers = Vec::new();
+        for start in (chunk..n).step_by(chunk) {
+            let slots = start..(start + chunk).min(n);
+            let my_trajs = &plan.trajs[slots.clone()];
+            let (spec, values) = shared.as_ref().expect("workers imply a snapshot");
+            let val_tx = val_tx.clone();
+            let (grad_tx, grad_rx) = mpsc::channel::<Vec<Tensor>>();
+            grad_txs.push((slots, grad_tx));
+            workers.push(scope.spawn(move || {
+                let replica = Traj2Hash::from_spec(spec, values);
+                let forwards = embed_chunk(&replica, my_trajs);
+                let vals = forwards.iter().map(|(_, v)| v.value()).collect();
+                val_tx.send((start, vals)).expect("embedding value channel closed");
+                // Barrier: the upstream gradients only exist once the
+                // calling thread has run the loss graph.
+                let Ok(upstream) = grad_rx.recv() else { return Vec::new() };
+                slot_grads(&replica, &forwards, upstream)
+            }));
+        }
+        drop(val_tx);
+
+        let own = embed_chunk(model, &plan.trajs[..chunk.min(n)]);
+        let mut vals: Vec<Option<Tensor>> = own.iter().map(|(_, v)| Some(v.value())).collect();
+        vals.resize_with(n, || None);
+        // One message per worker: each keeps its sender past the
+        // barrier, so the channel never closes on its own.
+        for _ in 0..workers.len() {
+            let (start, chunk_vals) = val_rx.recv().expect("embedding worker died");
+            for (off, v) in chunk_vals.into_iter().enumerate() {
+                vals[start + off] = Some(v);
+            }
+        }
+        let proxies: Vec<Param> = vals
+            .into_iter()
+            .map(|v| Param::new(v.expect("worker delivered no embedding for a slot")))
             .collect();
-        let proxies: Vec<Param> =
-            forwards.iter().map(|(_, v)| Param::new(v.value())).collect();
         let loss_tape = Tape::new();
         let loss = batch_loss(model, &loss_tape, cfg, plan, &proxies);
         if verify {
             let report = verify_tape(&loss_tape, &loss);
             if !report.is_ok() {
+                // Early return drops `grad_txs`; workers observe the
+                // closed channel and exit cleanly before backward.
                 return Err(TrainError::InvalidGraph(format!(
                     "loss tape failed verification: {report}"
                 )));
             }
         }
-        item = loss.item();
+        let item = loss.item();
         loss.backward();
-        for (k, (_tape, v)) in forwards.iter().enumerate() {
-            model.params.zero_grad();
-            v.backward_with(proxies[k].borrow().grad.clone());
-            per_slot[k] = Some(model.params.take_grads());
+        let upstream = |slots: Range<usize>| -> Vec<Tensor> {
+            slots.map(|k| proxies[k].borrow().grad.clone()).collect()
+        };
+        for (slots, tx) in grad_txs {
+            tx.send(upstream(slots)).expect("gradient channel closed");
         }
-    } else {
-        let spec = model.spec();
-        let values = model.params.clone_values();
-        let chunk = n.div_ceil(threads);
-        let (val_tx, val_rx) = mpsc::channel::<(usize, Tensor)>();
-        let (res_tx, res_rx) = mpsc::channel::<(usize, Vec<Tensor>)>();
-        item = std::thread::scope(|scope| -> Result<f32, TrainError> {
-            let mut grad_txs: Vec<mpsc::Sender<Vec<Tensor>>> = Vec::new();
-            let mut workers = Vec::new();
-            for start in (0..n).step_by(chunk) {
-                let end = (start + chunk).min(n);
-                let my_trajs = &plan.trajs[start..end];
-                let val_tx = val_tx.clone();
-                let res_tx = res_tx.clone();
-                let (grad_tx, grad_rx) = mpsc::channel::<Vec<Tensor>>();
-                grad_txs.push(grad_tx);
-                let spec = &spec;
-                let values = &values;
-                workers.push(scope.spawn(move || {
-                    let replica = Traj2Hash::from_spec(spec, values);
-                    let forwards: Vec<(Tape, Var)> = my_trajs
-                        .iter()
-                        .map(|t| {
-                            let tape = Tape::new();
-                            let v = replica.embed_var(&tape, t);
-                            (tape, v)
-                        })
-                        .collect();
-                    for (off, (_, v)) in forwards.iter().enumerate() {
-                        val_tx
-                            .send((start + off, v.value()))
-                            .expect("embedding value channel closed");
-                    }
-                    drop(val_tx);
-                    // Barrier: the upstream gradients only exist once the
-                    // main thread has run the loss graph.
-                    let Ok(upstream) = grad_rx.recv() else { return };
-                    for (off, ((_tape, v), g)) in forwards.iter().zip(upstream).enumerate() {
-                        replica.params.zero_grad();
-                        v.backward_with(g);
-                        res_tx
-                            .send((start + off, replica.params.take_grads()))
-                            .expect("gradient result channel closed");
-                    }
-                }));
-            }
-            drop(val_tx);
-            drop(res_tx);
+        let mut per_slot = slot_grads(model, &own, upstream(0..own.len()));
+        // Workers hold contiguous ascending chunks, so joining in spawn
+        // order yields slot order. `join` also waits for each thread
+        // itself, not only its closure, so its allocator arena is free
+        // again before the next batch spawns. Otherwise a worker still
+        // exiting sends its successor to a fresh arena, which grows to a
+        // batch of tapes and stays: 65 MiB more peak RSS, in some runs
+        // and not in others.
+        for w in workers {
+            per_slot.extend(w.join().expect("gradient worker died"));
+        }
+        Ok((item, per_slot))
+    })?;
 
-            let mut vals: Vec<Option<Tensor>> = (0..n).map(|_| None).collect();
-            for _ in 0..n {
-                let (k, v) = val_rx.recv().expect("embedding worker died");
-                vals[k] = Some(v);
-            }
-            let proxies: Vec<Param> = vals
-                .into_iter()
-                .map(|v| Param::new(v.expect("worker delivered no embedding for a slot")))
-                .collect();
-            let loss_tape = Tape::new();
-            let loss = batch_loss(model, &loss_tape, cfg, plan, &proxies);
-            if verify {
-                let report = verify_tape(&loss_tape, &loss);
-                if !report.is_ok() {
-                    // Early return drops `grad_txs`; workers observe the
-                    // closed channel and exit cleanly before backward.
-                    return Err(TrainError::InvalidGraph(format!(
-                        "loss tape failed verification: {report}"
-                    )));
-                }
-            }
-            let item = loss.item();
-            loss.backward();
-            for (wi, start) in (0..n).step_by(chunk).enumerate() {
-                let end = (start + chunk).min(n);
-                let upstream: Vec<Tensor> =
-                    (start..end).map(|k| proxies[k].borrow().grad.clone()).collect();
-                grad_txs[wi].send(upstream).expect("gradient channel closed");
-            }
-            for _ in 0..n {
-                let (k, g) = res_rx.recv().expect("gradient worker died");
-                per_slot[k] = Some(g);
-            }
-            // The scope waits only for each worker's closure to return;
-            // `join` waits for the thread itself, so its allocator arena
-            // is free again before the next batch spawns. Otherwise a
-            // worker still exiting sends its successor to a fresh arena,
-            // which grows to a batch of tapes and stays: 65 MiB more
-            // peak RSS, in some runs and not in others.
-            for w in workers {
-                w.join().expect("gradient worker died");
-            }
-            Ok(item)
-        })?;
-    }
-
-    // Fixed-order reduction: whatever the thread layout, slot 0 seeds
-    // the accumulator and slots 1..n add in index order.
-    let mut acc: Option<Vec<Tensor>> = None;
-    for g in per_slot {
-        let g = g.expect("worker delivered no gradient for a slot");
-        match &mut acc {
-            None => acc = Some(g),
-            Some(a) => {
-                for (t, s) in a.iter_mut().zip(&g) {
-                    t.add_assign(s);
-                }
-            }
+    // Fixed-order reduction: slot 0 seeds the accumulator and slots
+    // 1..n add in index order.
+    let mut slots = per_slot.into_iter();
+    let mut acc = slots.next().expect("batch reduced to no gradients");
+    for g in slots {
+        for (t, s) in acc.iter_mut().zip(&g) {
+            t.add_assign(s);
         }
     }
-    model.params.load_grads(acc.expect("batch reduced to no gradients"));
+    model.params.load_grads(acc);
     clip_grad_norm(&model.params, cfg.clip_norm);
     opt.step(&model.params);
     if let Some(t0) = obs_t0 {
@@ -460,6 +407,36 @@ fn run_batch(
         traj_obs::counter("train.batches", 1);
     }
     Ok(item)
+}
+
+/// Records one tape per trajectory of a chunk on `model`.
+fn embed_chunk(model: &Traj2Hash, trajs: &[&Trajectory]) -> Vec<(Tape, Var)> {
+    trajs
+        .iter()
+        .map(|t| {
+            let tape = Tape::new();
+            let v = model.embed_var(&tape, t);
+            (tape, v)
+        })
+        .collect()
+}
+
+/// Back-propagates each slot's upstream gradient through its own tape
+/// and harvests that slot's parameter gradients from `model`.
+fn slot_grads(
+    model: &Traj2Hash,
+    forwards: &[(Tape, Var)],
+    upstream: Vec<Tensor>,
+) -> Vec<Vec<Tensor>> {
+    forwards
+        .iter()
+        .zip(upstream)
+        .map(|((_tape, v), g)| {
+            model.params.zero_grad();
+            v.backward_with(g);
+            model.params.take_grads()
+        })
+        .collect()
 }
 
 /// Runs one epoch of the combined objective; returns the mean batch
@@ -544,20 +521,15 @@ struct EpochStats {
     batches: usize,
 }
 
-/// The last state known to be healthy; the divergence guard restores
-/// this when an epoch blows up.
-struct GoodState {
-    /// `TNS1` blob: parameter values + Adam moments.
-    params_state: Vec<u8>,
-    /// Adam step counter at the snapshot.
-    adam_steps: u64,
-    /// Triplet cursor at the snapshot.
-    triplet_cursor: usize,
-    /// Number of completed epochs the snapshot covers.
-    epoch: usize,
-    /// Loss of the last completed epoch, the spike reference.
-    loss: Option<f32>,
-}
+/// Divergence guard: an epoch loss above this many times the last
+/// accepted epoch's loss triggers a rollback (non-finite losses always
+/// do).
+const DIVERGENCE_FACTOR: f32 = 4.0;
+/// Rollbacks of a single epoch before training gives up with
+/// [`TrainError::Diverged`].
+const MAX_ROLLBACKS: usize = 3;
+/// Multiplier applied to the learning rate on each rollback.
+const LR_BACKOFF: f32 = 0.5;
 
 /// Trains the model in place and returns a report.
 ///
@@ -570,23 +542,36 @@ pub fn train(
     train_with_hooks(model, data, cfg, TrainHooks::default())
 }
 
+/// Loads `state`'s parameters, Adam moments, step counter and learning
+/// rate: a resume and a rollback are the same operation.
+fn restore(model: &Traj2Hash, opt: &mut Adam, state: &Checkpoint) -> Result<(), TrainError> {
+    model
+        .params
+        .load_state_bytes(&state.params_state)
+        .map_err(TrainError::IncompatibleCheckpoint)?;
+    opt.lr = state.lr;
+    opt.set_steps(state.adam_steps);
+    Ok(())
+}
+
 /// Trains the model in place with instrumentation hooks.
 ///
-/// Fault tolerance, in order of engagement:
+/// The trainer's state of record is one [`Checkpoint`]: the last
+/// accepted epoch. Fault tolerance, in order of engagement:
 /// 1. `cfg.validate()` rejects bad hyper-parameters up front.
 /// 2. With `cfg.resume` and an existing checkpoint at
-///    `cfg.checkpoint_path`, training restores parameters, optimizer
-///    moments, scheduler position, and history, then continues.
+///    `cfg.checkpoint_path`, that checkpoint becomes the state and is
+///    restored — parameters, optimizer moments, scheduler position,
+///    learning rate and history — and training continues.
 /// 3. After every epoch, the divergence guard inspects the mean loss
 ///    (as transformed by the hook, if any): a non-finite value or a
-///    spike beyond `cfg.divergence_factor` times the last good epoch
-///    loss rolls parameters and optimizer back to the last good
-///    snapshot, multiplies the learning rate by `cfg.lr_backoff`, and
-///    retries the epoch — at most `cfg.max_rollbacks` times before
-///    giving up with [`TrainError::Diverged`]. Every rollback is
-///    recorded in `TrainReport::recoveries`.
-/// 4. Every `cfg.checkpoint_every` epochs (and once at the end) the
-///    full state is written atomically to `cfg.checkpoint_path`.
+///    spike beyond `DIVERGENCE_FACTOR` (4) times the last accepted
+///    epoch loss appends a [`RecoveryEvent`] to the state, multiplies
+///    its learning rate by `LR_BACKOFF` (0.5), restores it and retries
+///    the epoch — at most `MAX_ROLLBACKS` (3) times before giving up
+///    with [`TrainError::Diverged`].
+/// 4. An accepted epoch updates the state and, when
+///    `cfg.checkpoint_path` is set, writes it there atomically.
 pub fn train_with_hooks(
     model: &mut Traj2Hash,
     data: &TrainData,
@@ -602,83 +587,42 @@ pub fn train_with_hooks(
     }
 
     let mut opt = Adam::new(cfg.lr);
-    let mut epoch_losses: Vec<f32> = Vec::with_capacity(cfg.epochs);
-    let mut val_hr10: Vec<f64> = Vec::new();
-    let mut best: (usize, Option<f64>, Vec<u8>) = (0, None, model.save_bytes());
-    let mut recoveries: Vec<RecoveryEvent> = Vec::new();
-    let mut triplet_cursor = 0usize;
-    let mut start_epoch = 0usize;
-    let mut resumed_from_epoch = None;
-
-    // ---- resume from checkpoint ------------------------------------
-    if cfg.resume {
-        if let Some(path) = &cfg.checkpoint_path {
-            if path.exists() {
-                let ckpt = Checkpoint::read_from_file(path)?;
-                model
-                    .params
-                    .load_state_bytes(&ckpt.params_state)
-                    .map_err(TrainError::IncompatibleCheckpoint)?;
-                opt.lr = ckpt.lr;
-                opt.set_steps(ckpt.adam_steps);
-                triplet_cursor = ckpt.triplet_cursor;
-                start_epoch = ckpt.epoch;
-                best = (ckpt.best_epoch, ckpt.best_val, ckpt.best_params);
-                epoch_losses = ckpt.epoch_losses;
-                val_hr10 = ckpt.val_hr10;
-                recoveries = ckpt.recoveries;
-                resumed_from_epoch = Some(start_epoch);
-            }
+    let resume_path = cfg.checkpoint_path.as_ref().filter(|p| cfg.resume && p.exists());
+    let mut state = match resume_path {
+        Some(path) => {
+            let state = Checkpoint::read_from_file(path)?;
+            restore(model, &mut opt, &state)?;
+            state
         }
-    }
-
-    let mut good = GoodState {
-        params_state: model.params.save_state_bytes(),
-        adam_steps: opt.steps(),
-        triplet_cursor,
-        epoch: start_epoch,
-        loss: epoch_losses.last().copied().filter(|l| l.is_finite()),
+        None => Checkpoint {
+            epoch: 0,
+            adam_steps: opt.steps(),
+            triplet_cursor: 0,
+            lr: cfg.lr,
+            best_epoch: 0,
+            best_val: None,
+            params_state: model.params.save_state_bytes(),
+            best_params: model.save_bytes(),
+            epoch_losses: Vec::with_capacity(cfg.epochs),
+            val_hr10: Vec::new(),
+            recoveries: Vec::new(),
+        },
     };
-
-    let save_checkpoint = |path: &std::path::Path,
-                           good: &GoodState,
-                           opt: &Adam,
-                           best: &(usize, Option<f64>, Vec<u8>),
-                           epoch_losses: &[f32],
-                           val_hr10: &[f64],
-                           recoveries: &[RecoveryEvent]|
-     -> Result<f64, TrainError> {
-        let t0 = std::time::Instant::now();
-        Checkpoint {
-            epoch: good.epoch,
-            adam_steps: good.adam_steps,
-            triplet_cursor: good.triplet_cursor,
-            lr: opt.lr,
-            best_epoch: best.0,
-            best_val: best.1,
-            params_state: good.params_state.clone(),
-            best_params: best.2.clone(),
-            epoch_losses: epoch_losses.to_vec(),
-            val_hr10: val_hr10.to_vec(),
-            recoveries: recoveries.to_vec(),
-        }
-        .write_to_file(path)?;
-        Ok(t0.elapsed().as_secs_f64())
-    };
+    let resumed_from_epoch = resume_path.map(|_| state.epoch);
 
     let mut timings = TrainTimings::default();
     let _train_span = traj_obs::span("train")
         .field("epochs", cfg.epochs)
         .field("threads", threads)
         .field("seeds", n_seeds);
-    let mut epoch = start_epoch;
     let mut retries_this_epoch = 0usize;
-    while epoch < cfg.epochs {
+    while state.epoch < cfg.epochs {
+        let epoch = state.epoch;
         // HashNet continuation: increase beta each epoch so tanh(beta x)
         // approaches sign(x).
         model.beta = cfg.beta0 + cfg.beta_step * epoch as f32;
         let mut rng = epoch_rng(cfg.seed, epoch);
-        let mut cursor = good.triplet_cursor;
+        let mut cursor = state.triplet_cursor;
         let mut ep_span =
             traj_obs::span("epoch").field("epoch", epoch).field("beta", model.beta);
         let ep_start = std::time::Instant::now();
@@ -695,22 +639,30 @@ pub fn train_with_hooks(
         ep_span.add_field("lr", opt.lr);
 
         // ---- divergence guard ---------------------------------------
-        let spiked = match good.loss {
-            Some(g) => loss.is_finite() && loss > cfg.divergence_factor * g.abs().max(1e-6),
+        // Accepted losses are finite, so the last one is the reference.
+        let spiked = match state.epoch_losses.last() {
+            Some(g) => loss.is_finite() && loss > DIVERGENCE_FACTOR * g.abs().max(1e-6),
             None => false,
         };
         if !loss.is_finite() || spiked {
             retries_this_epoch += 1;
-            if retries_this_epoch > cfg.max_rollbacks {
-                return Err(TrainError::Diverged { epoch, loss, retries: cfg.max_rollbacks });
+            if retries_this_epoch > MAX_ROLLBACKS {
+                return Err(TrainError::Diverged { epoch, loss, retries: MAX_ROLLBACKS });
             }
-            let lr_after = opt.lr * cfg.lr_backoff;
+            let lr_before = state.lr;
+            state.lr *= LR_BACKOFF;
             let kind = if loss.is_finite() {
                 RecoveryKind::LossSpike
             } else {
                 RecoveryKind::NonFiniteLoss
             };
-            recoveries.push(RecoveryEvent { epoch, kind, loss, restored_epoch: good.epoch, lr_after });
+            state.recoveries.push(RecoveryEvent {
+                epoch,
+                kind,
+                loss,
+                restored_epoch: epoch,
+                lr_after: state.lr,
+            });
             traj_obs::counter("train.rollbacks", 1);
             traj_obs::event(
                 "train.rollback",
@@ -718,28 +670,23 @@ pub fn train_with_hooks(
                     ("epoch", epoch.into()),
                     ("kind", kind.to_string().into()),
                     ("loss", loss.into()),
-                    ("restored_epoch", good.epoch.into()),
-                    ("lr_after", lr_after.into()),
+                    ("restored_epoch", epoch.into()),
+                    ("lr_after", state.lr.into()),
                 ],
             );
             traj_obs::event(
                 "train.lr_backoff",
-                &[("epoch", epoch.into()), ("lr_before", opt.lr.into()), ("lr_after", lr_after.into())],
+                &[("epoch", epoch.into()), ("lr_before", lr_before.into()), ("lr_after", state.lr.into())],
             );
             ep_span.add_field("rolled_back", true);
             timings.rolled_back_seconds += ep_secs;
-            model
-                .params
-                .load_state_bytes(&good.params_state)
-                .map_err(TrainError::IncompatibleCheckpoint)?;
-            opt.set_steps(good.adam_steps);
-            opt.lr = lr_after;
             // Retry the same epoch with the reduced learning rate.
+            restore(model, &mut opt, &state)?;
             continue;
         }
         retries_this_epoch = 0;
 
-        epoch_losses.push(loss);
+        state.epoch_losses.push(loss);
         timings.epoch_seconds.push(ep_secs);
         timings.batches += stats.batches;
 
@@ -752,56 +699,43 @@ pub fn train_with_hooks(
             traj_obs::gauge("train.val_hr10", hr);
             traj_obs::observe_secs("train.validation_secs", val_secs);
             ep_span.add_field("val_hr10", hr);
-            val_hr10.push(hr);
-            if best.1.is_none_or(|b| hr > b) {
-                best = (epoch, Some(hr), model.save_bytes());
+            state.val_hr10.push(hr);
+            if state.best_val.is_none_or(|b| hr > b) {
+                state.best_epoch = epoch;
+                state.best_val = Some(hr);
+                state.best_params = model.save_bytes();
             }
         }
 
-        triplet_cursor = cursor;
-        good = GoodState {
-            params_state: model.params.save_state_bytes(),
-            adam_steps: opt.steps(),
-            triplet_cursor,
-            epoch: epoch + 1,
-            loss: Some(loss),
-        };
-
-        // ---- periodic checkpoint ------------------------------------
+        state.epoch = epoch + 1;
+        state.adam_steps = opt.steps();
+        state.triplet_cursor = cursor;
+        state.params_state = model.params.save_state_bytes();
         if let Some(path) = &cfg.checkpoint_path {
-            if cfg.checkpoint_every > 0 && (epoch + 1).is_multiple_of(cfg.checkpoint_every) {
-                timings.checkpoint_seconds +=
-                    save_checkpoint(path, &good, &opt, &best, &epoch_losses, &val_hr10, &recoveries)?;
-            }
+            let t0 = std::time::Instant::now();
+            state.write_to_file(path)?;
+            timings.checkpoint_seconds += t0.elapsed().as_secs_f64();
         }
-
-        epoch += 1;
-    }
-
-    // ---- final checkpoint -------------------------------------------
-    if let Some(path) = &cfg.checkpoint_path {
-        timings.checkpoint_seconds +=
-            save_checkpoint(path, &good, &opt, &best, &epoch_losses, &val_hr10, &recoveries)?;
     }
 
     // "Restore best" is explicit: only when validation actually
     // produced a best score (no `f64::MIN` sentinel).
-    if cfg.validate && best.1.is_some() {
+    if cfg.validate && state.best_val.is_some() {
         model
-            .load_bytes(&best.2)
+            .load_bytes(&state.best_params)
             .map_err(TrainError::IncompatibleCheckpoint)?;
     }
 
     Ok(TrainReport {
-        epoch_losses,
-        val_hr10,
-        best_epoch: best.0,
-        best_val: best.1,
+        epoch_losses: state.epoch_losses,
+        val_hr10: state.val_hr10,
+        best_epoch: state.best_epoch,
+        best_val: state.best_val,
         triplet_count: data.triplets.len(),
         seconds: start.elapsed().as_secs_f64(),
-        recoveries,
+        recoveries: state.recoveries,
         resumed_from_epoch,
-        final_lr: opt.lr,
+        final_lr: state.lr,
         threads_used: threads,
         timings,
     })
@@ -881,14 +815,19 @@ mod tests {
             (report, model.params.clone_values())
         };
         let (r1, p1) = run(1);
-        let (r4, p4) = run(4);
         assert_eq!(r1.threads_used, 1);
-        assert_eq!(r4.threads_used, 4);
-        assert_eq!(r1.epoch_losses, r4.epoch_losses, "epoch losses must match exactly");
-        assert_eq!(r1.val_hr10, r4.val_hr10, "validation scores must match exactly");
-        assert_eq!(p1.len(), p4.len());
-        for (a, b) in p1.iter().zip(&p4) {
-            assert_eq!(a.data(), b.data(), "final parameters must be bit-identical");
+        // 2 and 3 give uneven chunks (the calling thread's chunk is one
+        // of them); 64 exceeds every batch's slot count (at most 16
+        // seeds or 48 triplet trajectories) and is clamped per batch.
+        for threads in [2, 3, 4, 64] {
+            let (r, p) = run(threads);
+            assert_eq!(r.threads_used, threads);
+            assert_eq!(r1.epoch_losses, r.epoch_losses, "epoch losses differ at {threads}");
+            assert_eq!(r1.val_hr10, r.val_hr10, "validation scores differ at {threads}");
+            assert_eq!(p1.len(), p.len());
+            for (a, b) in p1.iter().zip(&p) {
+                assert_eq!(a.data(), b.data(), "final parameters differ at {threads}");
+            }
         }
     }
 
@@ -1029,8 +968,8 @@ mod tests {
         assert_eq!(ev.kind, RecoveryKind::NonFiniteLoss);
         assert!(ev.loss.is_nan());
         assert_eq!(ev.restored_epoch, 1, "rolled back to the end of epoch 0");
-        assert!((ev.lr_after - tcfg.lr * tcfg.lr_backoff).abs() < 1e-12);
-        assert!((report.final_lr - tcfg.lr * tcfg.lr_backoff).abs() < 1e-12);
+        assert!((ev.lr_after - tcfg.lr * LR_BACKOFF).abs() < 1e-12);
+        assert!((report.final_lr - tcfg.lr * LR_BACKOFF).abs() < 1e-12);
     }
 
     #[test]
@@ -1039,11 +978,11 @@ mod tests {
         let mcfg = ModelConfig::tiny();
         let ctx = ModelContext::prepare(&dataset.training_visible(), &mcfg, 1);
         let mut model = Traj2Hash::new(mcfg, &ctx, 2);
-        let tcfg = TrainConfig { epochs: 3, max_rollbacks: 2, ..TrainConfig::tiny() };
+        let tcfg = TrainConfig { epochs: 3, ..TrainConfig::tiny() };
         let data = TrainData::prepare(&dataset, Measure::Frechet, &tcfg).unwrap();
         let hooks = TrainHooks::with_loss_hook(|_, _| f32::INFINITY);
         match train_with_hooks(&mut model, &data, &tcfg, hooks) {
-            Err(TrainError::Diverged { epoch: 0, retries: 2, .. }) => {}
+            Err(TrainError::Diverged { epoch: 0, retries: 3, .. }) => {}
             other => panic!("expected Diverged, got {other:?}"),
         }
     }
@@ -1054,7 +993,7 @@ mod tests {
         let mcfg = ModelConfig::tiny();
         let ctx = ModelContext::prepare(&dataset.training_visible(), &mcfg, 1);
         let mut model = Traj2Hash::new(mcfg, &ctx, 2);
-        let tcfg = TrainConfig { epochs: 3, divergence_factor: 2.0, ..TrainConfig::tiny() };
+        let tcfg = TrainConfig { epochs: 3, ..TrainConfig::tiny() };
         let data = TrainData::prepare(&dataset, Measure::Frechet, &tcfg).unwrap();
         let mut injected = false;
         let hooks = TrainHooks::with_loss_hook(move |epoch, loss| {
@@ -1071,6 +1010,44 @@ mod tests {
         assert_eq!(report.epoch_losses.len(), 3);
     }
 
+    /// Losses, validation scores and every parameter bit of a report
+    /// and its model.
+    fn assert_same_run(a: &(TrainReport, Vec<Tensor>), b: &(TrainReport, Vec<Tensor>)) {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a.0.epoch_losses), bits(&b.0.epoch_losses), "epoch losses");
+        assert_eq!(a.0.val_hr10, b.0.val_hr10, "validation scores");
+        assert_eq!(a.0.final_lr.to_bits(), b.0.final_lr.to_bits(), "final learning rate");
+        let log = |r: &TrainReport| {
+            r.recoveries
+                .iter()
+                .map(|e| {
+                    (e.epoch, e.kind, e.loss.to_bits(), e.restored_epoch, e.lr_after.to_bits())
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(log(&a.0), log(&b.0), "recovery log");
+        assert_eq!(a.1.len(), b.1.len());
+        for (x, y) in a.1.iter().zip(&b.1) {
+            assert_eq!(bits(x.data()), bits(y.data()), "parameters must be bit-identical");
+        }
+    }
+
+    /// Trains a fresh model (init seed 2; 999 when resuming, so only
+    /// the checkpoint can make it match) and returns its report and
+    /// final parameters.
+    fn run_hooked(
+        ctx: &ModelContext,
+        data: &TrainData,
+        cfg: &TrainConfig,
+        hook: impl FnMut(usize, f32) -> f32,
+    ) -> (TrainReport, Vec<Tensor>) {
+        let init_seed = if cfg.resume { 999 } else { 2 };
+        let mut model = Traj2Hash::new(ModelConfig::tiny(), ctx, init_seed);
+        let hooks = TrainHooks::with_loss_hook(hook);
+        let report = train_with_hooks(&mut model, data, cfg, hooks).unwrap();
+        (report, model.params.clone_values())
+    }
+
     #[test]
     fn checkpoint_resume_continues_from_saved_epoch() {
         let dir = std::env::temp_dir().join("traj2hash_resume_test");
@@ -1084,35 +1061,72 @@ mod tests {
         let tcfg = TrainConfig {
             epochs: 4,
             validate: true,
-            checkpoint_every: 1,
             checkpoint_path: Some(path.clone()),
             ..TrainConfig::tiny()
         };
         let data = TrainData::prepare(&dataset, Measure::Frechet, &tcfg).unwrap();
+        let identity = |_: usize, loss: f32| loss;
 
         // Full uninterrupted run for reference.
-        let mut reference = Traj2Hash::new(ModelConfig::tiny(), &ctx, 2);
-        let ref_cfg = TrainConfig { checkpoint_path: None, checkpoint_every: 0, ..tcfg.clone() };
-        let ref_report = train(&mut reference, &data, &ref_cfg).unwrap();
+        let ref_cfg = TrainConfig { checkpoint_path: None, ..tcfg.clone() };
+        let reference = run_hooked(&ctx, &data, &ref_cfg, identity);
 
         // Interrupted run: stop after 2 epochs (checkpoint written),
         // then resume in a fresh model.
-        let mut first = Traj2Hash::new(ModelConfig::tiny(), &ctx, 2);
-        let part_cfg = TrainConfig { epochs: 2, ..tcfg.clone() };
-        train(&mut first, &data, &part_cfg).unwrap();
-
-        let mut resumed = Traj2Hash::new(ModelConfig::tiny(), &ctx, 999);
+        run_hooked(&ctx, &data, &TrainConfig { epochs: 2, ..tcfg.clone() }, identity);
         let resume_cfg = TrainConfig { resume: true, ..tcfg.clone() };
-        let report = train(&mut resumed, &data, &resume_cfg).unwrap();
-        assert_eq!(report.resumed_from_epoch, Some(2));
-        assert_eq!(report.epoch_losses.len(), 4, "history spans both runs");
-        // The resumed run must match the uninterrupted run exactly:
+        let resumed = run_hooked(&ctx, &data, &resume_cfg, identity);
+        assert_eq!(resumed.0.resumed_from_epoch, Some(2));
+        assert_eq!(resumed.0.epoch_losses.len(), 4, "history spans both runs");
+        // The resumed run must match the uninterrupted run bit-for-bit:
         // same per-epoch RNG, same parameters, same optimizer moments.
-        for (a, b) in report.epoch_losses.iter().zip(&ref_report.epoch_losses) {
-            assert!((a - b).abs() < 1e-5, "resumed losses diverge: {a} vs {b}");
-        }
+        assert_same_run(&resumed, &reference);
 
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn resume_after_rollback_keeps_the_lowered_rate_and_the_log() {
+        let dir = std::env::temp_dir().join("traj2hash_resume_rollback_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("train.ckpt");
         let _ = std::fs::remove_file(&path);
+
+        let dataset = tiny_dataset();
+        let mcfg = ModelConfig::tiny();
+        let ctx = ModelContext::prepare(&dataset.training_visible(), &mcfg, 1);
+        let tcfg = TrainConfig {
+            epochs: 4,
+            validate: true,
+            checkpoint_path: Some(path.clone()),
+            ..TrainConfig::tiny()
+        };
+        let data = TrainData::prepare(&dataset, Measure::Frechet, &tcfg).unwrap();
+        // NaN the first time epoch 1 reports its loss.
+        let nan_once = || {
+            let mut fired = false;
+            move |epoch: usize, loss: f32| {
+                if epoch == 1 && !fired {
+                    fired = true;
+                    f32::NAN
+                } else {
+                    loss
+                }
+            }
+        };
+
+        let ref_cfg = TrainConfig { checkpoint_path: None, ..tcfg.clone() };
+        let reference = run_hooked(&ctx, &data, &ref_cfg, nan_once());
+        assert_eq!(reference.0.recoveries.len(), 1);
+
+        // Stopped after epoch 2, past the rollback: the checkpoint must
+        // carry the halved rate and the recovery log into the resume.
+        run_hooked(&ctx, &data, &TrainConfig { epochs: 2, ..tcfg.clone() }, nan_once());
+        let resumed =
+            run_hooked(&ctx, &data, &TrainConfig { resume: true, ..tcfg.clone() }, nan_once());
+        assert_eq!(resumed.0.resumed_from_epoch, Some(2));
+        assert_same_run(&resumed, &reference);
+
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -152,7 +152,6 @@ impl SoakConfig {
             validate: false,
             seed: self.seed,
             num_threads: 1,
-            checkpoint_every: 1,
             checkpoint_path: Some(self.workdir.join("model.ckpt")),
             ..TrainConfig::default()
         }
@@ -251,7 +250,6 @@ mod tests {
         let t = cfg.train_config();
         assert_eq!(t.epochs, cfg.initial_epochs);
         assert_eq!(t.checkpoint_path, Some(cfg.workdir.join("model.ckpt")));
-        assert_eq!(t.checkpoint_every, 1);
         assert_eq!(t.num_threads, 1, "the soak loop is single-threaded by design");
     }
 }

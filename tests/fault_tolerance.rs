@@ -228,11 +228,11 @@ fn unrecoverable_divergence_is_a_typed_error() {
     let mcfg = ModelConfig::tiny();
     let ctx = ModelContext::prepare(&dataset.training_visible(), &mcfg, 1);
     let mut model = Traj2Hash::new(mcfg, &ctx, 2);
-    let tcfg = TrainConfig { epochs: 2, max_rollbacks: 1, ..TrainConfig::tiny() };
+    let tcfg = TrainConfig { epochs: 2, ..TrainConfig::tiny() };
     let data = TrainData::prepare(&dataset, Measure::Frechet, &tcfg).unwrap();
     let hooks = TrainHooks::with_loss_hook(|_, _| f32::NAN);
     match train_with_hooks(&mut model, &data, &tcfg, hooks) {
-        Err(TrainError::Diverged { retries: 1, .. }) => {}
+        Err(TrainError::Diverged { retries: 3, .. }) => {}
         other => panic!("expected Diverged after exhausting rollbacks, got {other:?}"),
     }
 }

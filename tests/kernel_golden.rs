@@ -45,24 +45,32 @@ fn one_small_epoch_is_the_bits_recorded_at_fb10670() {
     // Two anchor batches and one 16-triplet batch, an optimizer step
     // after each: the epoch loss sees the backward kernels through the
     // weights the later batches run on, the final embed sees all three.
+    // At 3 threads the calling thread and two workers share each batch
+    // in uneven chunks; the bits are the single-threaded ones.
     let sizes = SplitSizes { seeds: 16, validation: 8, corpus: 120, query: 4, database: 16 };
     let dataset = Dataset::generate(CityParams::test_city(), sizes, 21);
     let cfg = ModelConfig::small();
     let ctx = ModelContext::prepare(&dataset.training_visible(), &cfg, 1);
-    let mut model = Traj2Hash::new(cfg, &ctx, 2);
-    let tcfg = TrainConfig {
-        epochs: 1,
-        validate: false,
-        batch_size: 8,
-        triplets_per_epoch: 16,
-        triplet_batch: 16,
-        num_threads: 1,
-        ..TrainConfig::default()
-    };
-    let data = TrainData::prepare(&dataset, Measure::Frechet, &tcfg).expect("supervision");
-    let report = train(&mut model, &data, &tcfg).expect("training");
-    assert!(report.recoveries.is_empty(), "the pinned epoch must not roll back");
-    let hash = fold_bits(FNV_OFFSET, &report.epoch_losses);
-    let hash = fold_bits(hash, model.embed(&dataset.query[0]).data());
-    assert_eq!(hash, GOLDEN_EPOCH, "epoch bits moved: {hash:#018x} (loss {:?})", report.epoch_losses);
+    for num_threads in [1, 3] {
+        let mut model = Traj2Hash::new(cfg.clone(), &ctx, 2);
+        let tcfg = TrainConfig {
+            epochs: 1,
+            validate: false,
+            batch_size: 8,
+            triplets_per_epoch: 16,
+            triplet_batch: 16,
+            num_threads,
+            ..TrainConfig::default()
+        };
+        let data = TrainData::prepare(&dataset, Measure::Frechet, &tcfg).expect("supervision");
+        let report = train(&mut model, &data, &tcfg).expect("training");
+        assert!(report.recoveries.is_empty(), "the pinned epoch must not roll back");
+        let hash = fold_bits(FNV_OFFSET, &report.epoch_losses);
+        let hash = fold_bits(hash, model.embed(&dataset.query[0]).data());
+        assert_eq!(
+            hash, GOLDEN_EPOCH,
+            "epoch bits moved at {num_threads} threads: {hash:#018x} (loss {:?})",
+            report.epoch_losses
+        );
+    }
 }
