@@ -11,10 +11,15 @@
 #                       the parity / lifecycle / snapshot integration
 #                       suite at 1 and 3 shards, the scan-oracle model
 #                       test (shard counts 1..8, random op streams, all
-#                       five strategies, query_many, readers) and the
+#                       five strategies, query_many, readers), the
 #                       multi-reader concurrency tests (N readers pinning
 #                       views under writer churn; every answer across
 #                       200 hot swaps the old engine's or the new one's)
+#                       and the refresh-under-faults test (30 ticks of
+#                       ingest, fine-tune → snapshot → hot swap on fixed
+#                       ticks, heartbeat snapshots and degrade drills,
+#                       every write under a fault plan; ends healthy,
+#                       matches a fresh rebuild, JSONL validates)
 #   ./check.sh train    training suite only: traj2hash unit tests (one
 #                       batch path bit-identical at 1..4 threads and
 #                       above the slot count, resume bit-for-bit with and
@@ -40,11 +45,6 @@
 #                       thread counts) plus a 10K-database gt_bench
 #                       smoke run that verifies recall 1.0 and a
 #                       pruning rate of at least 90%
-#   ./check.sh soak     bounded deterministic soak: 60 ticks of the
-#                       always-on serving loop with porto→chengdu
-#                       drift, injected write faults, and degrade
-#                       drills; exports and self-validates the JSONL
-#                       telemetry stream (target/soak.jsonl)
 #   ./check.sh t2h      benchmark self-test: compiles t2h_bench (its own
 #                       workspace) against the crates and runs all four
 #                       workloads end to end at tiny scale — the only
@@ -112,18 +112,9 @@ fi
 if [[ "${1:-}" == "engine" ]]; then
     echo "==> cargo test -p traj-engine"
     cargo test -q -p traj-engine
-    echo "==> cargo test --test engine_parity --test shard_parity --test shard_concurrency"
-    cargo test -q --test engine_parity --test shard_parity --test shard_concurrency
+    echo "==> cargo test --test engine_parity --test shard_parity --test shard_concurrency --test soak_e2e"
+    cargo test -q --test engine_parity --test shard_parity --test shard_concurrency --test soak_e2e
     echo "Engine checks passed."
-    exit 0
-fi
-
-if [[ "${1:-}" == "soak" ]]; then
-    echo "==> bounded deterministic soak (fixed seed, faults injected, JSONL self-validated)"
-    rm -rf target/soak-work
-    OBS_JSONL=target/soak.jsonl cargo run -q --release -p traj-soak -- \
-        --ticks 60 --seed 77 --workdir target/soak-work
-    echo "Soak check passed (JSONL at target/soak.jsonl)."
     exit 0
 fi
 

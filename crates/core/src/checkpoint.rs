@@ -474,7 +474,7 @@ impl Checkpoint {
     /// a crash mid-write nor a crash immediately after the save can
     /// leave a truncated or zero-length checkpoint under the real name.
     /// Goes through [`crate::iofault::durable_write`], so fault plans
-    /// installed by tests and soak drills apply.
+    /// installed with [`crate::with_fault_plan`] apply.
     pub fn write_to_file(&self, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
         let path = path.as_ref();
         let t0 = traj_obs::enabled().then(std::time::Instant::now);

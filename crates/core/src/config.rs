@@ -134,7 +134,7 @@ pub struct TrainConfig {
     /// threshold. When `supervision_k >= seeds - 1` every pair is stored
     /// and the supervision is bit-identical to the dense matrix.
     pub supervision_k: usize,
-    /// Similarity temperature target for `auto_theta` (median similarity).
+    /// Similarity temperature target for `auto_theta_sparse` (median similarity).
     pub theta_target: f64,
     /// Disable the generated-triplet loss `L_t` (ablation `-Triplets`).
     pub use_triplets: bool,

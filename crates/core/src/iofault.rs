@@ -19,15 +19,16 @@
 //!
 //! ## Fault injection
 //!
-//! Robustness code that is never executed is decoration. The soak
-//! harness (and the fault-tolerance tests) install a [`FaultPlan`] for
-//! the current thread via [`with_fault_plan`]; every durable write then
-//! consults the plan and may be failed outright, torn (a prefix of the
-//! bytes lands in the tmp file before the error), or slowed. Plans are
-//! deterministic — rules match on the plan's own write-attempt counter
-//! — so a seeded soak run injects the identical fault sequence every
-//! time. The seam is thread-local (like `traj_obs`'s local recorder)
-//! so parallel tests never see each other's faults.
+//! Robustness code that is never executed is decoration. Tests
+//! (`tests/fault_tolerance.rs`, `tests/torn_writes.rs` and the
+//! refresh-under-faults loop in `tests/soak_e2e.rs`) install a
+//! [`FaultPlan`] for the current thread via [`with_fault_plan`]; every
+//! durable write then consults the plan and may be failed outright,
+//! torn (a prefix of the bytes lands in the tmp file before the error),
+//! or slowed. Plans are deterministic — rules match on the plan's own
+//! write-attempt counter — so the same sequence of writes meets the
+//! same faults every time. The seam is thread-local (like `traj_obs`'s
+//! local recorder) so parallel tests never see each other's faults.
 //!
 //! ## Retries
 //!
@@ -35,8 +36,8 @@
 //! retries should not wedge it. [`durable_write_retry`] wraps
 //! [`durable_write`] in a bounded retry loop with deterministic
 //! exponential backoff and reports what happened in a [`WriteReceipt`];
-//! callers decide what a final failure means (the soak loop degrades
-//! the tick and tries again later).
+//! callers decide what a final failure means (a refresh keeps the old
+//! generation serving and tries again later).
 
 use std::cell::RefCell;
 use std::fmt;
@@ -118,8 +119,8 @@ pub struct FaultRule {
 /// A deterministic fault-injection plan over durable write attempts.
 ///
 /// The plan owns its attempt counter, so the same plan installed over
-/// the same code path always injects the same faults — seeded soak runs
-/// are exactly reproducible. The first matching rule wins.
+/// the same code path always injects the same faults. The first
+/// matching rule wins.
 #[derive(Debug, Default)]
 pub struct FaultPlan {
     rules: Vec<FaultRule>,

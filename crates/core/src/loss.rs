@@ -187,24 +187,32 @@ mod tests {
     #[test]
     fn sparse_sampling_matches_dense_when_fully_stored() {
         use traj_data::{CityGenerator, CityParams};
-        use traj_dist::{
-            auto_theta, distance_matrix, pruned_self_top_k, similarity_matrix,
-            sparse_similarity, Measure, PrunedTopK,
-        };
+        use traj_dist::{pruned_self_top_k, sparse_similarity, Measure, PrunedTopK};
         let trajs = CityGenerator::new(CityParams::test_city(), 11).generate(12);
         let n = trajs.len();
         let cfg = PrunedTopK::new(n - 1).keeping_distances();
         let sd = pruned_self_top_k(&trajs, Measure::Dtw, &cfg).unwrap().distances.unwrap();
-        let dense_d = distance_matrix(&trajs, Measure::Dtw);
-        let theta = auto_theta(&dense_d, 0.5);
-        let sparse = sparse_similarity(&sd, theta);
-        let dense = similarity_matrix(&dense_d, theta);
+        // Dense reference: every distance (upper triangle, mirrored),
+        // theta from their median, similarity exp(-theta * d).
+        let mut dense_d = vec![vec![0.0f64; n]; n];
+        let mut upper = Vec::new();
         for i in 0..n {
+            for j in i + 1..n {
+                dense_d[i][j] = Measure::Dtw.distance(&trajs[i], &trajs[j]);
+                dense_d[j][i] = dense_d[i][j];
+                upper.push(dense_d[i][j]);
+            }
+        }
+        upper.sort_by(f64::total_cmp);
+        let theta = -0.5f64.ln() / upper[upper.len() / 2].max(1e-9);
+        let sparse = sparse_similarity(&sd, theta);
+        for (i, row) in dense_d.iter().enumerate() {
+            let dense: Vec<f64> = row.iter().map(|&d| (-theta * d).exp()).collect();
             let mut r1 = StdRng::seed_from_u64(9 + i as u64);
             let mut r2 = StdRng::seed_from_u64(9 + i as u64);
             assert_eq!(
                 sample_companions_sparse(i, &sparse, 6, &mut r1),
-                sample_companions(i, dense.row(i), 6, &mut r2),
+                sample_companions(i, &dense, 6, &mut r2),
                 "anchor {i} sampled differently through the sparse row"
             );
         }

@@ -868,32 +868,51 @@ mod tests {
     fn sparse_supervision_is_dense_equivalent_on_tiny_corpora() {
         // With supervision_k >= seeds - 1 nothing prunes, so theta, every
         // similarity, and the validation ground truth must be exactly
-        // what the dense O(n^2) pipeline produced before the refactor.
-        use traj_dist::{auto_theta, distance_matrix, similarity_matrix};
+        // what the dense O(n^2) pipeline gives: every distance (upper
+        // triangle, mirrored), theta from their median, similarity
+        // exp(-theta * d) (its normaliser, the diagonal's exp(0), is 1).
+        let dense = |trajs: &[Trajectory]| {
+            let n = trajs.len();
+            let mut d = vec![vec![0.0f64; n]; n];
+            for i in 0..n {
+                for j in i + 1..n {
+                    d[i][j] = Measure::Dtw.distance(&trajs[i], &trajs[j]);
+                    d[j][i] = d[i][j];
+                }
+            }
+            d
+        };
         let dataset = tiny_dataset();
         let tcfg = TrainConfig::tiny();
         let data = TrainData::prepare(&dataset, Measure::Dtw, &tcfg).unwrap();
 
-        let dense_dist = distance_matrix(&dataset.seeds, Measure::Dtw);
-        let theta = auto_theta(&dense_dist, tcfg.theta_target);
-        let dense_sim = similarity_matrix(&dense_dist, theta);
+        let dense_dist = dense(&dataset.seeds);
+        let mut upper: Vec<f64> =
+            dense_dist.iter().enumerate().flat_map(|(i, row)| row[i + 1..].to_vec()).collect();
+        upper.sort_by(f64::total_cmp);
+        let theta = -tcfg.theta_target.ln() / upper[upper.len() / 2].max(1e-9);
         assert_eq!(data.sim.theta(), theta, "theta must match the dense path exactly");
-        for i in 0..data.sim.n() {
-            for j in 0..data.sim.n() {
+        assert_eq!(data.sim.n(), dense_dist.len());
+        for (i, row) in dense_dist.iter().enumerate() {
+            for (j, &d) in row.iter().enumerate() {
                 assert_eq!(
                     data.sim.get(i, j),
-                    dense_sim.get(i, j),
+                    (-theta * d).exp(),
                     "similarity ({i},{j}) diverged from the dense supervision"
                 );
                 if i != j {
-                    assert_eq!(data.dist.get(i, j), Some(dense_dist.get(i, j)));
+                    assert_eq!(data.dist.get(i, j), Some(d));
                 }
             }
         }
 
-        let val_dense = distance_matrix(&dataset.validation, Measure::Dtw);
+        let val_dense = dense(&dataset.validation);
         for (qi, &q) in data.val_queries.iter().enumerate() {
-            assert_eq!(data.val_truth[qi], val_dense.top_k_row(q, 10));
+            let row = &val_dense[q];
+            let mut nearest: Vec<usize> = (0..row.len()).filter(|&j| j != q).collect();
+            nearest.sort_by(|&a, &b| row[a].total_cmp(&row[b]).then(a.cmp(&b)));
+            nearest.truncate(10);
+            assert_eq!(data.val_truth[qi], nearest);
         }
     }
 

@@ -10,7 +10,6 @@
 #![warn(missing_docs)]
 
 pub mod augment;
-pub mod drift;
 pub mod normalize;
 pub mod porto_csv;
 pub mod splits;
@@ -22,7 +21,6 @@ pub use porto_csv::{
     load_porto_csv, parse_polyline, project_lonlat, LoadError, LoadPolicy, LoadReport,
     PolylineError, PORTO_ORIGIN,
 };
-pub use drift::{DriftSchedule, DriftingGenerator};
 pub use splits::{Dataset, SplitSizes};
 pub use synthetic::{CityGenerator, CityParams};
 pub use types::{BoundingBox, Point, Trajectory};

@@ -2,9 +2,9 @@
 //!
 //! Implements the ground-truth distance functions the paper approximates
 //! (DTW, discrete Fréchet, Hausdorff — Definition 3) plus ERP, EDR, and
-//! constrained DTW, their endpoint lower bounds (Lemma 1), and parallel
-//! pairwise distance matrices with the `exp(-theta * D)` similarity
-//! transform used as WMSE supervision (Section IV-F).
+//! constrained DTW, their endpoint lower bounds (Lemma 1), and the
+//! bucket-pruned exact top-k driver with the sparse `exp(-theta * D)`
+//! similarity transform used as WMSE supervision (Section IV-F).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -14,7 +14,6 @@ pub mod dtw;
 pub mod edit;
 pub mod frechet;
 pub mod hausdorff;
-pub mod matrix;
 pub mod measure;
 pub mod sparse;
 
@@ -25,7 +24,6 @@ pub use dtw::{cdtw, dtw};
 pub use edit::{edr, erp};
 pub use frechet::frechet;
 pub use hausdorff::{directed_hausdorff, hausdorff};
-pub use matrix::{auto_theta, distance_matrix, similarity_matrix, DistanceMatrix};
 pub use measure::Measure;
 pub use sparse::{
     auto_theta_sparse, pruned_self_top_k, pruned_top_k, sparse_similarity, PruneError,

@@ -1,8 +1,8 @@
 //! Sparse, bucket-pruned, *exact* top-k distance computation.
 //!
-//! The dense [`crate::matrix::DistanceMatrix`] materializes all `n²`
-//! pairwise distances, which caps experiments at ~20K trajectories. This
-//! module replaces it for supervision and ground truth with a pruned
+//! A dense matrix materializes all `n²` pairwise distances, which caps
+//! experiments at ~20K trajectories. This module replaces it for
+//! supervision and ground truth with a pruned
 //! sweep that computes only the pairs that could possibly matter, while
 //! returning *bit-for-bit* the same top-k results as the dense path:
 //!
@@ -253,8 +253,7 @@ pub fn pruned_top_k(
 }
 
 /// Exact pruned top-k of every corpus trajectory against the rest of the
-/// corpus (the supervision self-join: the diagonal is excluded, matching
-/// [`crate::matrix::DistanceMatrix::top_k_row`]).
+/// corpus (the supervision self-join: the diagonal is excluded).
 pub fn pruned_self_top_k(
     corpus: &[Trajectory],
     measure: Measure,
@@ -610,7 +609,7 @@ fn run(
     Ok(PrunedResult { top_k, distances, stats })
 }
 
-/// Sparse counterpart of [`crate::matrix::similarity_matrix`].
+/// The similarity transform `exp(-θ·d)` over a pruned self-join.
 ///
 /// Stored pairs carry the exact `exp(-θ·d)` similarity (no
 /// normalization is needed: the dense path's normalizer is the diagonal
@@ -700,12 +699,11 @@ pub fn sparse_similarity(d: &SparseDistances, theta: f64) -> SparseSimilarity {
     SparseSimilarity { n, pairs: d.pairs.clone(), vals, floors, theta }
 }
 
-/// Sparse counterpart of [`crate::matrix::auto_theta`]: picks `θ` so the
-/// median *stored* distance maps to similarity ~`target`. On a
-/// fully-stored self-join this selects exactly the dense path's median
-/// (each unordered pair appears once per direction, which leaves the
-/// median element unchanged), so tiny corpora keep their dense θ
-/// bit-for-bit.
+/// Picks `θ` so the median *stored* distance maps to similarity
+/// ~`target`. On a fully-stored self-join this selects exactly the
+/// median of all pairwise distances (each unordered pair appears once
+/// per direction, which leaves the median element unchanged), so tiny
+/// corpora get the dense θ bit-for-bit.
 pub fn auto_theta_sparse(d: &SparseDistances, target: f64) -> f64 {
     let mut vals: Vec<f64> = d.vals.clone();
     if vals.is_empty() {
@@ -720,7 +718,6 @@ pub fn auto_theta_sparse(d: &SparseDistances, target: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::{auto_theta, distance_matrix, similarity_matrix};
     use traj_data::{CityGenerator, CityParams};
 
     fn corpus(seed: u64, n: usize) -> Vec<Trajectory> {
@@ -852,16 +849,28 @@ mod tests {
         let got = pruned_self_top_k(&trajs, Measure::Dtw, &cfg).unwrap();
         assert_eq!(got.stats.pairs_pruned_bucket + got.stats.pairs_pruned_lb, 0);
         let sd = got.distances.unwrap();
-        let dm = distance_matrix(&trajs, Measure::Dtw);
+        // Dense reference: every distance (upper triangle, mirrored) and
+        // θ from their median; the dense similarity's normaliser is the
+        // diagonal's exp(0) = 1.
+        let n = trajs.len();
+        let mut dense = vec![vec![0.0f64; n]; n];
+        let mut upper = Vec::new();
+        for i in 0..n {
+            for j in i + 1..n {
+                dense[i][j] = Measure::Dtw.distance(&trajs[i], &trajs[j]);
+                dense[j][i] = dense[i][j];
+                upper.push(dense[i][j]);
+            }
+        }
+        upper.sort_by(f64::total_cmp);
+        let theta_dense = -0.5f64.ln() / upper[upper.len() / 2].max(1e-9);
         let theta_sparse = auto_theta_sparse(&sd, 0.5);
-        let theta_dense = auto_theta(&dm, 0.5);
         assert_eq!(theta_sparse, theta_dense, "median selection must agree");
         let ss = sparse_similarity(&sd, theta_sparse);
-        let dense = similarity_matrix(&dm, theta_dense);
-        for i in 0..trajs.len() {
-            for j in 0..trajs.len() {
+        for (i, row) in dense.iter().enumerate() {
+            for (j, &d) in row.iter().enumerate() {
                 let a = ss.get(i, j);
-                let b = dense.get(i, j);
+                let b = (-theta_dense * d).exp();
                 assert!(
                     (a - b).abs() < 1e-12,
                     "sim mismatch at ({i},{j}): sparse {a} dense {b}"

@@ -49,14 +49,12 @@ pub mod hist;
 pub mod jsonl;
 pub mod memory;
 pub mod serve;
-pub mod trend;
 
 pub use flight::{FlightConfig, FlightEntry, FlightRecorder};
 pub use hist::Histogram;
 pub use jsonl::{parse_json, validate_record, Json, JsonlRecorder, RecordSummary};
 pub use memory::{Aggregates, EventRecord, InMemoryRecorder, SpanRecord};
 pub use serve::{render_prometheus, validate_exposition, OpsHealth, OpsServer};
-pub use trend::TrendWindow;
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -7,7 +7,7 @@
 //!   Prometheus text exposition format (counters, gauges, histogram
 //!   buckets + quantiles);
 //! * `/healthz` — `200 ok` / `503 degraded` from an [`OpsHealth`] cell
-//!   the host (the soak loop) updates each tick;
+//!   the host updates whenever its health changes;
 //! * `/traces` — drains the flight recorder (`flight.rs`) as JSONL.
 //!
 //! No HTTP library, no async runtime: requests are tiny GETs from a
@@ -133,7 +133,7 @@ fn accept_loop(listener: TcpListener, stop: Arc<AtomicBool>, health: Arc<OpsHeal
             Ok((stream, _)) => handle_conn(stream, &health),
             Err(e) => {
                 // The ops surface is diagnostics-only: report and keep
-                // serving rather than taking the soak loop down.
+                // serving rather than taking the host down.
                 eprintln!("traj-ops: accept failed: {e}");
                 std::thread::sleep(Duration::from_millis(50));
             }
