@@ -38,8 +38,10 @@
 #                       of /metrics, /healthz, and /traces against a
 #                       live engine (every flight line carries its
 #                       stage clocks and per-shard paths)
-#   ./check.sh lint     static analysis only: builds and runs traj-lint
-#                       over the workspace (extra args are forwarded)
+#   ./check.sh lint     static analysis only: the clippy gate (the
+#                       crate-root lint levels, clippy.toml's disallowed
+#                       methods, every `#[expect]` still fulfilled; see
+#                       DESIGN.md section 10)
 #   ./check.sh prune    pruned-driver suite only: the pruned==dense
 #                       parity proptests (every measure, random corpora,
 #                       thread counts) plus a 10K-database gt_bench
@@ -52,7 +54,7 @@
 #   ./check.sh size     non-test Rust lines per crate: everything before
 #                       the first `#[cfg(test)]` of each file under
 #                       crates/*/src, as a table with the workspace total,
-#                       then the crates that watch the system (lint+obs)
+#                       then the crate that watches the system (obs)
 #                       beside the crates that are the paper (core+grid)
 #   ./check.sh sanitize dynamic race detection: the shard concurrency
 #                       suite under ThreadSanitizer (with -Zbuild-std so
@@ -174,16 +176,19 @@ if [[ "${1:-}" == "size" ]]; then
             for (c in lines) printf "%-12s %6d\n", c, lines[c] | "sort"
             close("sort")
             printf "%-12s %6d\n", "workspace", total
-            printf "%-12s %6d\n", "lint+obs", lines["lint"] + lines["obs"]
+            printf "%-12s %6d\n", "obs", lines["obs"]
             printf "%-12s %6d\n", "core+grid", lines["core"] + lines["grid"]
         }'
     exit 0
 fi
 
+run_lint() {
+    echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+    cargo clippy --workspace --all-targets -- -D warnings
+}
+
 if [[ "${1:-}" == "lint" ]]; then
-    shift
-    echo "==> traj-lint"
-    cargo run -q --release -p traj-lint -- --root . "$@"
+    run_lint
     exit 0
 fi
 
@@ -199,11 +204,7 @@ run_search_tiny
 
 run_t2h
 
-echo "==> cargo clippy --workspace --all-targets -- -D warnings"
-cargo clippy --workspace --all-targets -- -D warnings
-
-echo "==> traj-lint (repo-specific rules, see DESIGN.md section 10)"
-cargo run -q --release -p traj-lint -- --root .
+run_lint
 
 run_sanitize ran
 

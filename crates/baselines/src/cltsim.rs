@@ -111,14 +111,14 @@ impl ClTsimEncoder {
                     Some(acc) => acc.add(&s),
                 });
             }
-            // lint: allow(unwrap) — the j != i loop runs at least once for n >= 2 views
+            #[expect(clippy::unwrap_used, reason = "the j != i loop runs for n >= 2 views")]
             let term = exps.unwrap().ln().sub(&pos_sim);
             loss = Some(match loss {
                 None => term,
                 Some(acc) => acc.add(&term),
             });
         }
-        // lint: allow(unwrap) — the outer loop pushed one term per view
+        #[expect(clippy::unwrap_used, reason = "the outer loop pushed one term per view")]
         loss.unwrap().scale(1.0 / n as f32)
     }
 

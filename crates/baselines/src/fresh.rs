@@ -75,6 +75,7 @@ impl Fresh {
         let r = self.cfg.resolution;
         let mut out: Vec<(i64, i64)> = Vec::with_capacity(t.len());
         for p in &t.points {
+            #[expect(clippy::cast_possible_truncation, reason = "a cell of a normalized point")]
             let cell = (((p.x + sx) / r).floor() as i64, ((p.y + sy) / r).floor() as i64);
             if out.last() != Some(&cell) {
                 out.push(cell);
@@ -87,7 +88,9 @@ impl Fresh {
         let (a, b, c) = self.coeffs[rep];
         let mut acc: u64 = 0xcbf2_9ce4_8422_2325;
         for &(x, y) in cells {
+            #[expect(clippy::cast_sign_loss, reason = "hashing reinterprets the bits")]
             let hx = (x as u64).wrapping_mul(a);
+            #[expect(clippy::cast_sign_loss, reason = "hashing reinterprets the bits")]
             let hy = (y as u64).wrapping_mul(b);
             acc = acc
                 .rotate_left(13)

@@ -19,7 +19,6 @@ use traj_dist::Measure;
 const PRUNING_FLOOR: f64 = 0.90;
 
 fn usage(msg: &str) -> ! {
-    // lint: allow(raw-print) — CLI usage text goes to stderr by design
     eprintln!(
         "{msg}\n\nusage: gt_bench [--smoke|--full] [--db N] [--queries N] \
          [--dense-queries N] [--k N] [--cell-m M] \
@@ -91,17 +90,13 @@ fn num(arg: Option<&String>, flag: &str) -> usize {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (cfg, gated) = parse_args(&args);
-    // lint: allow(raw-print) — benchmark binaries report to stdout
     println!(
         "gt_bench: db={} queries={} dense_queries={} k={} cell_m={} measure={} seed={}",
         cfg.database, cfg.queries, cfg.dense_queries, cfg.k, cfg.cell_m, cfg.measure, cfg.seed
     );
     let report = run_gt_bench(&cfg);
-    // lint: allow(raw-print)
     println!("generated corpus in {:.2}s", report.generate_secs);
-    // lint: allow(raw-print)
     println!("{}", report.summary());
-    // lint: allow(raw-print)
     println!(
         "pairs: total={} bucket_pruned={} lb_pruned={} exact={}",
         report.stats.pairs_total,
@@ -110,7 +105,6 @@ fn main() {
         report.stats.pairs_exact
     );
     if gated && report.pruning_rate < PRUNING_FLOOR {
-        // lint: allow(raw-print) — the gate's verdict goes to stderr
         eprintln!(
             "pruning-rate gate failed: {:.1}% < {:.0}%",
             report.pruning_rate * 100.0,

@@ -7,6 +7,7 @@
 //! text tables in the same layout as the paper's.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod gtbench;
 pub mod harness;

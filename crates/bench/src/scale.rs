@@ -217,8 +217,8 @@ impl CommonArgs {
     }
 }
 
+#[expect(clippy::print_stderr, reason = "CLI usage text goes to stderr by design")]
 fn usage(msg: &str) -> ! {
-    // lint: allow(raw-print) — CLI usage text goes to stderr by design
     eprintln!(
         "{msg}\n\nusage: <bin> [--scale tiny|small|medium] [--seed N] \
          [--city porto|chengdu|both] [--measure dtw|frechet|hausdorff|cdtw(N)|erp(x,y)|edr(eps)|all]"

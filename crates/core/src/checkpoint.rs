@@ -103,7 +103,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
         let mut table = [0u32; 256];
         let mut i = 0;
         while i < 256 {
-            // lint: allow(lossy-cast) — table index i < 256 (const-fn loop bound)
+            #[expect(clippy::cast_possible_truncation, reason = "i < 256, the loop bound")]
             let mut c = i as u32;
             let mut k = 0;
             while k < 8 {
@@ -118,7 +118,6 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     const TABLE: [u32; 256] = build_table();
     let mut c = 0xFFFF_FFFFu32;
     for &b in bytes {
-        // lint: allow(lossy-cast) — b widens from u8; the table index is masked to 8 bits
         c = TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
@@ -257,17 +256,17 @@ impl<'a> PayloadReader<'a> {
     }
     /// Reads a little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, CheckpointError> {
-        // lint: allow(unwrap) — take(8) returned exactly 8 bytes
+        #[expect(clippy::unwrap_used, reason = "take(8) returned exactly 8 bytes")]
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
     /// Reads a little-endian `f32`.
     pub fn f32(&mut self) -> Result<f32, CheckpointError> {
-        // lint: allow(unwrap) — take(4) returned exactly 4 bytes
+        #[expect(clippy::unwrap_used, reason = "take(4) returned exactly 4 bytes")]
         Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
     /// Reads a little-endian `f64`.
     pub fn f64(&mut self) -> Result<f64, CheckpointError> {
-        // lint: allow(unwrap) — take(8) returned exactly 8 bytes
+        #[expect(clippy::unwrap_used, reason = "take(8) returned exactly 8 bytes")]
         Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
     /// Reads a `u64` that the format stores as a machine-word quantity
@@ -344,14 +343,14 @@ pub fn decode_container<'a>(
     if &bytes[..8] != magic {
         return Err(CheckpointError::BadMagic);
     }
-    // lint: allow(unwrap) — header length was checked above; these slices are exact
+    #[expect(clippy::unwrap_used, reason = "the header length was checked above")]
     let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
     if version == 0 || version > max_version {
         return Err(CheckpointError::UnsupportedVersion(version));
     }
-    // lint: allow(unwrap) — 8-byte slice of a length-checked header
+    #[expect(clippy::unwrap_used, reason = "8-byte slice of a length-checked header")]
     let payload_len = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
-    // lint: allow(unwrap) — 4-byte slice of a length-checked header
+    #[expect(clippy::unwrap_used, reason = "4-byte slice of a length-checked header")]
     let stored_crc = u32::from_le_bytes(bytes[20..24].try_into().unwrap());
     let payload = &bytes[24..];
     if payload.len() as u64 != payload_len {

@@ -28,6 +28,9 @@
 //!   is a per-model prefix table — a steady-state call allocates its
 //!   result and takes no process-wide lock.
 
+#![deny(clippy::expect_used, clippy::panic, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented)]
+
 use crate::config::Readout;
 use crate::encoder::{GpsChannelEncoder, GridChannelEncoder};
 use crate::error::EmbedError;

@@ -335,7 +335,11 @@ pub fn durable_write(path: &Path, bytes: &[u8]) -> io::Result<WriteReceipt> {
             // The target is never touched — exactly what the atomic
             // protocol guarantees about a crash mid-write.
             let keep = if keep_fraction.is_finite() { keep_fraction.clamp(0.0, 1.0) } else { 0.0 };
-            // lint: allow(lossy-cast) — keep is clamped to [0, 1], so the product is within [0, len]
+            #[expect(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "keep is clamped to [0, 1], so the product is within [0, len]"
+            )]
             let cut = ((bytes.len() as f64) * keep) as usize;
             let tmp = tmp_sibling(path);
             let _ = std::fs::write(&tmp, &bytes[..cut.min(bytes.len())]);
@@ -411,7 +415,7 @@ pub fn durable_write_retry(
     if traj_obs::enabled() {
         traj_obs::counter("io.write_gave_up", 1);
     }
-    // lint: allow(unwrap) — the loop body ran at least once, so last_err is Some
+    #[expect(clippy::unwrap_used, reason = "the loop body ran at least once, so last_err is Some")]
     Err(last_err.unwrap())
 }
 

@@ -15,6 +15,7 @@ pub fn approx_similarity(e_i: &Var, e_j: &Var) -> Var {
 
 /// One WMSE term `r_j * (g - s)^2` (summand of Eq. 17).
 pub fn wmse_term(tape: &Tape, g: &Var, s: f64, weight: f32) -> Var {
+    #[expect(clippy::cast_possible_truncation, reason = "the model computes in f32")]
     let target = tape.constant(tinynn::Tensor::scalar(s as f32));
     g.sub(&target).square().scale(weight).sum_all()
 }

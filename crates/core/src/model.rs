@@ -324,20 +324,6 @@ impl Traj2Hash {
     pub fn load_bytes(&self, bytes: &[u8]) -> Result<(), String> {
         self.params.load_bytes(bytes)
     }
-
-    /// Writes the parameters to a file.
-    pub fn save_to_file(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.save_bytes())
-    }
-
-    /// Restores parameters from a file written by
-    /// [`Traj2Hash::save_to_file`]. The model must have been constructed
-    /// with the same configuration.
-    pub fn load_from_file(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        let bytes = std::fs::read(path)?;
-        self.load_bytes(&bytes)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-    }
 }
 
 #[cfg(test)]
@@ -436,18 +422,6 @@ mod tests {
         assert!(other.embed(&trajs[0]).max_abs_diff(&before) > 1e-6);
         other.load_bytes(&blob).unwrap();
         assert!(other.embed(&trajs[0]).max_abs_diff(&before) < 1e-6);
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let (model, trajs) = setup(ModelConfig::tiny());
-        let path = std::env::temp_dir().join("traj2hash_test_model.bin");
-        model.save_to_file(&path).unwrap();
-        let ctx = ModelContext::prepare(&trajs, &ModelConfig::tiny(), 5);
-        let other = Traj2Hash::new(ModelConfig::tiny(), &ctx, 31337);
-        other.load_from_file(&path).unwrap();
-        assert_eq!(model.hash_signs(&trajs[0]), other.hash_signs(&trajs[0]));
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -54,6 +54,7 @@ impl NormStats {
     }
 
     /// Normalizes one point.
+    #[expect(clippy::cast_possible_truncation, reason = "the model's features are f32")]
     pub fn apply_point(&self, p: Point) -> (f32, f32) {
         (
             ((p.x - self.mean_x) / self.std_x) as f32,

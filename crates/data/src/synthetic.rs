@@ -176,7 +176,11 @@ impl CityGenerator {
         // range, with a +-20% jitter.
         let direct = start.distance(&end);
         let jitter = 1.0 + 0.2 * (2.0 * self.rng.random::<f64>() - 1.0);
-        // lint: allow(lossy-cast) — nonnegative step count, clamped to [min_points, max_points] below
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "nonnegative step count, clamped to [min_points, max_points] below"
+        )]
         let n = ((direct / p.step_mean * jitter) as usize)
             .clamp(p.min_points, p.max_points);
 

@@ -55,7 +55,11 @@ pub fn cdtw(a: &Trajectory, b: &Trajectory, band: usize) -> f64 {
     let mut cur = vec![f64::INFINITY; m];
     let mut prev_valid = false;
     for (i, p) in a.points.iter().enumerate() {
-        // lint: allow(lossy-cast) — slope = |b|/|a| and i < |a|, so center stays within |b|
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "slope = |b|/|a| and i < |a|, so center stays within |b|"
+        )]
         let center = (i as f64 * slope) as usize;
         let lo = center.saturating_sub(band);
         let hi = center.saturating_add(band).saturating_add(1).min(m);

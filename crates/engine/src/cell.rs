@@ -11,10 +11,12 @@
 //!
 //! ## Poison policy
 //!
-//! The poison-proof helpers [`rread`] / [`rwrite`] are this crate's two
-//! sanctioned `RwLock` acquisition points (registered in traj-lint's
-//! `LOCK_HELPERS`, which bans bare `.read()`/`.write()` everywhere
-//! else). Recovery is sound *here* because of what the lock protects:
+//! The private poison-proof helpers `rread` / `rwrite` are this crate's
+//! two `RwLock` acquisition points (`clippy.toml` disallows bare
+//! `.read()`/`.write()` everywhere else). Being private, they also keep
+//! every guard inside this file, which calls nothing that computes: a
+//! guard cannot be held across a search, an encode or a rebuild.
+//! Recovery is sound *here* because of what the lock protects:
 //! the slot is only ever replaced wholesale, so even if a writer panics
 //! mid-[`publish`] it still holds the previous, fully published value
 //! and its sequence — there is no partially-mutated state a poisoned
@@ -28,7 +30,8 @@ use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 /// Poison-proof read of an `RwLock`: a panicked writer must not wedge
 /// readers. See the module docs for why recovery is sound for publish
 /// cells.
-pub fn rread<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+#[expect(clippy::disallowed_methods, reason = "the publish cell's one read point")]
+fn rread<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
     match l.read() {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),
@@ -38,7 +41,8 @@ pub fn rread<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
 /// Poison-proof write of an `RwLock`: the next writer may replace a
 /// value a panicked predecessor left behind (always the previous fully
 /// published one).
-pub fn rwrite<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+#[expect(clippy::disallowed_methods, reason = "the publish cell's one write point")]
+fn rwrite<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     match l.write() {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),

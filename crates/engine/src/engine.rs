@@ -1,13 +1,11 @@
 //! The engine's shared vocabulary: the five search strategies of Section
 //! V-E, the construction and maintenance knobs, the hit and stats types
-//! every entry point speaks, and the poison-proof telemetry lock.
+//! every entry point speaks.
 //!
 //! The engine itself is [`ShardedEngine`](crate::ShardedEngine); its
 //! per-shard state and search core live in [`crate::shard`].
 
 use crate::error::EngineError;
-use crate::telemetry::EngineTelemetry;
-use std::sync::Mutex;
 
 /// A search strategy of Section V-E.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -145,19 +143,4 @@ pub struct EngineStats {
     /// True when any shard serves by linear scans only (its index build
     /// failed, or `force_degrade` dropped it).
     pub degraded: bool,
-}
-
-/// Poison-proof telemetry lock: a panicking reader must not wedge the
-/// engine. Detecting poison here means a query thread panicked mid-
-/// telemetry — exactly the moment a post-mortem wants the flight
-/// recorder's tail exemplars, so the poison arm force-dumps them
-/// (re-entrancy-guarded and best-effort) before continuing.
-pub(crate) fn tlock(m: &Mutex<EngineTelemetry>) -> std::sync::MutexGuard<'_, EngineTelemetry> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => {
-            traj_obs::flight::poison_dump("engine.telemetry.poisoned");
-            poisoned.into_inner()
-        }
-    }
 }

@@ -34,6 +34,11 @@
 //!   scan oracle.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used)]
+#![deny(clippy::expect_used, clippy::panic, clippy::unreachable)]
+#![deny(clippy::todo, clippy::unimplemented)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+#![deny(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_possible_wrap)]
 #![warn(missing_docs)]
 
 pub mod cell;

@@ -147,7 +147,10 @@ impl Rows {
         let mut parts = vec![Rows::default(); n];
         let Rows { ids, trajs, embeddings, codes } = self;
         for (i, (id, traj)) in ids.into_iter().zip(trajs).enumerate() {
-            // lint: allow(lossy-cast) — residue mod the shard count, which is a small usize
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "a residue mod the small shard count"
+            )]
             let part = &mut parts[(id % n as u64) as usize];
             part.push_halves(&embeddings, &codes, i);
             part.ids.push(id);
@@ -273,7 +276,6 @@ impl SearchCtx<'_> {
         for rows in &self.blocks[first..] {
             rows.codes.scan_into(q, |i, d| {
                 if !self.dead[offset + i] {
-                    // lint: allow(lossy-cast) — a Hamming distance is at most the code width
                     f(offset + i, d as usize);
                 }
             });
@@ -669,13 +671,16 @@ impl ShardState {
 
     /// True when the delta or tombstone count crosses the configured
     /// rebuild thresholds (applied per shard).
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "nonnegative fractions of a shard size that fit usize"
+    )]
     pub fn needs_rebuild(&self, cfg: &EngineConfig) -> bool {
         let indexed = self.base.rows.len();
         let delta = self.delta.len();
         let slack = cfg.rebuild_slack;
-        // lint: allow(lossy-cast) — nonnegative fraction of a shard size that fits usize
         let delta_cap = slack.max((indexed as f64 * cfg.max_delta_fraction) as usize);
-        // lint: allow(lossy-cast) — nonnegative fraction of a shard size that fits usize
         let dead_cap = slack.max((self.slots() as f64 * cfg.max_dead_fraction) as usize);
         delta > delta_cap || self.dead_count > dead_cap
     }

@@ -48,14 +48,14 @@
 //! the current one when it publishes.
 
 use crate::cell::PublishCell;
-use crate::engine::{tlock, EngineConfig, EngineStats, Hit, Strategy};
+use crate::engine::{EngineConfig, EngineStats, Hit, Strategy};
 use crate::error::EngineError;
 use crate::shard::{self, Rows, ShardState};
 use crate::snapshot::{self, SnapshotView};
-use crate::telemetry::{EngineTelemetry, QueryInfo};
+use crate::telemetry::{EngineTelemetry, LiveTelemetry, QueryInfo};
 use crate::trace::{self, QueryTrace, ShardRow};
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 use traj_data::Trajectory;
 use traj_index::search::Hit as SlotHit;
@@ -165,7 +165,7 @@ impl EngineView {
 /// view and the cumulative telemetry.
 struct ShardSet {
     view: PublishCell<EngineView>,
-    telemetry: Mutex<EngineTelemetry>,
+    telemetry: LiveTelemetry,
     /// Process-unique trace instance id: flight-recorder traces carry
     /// it so offline validation can group per-shard publish-seq checks
     /// by the engine that produced them.
@@ -285,7 +285,10 @@ fn fan_out(
         // distance ties by ascending index, so keying by id makes the
         // merged tie-break ascending id, whatever the shard layout.
         merged.extend(hits.into_iter().map(|h| SlotHit {
-            // lint: allow(lossy-cast) — stable ids are assigned from a usize-ranged monotone counter
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "ids come from a usize-ranged counter"
+            )]
             index: st.id_at(h.index) as usize,
             distance: h.distance,
         }));
@@ -304,7 +307,7 @@ fn fan_out(
 /// tail-latency exemplar.
 fn record_query(set: &ShardSet, trace: &QueryTrace) {
     let q = &trace.info;
-    tlock(&set.telemetry).fold(q);
+    set.telemetry.fold(q);
     if traj_obs::enabled() {
         traj_obs::observe_secs(q.strategy.metric_name(), q.seconds);
         traj_obs::observe_value("engine.query.candidates", q.candidates as f64);
@@ -385,16 +388,14 @@ impl ShardedEngine {
         let view = EngineView::of(Arc::new(ModelBlueprint::of(&model)), states.collect(), 0);
         let set = Arc::new(ShardSet {
             view: PublishCell::new(view),
-            telemetry: Mutex::new(EngineTelemetry::default()),
+            telemetry: LiveTelemetry::built(n_shards),
             trace_instance: trace::next_instance_id(),
         });
-        // Construction counts as each shard's first rebuild.
-        tlock(&set.telemetry).rebuilds += n_shards as u64;
         Ok(ShardedEngine { model, cfg, scfg, set, next_id, generation: 1 })
     }
 
+    #[expect(clippy::cast_possible_truncation, reason = "a residue mod the small shard count")]
     fn shard_of(&self, id: u64) -> usize {
-        // lint: allow(lossy-cast) — residue mod the shard count, which is a small usize
         (id % self.scfg.shards as u64) as usize
     }
 
@@ -457,7 +458,7 @@ impl ShardedEngine {
 
     /// Cumulative telemetry (shared with every reader).
     pub fn telemetry(&self) -> EngineTelemetry {
-        tlock(&self.set.telemetry).clone()
+        self.set.telemetry.snapshot()
     }
 
     /// Aggregated lifecycle counters. `generation` is the engine-level
@@ -583,7 +584,7 @@ impl ShardedEngine {
         let next = view.states[si].with_insert(id, t, embedding.data(), &code)?;
         self.next_id += 1;
         let view = self.publish_shard(&view, si, next);
-        tlock(&self.set.telemetry).inserts += 1;
+        self.set.telemetry.insert();
         traj_obs::counter("engine.inserts", 1);
         self.maybe_rebuild_shard(&view, si);
         Ok(id)
@@ -596,7 +597,7 @@ impl ShardedEngine {
     ///
     /// Panics on an empty or non-finite trajectory.
     pub fn insert(&mut self, t: Trajectory) -> u64 {
-        // lint: allow(panic) — documented precondition; `try_insert` is the fallible form
+        #[expect(clippy::panic, reason = "documented; `try_insert` is the fallible form")]
         self.try_insert(t).unwrap_or_else(|e| panic!("insert: {e}"))
     }
 
@@ -606,7 +607,7 @@ impl ShardedEngine {
         let view = self.set.view.pin();
         let slot = view.states[si].slot_of(id).ok_or(EngineError::UnknownId(id))?;
         let view = self.publish_shard(&view, si, view.states[si].with_remove(slot));
-        tlock(&self.set.telemetry).removes += 1;
+        self.set.telemetry.remove();
         traj_obs::counter("engine.removes", 1);
         self.maybe_rebuild_shard(&view, si);
         Ok(())
@@ -632,16 +633,7 @@ impl ShardedEngine {
         let generation = next.generation;
         let covers = next.base.rows.len();
         let published = self.publish_shard(view, si, next);
-        {
-            let mut t = tlock(&self.set.telemetry);
-            t.rebuilds += 1;
-            if compacting {
-                t.compactions += 1;
-            }
-            if degraded {
-                t.degraded_rebuilds += 1;
-            }
-        }
+        self.set.telemetry.rebuild(compacting, degraded);
         if traj_obs::enabled() {
             traj_obs::counter("engine.rebuilds", 1);
             if compacting {
@@ -690,7 +682,7 @@ impl ShardedEngine {
         let states = view.states.iter().map(|s| s.with_degraded()).collect();
         let blueprint = Arc::clone(&view.blueprint);
         self.set.view.publish(|seq| EngineView::of(blueprint, states, seq));
-        tlock(&self.set.telemetry).degraded_rebuilds += 1;
+        self.set.telemetry.force_degrade();
         if traj_obs::enabled() {
             traj_obs::counter("engine.degraded_entries", 1);
             traj_obs::event(
@@ -714,7 +706,7 @@ impl ShardedEngine {
         }
         let healthy = !view.degraded();
         if was_degraded && healthy {
-            tlock(&self.set.telemetry).recoveries += 1;
+            self.set.telemetry.recovery();
             if traj_obs::enabled() {
                 traj_obs::counter("engine.recoveries", 1);
                 traj_obs::event(
@@ -783,7 +775,7 @@ impl ShardedEngine {
         // the engine re-issue ids that are already out there.
         self.next_id = self.next_id.max(rep_next);
         self.generation += 1;
-        tlock(&self.set.telemetry).hot_swaps += 1;
+        self.set.telemetry.hot_swap();
         if traj_obs::enabled() {
             traj_obs::counter("engine.hot_swaps", 1);
             traj_obs::event(
@@ -844,11 +836,7 @@ impl ShardedEngine {
         let len = bytes.len();
         let receipt = traj2hash::durable_write_retry(path, &bytes, policy)
             .map_err(traj2hash::CheckpointError::Io)?;
-        {
-            let mut t = tlock(&self.set.telemetry);
-            t.snapshot_saves += 1;
-            t.snapshot_bytes += len as u64;
-        }
+        self.set.telemetry.snapshot_saved(len);
         if traj_obs::enabled() {
             traj_obs::counter("engine.snapshot.saves", 1);
             traj_obs::counter("engine.snapshot.bytes_written", len as u64);
@@ -922,7 +910,7 @@ impl ReaderSpec {
     /// blueprint `Arc` is pinned out of the cell first, so the replica
     /// build never holds the publish lock (a guard held across
     /// `instantiate` would stall every publish behind a full model
-    /// rebuild — the exact hazard `no-guard-across-compute` flags).
+    /// rebuild; `PublishCell` keeps its guards private for that reason).
     pub fn into_reader(self) -> ShardReader {
         let blueprint = Arc::clone(&self.set.view.pin().blueprint);
         let model = blueprint.instantiate();

@@ -8,8 +8,14 @@
 //! installed. When a recorder *is* installed the same numbers are
 //! mirrored to it, which is how the per-strategy histograms reach the
 //! JSONL export.
+//!
+//! The live counters sit in one [`LiveTelemetry`] mutex shared by the
+//! writer and every reader. Its guard never leaves this file: each
+//! method locks, bumps plain counters and unlocks, so no guard can be
+//! held across a search, an encode or a rebuild.
 
 use crate::engine::Strategy;
+use std::sync::{Mutex, MutexGuard};
 use traj_obs::Histogram;
 
 /// Query-path counters and histograms for one [`Strategy`].
@@ -80,8 +86,7 @@ impl EngineTelemetry {
         self.strategies.iter().map(|s| s.linear_fallbacks).sum()
     }
 
-    /// Folds one answered query into the counters and histograms.
-    pub(crate) fn fold(&mut self, q: &QueryInfo) {
+    fn fold(&mut self, q: &QueryInfo) {
         let s = &mut self.strategies[q.strategy.index()];
         s.queries += 1;
         s.latency.record(q.seconds);
@@ -91,50 +96,85 @@ impl EngineTelemetry {
         self.hybrid_spills += u64::from(q.spill);
         self.overfetch.record(q.overfetch as f64);
     }
+}
 
-    /// Renders a compact human-readable block, one row per strategy
-    /// plus the lifecycle counters.
-    pub fn summary(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("== engine telemetry ==\n");
-        for (i, s) in Strategy::ALL.iter().enumerate() {
-            let t = &self.strategies[i];
-            if t.queries == 0 {
-                continue;
+/// The engine's cumulative [`EngineTelemetry`], shared by the writer and
+/// its readers.
+pub(crate) struct LiveTelemetry(Mutex<EngineTelemetry>);
+
+impl LiveTelemetry {
+    /// Telemetry of a freshly built engine: construction counts as each
+    /// of its `shards` first rebuild.
+    pub(crate) fn built(shards: usize) -> LiveTelemetry {
+        LiveTelemetry(Mutex::new(EngineTelemetry { rebuilds: shards as u64, ..Default::default() }))
+    }
+
+    /// Poison-proof lock: a panicking reader must not wedge the engine.
+    /// Poison here means a query thread panicked mid-telemetry — the
+    /// moment a post-mortem wants the flight recorder's tail exemplars,
+    /// so the poison arm force-dumps them (re-entrancy-guarded and
+    /// best-effort) before continuing. The counters are plain integers,
+    /// valid after any panic.
+    #[expect(clippy::disallowed_methods, reason = "the telemetry mutex's one acquisition point")]
+    fn lock(&self) -> MutexGuard<'_, EngineTelemetry> {
+        match self.0.lock() {
+            Ok(g) => g,
+            Err(poisoned) => {
+                traj_obs::flight::poison_dump("engine.telemetry.poisoned");
+                poisoned.into_inner()
             }
-            let _ = writeln!(
-                out,
-                "  {:<15} n={:<6} p50={:>9.1}us p99={:>9.1}us cand(p50)={:<7.0} fallbacks={} degraded={}",
-                s.name(),
-                t.queries,
-                t.latency.p50() * 1e6,
-                t.latency.p99() * 1e6,
-                t.candidates.p50(),
-                t.linear_fallbacks,
-                t.degraded_queries,
-            );
         }
-        let _ = writeln!(
-            out,
-            "  inserts={} removes={} rebuilds={} compactions={} degraded_rebuilds={} hybrid_spills={}",
-            self.inserts,
-            self.removes,
-            self.rebuilds,
-            self.compactions,
-            self.degraded_rebuilds,
-            self.hybrid_spills,
-        );
-        if self.snapshot_saves > 0 {
-            let _ = writeln!(
-                out,
-                "  snapshot_saves={} snapshot_bytes={}",
-                self.snapshot_saves, self.snapshot_bytes
-            );
-        }
-        if self.hot_swaps > 0 || self.recoveries > 0 {
-            let _ = writeln!(out, "  hot_swaps={} recoveries={}", self.hot_swaps, self.recoveries);
-        }
-        out
+    }
+
+    /// A copy of the counters.
+    pub(crate) fn snapshot(&self) -> EngineTelemetry {
+        self.lock().clone()
+    }
+
+    /// Folds one answered query into the counters and histograms.
+    pub(crate) fn fold(&self, q: &QueryInfo) {
+        self.lock().fold(q);
+    }
+
+    /// Counts one inserted trajectory.
+    pub(crate) fn insert(&self) {
+        self.lock().inserts += 1;
+    }
+
+    /// Counts one tombstoned trajectory.
+    pub(crate) fn remove(&self) {
+        self.lock().removes += 1;
+    }
+
+    /// Counts one shard rebuild, and whether it compacted and whether it
+    /// left the shard degraded.
+    pub(crate) fn rebuild(&self, compacted: bool, degraded: bool) {
+        let mut t = self.lock();
+        t.rebuilds += 1;
+        t.compactions += u64::from(compacted);
+        t.degraded_rebuilds += u64::from(degraded);
+    }
+
+    /// Counts a forced drop of every shard's indexes.
+    pub(crate) fn force_degrade(&self) {
+        self.lock().degraded_rebuilds += 1;
+    }
+
+    /// Counts one degraded → healthy transition.
+    pub(crate) fn recovery(&self) {
+        self.lock().recoveries += 1;
+    }
+
+    /// Counts one hot swap.
+    pub(crate) fn hot_swap(&self) {
+        self.lock().hot_swaps += 1;
+    }
+
+    /// Counts one snapshot written, of `bytes` bytes.
+    pub(crate) fn snapshot_saved(&self, bytes: usize) {
+        let mut t = self.lock();
+        t.snapshot_saves += 1;
+        t.snapshot_bytes += bytes as u64;
     }
 }
 

@@ -90,8 +90,13 @@ fn join<T: ToString>(vals: impl Iterator<Item = T>) -> String {
 
 /// Whole microseconds, truncated — so stages that sum to at most the
 /// total in seconds still do in the flight line.
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "a nonnegative clock reading; truncation is intended"
+)]
 fn micros(seconds: f64) -> u64 {
-    (seconds * 1e6) as u64 // lint: allow(lossy-cast) — nonnegative clock reading; truncation intended
+    (seconds * 1e6) as u64
 }
 
 impl QueryTrace {

@@ -2,8 +2,8 @@
 //!
 //! Library code in `traj-eval` never panics on operational failures: a
 //! worker thread dying mid-sweep or a bad configuration surfaces as an
-//! [`EvalError`] the caller can handle (the `no-panic-in-engine` lint
-//! rule covers this crate to keep it that way).
+//! [`EvalError`] the caller can handle (the crate root denies clippy's
+//! panic lints to keep it that way).
 
 use std::fmt;
 use traj_dist::PruneError;

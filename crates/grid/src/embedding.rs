@@ -40,7 +40,6 @@ pub struct NceConfig {
 /// Widens a `u32` grid coordinate into a row index.
 #[inline]
 fn gi(g: u32) -> usize {
-    // lint: allow(lossy-cast) — u32 always fits usize on supported targets
     g as usize
 }
 
@@ -183,7 +182,7 @@ impl DecomposedGridEmbedding {
         assert_eq!(self.dim, cfg.dim, "config dim must match table dim");
         let start = std::time::Instant::now();
         let mut rng = StdRng::seed_from_u64(cfg.seed);
-        // lint: allow(lossy-cast) — grid dimensions are far below 2^32 (checked at GridSpec::new)
+        #[expect(clippy::cast_possible_truncation, reason = "grid dims are far below 2^32")]
         let (nx, ny) = (spec.nx() as u32, spec.ny() as u32);
         let r = cfg.radius as i64;
         let dim = self.dim;
@@ -204,7 +203,11 @@ impl DecomposedGridEmbedding {
                             let px = gx as i64 + dx;
                             let py = gy as i64 + dy;
                             if px >= 0 && px < nx as i64 && py >= 0 && py < ny as i64 {
-                                // lint: allow(lossy-cast) — bounds-checked against [0, nx) x [0, ny) on the previous line
+                                #[expect(
+                                    clippy::cast_possible_truncation,
+                                    clippy::cast_sign_loss,
+                                    reason = "bounds-checked against [0, nx) x [0, ny) just above"
+                                )]
                                 break (px as u32, py as u32);
                             }
                         };

@@ -19,12 +19,15 @@ impl GridSpec {
     ///
     /// # Panics
     /// Panics if `cell_size` is not positive or the box is degenerate.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "positive finite cell counts (bbox and cell size checked first)"
+    )]
     pub fn new(bbox: BoundingBox, cell_size: f64) -> Self {
         assert!(cell_size > 0.0, "cell size must be positive");
         assert!(bbox.width() > 0.0 && bbox.height() > 0.0, "degenerate bounding box");
-        // lint: allow(lossy-cast) — positive finite cell count (bbox and cell size validated above)
         let nx = (bbox.width() / cell_size).ceil().max(1.0) as usize;
-        // lint: allow(lossy-cast) — positive finite cell count (bbox and cell size validated above)
         let ny = (bbox.height() / cell_size).ceil().max(1.0) as usize;
         GridSpec { bbox, cell_size, nx, ny }
     }
@@ -56,13 +59,15 @@ impl GridSpec {
 
     /// Maps a point to its cell coordinates, clamping points outside the
     /// box onto the border cells.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "the clamped point's quotients are cell indexes, below the grid dims"
+    )]
     pub fn locate(&self, p: Point) -> (u32, u32) {
         let q = self.bbox.clamp(p);
-        // lint: allow(lossy-cast) — clamped into the bbox, so the quotient is a nonnegative cell index
         let gx = ((q.x - self.bbox.min_x) / self.cell_size) as usize;
-        // lint: allow(lossy-cast) — clamped into the bbox, so the quotient is a nonnegative cell index
         let gy = ((q.y - self.bbox.min_y) / self.cell_size) as usize;
-        // lint: allow(lossy-cast) — min() bounds both coordinates by the grid dims, far below 2^32
         (gx.min(self.nx - 1) as u32, gy.min(self.ny - 1) as u32)
     }
 
@@ -72,8 +77,8 @@ impl GridSpec {
     }
 
     /// Inverse of [`GridSpec::cell_id`].
+    #[expect(clippy::cast_possible_truncation, reason = "ids are < nx * ny, so both parts fit u32")]
     pub fn cell_coords(&self, id: u64) -> (u32, u32) {
-        // lint: allow(lossy-cast) — cell ids are < nx * ny, so both quotient and residue fit u32
         ((id % self.nx as u64) as u32, (id / self.nx as u64) as u32)
     }
 

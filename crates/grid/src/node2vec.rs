@@ -66,6 +66,7 @@ impl Node2vecEmbedding {
         let mut table: Vec<f32> =
             (0..n * dim).map(|_| (rng.random::<f32>() - 0.5) / dim as f32).collect();
 
+        #[expect(clippy::cast_possible_wrap, reason = "grid dimensions are far below 2^32")]
         let neighbours = |node: usize| -> Vec<usize> {
             let gx = (node % nx) as i64;
             let gy = (node / nx) as i64;
@@ -77,7 +78,11 @@ impl Node2vecEmbedding {
                     }
                     let (x, y) = (gx + dx, gy + dy);
                     if x >= 0 && x < nx as i64 && y >= 0 && y < ny as i64 {
-                        // lint: allow(lossy-cast) — bounds-checked against [0, nx) x [0, ny) on the previous line
+                        #[expect(
+                            clippy::cast_possible_truncation,
+                            clippy::cast_sign_loss,
+                            reason = "bounds-checked against [0, nx) x [0, ny) just above"
+                        )]
                         out.push(y as usize * nx + x as usize);
                     }
                 }
@@ -158,14 +163,12 @@ impl Node2vecEmbedding {
 
     /// Embedding of a cell.
     pub fn embed(&self, gx: u32, gy: u32) -> Vec<f32> {
-        // lint: allow(lossy-cast) — u32 grid coordinates widen losslessly into usize indices
         let node = gy as usize * self.nx + gx as usize;
         self.table[node * self.dim..(node + 1) * self.dim].to_vec()
     }
 
     /// Writes the embedding of a cell into `out`.
     pub fn embed_into(&self, gx: u32, gy: u32, out: &mut [f32]) {
-        // lint: allow(lossy-cast) — u32 grid coordinates widen losslessly into usize indices
         let node = gy as usize * self.nx + gx as usize;
         out.copy_from_slice(&self.table[node * self.dim..(node + 1) * self.dim]);
     }

@@ -130,9 +130,12 @@ impl GridBuckets {
                         if nf.0 < 0 || nf.1 < 0 || nl.0 < 0 || nl.1 < 0 {
                             continue;
                         }
-                        let probe =
-                            // lint: allow(lossy-cast) — grid coordinates are bounded by the grid dimensions, far below 2^32
-                            (nf.0 as u32, nf.1 as u32, nl.0 as u32, nl.1 as u32);
+                        #[expect(
+                            clippy::cast_possible_truncation,
+                            clippy::cast_sign_loss,
+                            reason = "nonnegative (checked above) grid coordinates, far below 2^32"
+                        )]
+                        let probe = (nf.0 as u32, nf.1 as u32, nl.0 as u32, nl.1 as u32);
                         if let Some(ids) = self.endpoint_index.get(&probe) {
                             out.extend_from_slice(ids);
                         }

@@ -111,6 +111,7 @@ impl BinaryCode {
 
     /// Inner product of the two `+-1` sign vectors, computed from the
     /// packed form: `z^a . z^b = d_h - 2 * H(a, b)`.
+    #[expect(clippy::cast_possible_wrap, reason = "code widths are far below 2^63")]
     pub fn sign_inner_product(&self, other: &BinaryCode) -> i64 {
         self.len as i64 - 2 * self.hamming(other) as i64
     }

@@ -14,6 +14,9 @@
 //! are adapters that pack a column first.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+#![deny(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_possible_wrap)]
 #![warn(missing_docs)]
 
 pub mod cluster;

@@ -107,11 +107,8 @@ impl MultiIndexHashing {
         let mut tables: Vec<HashMap<u64, Vec<u32>>> = vec![HashMap::new(); m];
         for id in 0..codes.len() {
             for (s, &(cs, cl)) in chunks.iter().enumerate() {
-                tables[s]
-                    .entry(substring(codes.words(id), cs, cl))
-                    .or_default()
-                    // lint: allow(lossy-cast) — corpus slots are capped far below 2^32 (u32 postings by design)
-                    .push(id as u32);
+                #[expect(clippy::cast_possible_truncation, reason = "slots are far below 2^32")]
+                tables[s].entry(substring(codes.words(id), cs, cl)).or_default().push(id as u32);
             }
         }
         Ok(MultiIndexHashing { tables, chunks, codes })
@@ -161,7 +158,6 @@ impl MultiIndexHashing {
             return Err(SearchError::WidthMismatch { query: query.len(), index: self.codes.bits() });
         }
         let m = self.tables.len();
-        // lint: allow(lossy-cast) — u32 radius widens losslessly into usize
         let sub_r = (radius as usize / m).min(query.len());
         let mut seen = vec![false; self.codes.len()];
         let mut out = Vec::new();
@@ -172,7 +168,6 @@ impl MultiIndexHashing {
                 let mut visit = |candidate_sub: u64| {
                     if let Some(ids) = table.get(&candidate_sub) {
                         for &id in ids {
-                            // lint: allow(lossy-cast) — u32 posting widens losslessly into usize
                             let idx = id as usize;
                             if !seen[idx] {
                                 seen[idx] = true;
@@ -210,6 +205,7 @@ impl MultiIndexHashing {
     /// [`top_k`](MultiIndexHashing::top_k) plus the number of full-code
     /// distance evaluations spent — every distinct row a probe reached —
     /// for comparing pruning effectiveness against a scan.
+    #[expect(clippy::cast_possible_wrap, reason = "sub_r <= bits per chunk, a tiny positive count")]
     pub fn top_k_counted(
         &self,
         query: &BinaryCode,
@@ -231,9 +227,7 @@ impl MultiIndexHashing {
             // Pigeonhole: codes at distance <= r differ by <= floor(r/m)
             // in some substring.
             let sub_r = r / m;
-            // lint: allow(lossy-cast) — sub_r <= bits per chunk, a tiny positive count
             if sub_r as isize > probed_sub_radius {
-                // lint: allow(lossy-cast) — sub_r <= bits per chunk, a tiny positive count
                 probed_sub_radius = sub_r as isize;
                 for (s, &(cs, cl)) in self.chunks.iter().enumerate() {
                     let q_sub = substring(query.words(), cs, cl);
@@ -241,11 +235,9 @@ impl MultiIndexHashing {
                     let mut visit = |candidate_sub: u64| {
                         if let Some(ids) = table.get(&candidate_sub) {
                             for &id in ids {
-                                // lint: allow(lossy-cast) — u32 posting widens losslessly into usize
                                 let idx = id as usize;
                                 if !seen[idx] {
                                     seen[idx] = true;
-                                    // lint: allow(lossy-cast) — u32 Hamming distance widens losslessly into usize
                                     let d = self.codes.distance(idx, query) as usize;
                                     by_distance[d].push(id);
                                     found += 1;
@@ -264,7 +256,6 @@ impl MultiIndexHashing {
                     .iter()
                     .enumerate()
                     .flat_map(|(d, ids)| {
-                        // lint: allow(lossy-cast) — u32 posting widens losslessly into usize
                         ids.iter().map(move |&id| Hit { index: id as usize, distance: d as f64 })
                     })
                     .collect();

@@ -55,7 +55,7 @@ impl VpTree {
     /// Deterministic: the vantage point of each split is the first
     /// element of the current id set.
     pub fn over(data: Arc<EmbeddingMatrix>) -> Self {
-        // lint: allow(lossy-cast) — corpus slots are capped far below 2^32 (u32 node ids by design)
+        #[expect(clippy::cast_possible_truncation, reason = "corpus slots are far below 2^32")]
         let ids: Vec<u32> = (0..data.len() as u32).collect();
         let root = Self::build_node(&data, ids);
         VpTree { root, data }
@@ -75,7 +75,6 @@ impl VpTree {
         let rest = ids.split_off(1);
         let mut scored: Vec<(f64, u32)> = rest
             .into_iter()
-            // lint: allow(lossy-cast) — u32 node ids widen losslessly into usize
             .map(|id| (euclidean_distance(data.row(vantage as usize), data.row(id as usize)), id))
             .collect();
         // total_cmp puts NaN distances past the median split instead of
@@ -144,7 +143,6 @@ impl VpTree {
     }
 
     fn visit(&self, id: u32, query: &[f32], best: &mut Best, evaluations: &mut usize) -> f64 {
-        // lint: allow(lossy-cast) — u32 node ids widen losslessly into usize
         let index = id as usize;
         let distance = euclidean_distance(query, self.data.row(index));
         *evaluations += 1;

@@ -230,6 +230,7 @@ static DUMPING: AtomicBool = AtomicBool::new(false);
 /// Poison-proof read of the global flight slot; recovery is sound
 /// because the slot only ever holds a whole `Option<Arc<..>>` replaced
 /// atomically under the write lock.
+#[expect(clippy::disallowed_methods, reason = "the flight slot's one read point")]
 fn fread() -> std::sync::RwLockReadGuard<'static, Option<Arc<FlightRecorder>>> {
     match FLIGHT.read() {
         Ok(g) => g,
@@ -238,6 +239,7 @@ fn fread() -> std::sync::RwLockReadGuard<'static, Option<Arc<FlightRecorder>>> {
 }
 
 /// Poison-proof write of the global flight slot; see [`fread`].
+#[expect(clippy::disallowed_methods, reason = "the flight slot's one write point")]
 fn fwrite() -> std::sync::RwLockWriteGuard<'static, Option<Arc<FlightRecorder>>> {
     match FLIGHT.write() {
         Ok(g) => g,
@@ -326,6 +328,11 @@ fn field_str<'a>(doc: &'a Json, key: &str) -> Result<&'a str, String> {
         .ok_or_else(|| format!("trace missing string field '{key}'"))
 }
 
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "the value is checked to be a nonnegative integer first"
+)]
 fn field_u64(doc: &Json, key: &str) -> Result<u64, String> {
     let v = doc
         .get("fields")
@@ -335,7 +342,7 @@ fn field_u64(doc: &Json, key: &str) -> Result<u64, String> {
     if v < 0.0 || v.fract() != 0.0 {
         return Err(format!("field '{key}' = {v} is not a nonnegative integer"));
     }
-    Ok(v as u64) // lint: allow(lossy-cast) — checked nonnegative integer above
+    Ok(v as u64)
 }
 
 fn parse_u64_list(text: &str, key: &str) -> Result<Vec<u64>, String> {
@@ -362,7 +369,8 @@ fn validate_trace(doc: &Json, last_seqs: &mut LastSeqs) -> Result<(), String> {
         return Err(format!("stages sum to {stages} us, over total_us {total}"));
     }
     let engine = field_str(doc, "engine")?.to_string();
-    let shards = field_u64(doc, "shards")? as usize; // lint: allow(lossy-cast) — shard counts are tiny
+    #[expect(clippy::cast_possible_truncation, reason = "shard counts are tiny")]
+    let shards = field_u64(doc, "shards")? as usize;
     let seqs = parse_u64_list(field_str(doc, "shard_seqs")?, "shard_seqs")?;
     let gens = parse_u64_list(field_str(doc, "shard_gens")?, "shard_gens")?;
     let cands = parse_u64_list(field_str(doc, "shard_candidates")?, "shard_candidates")?;
@@ -639,6 +647,7 @@ mod tests {
         offer(2e-3, || trace_fields(101, "1", &[7]));
         let holder = Arc::clone(&rec);
         let poisoner = std::thread::spawn(move || {
+            #[expect(clippy::disallowed_methods, reason = "poisons the slot on purpose")]
             let _held = holder.slots[1].lock().unwrap();
             panic!("poisons the slot holding trace 101");
         });

@@ -62,7 +62,11 @@ pub(crate) fn bucket_of(v: f64) -> usize {
     if v <= MIN_VALUE {
         return 0;
     }
-    // lint: allow(lossy-cast) — v >= MIN_VALUE makes the log nonnegative; idx is clamped below
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "v >= MIN_VALUE makes the log nonnegative; idx is clamped below"
+    )]
     let idx = ((v / MIN_VALUE).log2() * SUBDIV) as usize;
     idx.min(BUCKETS - 1)
 }
@@ -162,6 +166,11 @@ impl Histogram {
         if q >= 1.0 {
             return self.max;
         }
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "q is in (0, 1), so the rank is within [0, count]"
+        )]
         let target = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut seen = 0u64;
         for (i, &c) in self.counts.iter().enumerate() {

@@ -42,6 +42,9 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+#![deny(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_possible_wrap)]
 #![warn(missing_docs)]
 
 pub mod flight;
@@ -190,12 +193,13 @@ thread_local! {
 /// Poison-proof mutex acquisition for recorder internals: a recorder
 /// panicking while holding its own lock must not disable observability
 /// for the rest of the process. This is the obs crate's one sanctioned
-/// `Mutex` acquisition point (traj-lint `no-bare-lock`). Recovering
+/// `Mutex` acquisition point (`clippy.toml` disallows the rest). Recovering
 /// from poison means a panic unwound through instrumented code — that
 /// is exactly the moment tail exemplars matter, so the poison arm
 /// force-dumps the flight recorder (re-entrancy-guarded) before
 /// continuing. The poisoned guard is released first: the dump drains
 /// the flight ring, whose slots are taken through this helper too.
+#[expect(clippy::disallowed_methods, reason = "the recorder mutexes' one acquisition point")]
 pub(crate) fn olock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     match m.lock() {
         Ok(g) => g,
@@ -211,6 +215,7 @@ pub(crate) fn olock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// because the slot only ever holds a whole `Option<Arc<..>>` that is
 /// replaced atomically under the write lock — a panicked installer
 /// cannot leave it half-written.
+#[expect(clippy::disallowed_methods, reason = "the global recorder slot's one read point")]
 fn gread() -> std::sync::RwLockReadGuard<'static, Option<Arc<dyn Recorder>>> {
     match GLOBAL.read() {
         Ok(g) => g,
@@ -219,6 +224,7 @@ fn gread() -> std::sync::RwLockReadGuard<'static, Option<Arc<dyn Recorder>>> {
 }
 
 /// Poison-proof write of the global recorder slot; see [`gread`].
+#[expect(clippy::disallowed_methods, reason = "the global recorder slot's one write point")]
 fn gwrite() -> std::sync::RwLockWriteGuard<'static, Option<Arc<dyn Recorder>>> {
     match GLOBAL.write() {
         Ok(g) => g,

@@ -131,9 +131,13 @@ fn accept_loop(listener: TcpListener, stop: Arc<AtomicBool>, health: Arc<OpsHeal
         }
         match conn {
             Ok((stream, _)) => handle_conn(stream, &health),
+            // The ops surface is diagnostics-only: report and keep
+            // serving rather than taking the host down.
+            #[expect(
+                clippy::print_stderr,
+                reason = "the recorder may be what is broken; a silent accept failure looks healthy"
+            )]
             Err(e) => {
-                // The ops surface is diagnostics-only: report and keep
-                // serving rather than taking the host down.
                 eprintln!("traj-ops: accept failed: {e}");
                 std::thread::sleep(Duration::from_millis(50));
             }

@@ -99,7 +99,7 @@ impl Mlp {
 
     /// Output dimensionality.
     pub fn out_dim(&self) -> usize {
-        // lint: allow(unwrap) — Mlp::new builds at least one layer
+        #[expect(clippy::unwrap_used, reason = "Mlp::new builds at least one layer")]
         self.layers.last().unwrap().out_dim()
     }
 }
@@ -375,7 +375,7 @@ impl GruCell {
                 Some(acc) => acc.concat_rows(&h),
             });
         }
-        // lint: allow(unwrap) — n > 0 is asserted above, the loop ran
+        #[expect(clippy::unwrap_used, reason = "n > 0 is asserted above, the loop ran")]
         states.unwrap()
     }
 

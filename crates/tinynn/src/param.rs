@@ -96,7 +96,6 @@ impl Param {
     /// Stable identity key for this parameter (the address of its shared
     /// state). Used by the tape to deduplicate leaf nodes.
     pub fn key(&self) -> usize {
-        // lint: allow(lossy-cast) — pointer-to-usize identity for map keys, lossless by definition
         Rc::as_ptr(&self.0) as usize
     }
 }
@@ -210,17 +209,15 @@ impl ParamSet {
 
     /// Serializes all parameter values (little-endian f32) preceded by a
     /// small header so `load_bytes` can validate shapes.
+    #[expect(clippy::cast_possible_truncation, reason = "counts and dims are far below 2^32")]
     pub fn save_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(b"TNN1");
-        // lint: allow(lossy-cast) — parameter counts are tiny (tens), far below 2^32
         out.extend_from_slice(&(self.params.len() as u32).to_le_bytes());
         for p in &self.params {
             let d = p.borrow();
             let (r, c) = d.value.shape();
-            // lint: allow(lossy-cast) — tensor dims are bounded by model width, far below 2^32
             out.extend_from_slice(&(r as u32).to_le_bytes());
-            // lint: allow(lossy-cast) — tensor dims are bounded by model width, far below 2^32
             out.extend_from_slice(&(c as u32).to_le_bytes());
             for &x in d.value.data() {
                 out.extend_from_slice(&x.to_le_bytes());
@@ -242,17 +239,15 @@ impl ParamSet {
     /// roll back or resume without losing adaptive-learning-rate
     /// history. Layout mirrors [`ParamSet::save_bytes`] with a `TNS1`
     /// magic and three tensors (value, m, v) per parameter.
+    #[expect(clippy::cast_possible_truncation, reason = "counts and dims are far below 2^32")]
     pub fn save_state_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(b"TNS1");
-        // lint: allow(lossy-cast) — parameter counts are tiny (tens), far below 2^32
         out.extend_from_slice(&(self.params.len() as u32).to_le_bytes());
         for p in &self.params {
             let d = p.borrow();
             let (r, c) = d.value.shape();
-            // lint: allow(lossy-cast) — tensor dims are bounded by model width, far below 2^32
             out.extend_from_slice(&(r as u32).to_le_bytes());
-            // lint: allow(lossy-cast) — tensor dims are bounded by model width, far below 2^32
             out.extend_from_slice(&(c as u32).to_le_bytes());
             for t in [&d.value, &d.m, &d.v] {
                 for &x in t.data() {
@@ -284,7 +279,7 @@ impl ParamSet {
         if take(&mut pos, 4)? != magic {
             return Err("bad magic in parameter blob".into());
         }
-        // lint: allow(unwrap, lossy-cast) — take(4) returned exactly 4 bytes; u32 fits usize
+        #[expect(clippy::unwrap_used, reason = "take(4) returned exactly 4 bytes")]
         let count = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
         if count != self.params.len() {
             return Err(format!(
@@ -298,9 +293,9 @@ impl ParamSet {
         // half-restored state.
         let mut scan = pos;
         for p in &self.params {
-            // lint: allow(unwrap, lossy-cast) — take(4) returned exactly 4 bytes; u32 fits usize
+            #[expect(clippy::unwrap_used, reason = "take(4) returned exactly 4 bytes")]
             let r = u32::from_le_bytes(take(&mut scan, 4)?.try_into().unwrap()) as usize;
-            // lint: allow(unwrap, lossy-cast) — take(4) returned exactly 4 bytes; u32 fits usize
+            #[expect(clippy::unwrap_used, reason = "take(4) returned exactly 4 bytes")]
             let c = u32::from_le_bytes(take(&mut scan, 4)?.try_into().unwrap()) as usize;
             let d = p.borrow();
             if d.value.shape() != (r, c) {
@@ -315,14 +310,14 @@ impl ParamSet {
             return Err("trailing bytes in parameter blob".into());
         }
         for p in &self.params {
-            // lint: allow(unwrap, lossy-cast) — take(4) returned exactly 4 bytes; u32 fits usize
+            #[expect(clippy::unwrap_used, reason = "take(4) returned exactly 4 bytes")]
             let r = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-            // lint: allow(unwrap, lossy-cast) — take(4) returned exactly 4 bytes; u32 fits usize
+            #[expect(clippy::unwrap_used, reason = "take(4) returned exactly 4 bytes")]
             let c = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
             let mut d = p.borrow_mut();
+            #[expect(clippy::unwrap_used, reason = "chunks_exact(4) yields 4-byte chunks")]
             let fill = |t: &mut crate::tensor::Tensor, raw: &[u8]| {
                 for (i, chunk) in raw.chunks_exact(4).enumerate() {
-                    // lint: allow(unwrap) — chunks_exact(4) yields 4-byte chunks
                     t.data_mut()[i] = f32::from_le_bytes(chunk.try_into().unwrap());
                 }
             };

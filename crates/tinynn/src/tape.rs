@@ -140,7 +140,7 @@ impl NodeMeta {
         debug_assert!(inputs.len() <= 2, "tape ops have arity <= 2");
         let mut buf = [0usize; 2];
         buf[..inputs.len()].copy_from_slice(inputs);
-        // lint: allow(lossy-cast) — inputs.len() <= 2, asserted by the fixed-size buffer above
+        #[expect(clippy::cast_possible_truncation, reason = "inputs.len() <= 2, asserted above")]
         NodeMeta { op, shape, inputs: buf, arity: inputs.len() as u8 }
     }
 

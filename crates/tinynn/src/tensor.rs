@@ -754,6 +754,10 @@ mod tests {
         let exps: Vec<f64> = vals.iter().map(|&v| ((v - max) as f64).exp()).collect();
         let sum: f64 = exps.iter().sum();
         for (i, e) in exps.iter().enumerate() {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "an f64 reference for an f32 kernel"
+            )]
             let want = (e / sum) as f32;
             assert!(
                 (s.get(0, i) - want).abs() <= 2e-6 * want.max(1e-3),
@@ -892,6 +896,11 @@ mod bit_identity {
         let f = x - k * LN_2;
         let p = 1.0
             + f * (1.0 + f * (0.5 + f * (1.0 / 6.0 + f * (1.0 / 24.0 + f * (1.0 / 120.0)))));
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "k is an integer in [-87, 88] after the clamp, so the exponent is in range"
+        )]
         let scale = f32::from_bits(((k as i32 + 127) as u32) << 23);
         scale * p
     }
@@ -1013,6 +1022,7 @@ mod bit_identity {
     #[test]
     fn softmax_equals_the_fused_loop() {
         for cols in [1usize, 7, 8, 9, 69, 72] {
+            #[expect(clippy::cast_possible_truncation, reason = "a small test seed")]
             let mut rows = values(cols as u32, 3 * cols, true);
             rows.iter_mut().for_each(|x| *x = if x.is_finite() { *x * 8.0 } else { *x });
             rows.extend(std::iter::repeat_n(f32::NEG_INFINITY, cols));

@@ -19,6 +19,9 @@
 //!   readers + snapshots
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+#![deny(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_possible_wrap)]
 
 pub use tinynn;
 pub use traj2hash;

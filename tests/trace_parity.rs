@@ -28,6 +28,7 @@ use traj_engine::{EngineConfig, ShardConfig, ShardedEngine, Strategy};
 /// Trace activation is process-global (`traj_obs::enabled()` counts
 /// thread-local recorders too), so tests asserting active vs inert
 /// traces serialize through this gate.
+#[expect(clippy::disallowed_methods, reason = "a poisoned gate still serializes the rest")]
 fn gate() -> MutexGuard<'static, ()> {
     static GATE: Mutex<()> = Mutex::new(());
     GATE.lock().unwrap_or_else(|p| p.into_inner())
