@@ -23,8 +23,12 @@
 #   ./check.sh train    training suite only: traj2hash unit tests (one
 #                       batch path bit-identical at 1..4 threads and
 #                       above the slot count, resume bit-for-bit with and
-#                       without a rollback) plus the divergence-guard,
-#                       kernel-golden and torn-write integration tests
+#                       without a rollback), tinynn's unit and integration
+#                       tests (the row-0 last block bit-identical to row
+#                       0 of the full block, kernels bit-identical to
+#                       their references, gradient checks) plus the
+#                       divergence-guard, kernel-golden, inference-parity
+#                       and torn-write integration tests
 #   ./check.sh obs      observability suite only: traj-obs unit tests
 #                       and the telemetry integration tests (JSONL
 #                       round-trip of an instrumented train/serve
@@ -105,8 +109,10 @@ fi
 if [[ "${1:-}" == "train" ]]; then
     echo "==> cargo test -p traj2hash"
     cargo test -q -p traj2hash
-    echo "==> cargo test --test fault_tolerance --test kernel_golden --test torn_writes"
-    cargo test -q --test fault_tolerance --test kernel_golden --test torn_writes
+    echo "==> cargo test -p tinynn"
+    cargo test -q -p tinynn
+    echo "==> cargo test --test fault_tolerance --test kernel_golden --test infer_parity --test torn_writes"
+    cargo test -q --test fault_tolerance --test kernel_golden --test infer_parity --test torn_writes
     echo "Training checks passed."
     exit 0
 fi

@@ -109,7 +109,10 @@ impl GpsChannelEncoder {
         GpsChannelEncoder { point_mlp, blocks, readout: cfg.readout, cls, norm, dim }
     }
 
-    /// Encodes a trajectory into a `1 x d` vector.
+    /// Encodes a trajectory into a `1 x d` vector. Under the lower-bound
+    /// and CLS read-outs the last block runs on token 0 alone
+    /// ([`tinynn::EncoderBlock::forward_first_row`]), as the evaluator in
+    /// `infer.rs` does; `Mean` runs it over every row.
     pub fn forward(&self, tape: &Tape, t: &Trajectory) -> Var {
         assert!(!t.is_empty(), "cannot encode an empty trajectory");
         let feats = self.norm.apply(t);
@@ -122,15 +125,19 @@ impl GpsChannelEncoder {
             let token = tape.param(cls);
             seq = token.concat_rows(&seq);
         }
-        for block in &self.blocks {
-            seq = block.forward(tape, &seq);
+        for (i, block) in self.blocks.iter().enumerate() {
+            let last = i + 1 == self.blocks.len();
+            seq = if last && self.readout != Readout::Mean {
+                block.forward_first_row(tape, &seq)
+            } else {
+                block.forward(tape, &seq)
+            };
         }
         match self.readout {
             // Eq. 13: the first point is the anchor that aggregated
             // information from every other point through attention.
-            Readout::LowerBound => seq.select_row(0),
+            Readout::LowerBound | Readout::Cls => seq.select_row(0),
             Readout::Mean => seq.mean_rows(),
-            Readout::Cls => seq.select_row(0),
         }
     }
 

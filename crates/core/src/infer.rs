@@ -18,7 +18,10 @@
 //!   every row but Q, the scores, the softmax, `W_o`, the residuals and
 //!   the block MLP for row 0 alone. Each of those is row-wise, and
 //!   [`matmul_nt_into`] picks its summation order from the key matrix
-//!   only, so the one-row result *is* row 0 of the full one;
+//!   only, so the one-row result *is* row 0 of the full one. The tape
+//!   forward runs the same row-0 block
+//!   ([`EncoderBlock::forward_first_row`]), so the parity test compares
+//!   two shortcuts; `tinynn`'s layer tests hold it to the full block;
 //! * the reversed direction of Eq. 15 sees the same points, so they are
 //!   normalised, pushed through the point MLP and located on the grid
 //!   once, and the reversed pass reads those rows back to front under

@@ -446,8 +446,13 @@ pub fn validate_flight_dump(text: &str) -> Result<usize, String> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Held by every unit test that reaches the process-wide flight
+    /// slot, so they run one at a time: `serve.rs`'s `/traces` drains
+    /// whatever ring the flight test has installed.
+    pub(crate) static SLOT_TESTS: Mutex<()> = Mutex::new(());
 
     fn trace_fields(id: u64, seqs: &str, cands: &[u64]) -> (&'static str, Vec<Field>) {
         let total: u64 = cands.iter().sum();
@@ -618,8 +623,9 @@ mod tests {
 
     #[test]
     fn global_install_offer_and_poison_dump_guard() {
-        // The only test touching the global flight slot (keeps parallel
-        // tests from interfering, mirroring the recorder-slot test).
+        // The only test that installs into the global flight slot; the
+        // lock keeps the ops server's `/traces` drain out of its ring.
+        let _slot = olock(&SLOT_TESTS);
         let path = temp_path("global");
         assert!(!installed());
         offer(1.0, || panic!("must not build when uninstalled"));

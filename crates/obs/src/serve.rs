@@ -498,6 +498,9 @@ mod tests {
     #[test]
     fn server_serves_metrics_health_and_traces() {
         use std::io::{Read as _, Write as _};
+        // `/traces` drains the global flight ring: not while the flight
+        // test has one installed.
+        let _slot = crate::olock(&crate::flight::tests::SLOT_TESTS);
         let health = OpsHealth::new();
         let mut server = OpsServer::start(0, health.clone()).expect("bind ephemeral");
         let addr = server.addr();

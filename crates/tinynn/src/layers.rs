@@ -213,9 +213,19 @@ impl MultiHeadSelfAttention {
 
     /// Applies self-attention to an `n x d` sequence.
     pub fn forward(&self, tape: &Tape, x: &Var) -> Var {
+        self.attend(tape, x, x)
+    }
+
+    /// Attention of the rows of `queries` over every row of the `n x d`
+    /// sequence `x`: Q is projected from `queries`, K and V from `x`.
+    /// Everything after the queries is row-wise, and the `Q·Kᵀ` kernel
+    /// picks its summation order from the keys alone, so when `queries`
+    /// holds rows of `x`, each output row is bit for bit the matching
+    /// row of `forward(x)`.
+    pub fn attend(&self, tape: &Tape, queries: &Var, x: &Var) -> Var {
         let (_, d) = x.shape();
         let dh = d / self.heads;
-        let q = self.wq.forward(tape, x);
+        let q = self.wq.forward(tape, queries);
         let k = self.wk.forward(tape, x);
         let v = self.wv.forward(tape, x);
         let scale = 1.0 / (dh as f32).sqrt();
@@ -268,6 +278,23 @@ impl EncoderBlock {
     /// Applies the block to an `n x d` sequence.
     pub fn forward(&self, tape: &Tape, x: &Var) -> Var {
         let attended = x.add(&self.attn.forward(tape, x));
+        self.mlp.forward(tape, &attended).add(&attended)
+    }
+
+    /// Row 0 of [`forward`](Self::forward), bit for bit, values and
+    /// gradients: K and V see every row of `x`, Q, the attention, `W_o`,
+    /// both residuals and the MLP run on row 0 alone — the block a
+    /// read-out that keeps token 0 (Eq. 13) needs. The dropped rows'
+    /// gradients were all `±0`, and every reduction over rows in the
+    /// backward pass starts from zero in ascending row order, so they
+    /// added nothing.
+    pub fn forward_first_row(&self, tape: &Tape, x: &Var) -> Var {
+        // Two selects, the second recorded after attention: the reverse
+        // pass then adds row 0's gradients into `x` in `forward`'s order,
+        // residual, V, K, Q. One shared select would sum them
+        // `(V + K) + (residual + Q)` and round differently.
+        let attn = self.attn.attend(tape, &x.select_row(0), x);
+        let attended = x.select_row(0).add(&attn);
         self.mlp.forward(tape, &attended).add(&attended)
     }
 }
@@ -493,6 +520,97 @@ mod tests {
         let tape = Tape::new();
         let x = tape.constant(init::normal(&mut rng(), 6, 8, 1.0));
         assert_eq!(block.forward(&tape, &x).shape(), (6, 8));
+    }
+
+    /// How a test reaches row 0 of a block.
+    enum RowZero {
+        FullThenSelect,
+        FirstRow,
+        /// `forward_first_row` with one select feeding both Q and the
+        /// residual.
+        SharedSelect,
+    }
+
+    /// Row 0 of `block` over `x`, backpropagated from `seed`: the value,
+    /// then every parameter's gradient, then the gradient into `x`.
+    fn row_zero_run(
+        block: &EncoderBlock,
+        params: &ParamSet,
+        x: &Tensor,
+        seed: &Tensor,
+        way: RowZero,
+    ) -> Vec<Tensor> {
+        let tape = Tape::new();
+        let xp = Param::new(x.clone());
+        let xv = tape.param(&xp);
+        let out = match way {
+            RowZero::FullThenSelect => block.forward(&tape, &xv).select_row(0),
+            RowZero::FirstRow => block.forward_first_row(&tape, &xv),
+            RowZero::SharedSelect => {
+                let (attn, mlp) = block.parts();
+                let x0 = xv.select_row(0);
+                let attended = x0.add(&attn.attend(&tape, &x0, &xv));
+                mlp.forward(&tape, &attended).add(&attended)
+            }
+        };
+        out.backward_with(seed.clone());
+        let mut all = vec![out.value()];
+        all.extend(params.take_grads());
+        all.push(xp.borrow().grad.clone());
+        all
+    }
+
+    /// A block, an `n x d` input and a `1 x d` upstream gradient.
+    fn row_zero_case(n: usize, heads: usize, d: usize) -> (EncoderBlock, ParamSet, Tensor, Tensor) {
+        let mut r = StdRng::seed_from_u64((1000 * n + 10 * heads + d) as u64);
+        let mut params = ParamSet::new();
+        let block = EncoderBlock::new(&mut r, &mut params, d, 2 * d, heads);
+        let x = init::normal(&mut r, n, d, 1.0);
+        let seed = init::normal(&mut r, 1, d, 1.0);
+        (block, params, x, seed)
+    }
+
+    fn same_bits(a: &Tensor, b: &Tensor) -> bool {
+        a.shape() == b.shape() && a.data().iter().zip(b.data()).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    #[test]
+    fn first_row_block_is_row_zero_of_the_full_block_bit_for_bit() {
+        // n on both sides of the `Q·Kᵀ` order switch at 4·d_head keys
+        // (d_head = 4, 8, 16, 32 here).
+        for d in [16, 32] {
+            for heads in [1, 2, 4] {
+                for n in [1, 2, 7, 31, 32, 33, 63, 64, 65, 100] {
+                    let (block, params, x, seed) = row_zero_case(n, heads, d);
+                    let want = row_zero_run(&block, &params, &x, &seed, RowZero::FullThenSelect);
+                    let got = row_zero_run(&block, &params, &x, &seed, RowZero::FirstRow);
+                    assert_eq!(got.len(), want.len());
+                    let last = want.len() - 1;
+                    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                        let what = match i {
+                            0 => "value".to_string(),
+                            i if i == last => "gradient into x".to_string(),
+                            i => format!("gradient of parameter {}", i - 1),
+                        };
+                        assert!(same_bits(g, w), "n {n}, heads {heads}, d {d}: {what} differs");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_shared_select_moves_the_input_gradient_bits() {
+        // Same value and parameter gradients, and an input gradient equal
+        // up to rounding, but summed in another order: the recording
+        // order of the two selects is what keeps the bits.
+        let (block, params, x, seed) = row_zero_case(33, 2, 32);
+        let want = row_zero_run(&block, &params, &x, &seed, RowZero::FullThenSelect);
+        let got = row_zero_run(&block, &params, &x, &seed, RowZero::SharedSelect);
+        let (gx, wx) = (&got[got.len() - 1], &want[want.len() - 1]);
+        assert!(got[..got.len() - 1].iter().zip(&want).all(|(g, w)| same_bits(g, w)));
+        assert!(!same_bits(gx, wx), "a shared select kept every bit of the input gradient");
+        assert!(gx.max_abs_diff(wx) < 1e-5);
     }
 
     #[test]
