@@ -7,7 +7,11 @@
 #                       only the root package's integration suites that the
 #                       tier-1 command (`cargo build --release && cargo
 #                       test -q`) covers
-#   ./check.sh engine   serving-layer suite only: traj-engine unit tests,
+#   ./check.sh engine   serving-layer suite only: traj-engine and
+#                       traj-index unit and property tests (the radius-2
+#                       table and its probe order against a brute-force
+#                       ball at 16-128 bits), the per-query trace parity
+#                       test (candidate counts equal the scan oracle's),
 #                       the parity / lifecycle / snapshot integration
 #                       suite at 1 and 3 shards, the scan-oracle model
 #                       test (shard counts 1..8, random op streams, all
@@ -118,10 +122,10 @@ if [[ "${1:-}" == "train" ]]; then
 fi
 
 if [[ "${1:-}" == "engine" ]]; then
-    echo "==> cargo test -p traj-engine"
-    cargo test -q -p traj-engine
-    echo "==> cargo test --test engine_parity --test shard_parity --test shard_concurrency --test soak_e2e"
-    cargo test -q --test engine_parity --test shard_parity --test shard_concurrency --test soak_e2e
+    echo "==> cargo test -p traj-engine -p traj-index"
+    cargo test -q -p traj-engine -p traj-index
+    echo "==> cargo test --test engine_parity --test shard_parity --test trace_parity --test shard_concurrency --test soak_e2e"
+    cargo test -q --test engine_parity --test shard_parity --test trace_parity --test shard_concurrency --test soak_e2e
     echo "Engine checks passed."
     exit 0
 fi

@@ -53,7 +53,7 @@ use crate::engine::{EngineConfig, Strategy};
 use std::sync::Arc;
 use traj_data::Trajectory;
 use traj_index::search::Hit as SlotHit;
-use traj_index::topk::top_k_hits;
+use traj_index::topk::{top_k_grouped, top_k_hits};
 use traj_index::{
     euclidean_distance, BinaryCode, EmbeddingMatrix, HammingTable, MultiIndexHashing, PackedCodes,
     SearchError, VpTree,
@@ -405,39 +405,44 @@ impl SearchCtx<'_> {
         }
     }
 
-    /// Live candidates within Hamming radius 2: table lookup over the
-    /// base plus the delta rows the scan finds within 2. `None` when
-    /// degraded or the table rejects the query.
-    fn radius2_candidates(&self, q: &BinaryCode) -> Option<Vec<SlotHit>> {
-        let grouped = self.indexes?.table.lookup_within(q, 2).ok()?;
-        let mut hits: Vec<SlotHit> = grouped
-            .into_iter()
-            .flat_map(|(d, slots)| {
-                slots.into_iter().map(move |s| SlotHit { index: s, distance: d as f64 })
+    /// The live radius-2 ball, grouped by distance: `ball[d]` holds the
+    /// live slots at distance `d` — the table's base buckets, then the
+    /// delta rows the scan finds within 2. `None` when degraded or the
+    /// table rejects the query.
+    fn radius2_ball(&self, q: &BinaryCode) -> Option<[Vec<usize>; 3]> {
+        let mut ball: [Vec<usize>; 3] = Default::default();
+        self.indexes?
+            .table
+            .for_each_within(q, 2, |rows, d| {
+                ball[d as usize].extend(rows.iter().filter(|&&slot| !self.dead[slot]));
             })
-            .filter(|h| !self.dead[h.index])
-            .collect();
+            .ok()?;
         self.scan_hamming(q, DELTA, |slot, d| {
-            if d <= 2 {
-                hits.push(SlotHit { index: slot, distance: d as f64 });
+            if let Some(group) = ball.get_mut(d) {
+                group.push(slot);
             }
         });
-        Some(hits)
+        Some(ball)
     }
 
     fn table_hits(&self, q: &BinaryCode, k: usize, hybrid: bool) -> (Vec<SlotHit>, PathInfo) {
-        match self.radius2_candidates(q) {
+        let Some(mut ball) = self.radius2_ball(q) else {
+            return if hybrid {
+                self.scan_top_k(q, k, UNBOUNDED, true)
+            } else {
+                // Degraded Table strategy: emulate the radius-2 ball by
+                // scanning, keeping the may-return-fewer semantics.
+                self.scan_top_k(q, k, 2, true)
+            };
+        };
+        let within = ball.iter().map(Vec::len).sum();
+        if hybrid && within < k {
             // The designed Hybrid spill — a scan, but not a degradation.
-            Some(ball) if hybrid && ball.len() < k => {
-                let (top, path) = self.scan_top_k(q, k, UNBOUNDED, false);
-                (top, PathInfo { spill: true, ..path })
-            }
-            Some(ball) => select(ball, k, false),
-            None if hybrid => self.scan_top_k(q, k, UNBOUNDED, true),
-            // Degraded Table strategy: emulate the radius-2 ball by
-            // scanning, keeping the may-return-fewer semantics.
-            None => self.scan_top_k(q, k, 2, true),
+            let (top, path) = self.scan_top_k(q, k, UNBOUNDED, false);
+            return (top, PathInfo { spill: true, ..path });
         }
+        // Counting select over the three distance groups (DESIGN §9).
+        (top_k_grouped(&mut ball, k), PathInfo::scan(within, false))
     }
 }
 
@@ -754,6 +759,74 @@ mod tests {
     fn euclid(st: &ShardState, q: &[f32], k: usize) -> (Vec<SlotHit>, PathInfo) {
         let code = BinaryCode::from_floats(q);
         search(&st.ctx(), Strategy::EuclideanBf, q, &code, k)
+    }
+
+    /// Row `i` of a 16-bit corpus clustered around one centre code: odd
+    /// rows flip bit `i % 16`, every third row bit `5i % 16`, so rows
+    /// lie 0–2 bits from the centre and 0–4 bits from each other.
+    fn clustered(i: u32) -> (Trajectory, Vec<f32>, BinaryCode) {
+        let flips = [(i % 2 == 1).then_some(i % 16), i.is_multiple_of(3).then_some(i * 5 % 16)];
+        let e: Vec<f32> = (0..16u32)
+            .map(|b| {
+                let up = (b * 7 + 3) % 5 < 2;
+                if up ^ flips.contains(&Some(b)) {
+                    1.0 + (i * 16 + b) as f32 * 1e-3
+                } else {
+                    -1.0
+                }
+            })
+            .collect();
+        let code = BinaryCode::from_floats(&e);
+        (Trajectory { points: Vec::new() }, e, code)
+    }
+
+    #[test]
+    fn table_and_hybrid_count_the_live_radius_2_ball_across_base_and_delta() {
+        let mut rows = Rows::default();
+        for i in 0..60 {
+            let (t, e, c) = clustered(i);
+            rows.push(u64::from(i), t, &e, &c).unwrap();
+        }
+        let mut st = ShardState::build(rows, &EngineConfig::default());
+        for i in 60..80 {
+            let (t, e, c) = clustered(i);
+            st = st.with_insert(u64::from(i), t, &e, &c).unwrap();
+        }
+        for slot in [0, 1, 3, 9, 30, 60, 61, 63, 75] {
+            st = st.with_remove(slot);
+        }
+        assert!(st.dead_in_indexed > 0 && st.dead_count > st.dead_in_indexed);
+        let distance = |slot: usize, q: &BinaryCode| {
+            let (block, i) = st.row_at(slot);
+            block.codes().distance(i, q)
+        };
+        // Row 2 flips nothing: the first query is the centre, whose ball
+        // holds tombstones in both blocks.
+        let queries = [2, 1, 3, 5, 63, 64, 77].map(|i| clustered(i).2);
+        let dead: Vec<usize> =
+            (0..st.slots()).filter(|&s| st.dead[s] && distance(s, &queries[0]) <= 2).collect();
+        assert!(dead.iter().any(|&s| s < 60) && dead.iter().any(|&s| s >= 60));
+        let emb = [0.0f32; 16];
+        for (n, q) in queries.iter().enumerate() {
+            let ball: Vec<SlotHit> = st
+                .live_slots()
+                .filter(|&slot| distance(slot, q) <= 2)
+                .map(|slot| SlotHit { index: slot, distance: f64::from(distance(slot, q)) })
+                .collect();
+            for k in [1, 5, 20, 1000] {
+                let (hits, path) = search(&st.ctx(), Strategy::Table, &emb, q, k);
+                assert_eq!(path.candidates, ball.len(), "Table q={n} k={k}");
+                assert_eq!(hits, top_k_hits(ball.clone(), k), "Table q={n} k={k}");
+                let (hits, path) = search(&st.ctx(), Strategy::Hybrid, &emb, q, k);
+                if ball.len() >= k {
+                    assert_eq!((path.candidates, path.spill), (ball.len(), false), "q={n} k={k}");
+                    assert_eq!(hits, top_k_hits(ball.clone(), k), "Hybrid q={n} k={k}");
+                } else {
+                    // The spill scans the whole shard and counts every live row.
+                    assert_eq!((path.candidates, path.spill), (st.live(), true), "q={n} k={k}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -81,15 +81,6 @@ impl BinaryCode {
         (self.bits[i / 64] >> (i % 64)) & 1 == 1
     }
 
-    /// Returns a copy with bit `i` flipped (used to enumerate the
-    /// Hamming ball for table-lookup search).
-    pub fn with_flipped(&self, i: usize) -> BinaryCode {
-        assert!(i < self.len);
-        let mut c = self.clone();
-        c.bits[i / 64] ^= 1 << (i % 64);
-        c
-    }
-
     /// Hamming distance to another code of the same length.
     ///
     /// # Panics
@@ -170,14 +161,6 @@ mod tests {
             .map(|(&x, y)| x as i64 * y as i64)
             .sum();
         assert_eq!(a.sign_inner_product(&b), dot);
-    }
-
-    #[test]
-    fn flip_changes_exactly_one_bit() {
-        let a = BinaryCode::from_signs(&[1, -1, 1, -1, 1]);
-        let b = a.with_flipped(3);
-        assert_eq!(a.hamming(&b), 1);
-        assert_eq!(b.with_flipped(3), a);
     }
 
     #[test]

@@ -36,5 +36,5 @@ pub use matrix::{euclidean_distance, EmbeddingMatrix};
 pub use mih::MultiIndexHashing;
 pub use packed::{hamming_words, PackedCodes};
 pub use search::{euclidean_top_k, hamming_top_k, HammingTable, Hit};
-pub use topk::{cmp_hits, sort_hits, top_k_hits};
+pub use topk::{cmp_hits, sort_hits, top_k_grouped, top_k_hits};
 pub use vptree::VpTree;

@@ -396,11 +396,11 @@ mod tests {
         let base = random_codes(1, 128, 7).pop().unwrap();
         let db: Vec<BinaryCode> = (0..20)
             .map(|i| {
-                let mut c = base.clone();
-                for b in 0..(i % 4) {
-                    c = c.with_flipped(i * 3 + b);
+                let mut words = base.words().to_vec();
+                for b in (0..(i % 4)).map(|b| i * 3 + b) {
+                    words[b / 64] ^= 1 << (b % 64);
                 }
-                c
+                BinaryCode::from_words(words, 128).unwrap()
             })
             .collect();
         let mih = MultiIndexHashing::try_build(db.clone(), 1).unwrap();

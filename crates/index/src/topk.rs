@@ -45,6 +45,30 @@ pub fn top_k_hits(mut hits: Vec<Hit>, k: usize) -> Vec<Hit> {
     hits
 }
 
+/// The `k` nearest of candidates grouped by integer distance —
+/// `groups[d]` holds distinct indices at distance `d`, in any order — as
+/// hits in [`cmp_hits`] order, the same hits [`top_k_hits`] picks. A
+/// counting select: the group sizes fix the cut-off distance, every
+/// group under it is taken whole and sorted, and only the cut-off group
+/// is partially selected before its prefix is sorted. The groups are
+/// left reordered, the cut-off group truncated.
+pub fn top_k_grouped(groups: &mut [Vec<usize>], k: usize) -> Vec<Hit> {
+    let mut top = Vec::with_capacity(k.min(groups.iter().map(Vec::len).sum()));
+    for (d, group) in groups.iter_mut().enumerate() {
+        let take = k - top.len();
+        if take == 0 {
+            break;
+        }
+        if group.len() > take {
+            group.select_nth_unstable(take - 1);
+            group.truncate(take);
+        }
+        group.sort_unstable();
+        top.extend(group.iter().map(|&index| Hit { index, distance: d as f64 }));
+    }
+    top
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,6 +97,20 @@ mod tests {
         let all = top_k_hits(hits(&[(0, f64::NAN), (1, 7.0)]), 5);
         assert_eq!(all[0].index, 1);
         assert_eq!(all[1].index, 0);
+    }
+
+    #[test]
+    fn grouped_select_picks_what_the_full_select_picks() {
+        let groups = vec![vec![9, 4], vec![], vec![7, 1, 8, 3], vec![2, 0]];
+        let flat: Vec<Hit> = groups
+            .iter()
+            .enumerate()
+            .flat_map(|(d, g)| g.iter().map(move |&index| Hit { index, distance: d as f64 }))
+            .collect();
+        for k in 0..10 {
+            let got = top_k_grouped(&mut groups.clone(), k);
+            assert_eq!(got, top_k_hits(flat.clone(), k), "k={k}");
+        }
     }
 
     #[test]
