@@ -23,7 +23,10 @@
 #                       ingest, fine-tune → snapshot → hot swap on fixed
 #                       ticks, heartbeat snapshots and degrade drills,
 #                       every write under a fault plan; ends healthy,
-#                       matches a fresh rebuild, JSONL validates)
+#                       matches a fresh rebuild, JSONL validates), plus
+#                       the telemetry JSONL round-trip: the engine's
+#                       per-query histograms exist only in its obs
+#                       mirror, and that suite exports and re-reads it
 #   ./check.sh train    training suite only: traj2hash unit tests (one
 #                       batch path bit-identical at 1..4 threads and
 #                       above the slot count, resume bit-for-bit with and
@@ -124,8 +127,8 @@ fi
 if [[ "${1:-}" == "engine" ]]; then
     echo "==> cargo test -p traj-engine -p traj-index"
     cargo test -q -p traj-engine -p traj-index
-    echo "==> cargo test --test engine_parity --test shard_parity --test trace_parity --test shard_concurrency --test soak_e2e"
-    cargo test -q --test engine_parity --test shard_parity --test trace_parity --test shard_concurrency --test soak_e2e
+    echo "==> cargo test --test engine_parity --test shard_parity --test trace_parity --test shard_concurrency --test soak_e2e --test obs_telemetry"
+    cargo test -q --test engine_parity --test shard_parity --test trace_parity --test shard_concurrency --test soak_e2e --test obs_telemetry
     echo "Engine checks passed."
     exit 0
 fi

@@ -302,12 +302,12 @@ fn fan_out(
     hits
 }
 
-/// Folds one answered query's record into telemetry, mirrors it to the
-/// obs recorder, and offers the trace to the flight recorder as a
+/// Counts one answered query, mirrors its distributions to the obs
+/// recorder, and offers the trace to the flight recorder as a
 /// tail-latency exemplar.
 fn record_query(set: &ShardSet, trace: &QueryTrace) {
     let q = &trace.info;
-    set.telemetry.fold(q);
+    set.telemetry.query(q);
     if traj_obs::enabled() {
         traj_obs::observe_secs(q.strategy.metric_name(), q.seconds);
         traj_obs::observe_value("engine.query.candidates", q.candidates as f64);
@@ -316,15 +316,6 @@ fn record_query(set: &ShardSet, trace: &QueryTrace) {
         traj_obs::observe_secs("engine.query.fanout_secs", q.fanout_seconds);
         traj_obs::observe_secs("engine.query.merge_secs", q.merge_seconds);
         traj_obs::observe_value("engine.query.shards", q.shards as f64);
-        if q.linear_fallback {
-            traj_obs::counter("engine.linear_fallbacks", 1);
-        }
-        if q.degraded {
-            traj_obs::counter("engine.degraded_queries", 1);
-        }
-        if q.spill {
-            traj_obs::counter("engine.hybrid_spills", 1);
-        }
     }
     trace.offer_to_flight("sharded", set.trace_instance);
 }
@@ -585,7 +576,6 @@ impl ShardedEngine {
         self.next_id += 1;
         let view = self.publish_shard(&view, si, next);
         self.set.telemetry.insert();
-        traj_obs::counter("engine.inserts", 1);
         self.maybe_rebuild_shard(&view, si);
         Ok(id)
     }
@@ -608,7 +598,6 @@ impl ShardedEngine {
         let slot = view.states[si].slot_of(id).ok_or(EngineError::UnknownId(id))?;
         let view = self.publish_shard(&view, si, view.states[si].with_remove(slot));
         self.set.telemetry.remove();
-        traj_obs::counter("engine.removes", 1);
         self.maybe_rebuild_shard(&view, si);
         Ok(())
     }
@@ -635,10 +624,6 @@ impl ShardedEngine {
         let published = self.publish_shard(view, si, next);
         self.set.telemetry.rebuild(compacting, degraded);
         if traj_obs::enabled() {
-            traj_obs::counter("engine.rebuilds", 1);
-            if compacting {
-                traj_obs::counter("engine.compactions", 1);
-            }
             traj_obs::event(
                 "engine.shard.rebuild",
                 &[
@@ -650,9 +635,6 @@ impl ShardedEngine {
                     ("seconds", t0.elapsed().as_secs_f64().into()),
                 ],
             );
-            if degraded {
-                traj_obs::counter("engine.degraded_entries", 1);
-            }
         }
         if degraded {
             // Dump tail exemplars the moment a shard drops to degraded
@@ -682,9 +664,8 @@ impl ShardedEngine {
         let states = view.states.iter().map(|s| s.with_degraded()).collect();
         let blueprint = Arc::clone(&view.blueprint);
         self.set.view.publish(|seq| EngineView::of(blueprint, states, seq));
-        self.set.telemetry.force_degrade();
+        self.set.telemetry.degrade();
         if traj_obs::enabled() {
-            traj_obs::counter("engine.degraded_entries", 1);
             traj_obs::event(
                 "engine.degraded",
                 &[("reason", "forced".into()), ("generation", self.generation.into())],
@@ -708,7 +689,6 @@ impl ShardedEngine {
         if was_degraded && healthy {
             self.set.telemetry.recovery();
             if traj_obs::enabled() {
-                traj_obs::counter("engine.recoveries", 1);
                 traj_obs::event(
                     "engine.recovered",
                     &[("generation", self.generation.into()), ("live", view.live().into())],
@@ -777,7 +757,6 @@ impl ShardedEngine {
         self.generation += 1;
         self.set.telemetry.hot_swap();
         if traj_obs::enabled() {
-            traj_obs::counter("engine.hot_swaps", 1);
             traj_obs::event(
                 "engine.hot_swap",
                 &[
@@ -837,11 +816,7 @@ impl ShardedEngine {
         let receipt = traj2hash::durable_write_retry(path, &bytes, policy)
             .map_err(traj2hash::CheckpointError::Io)?;
         self.set.telemetry.snapshot_saved(len);
-        if traj_obs::enabled() {
-            traj_obs::counter("engine.snapshot.saves", 1);
-            traj_obs::counter("engine.snapshot.bytes_written", len as u64);
-            traj_obs::observe_secs("engine.snapshot.save_secs", t0.elapsed().as_secs_f64());
-        }
+        traj_obs::observe_secs("engine.snapshot.save_secs", t0.elapsed().as_secs_f64());
         Ok(receipt)
     }
 

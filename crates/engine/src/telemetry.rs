@@ -1,24 +1,20 @@
-//! Engine-owned telemetry: per-strategy latency/candidate histograms
-//! and lifecycle counters.
+//! Engine-owned telemetry: per-strategy query counters and lifecycle
+//! counters, collected whether or not a `traj_obs` recorder is
+//! installed — part of the engine's state, like
+//! [`EngineStats`](crate::EngineStats). Distributions (latency,
+//! candidates, over-fetch) are kept only by the recorder, as the
+//! `engine.query.*` histograms each answered query is mirrored to.
 //!
-//! Unlike the global `traj_obs` recorder (which the *application*
-//! installs), [`EngineTelemetry`] is always collected — it is part of
-//! the engine's state, like [`EngineStats`](crate::EngineStats) — so
-//! bench binaries read one source of truth whether or not a recorder is
-//! installed. When a recorder *is* installed the same numbers are
-//! mirrored to it, which is how the per-strategy histograms reach the
-//! JSONL export.
-//!
-//! The live counters sit in one [`LiveTelemetry`] mutex shared by the
-//! writer and every reader. Its guard never leaves this file: each
-//! method locks, bumps plain counters and unlocks, so no guard can be
-//! held across a search, an encode or a rebuild.
+//! [`LiveTelemetry`] holds `AtomicU64`s shared by the writer and every
+//! reader, bumped with `Relaxed` ordering, so counting takes no lock. A
+//! snapshot taken during concurrent queries is exact per counter but is
+//! not one cut across all counters. Each lifecycle event is counted by
+//! one call, which also emits the event's obs counter.
 
 use crate::engine::Strategy;
-use std::sync::{Mutex, MutexGuard};
-use traj_obs::Histogram;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-/// Query-path counters and histograms for one [`Strategy`].
+/// Query-path counters for one [`Strategy`].
 #[derive(Debug, Clone, Default)]
 pub struct StrategyTelemetry {
     /// Queries answered by this strategy.
@@ -29,14 +25,9 @@ pub struct StrategyTelemetry {
     pub linear_fallbacks: u64,
     /// Queries that ran while the engine was in degraded mode.
     pub degraded_queries: u64,
-    /// Wall-clock per query, in seconds.
-    pub latency: Histogram,
-    /// Rows whose distance was evaluated per query (see
-    /// [`QueryInfo::candidates`]).
-    pub candidates: Histogram,
 }
 
-/// Everything the engine measures about itself. Obtain a snapshot with
+/// Everything the engine counts about itself. Obtain a snapshot with
 /// [`ShardedEngine::telemetry`](crate::ShardedEngine::telemetry).
 #[derive(Debug, Clone, Default)]
 pub struct EngineTelemetry {
@@ -50,14 +41,14 @@ pub struct EngineTelemetry {
     pub rebuilds: u64,
     /// Rebuilds that also compacted tombstoned slots away.
     pub compactions: u64,
-    /// Rebuilds that failed and left the engine in degraded mode.
-    pub degraded_rebuilds: u64,
+    /// Entries into degraded mode: every rebuild that failed and left
+    /// its shard degraded, and every
+    /// [`ShardedEngine::force_degrade`](crate::ShardedEngine::force_degrade).
+    pub degraded_entries: u64,
     /// `Hybrid` queries whose radius-2 ball came up short and spilled
     /// into a full scan (designed behaviour, tracked separately from
     /// [`StrategyTelemetry::linear_fallbacks`]).
     pub hybrid_spills: u64,
-    /// Tombstone over-fetch margin applied per indexed query.
-    pub overfetch: Histogram,
     /// Snapshots written.
     pub snapshot_saves: u64,
     /// Total snapshot bytes written.
@@ -85,102 +76,132 @@ impl EngineTelemetry {
     pub fn total_linear_fallbacks(&self) -> u64 {
         self.strategies.iter().map(|s| s.linear_fallbacks).sum()
     }
+}
 
-    fn fold(&mut self, q: &QueryInfo) {
-        let s = &mut self.strategies[q.strategy.index()];
-        s.queries += 1;
-        s.latency.record(q.seconds);
-        s.candidates.record(q.candidates as f64);
-        s.linear_fallbacks += u64::from(q.linear_fallback);
-        s.degraded_queries += u64::from(q.degraded);
-        self.hybrid_spills += u64::from(q.spill);
-        self.overfetch.record(q.overfetch as f64);
-    }
+/// Adds `n` to `count` and to the obs counter `name`.
+fn bump(count: &AtomicU64, name: &str, n: u64) {
+    count.fetch_add(n, Relaxed);
+    traj_obs::counter(name, n);
+}
+
+/// The live form of [`StrategyTelemetry`].
+#[derive(Default)]
+struct LiveStrategy {
+    queries: AtomicU64,
+    linear_fallbacks: AtomicU64,
+    degraded_queries: AtomicU64,
 }
 
 /// The engine's cumulative [`EngineTelemetry`], shared by the writer and
-/// its readers.
-pub(crate) struct LiveTelemetry(Mutex<EngineTelemetry>);
+/// its readers; one field per counter of the snapshot.
+#[derive(Default)]
+pub(crate) struct LiveTelemetry {
+    strategies: [LiveStrategy; 5],
+    inserts: AtomicU64,
+    removes: AtomicU64,
+    rebuilds: AtomicU64,
+    compactions: AtomicU64,
+    degraded_entries: AtomicU64,
+    hybrid_spills: AtomicU64,
+    snapshot_saves: AtomicU64,
+    snapshot_bytes: AtomicU64,
+    hot_swaps: AtomicU64,
+    recoveries: AtomicU64,
+}
 
 impl LiveTelemetry {
     /// Telemetry of a freshly built engine: construction counts as each
     /// of its `shards` first rebuild.
     pub(crate) fn built(shards: usize) -> LiveTelemetry {
-        LiveTelemetry(Mutex::new(EngineTelemetry { rebuilds: shards as u64, ..Default::default() }))
+        LiveTelemetry { rebuilds: AtomicU64::new(shards as u64), ..Default::default() }
     }
 
-    /// Poison-proof lock: a panicking reader must not wedge the engine.
-    /// Poison here means a query thread panicked mid-telemetry — the
-    /// moment a post-mortem wants the flight recorder's tail exemplars,
-    /// so the poison arm force-dumps them (re-entrancy-guarded and
-    /// best-effort) before continuing. The counters are plain integers,
-    /// valid after any panic.
-    #[expect(clippy::disallowed_methods, reason = "the telemetry mutex's one acquisition point")]
-    fn lock(&self) -> MutexGuard<'_, EngineTelemetry> {
-        match self.0.lock() {
-            Ok(g) => g,
-            Err(poisoned) => {
-                traj_obs::flight::poison_dump("engine.telemetry.poisoned");
-                poisoned.into_inner()
-            }
+    /// A copy of the counters, each read once (see the module docs).
+    pub(crate) fn snapshot(&self) -> EngineTelemetry {
+        let get = |c: &AtomicU64| c.load(Relaxed);
+        EngineTelemetry {
+            strategies: self.strategies.each_ref().map(|s| StrategyTelemetry {
+                queries: get(&s.queries),
+                linear_fallbacks: get(&s.linear_fallbacks),
+                degraded_queries: get(&s.degraded_queries),
+            }),
+            inserts: get(&self.inserts),
+            removes: get(&self.removes),
+            rebuilds: get(&self.rebuilds),
+            compactions: get(&self.compactions),
+            degraded_entries: get(&self.degraded_entries),
+            hybrid_spills: get(&self.hybrid_spills),
+            snapshot_saves: get(&self.snapshot_saves),
+            snapshot_bytes: get(&self.snapshot_bytes),
+            hot_swaps: get(&self.hot_swaps),
+            recoveries: get(&self.recoveries),
         }
     }
 
-    /// A copy of the counters.
-    pub(crate) fn snapshot(&self) -> EngineTelemetry {
-        self.lock().clone()
-    }
-
-    /// Folds one answered query into the counters and histograms.
-    pub(crate) fn fold(&self, q: &QueryInfo) {
-        self.lock().fold(q);
+    /// Counts one answered query, and its fallback, degraded serving
+    /// and spill when it had them.
+    pub(crate) fn query(&self, q: &QueryInfo) {
+        let s = &self.strategies[q.strategy.index()];
+        s.queries.fetch_add(1, Relaxed);
+        if q.linear_fallback {
+            bump(&s.linear_fallbacks, "engine.linear_fallbacks", 1);
+        }
+        if q.degraded {
+            bump(&s.degraded_queries, "engine.degraded_queries", 1);
+        }
+        if q.spill {
+            bump(&self.hybrid_spills, "engine.hybrid_spills", 1);
+        }
     }
 
     /// Counts one inserted trajectory.
     pub(crate) fn insert(&self) {
-        self.lock().inserts += 1;
+        bump(&self.inserts, "engine.inserts", 1);
     }
 
     /// Counts one tombstoned trajectory.
     pub(crate) fn remove(&self) {
-        self.lock().removes += 1;
+        bump(&self.removes, "engine.removes", 1);
     }
 
     /// Counts one shard rebuild, and whether it compacted and whether it
     /// left the shard degraded.
     pub(crate) fn rebuild(&self, compacted: bool, degraded: bool) {
-        let mut t = self.lock();
-        t.rebuilds += 1;
-        t.compactions += u64::from(compacted);
-        t.degraded_rebuilds += u64::from(degraded);
+        bump(&self.rebuilds, "engine.rebuilds", 1);
+        if compacted {
+            bump(&self.compactions, "engine.compactions", 1);
+        }
+        if degraded {
+            self.degrade();
+        }
     }
 
-    /// Counts a forced drop of every shard's indexes.
-    pub(crate) fn force_degrade(&self) {
-        self.lock().degraded_rebuilds += 1;
+    /// Counts one entry into degraded mode.
+    pub(crate) fn degrade(&self) {
+        bump(&self.degraded_entries, "engine.degraded_entries", 1);
     }
 
     /// Counts one degraded → healthy transition.
     pub(crate) fn recovery(&self) {
-        self.lock().recoveries += 1;
+        bump(&self.recoveries, "engine.recoveries", 1);
     }
 
     /// Counts one hot swap.
     pub(crate) fn hot_swap(&self) {
-        self.lock().hot_swaps += 1;
+        bump(&self.hot_swaps, "engine.hot_swaps", 1);
     }
 
     /// Counts one snapshot written, of `bytes` bytes.
     pub(crate) fn snapshot_saved(&self, bytes: usize) {
-        let mut t = self.lock();
-        t.snapshot_saves += 1;
-        t.snapshot_bytes += bytes as u64;
+        bump(&self.snapshot_saves, "engine.snapshot.saves", 1);
+        bump(&self.snapshot_bytes, "engine.snapshot.bytes_written", bytes as u64);
     }
 }
 
 /// The one record of an answered query: the fan-out fills it, the
-/// telemetry folds it, [`QueryTrace`](crate::QueryTrace) seals it and
-/// the flight recorder dumps it. Returned by
+/// telemetry counts it, the obs recorder takes its distributions,
+/// [`QueryTrace`](crate::QueryTrace) seals it and the flight recorder
+/// dumps it. Returned by
 /// [`ShardedEngine::query_with_info`](crate::ShardedEngine::query_with_info).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryInfo {

@@ -299,40 +299,6 @@ impl EncoderBlock {
     }
 }
 
-/// Layer normalization over the feature dimension of an `n x d`
-/// sequence: `y = gamma * (x - mu) / sqrt(var + eps) + beta`.
-///
-/// The paper's blocks (Eq. 12) use plain residual connections without
-/// normalization, so Traj2Hash itself does not use this layer; it is
-/// provided for downstream users building deeper encoders on this
-/// substrate, where normalization becomes necessary for stable training.
-#[derive(Clone)]
-pub struct LayerNorm {
-    /// Scale, `1 x d`.
-    pub gamma: Param,
-    /// Shift, `1 x d`.
-    pub beta: Param,
-    eps: f32,
-}
-
-impl LayerNorm {
-    /// Creates a LayerNorm with unit scale and zero shift.
-    pub fn new(params: &mut ParamSet, dim: usize) -> Self {
-        LayerNorm {
-            gamma: params.register(Param::new(Tensor::full(1, dim, 1.0))),
-            beta: params.register(Param::new(Tensor::zeros(1, dim))),
-            eps: 1e-5,
-        }
-    }
-
-    /// Applies the normalization to an `n x d` input.
-    pub fn forward(&self, tape: &Tape, x: &Var) -> Var {
-        let gamma = tape.param(&self.gamma);
-        let beta = tape.param(&self.beta);
-        x.standardize_rows(self.eps).mul_row(&gamma).add_row(&beta)
-    }
-}
-
 /// Gated recurrent unit cell, the substrate for the RNN baselines
 /// (NeuTraj, NT-No-SAM, t2vec, CL-TSim).
 #[derive(Clone)]

@@ -36,8 +36,7 @@ pub mod tensor;
 pub mod verify;
 
 pub use layers::{
-    positional_encoding, Embedding, EncoderBlock, GruCell, LayerNorm, Linear, Mlp,
-    MultiHeadSelfAttention,
+    positional_encoding, Embedding, EncoderBlock, GruCell, Linear, Mlp, MultiHeadSelfAttention,
 };
 pub use optim::{clip_grad_norm, Adam, Sgd};
 pub use param::{Param, ParamSet};

@@ -60,7 +60,6 @@ pub enum Op {
     Div,
     AddRow,
     AddRowRelu,
-    MulRow,
     Scale,
     AddScalar,
     Relu,
@@ -74,7 +73,6 @@ pub enum Op {
     MatmulNt,
     Transpose,
     SoftmaxRows,
-    StandardizeRows,
     SumAll,
     SumRows,
     ConcatCols,
@@ -96,7 +94,6 @@ impl Op {
             Op::Div => "div",
             Op::AddRow => "add_row",
             Op::AddRowRelu => "add_row_relu",
-            Op::MulRow => "mul_row",
             Op::Scale => "scale",
             Op::AddScalar => "add_scalar",
             Op::Relu => "relu",
@@ -110,7 +107,6 @@ impl Op {
             Op::MatmulNt => "matmul_nt",
             Op::Transpose => "transpose",
             Op::SoftmaxRows => "softmax_rows",
-            Op::StandardizeRows => "standardize_rows",
             Op::SumAll => "sum_all",
             Op::SumRows => "sum_rows",
             Op::ConcatCols => "concat_cols",
@@ -945,86 +941,6 @@ impl Var {
                 accumulate(grads, ia, gx);
             })),
             Op::GatherRows { count, max_index }, &[ia],
-        )
-    }
-
-    /// Multiplies every row of an `n x d` matrix elementwise by a `1 x d`
-    /// row vector (the scale step of layer normalization).
-    pub fn mul_row(&self, row: &Var) -> Var {
-        self.same_tape(row);
-        let a = self.value_arc();
-        let b = row.value_arc();
-        assert_eq!(b.rows(), 1, "mul_row expects a 1xd right operand");
-        assert_eq!(a.cols(), b.cols(), "mul_row width mismatch");
-        let mut out = (*a).clone();
-        for r in 0..out.rows() {
-            for (o, &x) in out.row_mut(r).iter_mut().zip(b.row(0)) {
-                *o *= x;
-            }
-        }
-        let (ia, ib) = (self.id, row.id);
-        self.tape().push(
-            out,
-            Some(Box::new(move |mut g, grads| {
-                let mut gb = Tensor::zeros(1, g.cols());
-                for r in 0..g.rows() {
-                    for c in 0..g.cols() {
-                        gb.data_mut()[c] += g.get(r, c) * a.get(r, c);
-                    }
-                }
-                accumulate(grads, ib, gb);
-                for r in 0..g.rows() {
-                    for (gg, &x) in g.row_mut(r).iter_mut().zip(b.row(0)) {
-                        *gg *= x;
-                    }
-                }
-                accumulate(grads, ia, g);
-            })),
-            Op::MulRow, &[ia, ib],
-        )
-    }
-
-    /// Standardizes each row to zero mean and unit variance:
-    /// `y = (x - mu) / sqrt(var + eps)` — the normalization core of
-    /// LayerNorm, with the exact fused backward pass.
-    pub fn standardize_rows(&self, eps: f32) -> Var {
-        let a = self.value_arc();
-        let (rows, cols) = a.shape();
-        assert!(cols > 0, "standardize_rows on zero-width input");
-        let mut out = Tensor::zeros(rows, cols);
-        let mut inv_sigma = Vec::with_capacity(rows);
-        for r in 0..rows {
-            let row = a.row(r);
-            let mu: f32 = row.iter().sum::<f32>() / cols as f32;
-            let var: f32 =
-                row.iter().map(|&x| (x - mu) * (x - mu)).sum::<f32>() / cols as f32;
-            let inv = 1.0 / (var + eps).sqrt();
-            inv_sigma.push(inv);
-            for (o, &x) in out.row_mut(r).iter_mut().zip(row) {
-                *o = (x - mu) * inv;
-            }
-        }
-        let y = Arc::new(out);
-        let y_bw = Arc::clone(&y);
-        let ia = self.id;
-        self.tape().push_arc(
-            y,
-            Some(Box::new(move |mut g, grads| {
-                // dx = inv_sigma * (g - mean(g) - y * mean(g * y)) per row
-                let n = g.cols() as f32;
-                for (r, &inv) in inv_sigma.iter().enumerate() {
-                    let y_row = y_bw.row(r);
-                    let g_row = g.row(r);
-                    let mean_g: f32 = g_row.iter().sum::<f32>() / n;
-                    let mean_gy: f32 =
-                        g_row.iter().zip(y_row).map(|(&gg, &yy)| gg * yy).sum::<f32>() / n;
-                    for (gg, &yy) in g.row_mut(r).iter_mut().zip(y_row) {
-                        *gg = inv * (*gg - mean_g - yy * mean_gy);
-                    }
-                }
-                accumulate(grads, ia, g);
-            })),
-            Op::StandardizeRows, &[ia],
         )
     }
 

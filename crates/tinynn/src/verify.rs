@@ -171,7 +171,7 @@ fn expected_shape(op: Op, ins: &[(usize, usize)]) -> Result<(usize, usize), Stri
     match op {
         Op::Constant | Op::Param => Err("leaf op cannot have inputs".into()),
         Op::Add | Op::Sub | Op::Mul | Op::Div => same(ins[0], ins[1]),
-        Op::AddRow | Op::AddRowRelu | Op::MulRow => {
+        Op::AddRow | Op::AddRowRelu => {
             if ins[1].0 != 1 {
                 Err(format!("row operand must be 1xd, got {:?}", ins[1]))
             } else if ins[0].1 != ins[1].1 {
@@ -189,8 +189,7 @@ fn expected_shape(op: Op, ins: &[(usize, usize)]) -> Result<(usize, usize), Stri
         | Op::Ln
         | Op::Sqrt
         | Op::Square
-        | Op::SoftmaxRows
-        | Op::StandardizeRows => Ok(ins[0]),
+        | Op::SoftmaxRows => Ok(ins[0]),
         Op::Matmul => {
             if ins[0].1 != ins[1].0 {
                 Err(format!("inner dimensions differ: {:?} x {:?}", ins[0], ins[1]))

@@ -387,7 +387,7 @@ fn check_degrade_drill(shards: usize) {
         }
     });
     let tele = engine.telemetry();
-    assert_eq!(tele.degraded_rebuilds, base.degraded_rebuilds + 1);
+    assert_eq!(tele.degraded_entries, base.degraded_entries + 1);
     assert_eq!(tele.total_linear_fallbacks(), 4, "every strategy but HammingBf fell back");
     assert_eq!(tele.strategy(Strategy::HammingBf).linear_fallbacks, 0);
     assert_eq!(tele.strategy(Strategy::Table).degraded_queries, 1);
@@ -460,15 +460,19 @@ fn overfetch_is_charged_only_to_the_paths_that_over_fetch() {
         }
         assert_eq!(engine.stats().dead, removed.len(), "no rebuild fired");
         let mut charged = 0;
-        for strategy in Strategy::ALL {
-            let (_, info) = engine.query_with_info(&dataset.query[0], 5, strategy).unwrap();
-            let over_fetches = matches!(strategy, Strategy::Mih | Strategy::EuclideanBf);
-            let want = if over_fetches { removed.len() } else { 0 };
-            assert_eq!(info.overfetch, want, "{} at shards={shards}", strategy.name());
-            charged += want;
-        }
-        // The engine's histogram inherits the per-query figure.
-        let overfetch = engine.telemetry().overfetch;
+        let rec = std::sync::Arc::new(traj_obs::InMemoryRecorder::default());
+        traj_obs::with_local_recorder(rec.clone(), || {
+            for strategy in Strategy::ALL {
+                let (_, info) = engine.query_with_info(&dataset.query[0], 5, strategy).unwrap();
+                let over_fetches = matches!(strategy, Strategy::Mih | Strategy::EuclideanBf);
+                let want = if over_fetches { removed.len() } else { 0 };
+                assert_eq!(info.overfetch, want, "{} at shards={shards}", strategy.name());
+                charged += want;
+            }
+        });
+        // The obs mirror's histogram inherits the per-query figure.
+        let agg = rec.aggregates();
+        let overfetch = agg.histogram("engine.query.overfetch").unwrap();
         assert_eq!((overfetch.count(), overfetch.sum()), (5, charged as f64));
     }
 }

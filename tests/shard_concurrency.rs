@@ -63,6 +63,7 @@ fn readers_never_observe_torn_or_regressing_state_under_writer_churn() {
     let queries_done = AtomicUsize::new(0);
     let specs: Vec<_> = (0..READERS).map(|_| engine.reader()).collect();
     let query_pool: Vec<Trajectory> = dataset.query.clone();
+    let (mut inserts, mut removes) = (0u64, 0u64);
 
     std::thread::scope(|scope| {
         for (ri, spec) in specs.into_iter().enumerate() {
@@ -110,11 +111,13 @@ fn readers_never_observe_torn_or_regressing_state_under_writer_churn() {
             match step % 7 {
                 0..=2 => {
                     live.push(engine.insert(pool.next().unwrap()));
+                    inserts += 1;
                 }
                 3..=4 => {
                     if live.len() > 10 {
                         let id = live.remove((step * 31) % live.len());
                         engine.remove(id).unwrap();
+                        removes += 1;
                     }
                 }
                 5 => {
@@ -144,6 +147,12 @@ fn readers_never_observe_torn_or_regressing_state_under_writer_churn() {
         queries_done.load(Ordering::Relaxed) >= READERS,
         "readers never got a query through"
     );
+    // The lock-free counters lost no increment: every reader query,
+    // insert, remove and the one hot swap is counted exactly once.
+    let tele = engine.telemetry();
+    assert_eq!(tele.total_queries(), queries_done.load(Ordering::Relaxed) as u64);
+    assert_eq!((tele.inserts, tele.removes), (inserts, removes));
+    assert_eq!(tele.hot_swaps, 1);
 
     // Quiesced: writer, a fresh reader, and a from-scratch single-shard
     // engine over the survivors all agree exactly.

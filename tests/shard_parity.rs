@@ -119,18 +119,24 @@ fn query_many_matches_per_query_exactly() {
 
     // Self-measurement: a batch counts one query per member, and each is
     // charged its share of the batched encode, so the per-strategy
-    // latency histogram means encode + fan-out for batched and single
-    // queries alike. The batch's charged seconds therefore cover most of
-    // the call's wall-clock (encoding dominates) and never exceed it.
+    // latency histogram of the obs mirror means encode + fan-out for
+    // batched and single queries alike. The batch's charged seconds
+    // therefore cover most of the call's wall-clock (encoding
+    // dominates) and never exceed it.
     let before = engine.telemetry();
-    let t0 = Instant::now();
-    engine.query_many(&dataset.query, 10, Strategy::Hybrid).unwrap();
-    let wall = t0.elapsed().as_secs_f64();
+    let rec = std::sync::Arc::new(traj_obs::InMemoryRecorder::default());
+    let wall = traj_obs::with_local_recorder(rec.clone(), || {
+        let t0 = Instant::now();
+        engine.query_many(&dataset.query, 10, Strategy::Hybrid).unwrap();
+        t0.elapsed().as_secs_f64()
+    });
     let after = engine.telemetry();
     let (before, after) = (before.strategy(Strategy::Hybrid), after.strategy(Strategy::Hybrid));
     assert_eq!(after.queries - before.queries, dataset.query.len() as u64);
-    assert_eq!(after.latency.count() - before.latency.count(), dataset.query.len() as u64);
-    let charged = after.latency.sum() - before.latency.sum();
+    let agg = rec.aggregates();
+    let latency = agg.histogram("engine.query.hybrid").unwrap();
+    assert_eq!(latency.count(), dataset.query.len() as u64);
+    let charged = latency.sum();
     assert!(
         0.5 * wall <= charged && charged <= wall,
         "batch charged {charged:.6} s of a {wall:.6} s query_many call"
