@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Full verification gate: release build, all tests, lint-clean.
-# CI and pre-merge both run exactly this.
+# Full verification gate: release build, all tests, lint-clean, and the
+# bit-pinning tests again on the baseline ISA. CI and pre-merge both run
+# exactly this. Builds target x86-64-v3 (.cargo/config.toml).
 #
 #   ./check.sh          full gate. Tests run as `cargo test -q --workspace`:
 #                       every crate's unit tests and `crates/*/tests`, not
@@ -49,6 +50,13 @@
 #                       of /metrics, /healthz, and /traces against a
 #                       live engine (every flight line carries its
 #                       stage clocks and per-shard paths)
+#   ./check.sh portable the bits on the baseline ISA: .cargo/config.toml
+#                       builds everything for x86-64-v3 (AVX2, FMA, POPCNT);
+#                       this leg rebuilds with RUSTFLAGS="-C
+#                       target-cpu=x86-64" into target/portable and runs
+#                       the kernel goldens, the inference parity test and
+#                       tinynn's tests there, so the same constants hold
+#                       on both ISAs (the full gate runs it too)
 #   ./check.sh lint     static analysis only: the clippy gate (the
 #                       crate-root lint levels, clippy.toml's disallowed
 #                       methods, every `#[expect]` still fulfilled; see
@@ -121,6 +129,22 @@ if [[ "${1:-}" == "train" ]]; then
     echo "==> cargo test --test fault_tolerance --test kernel_golden --test infer_parity --test torn_writes"
     cargo test -q --test fault_tolerance --test kernel_golden --test infer_parity --test torn_writes
     echo "Training checks passed."
+    exit 0
+fi
+
+# The default build targets x86-64-v3 (.cargo/config.toml); RUSTFLAGS
+# replaces that flag, and its own target dir keeps the two builds apart.
+run_portable() {
+    echo "==> baseline x86-64: cargo test --test kernel_golden --test infer_parity, cargo test -p tinynn"
+    RUSTFLAGS="-C target-cpu=x86-64" CARGO_TARGET_DIR=target/portable \
+        cargo test -q --test kernel_golden --test infer_parity
+    RUSTFLAGS="-C target-cpu=x86-64" CARGO_TARGET_DIR=target/portable \
+        cargo test -q -p tinynn
+}
+
+if [[ "${1:-}" == "portable" ]]; then
+    run_portable
+    echo "Portable checks passed."
     exit 0
 fi
 
@@ -210,6 +234,8 @@ cargo build --release
 
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
+
+run_portable
 
 run_gt_smoke
 

@@ -17,14 +17,19 @@
 use crate::code::BinaryCode;
 use crate::error::SearchError;
 
-/// Hamming distance between two equal-length word slices, accumulated
-/// in four independent lanes over word chunks of four. For the short
-/// codes the paper uses (1–2 words at 64–128 bits) this degenerates to
-/// the plain loop; for wider codes the four accumulators keep the
-/// popcount chain from serializing.
+/// Hamming distance between two equal-length word slices. The short
+/// codes the paper uses (1–2 words at 64–128 bits) are matched as fixed
+/// shapes, with no loop and no bounds check; wider codes accumulate in
+/// four independent lanes over word chunks of four, so the popcount
+/// chain does not serialize.
 #[inline]
 pub fn hamming_words(a: &[u64], b: &[u64]) -> u32 {
     debug_assert_eq!(a.len(), b.len(), "word count mismatch");
+    match (a, b) {
+        ([a0], [b0]) => return (a0 ^ b0).count_ones(),
+        ([a0, a1], [b0, b1]) => return (a0 ^ b0).count_ones() + (a1 ^ b1).count_ones(),
+        _ => {}
+    }
     let mut acc = [0u32; 4];
     let n4 = a.len() & !3;
     let mut w = 0;
@@ -134,10 +139,11 @@ impl PackedCodes {
     }
 
     /// Scans every packed code against `q`, invoking `out(index,
-    /// distance)` in ascending index order. Four codes are processed
-    /// per iteration, each with its own accumulator; the remainder
-    /// falls back to [`hamming_words`]. Distances are bit-identical to
-    /// a [`BinaryCode::hamming`] loop.
+    /// distance)` in ascending index order. One- and two-word codes walk
+    /// the buffer in exact chunks with the query words in registers;
+    /// wider codes are processed four per iteration, each with its own
+    /// accumulator, and the remainder falls back to [`hamming_words`].
+    /// Distances are bit-identical to a [`BinaryCode::hamming`] loop.
     ///
     /// # Panics
     /// Panics if `q`'s width differs from the packed width (an empty
@@ -166,6 +172,15 @@ impl PackedCodes {
             for &w in quads.remainder() {
                 out(i, (w ^ qword).count_ones());
                 i += 1;
+            }
+            return;
+        }
+        if s == 2 {
+            // Two words per code (65-128 bits), both query words held
+            // in registers; the pair chunks need no bounds checks.
+            let (q0, q1) = (qw[0], qw[1]);
+            for (i, c) in self.words.chunks_exact(2).enumerate() {
+                out(i, (c[0] ^ q0).count_ones() + (c[1] ^ q1).count_ones());
             }
             return;
         }
@@ -210,8 +225,8 @@ mod tests {
 
     #[test]
     fn scan_matches_per_code_hamming_exactly() {
-        for bits in [1usize, 63, 64, 65, 128, 300] {
-            for n in [0usize, 1, 3, 4, 5, 17] {
+        for bits in [1usize, 63, 64, 65, 127, 128, 129, 192, 300] {
+            for n in [0usize, 1, 3, 4, 5, 17, 64, 1001] {
                 let cs = codes(n, bits);
                 let packed = PackedCodes::build(&cs).unwrap();
                 assert_eq!(packed.len(), n);

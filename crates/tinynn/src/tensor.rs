@@ -55,15 +55,15 @@ fn max_lanes(v: &[f32]) -> f32 {
 }
 
 /// Branch-free `exp` with ~3e-7 relative error, free of everything that
-/// keeps a caller's loop scalar on baseline x86-64 (SSE2): no libm call
-/// (`f32::exp`, `f32::floor`) and no float-to-int cast (`as i32`
-/// saturates, which compiles to a scalar `cvttss2si` with a
-/// compare-and-select around it, once per element). Splits
-/// `x = k ln2 + f` with `|f| <= ln2 / 2` and evaluates a degree-5 Taylor
-/// polynomial for `e^f`, then scales by `2^k` through the exponent bits.
-/// Deterministic; inputs are clamped to the finite range so the bit
-/// shift cannot overflow, and the clamp passes NaN through to the
-/// result.
+/// keeps a caller's loop scalar on x86-64, at baseline (SSE2) and at
+/// x86-64-v3 alike: no libm call (`f32::exp`, `f32::floor`) and no
+/// float-to-int cast (`as i32` saturates, which compiles to a scalar
+/// `cvttss2si` with a compare-and-select around it, once per element).
+/// Splits `x = k ln2 + f` with `|f| <= ln2 / 2` and evaluates a
+/// degree-5 Taylor polynomial for `e^f`, then scales by `2^k` through
+/// the exponent bits. Deterministic; inputs are clamped to the finite
+/// range so the bit shift cannot overflow, and the clamp passes NaN
+/// through to the result.
 #[inline]
 fn exp_approx(x: f32) -> f32 {
     const LOG2_E: f32 = std::f32::consts::LOG2_E;
@@ -190,12 +190,20 @@ fn matmul_band<const MR: usize>(out: &mut MatMut<'_>, a: MatRef<'_>, b: MatRef<'
     }
 }
 
+/// Rows per band of [`matmul_into`]: four at x86-64-v3, where a `4 x 16`
+/// tile's accumulators fill eight of the sixteen ymm registers, and two
+/// on a baseline build, where the same tile would take all sixteen xmm
+/// registers and spill (`4 x 16` read 1.37x the time of `2 x 16` on the
+/// traced matmul rows there; `6 x 16` lost to both at v3). Either way
+/// every cell's sum is the same, so this picks speed, not bits.
+const BAND: usize = if cfg!(target_feature = "avx") { 4 } else { 2 };
+
 /// `out = a (n x m) * b (m x p)`.
 ///
-/// Register-tiled: the output is covered by `2 x 16` tiles — eight
-/// accumulator registers on baseline x86-64 — with `2 x 4`, `2 x 1` and
-/// one-row tiles for the tails, each summed in registers over the whole
-/// shared dimension and stored once. The output is written, never
+/// Register-tiled: the output is covered by `BAND x 16` tiles, with
+/// `BAND x 4` and `BAND x 1` tiles for the column tails and a two- and
+/// a one-row band for the row tails, each summed in registers over the
+/// whole shared dimension and stored once. The output is written, never
 /// read: a loop that keeps its sums in the output row reloads and
 /// stores that row for every `k`.
 ///
@@ -212,7 +220,11 @@ pub fn matmul_into(mut out: MatMut<'_>, a: MatRef<'_>, b: MatRef<'_>) {
     );
     assert_eq!((out.rows, out.cols), (a.rows, b.cols), "matmul output shape mismatch");
     let mut i = 0;
-    while i + 2 <= out.rows {
+    while i + BAND <= out.rows {
+        matmul_band::<BAND>(&mut out, a, b, i);
+        i += BAND;
+    }
+    if i + 2 <= out.rows {
         matmul_band::<2>(&mut out, a, b, i);
         i += 2;
     }

@@ -7,7 +7,11 @@
 //! backward, changes them. The values also pass through libm (`tanh`,
 //! `sqrt`, the generator's `sin`/`cos`), so they hold for this
 //! toolchain on x86-64 Linux, which is where the benchmark's `hr10`
-//! repeats as well.
+//! repeats as well. They hold on both ISAs the workspace builds for:
+//! the default x86-64-v3 build (`.cargo/config.toml`) and the baseline
+//! x86-64 build of `./check.sh portable`. The kernels fix every sum's
+//! order in source and rustc never fuses a multiply and an add on its
+//! own, so a wider ISA changes the speed of these values, not their bits.
 
 use traj2hash::{train, ModelConfig, ModelContext, Traj2Hash, TrainConfig, TrainData};
 use traj_data::{CityGenerator, CityParams, Dataset, SplitSizes, Trajectory};
