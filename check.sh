@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Full verification gate: release build, all tests, lint-clean, and the
 # bit-pinning tests again on the baseline ISA. CI and pre-merge both run
-# exactly this. Builds target x86-64-v3 (.cargo/config.toml).
+# exactly this. Builds target x86-64-v3 (.cargo/config.toml); a RUSTFLAGS
+# in the environment replaces that flag, and every leg but `portable` and
+# `size` warns when one is set.
 #
 #   ./check.sh          full gate. Tests run as `cargo test -q --workspace`:
 #                       every crate's unit tests and `crates/*/tests`, not
@@ -86,6 +88,14 @@
 #                       same protocol instead and says so in one line.
 set -euo pipefail
 cd "$(dirname "$0")"
+
+# A RUSTFLAGS (or CARGO_ENCODED_RUSTFLAGS) in the environment replaces the
+# config's `-C target-cpu=x86-64-v3` rather than adding to it, so every leg
+# but the portable one would silently build for the baseline ISA.
+if [[ -n "${RUSTFLAGS:-}${CARGO_ENCODED_RUSTFLAGS:-}" && "${1:-}" != "portable" && "${1:-}" != "size" ]]; then
+    echo "warning: RUSTFLAGS is set and replaces .cargo/config.toml's -C target-cpu=x86-64-v3;" \
+        "this run builds for the ISA it names, not the one that serves" >&2
+fi
 
 # ThreadSanitizer needs -Zbuild-std, hence nightly with rust-src: against
 # the prebuilt, uninstrumented std it reports false races on Arc/RwLock

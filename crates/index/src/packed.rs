@@ -17,18 +17,16 @@
 use crate::code::BinaryCode;
 use crate::error::SearchError;
 
-/// Hamming distance between two equal-length word slices. The short
-/// codes the paper uses (1–2 words at 64–128 bits) are matched as fixed
-/// shapes, with no loop and no bounds check; wider codes accumulate in
-/// four independent lanes over word chunks of four, so the popcount
+/// Hamming distance between two equal-length word slices. A one-word
+/// code (up to 64 bits, every width the benchmarks run) is matched as a
+/// fixed shape, with no loop and no bounds check; wider codes accumulate
+/// in four independent lanes over word chunks of four, so the popcount
 /// chain does not serialize.
 #[inline]
 pub fn hamming_words(a: &[u64], b: &[u64]) -> u32 {
     debug_assert_eq!(a.len(), b.len(), "word count mismatch");
-    match (a, b) {
-        ([a0], [b0]) => return (a0 ^ b0).count_ones(),
-        ([a0, a1], [b0, b1]) => return (a0 ^ b0).count_ones() + (a1 ^ b1).count_ones(),
-        _ => {}
+    if let ([a0], [b0]) = (a, b) {
+        return (a0 ^ b0).count_ones();
     }
     let mut acc = [0u32; 4];
     let n4 = a.len() & !3;
@@ -139,11 +137,10 @@ impl PackedCodes {
     }
 
     /// Scans every packed code against `q`, invoking `out(index,
-    /// distance)` in ascending index order. One- and two-word codes walk
-    /// the buffer in exact chunks with the query words in registers;
-    /// wider codes are processed four per iteration, each with its own
-    /// accumulator, and the remainder falls back to [`hamming_words`].
-    /// Distances are bit-identical to a [`BinaryCode::hamming`] loop.
+    /// distance)` in ascending index order. Four codes are processed
+    /// per iteration, each with its own accumulator; the remainder
+    /// falls back to [`hamming_words`]. Distances are bit-identical to
+    /// a [`BinaryCode::hamming`] loop.
     ///
     /// # Panics
     /// Panics if `q`'s width differs from the packed width (an empty
@@ -172,15 +169,6 @@ impl PackedCodes {
             for &w in quads.remainder() {
                 out(i, (w ^ qword).count_ones());
                 i += 1;
-            }
-            return;
-        }
-        if s == 2 {
-            // Two words per code (65-128 bits), both query words held
-            // in registers; the pair chunks need no bounds checks.
-            let (q0, q1) = (qw[0], qw[1]);
-            for (i, c) in self.words.chunks_exact(2).enumerate() {
-                out(i, (c[0] ^ q0).count_ones() + (c[1] ^ q1).count_ones());
             }
             return;
         }
