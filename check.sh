@@ -36,7 +36,9 @@
 #                       without a rollback), tinynn's unit and integration
 #                       tests (the row-0 last block bit-identical to row
 #                       0 of the full block, kernels bit-identical to
-#                       their references, gradient checks) plus the
+#                       their references: the softmax against a serial
+#                       f32::max reference, the narrow Q*K^T regime against
+#                       a dot_lanes-order reference; gradient checks) plus the
 #                       divergence-guard, kernel-golden, inference-parity
 #                       and torn-write integration tests
 #   ./check.sh obs      observability suite only: traj-obs unit tests
@@ -57,8 +59,9 @@
 #                       this leg rebuilds with RUSTFLAGS="-C
 #                       target-cpu=x86-64" into target/portable and runs
 #                       the kernel goldens, the inference parity test and
-#                       tinynn's tests there, so the same constants hold
-#                       on both ISAs (the full gate runs it too)
+#                       tinynn's tests there (with the softmax and narrow
+#                       Q*K^T reference checks), so the same constants
+#                       hold on both ISAs (the full gate runs it too)
 #   ./check.sh lint     static analysis only: the clippy gate (the
 #                       crate-root lint levels, clippy.toml's disallowed
 #                       methods, every `#[expect]` still fulfilled; see

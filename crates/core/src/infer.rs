@@ -61,6 +61,7 @@ pub(crate) struct Scratch {
     q: Vec<f32>,
     k: Vec<f32>,
     v: Vec<f32>,
+    /// One head's `K^T` as [`matmul_nt_into`] lays it out for its regime.
     k_t: Vec<f32>,
     scores: Vec<f32>,
     heads: Vec<f32>,

@@ -34,24 +34,38 @@ fn dot_lanes(a: &[f32], b: &[f32]) -> f32 {
     sum
 }
 
+/// `f32::max`'s rule for a running maximum `m` that is never NaN: a NaN
+/// `x` is skipped. Written as a compare because `f32::max` must also
+/// pick an operand when one is NaN, which LLVM lowers to a scalar
+/// `maxss` / `cmpunord` / `blend` chain wherever the trip count is only
+/// known at run time; `x > m ? x : m` is exactly one `maxps`. The two
+/// may disagree only on which signed zero is the maximum, and that
+/// moves no softmax bit: every entry `x` then gives `x - 0.0 == x - (-0.0)`
+/// unless `x` is itself a zero, and `exp_approx(±0) == 1.0`.
+#[inline(always)]
+fn max_skipping_nan(m: f32, x: f32) -> f32 {
+    if x > m {
+        x
+    } else {
+        m
+    }
+}
+
 /// Maximum of a slice over eight independent lanes (serial `fold` with
 /// `f32::max` is a latency chain; max is order-independent so laning is
-/// exact, not just deterministic).
+/// exact, not just deterministic). NaN entries are skipped, as by
+/// `f32::max`; a slice of only NaN, or an empty one, gives `-inf`.
 #[inline]
 fn max_lanes(v: &[f32]) -> f32 {
     let mut lanes = [f32::NEG_INFINITY; 8];
-    let chunks = v.len() / 8;
-    for c in 0..chunks {
-        let cv = &v[c * 8..c * 8 + 8];
-        for l in 0..8 {
-            lanes[l] = lanes[l].max(cv[l]);
+    let chunks = v.chunks_exact(8);
+    let tail = chunks.remainder();
+    for cv in chunks {
+        for (lane, &x) in lanes.iter_mut().zip(cv) {
+            *lane = max_skipping_nan(*lane, x);
         }
     }
-    let mut m = lanes.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    for &x in &v[chunks * 8..] {
-        m = m.max(x);
-    }
-    m
+    lanes.into_iter().chain(tail.iter().copied()).fold(f32::NEG_INFINITY, max_skipping_nan)
 }
 
 /// Branch-free `exp` with ~3e-7 relative error, free of everything that
@@ -250,13 +264,69 @@ fn matmul_transposed_into(mut out: MatMut<'_>, a: MatRef<'_>, b_t: MatRef<'_>) {
     }
 }
 
+/// Writes `b^T` into `b_t` as eight-column panels: panel `g` holds
+/// columns `8g .. 8g + 8` of `b^T` (keys `8g ..` of `b`), row-major as
+/// `b.cols x 8`, and the keys past `b.rows` in the last panel are zero.
+/// Only growth of `b_t` allocates; every kept cell is overwritten.
+fn pack_key_panels(b_t: &mut Vec<f32>, b: MatRef<'_>) {
+    b_t.resize(b.rows.div_ceil(8) * 8 * b.cols, 0.0);
+    for (g, panel) in b_t.chunks_exact_mut(8 * b.cols).enumerate() {
+        for (key, r) in (8 * g..8 * g + 8).enumerate() {
+            let column = panel.iter_mut().skip(key).step_by(8);
+            if r < b.rows {
+                column.zip(b.row(r)).for_each(|(cell, &x)| *cell = x);
+            } else {
+                column.for_each(|cell| *cell = 0.0);
+            }
+        }
+    }
+}
+
+/// `out = a * b^T` for `b.cols == 8 * C`, in [`dot_lanes`] order, eight
+/// output columns per pass over the key panels of [`pack_key_panels`].
+/// For each of the eight keys of a panel, lane `l` is summed from `0.0`
+/// over `a[8c + l] * b[key][8c + l]` in ascending chunk `c`, and the
+/// lanes are combined as `((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 +
+/// l7))`: the roundings of `dot_lanes` for that cell, one key per vector
+/// lane instead of one horizontal fold per cell. `b.cols` is a multiple
+/// of eight, so `dot_lanes` has no tail here. `C` is a const so the
+/// `8 x 8` accumulator stays in eight vector registers.
+fn matmul_nt_lanes<const C: usize>(
+    mut out: MatMut<'_>,
+    a: MatRef<'_>,
+    b: MatRef<'_>,
+    b_t: &mut Vec<f32>,
+) {
+    pack_key_panels(b_t, b);
+    for i in 0..a.rows {
+        let a_row = &a.row(i)[..8 * C];
+        for (cells, panel) in out.row_mut(i).chunks_mut(8).zip(b_t.chunks_exact(64 * C)) {
+            let mut lanes = [[0.0f32; 8]; 8];
+            for (k, (&av, keys)) in a_row.iter().zip(panel.chunks_exact(8)).enumerate() {
+                for (sum, &kv) in lanes[k % 8].iter_mut().zip(keys) {
+                    *sum += av * kv;
+                }
+            }
+            let [l0, l1, l2, l3, l4, l5, l6, l7] = lanes;
+            let mut sums = [0.0f32; 8];
+            for (key, sum) in sums.iter_mut().enumerate() {
+                *sum = ((l0[key] + l4[key]) + (l2[key] + l6[key]))
+                    + ((l1[key] + l5[key]) + (l3[key] + l7[key]));
+            }
+            cells.copy_from_slice(&sums[..cells.len()]);
+        }
+    }
+}
+
 /// `out = a * b^T`, the attention-score product `Q K^T`, choosing the
-/// summation order from the shape of `b` alone: with a short shared
-/// dimension (per-head attention, `d_head << n_keys`) the dot-product
-/// kernel's horizontal reductions dominate, so `b^T` is materialized
-/// into `b_t` and the tiled ascending-`k` kernel runs instead. Because
-/// the choice never looks at `a`, a one-row `a` yields exactly row 0 of
-/// the full product.
+/// summation order from the shape of `b` alone. With a short shared
+/// dimension (per-head attention, `d_head << n_keys`, at least `4 *
+/// d_head` keys) `b^T` is materialized into `b_t` and the tiled
+/// ascending-`k` kernel runs. Below that, every cell is a [`dot_lanes`]
+/// sum; for a `d_head` of 8 or 16 those sums are formed eight keys at a
+/// time over `b^T` in `b_t` ([`matmul_nt_lanes`], the same bits), other
+/// widths fold one cell at a time. Because the choice never looks at
+/// `a`, a one-row `a` yields exactly row 0 of the full product.
 pub fn matmul_nt_into(out: MatMut<'_>, a: MatRef<'_>, b: MatRef<'_>, b_t: &mut Vec<f32>) {
     if b.rows >= 4 * b.cols {
         // Every cell is overwritten below, so only growth is filled.
@@ -267,8 +337,18 @@ pub fn matmul_nt_into(out: MatMut<'_>, a: MatRef<'_>, b: MatRef<'_>, b_t: &mut V
             }
         }
         matmul_into(out, a, MatRef::new(b_t, b.cols, b.rows));
-    } else {
-        matmul_transposed_into(out, a, b);
+        return;
+    }
+    assert_eq!(
+        a.cols, b.cols,
+        "matmul_nt shape mismatch: {}x{} * ({}x{})^T",
+        a.rows, a.cols, b.rows, b.cols
+    );
+    assert_eq!((out.rows, out.cols), (a.rows, b.rows), "matmul_nt output shape mismatch");
+    match b.cols {
+        8 => matmul_nt_lanes::<1>(out, a, b, b_t),
+        16 => matmul_nt_lanes::<2>(out, a, b, b_t),
+        _ => matmul_transposed_into(out, a, b),
     }
 }
 
@@ -917,9 +997,11 @@ mod bit_identity {
         scale * p
     }
 
+    /// The fused softmax loop, with its maximum taken by a plain serial
+    /// `f32::max` fold rather than the library's `max_lanes`.
     fn softmax_reference(data: &mut [f32], cols: usize) {
         for row in data.chunks_exact_mut(cols.max(1)) {
-            let max = max_lanes(row);
+            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
             let mut sum_acc = [0.0f32; 8];
             let chunks = row.len() / 8;
             for c in 0..chunks {
@@ -942,6 +1024,18 @@ mod bit_identity {
                 }
             }
         }
+    }
+
+    /// [`dot_lanes`]' order written out cell by cell: lane `l` sums
+    /// `a[k] * b[k]` from `0.0` over `k = l, l + 8, ..` below the last
+    /// whole chunk, the lanes combine as `((l0 + l4) + (l2 + l6)) + ((l1 +
+    /// l5) + (l3 + l7))`, and the tail is added after in ascending `k`.
+    fn dot_lanes_reference(a: &[f32], b: &[f32]) -> f32 {
+        let body = a.len() / 8 * 8;
+        let lane = |l: usize| (l..body).step_by(8).fold(0.0f32, |s, k| s + a[k] * b[k]);
+        let combined = ((lane(0) + lane(4)) + (lane(2) + lane(6)))
+            + ((lane(1) + lane(5)) + (lane(3) + lane(7)));
+        (body..a.len()).fold(combined, |s, k| s + a[k] * b[k])
     }
 
     /// `n` values from a seeded LCG: mostly within `[-4, 4)`, one in
@@ -972,6 +1066,7 @@ mod bit_identity {
     const ROWS: [usize; 8] = [0, 1, 2, 3, 5, 7, 72, 73];
     const WIDE_COLS: [usize; 4] = [63, 64, 65, 96];
     const SHARED: [usize; 6] = [0, 1, 16, 64, 65, 150];
+    const NARROW_ROWS: [usize; 5] = [1, 2, 3, 9, 40];
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(192))]
@@ -1017,6 +1112,71 @@ mod bit_identity {
                 assert_same_bits(q.matmul_nt(&keys).data(), want.data(), "q * k^T");
             }
         }
+
+        /// The narrow `Q K^T` regime (fewer than `4 * d_head` keys) is
+        /// `dot_lanes` order in every cell: at `d_head` 8 and 16 through
+        /// the eight-keys-at-a-time kernel, at 12 through the per-cell
+        /// fallback. Every key count runs, in descending order so the
+        /// reused `K^T` scratch shrinks under stale contents; Q, K and the
+        /// output are strided views, and a one-row Q must give row 0.
+        #[test]
+        fn narrow_q_kt_equals_the_lane_order(
+            shape in (0usize..3, 0usize..NARROW_ROWS.len()),
+            pads in ((0usize..3, 0usize..3), (0usize..3, 0usize..3), (0usize..3, 0usize..3)),
+            seed in 0u32..u32::MAX,
+        ) {
+            let (dh, n) = ([8, 16, 12][shape.0], NARROW_ROWS[shape.1]);
+            let (pad_q, pad_k, pad_out) = pads;
+            let wild = seed % 2 == 1;
+            let wq = pad_q.0 + dh + pad_q.1;
+            let q = values(seed, n * wq, wild);
+            let q_view = MatRef::new(&q, n, wq).cols_range(pad_q.0, dh);
+            let wk = pad_k.0 + dh + pad_k.1;
+            const SENTINEL: f32 = 1234.5;
+            let mut k_t = vec![f32::NAN; 7];
+            for keys in (0..4 * dh).rev() {
+                let k = values(!seed, keys * wk, wild);
+                let k_view = MatRef::new(&k, keys, wk).cols_range(pad_k.0, dh);
+                let wo = pad_out.0 + keys + pad_out.1;
+                let mut got = vec![SENTINEL; n * wo];
+                let out_view = MatMut::new(&mut got, n, wo).cols_range(pad_out.0, keys);
+                matmul_nt_into(out_view, q_view, k_view, &mut k_t);
+                let what = format!("{n}x{dh} * ({keys}x{dh})^T");
+                let mut cells = Vec::new();
+                for (i, row) in got.chunks_exact(wo.max(1)).enumerate() {
+                    cells.extend_from_slice(&row[pad_out.0..pad_out.0 + keys]);
+                    let mut outside = row[..pad_out.0].iter().chain(&row[pad_out.0 + keys..]);
+                    prop_assert!(outside.all(|&x| x == SENTINEL), "{what}: wrote outside row {i}");
+                }
+                let want: Vec<f32> = (0..n)
+                    .flat_map(|i| (0..keys).map(move |j| (i, j)))
+                    .map(|(i, j)| dot_lanes_reference(q_view.row(i), k_view.row(j)))
+                    .collect();
+                assert_same_bits(&cells, &want, &what);
+
+                let mut first = vec![SENTINEL; keys];
+                let q_first = MatRef::new(&q[..wq], 1, wq).cols_range(pad_q.0, dh);
+                matmul_nt_into(MatMut::new(&mut first, 1, keys), q_first, k_view, &mut k_t);
+                assert_same_bits(&first, &cells[..keys], &format!("{what}, row 0 alone"));
+            }
+        }
+    }
+
+    /// A cell whose every product is `-0.0` is `+0.0` in `dot_lanes`
+    /// order, because each lane starts from `0.0`; random values almost
+    /// never make a whole cell of signed zeros.
+    #[test]
+    fn narrow_q_kt_lanes_start_from_positive_zero() {
+        for dh in [8, 16] {
+            let keys = 2 * dh + 3;
+            let q = vec![0.0f32; 2 * dh];
+            let k: Vec<f32> = (0..keys * dh).map(|i| -1.0 - i as f32).collect();
+            let (q, k) = (MatRef::new(&q, 2, dh), MatRef::new(&k, keys, dh));
+            let mut got = vec![f32::NAN; 2 * keys];
+            matmul_nt_into(MatMut::new(&mut got, 2, keys), q, k, &mut Vec::new());
+            assert!(got.iter().all(|x| x.to_bits() == 0), "d_head {dh}: {got:?}");
+            assert_eq!(dot_lanes_reference(q.row(0), k.row(0)).to_bits(), 0);
+        }
     }
 
     #[test]
@@ -1033,12 +1193,26 @@ mod bit_identity {
 
     #[test]
     fn softmax_equals_the_fused_loop() {
-        for cols in [1usize, 7, 8, 9, 69, 72] {
+        let signed_zeros = |first: f32| {
+            move |i: usize| match i % 3 {
+                0 => first,
+                1 => -first,
+                _ => -(i as f32) * 0.5,
+            }
+        };
+        for cols in (1usize..=17).chain([63, 64, 65, 72]) {
             #[expect(clippy::cast_possible_truncation, reason = "a small test seed")]
             let mut rows = values(cols as u32, 3 * cols, true);
             rows.iter_mut().for_each(|x| *x = if x.is_finite() { *x * 8.0 } else { *x });
             rows.extend(std::iter::repeat_n(f32::NEG_INFINITY, cols));
+            // Rows 4-6: NaN mid-row, NaN as the last (tail) entry, only NaN.
             rows.extend((0..cols).map(|i| if i == cols / 2 { f32::NAN } else { i as f32 * 0.3 }));
+            rows.extend((0..cols).map(|i| if i + 1 == cols { f32::NAN } else { i as f32 * -0.3 }));
+            rows.extend(std::iter::repeat_n(f32::NAN, cols));
+            // Rows 7-8: every entry <= 0 and the maximum a zero, met first
+            // as -0.0 in row 7 and as +0.0 in row 8.
+            rows.extend((0..cols).map(signed_zeros(-0.0)));
+            rows.extend((0..cols).map(signed_zeros(0.0)));
             let mut want = rows.clone();
             softmax_rows_in_place(&mut rows, cols);
             softmax_reference(&mut want, cols);
@@ -1051,7 +1225,9 @@ mod bit_identity {
                 );
             }
             // NaN in, NaN out: the trainer's divergence guard reads it.
-            assert!(rows[4 * cols..].iter().any(|x| x.is_nan()), "cols {cols}: NaN swallowed");
+            for row in rows.chunks_exact(cols).skip(4).take(3) {
+                assert!(row.iter().any(|x| x.is_nan()), "cols {cols}: NaN swallowed");
+            }
         }
     }
 }
