@@ -38,7 +38,9 @@
 #                       0 of the full block, kernels bit-identical to
 #                       their references: the softmax against a serial
 #                       f32::max reference, the narrow Q*K^T regime against
-#                       a dot_lanes-order reference; gradient checks) plus the
+#                       a dot_lanes-order reference; gradient checks,
+#                       in-crate and in tests/ops_grad.rs; the tensor and
+#                       autograd properties of tests/properties.rs) plus the
 #                       divergence-guard, kernel-golden, inference-parity
 #                       and torn-write integration tests
 #   ./check.sh obs      observability suite only: traj-obs unit tests

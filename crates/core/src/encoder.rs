@@ -5,11 +5,40 @@
 //! what it is tested against, bit for bit.
 
 use crate::config::{ModelConfig, Readout};
+use std::cell::{Ref, RefCell};
 use std::sync::Arc;
-use tinynn::{layers::positional_encoding_cached, Linear, Mlp, Param, ParamSet, Tape, Tensor, Var};
+use tinynn::{positional_encoding, Linear, Mlp, Param, ParamSet, Tape, Tensor, Var};
 use traj_data::{NormStats, Trajectory};
 use traj_grid::{GridEmbedding, GridSpec};
 use rand::Rng;
+
+/// The sinusoidal positional rows (Eq. 8) of one channel's width, which
+/// the training forward and the evaluator in `infer.rs` both read. Row
+/// `i` of [`positional_encoding`] depends on `i` and the width only, so
+/// the table grows to the longest length seen and a prefix serves every
+/// shorter one.
+pub(crate) struct PositionalTable {
+    width: usize,
+    rows: RefCell<Vec<f32>>,
+}
+
+impl PositionalTable {
+    fn new(width: usize) -> Self {
+        PositionalTable { width, rows: RefCell::default() }
+    }
+
+    /// The first `n` rows, row-major.
+    pub(crate) fn rows(&self, n: usize) -> Ref<'_, [f32]> {
+        let d = self.width;
+        {
+            let mut table = self.rows.borrow_mut();
+            if table.len() < n * d {
+                *table = positional_encoding(n.max(2 * table.len() / d), d).data().to_vec();
+            }
+        }
+        Ref::map(self.rows.borrow(), |table| &table[..n * d])
+    }
+}
 
 /// The light-weight grid channel (Section IV-C): frozen pre-trained grid
 /// embeddings + positional encoding + two-layer MLP + mean pooling
@@ -19,6 +48,7 @@ pub struct GridChannelEncoder {
     pub(crate) spec: GridSpec,
     pub(crate) emb: Arc<dyn GridEmbedding + Send + Sync>,
     pub(crate) mlp: Mlp,
+    pub(crate) pe: PositionalTable,
 }
 
 impl GridChannelEncoder {
@@ -32,7 +62,7 @@ impl GridChannelEncoder {
     ) -> Self {
         let gd = emb.dim();
         let mlp = Mlp::new(rng, params, &[gd, gd, out_dim]);
-        GridChannelEncoder { spec, emb, mlp }
+        GridChannelEncoder { spec, emb, mlp, pe: PositionalTable::new(gd) }
     }
 
     /// The frozen pre-MLP input sequence for `t`: per cell the grid
@@ -45,9 +75,10 @@ impl GridChannelEncoder {
         for (i, &(gx, gy)) in cells.iter().enumerate() {
             self.emb.embed_into(gx, gy, &mut data[i * gd..(i + 1) * gd]);
         }
-        let mut seq = Tensor::from_vec(n, gd, data);
-        seq.add_assign(&positional_encoding_cached(n, gd));
-        seq
+        for (x, &p) in data.iter_mut().zip(self.pe.rows(n).iter()) {
+            *x += p;
+        }
+        Tensor::from_vec(n, gd, data)
     }
 
     /// Encodes a trajectory's grid channel into a `1 x d` vector.
@@ -82,6 +113,7 @@ pub struct GpsChannelEncoder {
     pub(crate) cls: Option<Param>,
     pub(crate) norm: NormStats,
     pub(crate) dim: usize,
+    pub(crate) pe: PositionalTable,
 }
 
 impl GpsChannelEncoder {
@@ -106,7 +138,8 @@ impl GpsChannelEncoder {
             )))),
             _ => None,
         };
-        GpsChannelEncoder { point_mlp, blocks, readout: cfg.readout, cls, norm, dim }
+        let pe = PositionalTable::new(dim);
+        GpsChannelEncoder { point_mlp, blocks, readout: cfg.readout, cls, norm, dim, pe }
     }
 
     /// Encodes a trajectory into a `1 x d` vector. Under the lower-bound
@@ -119,8 +152,8 @@ impl GpsChannelEncoder {
         let x = tape.constant(Tensor::from_vec(t.len(), 2, feats));
         let mut seq = self.point_mlp.forward(tape, &x);
         // positional encoding: e_l_i <- e_l_i + p_i (Eq. 10 text)
-        let pe = tape.constant_arc(positional_encoding_cached(t.len(), self.dim));
-        seq = seq.add(&pe);
+        let pe = Tensor::from_vec(t.len(), self.dim, self.pe.rows(t.len()).to_vec());
+        seq = seq.add(&tape.constant(pe));
         if let Some(cls) = &self.cls {
             let token = tape.param(cls);
             seq = token.concat_rows(&seq);

@@ -79,9 +79,9 @@ pub enum TrainError {
     /// this model (count or shape mismatch — usually a config drift
     /// between the saving and resuming run).
     IncompatibleCheckpoint(String),
-    /// The debug-build static verifier rejected a compiled batch plan or
-    /// a recorded loss tape before `backward` ran (shape drift, severed
-    /// gradient flow, duplicate slot writes, poisoned supervision).
+    /// The debug-build static verifier rejected a compiled batch plan
+    /// before its forward passes ran (out-of-range or duplicate slots,
+    /// an empty anchor, poisoned supervision, a degenerate scale).
     InvalidGraph(String),
 }
 

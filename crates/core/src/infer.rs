@@ -1,14 +1,15 @@
 //! The forward-only evaluator behind [`Traj2Hash::embed`]: the same
 //! `h_f^T` as [`Traj2Hash::embed_var`], bit for bit, without a tape.
 //!
-//! It shares two things with the training forward and nothing else.
+//! It shares three things with the training forward and nothing else.
 //! *Parameters*: every weight is borrowed from its [`tinynn::Param`] at
 //! call time, so an optimizer step, `load_values`, `load_bytes` or a hot
 //! swap is visible to the next call — there is no snapshot to go stale.
 //! *Kernels*: every product, softmax and bias-add goes through the
 //! slice-level kernels of `tinynn::tensor` that the `Tensor` methods
 //! (and therefore the tape ops) are thin wrappers over, so both forwards
-//! execute the same loops in the same order.
+//! execute the same loops in the same order. *Positional rows*: both
+//! read them from the channel's prefix table (`encoder::PositionalTable`).
 //!
 //! What it does not do is the work the model's structure makes
 //! unnecessary:
@@ -26,10 +27,9 @@
 //!   normalised, pushed through the point MLP and located on the grid
 //!   once, and the reversed pass reads those rows back to front under
 //!   its own positional encoding;
-//! * heads are column ranges of Q/K/V read in place, intermediate
-//!   results live in per-model scratch buffers, and the positional table
-//!   is a per-model prefix table — a steady-state call allocates its
-//!   result and takes no process-wide lock.
+//! * heads are column ranges of Q/K/V read in place and intermediate
+//!   results live in per-model scratch buffers — a steady-state call
+//!   allocates its result and takes no process-wide lock.
 
 #![deny(clippy::expect_used, clippy::panic, clippy::unreachable)]
 #![deny(clippy::todo, clippy::unimplemented)]
@@ -41,17 +41,13 @@ use crate::model::Traj2Hash;
 use tinynn::tensor::{
     add_bias, matmul_into, matmul_nt_into, softmax_rows_in_place, MatMut, MatRef,
 };
-use tinynn::{positional_encoding, EncoderBlock, Linear, Mlp, Tensor};
+use tinynn::{EncoderBlock, Linear, Mlp, Tensor};
 use traj_data::Trajectory;
 
 /// Working memory of one model instance. Buffers keep their capacity
-/// between calls; nothing here outlives a call as *state* except the
-/// positional tables, which are pure functions of their shape.
+/// between calls; nothing here outlives a call as state.
 #[derive(Default)]
 pub(crate) struct Scratch {
-    /// Positional rows at the GPS / grid channel widths.
-    pe_gps: Vec<f32>,
-    pe_grid: Vec<f32>,
     /// Point-MLP output and raw grid-cell embeddings, one row per point
     /// in trajectory order — shared by both directions.
     points: Vec<f32>,
@@ -75,17 +71,6 @@ pub(crate) struct Scratch {
 fn sized(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
     buf.resize(len, 0.0);
     buf
-}
-
-/// The first `n` positional rows of width `d`. Row `i` of
-/// [`positional_encoding`] depends on `i` and `d` only, so the table
-/// grows to the longest length seen and a prefix serves every shorter
-/// one.
-fn positional_rows(table: &mut Vec<f32>, n: usize, d: usize) -> &[f32] {
-    if table.len() < n * d {
-        *table = positional_encoding(n.max(2 * table.len() / d), d).data().to_vec();
-    }
-    &table[..n * d]
 }
 
 /// `out = x W + b` over `rows` rows, through ReLU when `relu`.
@@ -194,8 +179,7 @@ fn gps_direction(s: &mut Scratch, enc: &GpsChannelEncoder, n: usize, reversed: b
     if let Some(cls) = &enc.cls {
         s.x[..d].copy_from_slice(cls.borrow().value.data());
     }
-    let pe = positional_rows(&mut s.pe_gps, n, d);
-    add_positions(&mut s.x[lead * d..], &s.points, pe, d, reversed);
+    add_positions(&mut s.x[lead * d..], &s.points, &enc.pe.rows(n), d, reversed);
     for (i, blk) in enc.blocks.iter().enumerate() {
         let last = i + 1 == enc.blocks.len();
         let q_rows = if last && enc.readout != Readout::Mean { 1 } else { rows };
@@ -211,8 +195,7 @@ fn gps_direction(s: &mut Scratch, enc: &GpsChannelEncoder, n: usize, reversed: b
 /// The grid channel of one direction (Eq. 9) into `s.fused[d..]`.
 fn grid_direction(s: &mut Scratch, enc: &GridChannelEncoder, n: usize, reversed: bool, d: usize) {
     let gd = enc.emb.dim();
-    let pe = positional_rows(&mut s.pe_grid, n, gd);
-    add_positions(sized(&mut s.x, n * gd), &s.cells, pe, gd, reversed);
+    add_positions(sized(&mut s.x, n * gd), &s.cells, &enc.pe.rows(n), gd, reversed);
     mlp(&enc.mlp, &s.x, n, &mut s.z, &mut s.hidden);
     mean_rows(&s.z, &mut s.fused[d..]);
 }

@@ -9,10 +9,12 @@
 //! [`PlanIssue`] list instead of letting them surface as a panic or a
 //! silently-poisoned gradient deep inside `backward`.
 //!
-//! The plan verifier pairs with [`tinynn::verify::verify_tape`]: the
-//! plan is checked before the forward passes run, the recorded loss tape
-//! is checked before `backward` runs. The trainer wires both into a
-//! debug-build hook on the first batch of every epoch.
+//! The trainer runs the verifier as a debug-build hook on the first
+//! batch of every epoch, before the forward passes. Every slot a plan
+//! holds is named by at least one of its terms (`slot_for` interns a
+//! slot only while it builds a term naming it), so the loss tape over
+//! the slots' embeddings reaches every one of them; the tests pin that
+//! on compiled plans.
 
 use crate::config::TrainConfig;
 use crate::loss::{rank_pairs, rank_weights, sample_companions_sparse};
@@ -267,7 +269,9 @@ pub(crate) fn triplet_plan<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use traj_data::{CityGenerator, CityParams};
+    use rand::{RngExt, SeedableRng};
+    use traj_data::{CityGenerator, CityParams, Dataset, SplitSizes};
+    use traj_dist::Measure;
 
     fn pool(n: usize) -> Vec<Trajectory> {
         CityGenerator::new(CityParams::test_city(), 5).generate(n)
@@ -356,5 +360,78 @@ mod tests {
             scale: 1.0,
         };
         assert_eq!(plan.verify(), vec![PlanIssue::EmptyAnchor { term: 0 }]);
+    }
+
+    /// Slots of `plan` that none of its terms names, so that the loss
+    /// tape over the slots' embeddings would never reach them.
+    fn unnamed_slots(plan: &BatchPlan<'_>) -> Vec<usize> {
+        let mut named = vec![false; plan.trajs.len()];
+        for term in &plan.terms {
+            match term {
+                LossTerm::Anchor(a) => {
+                    named[a.anchor] = true;
+                    for &(c, _, _) in &a.companions {
+                        named[c] = true;
+                    }
+                    for &(p, n) in &a.pairs {
+                        named[p] = true;
+                        named[n] = true;
+                    }
+                }
+                LossTerm::Triplet { a, p, n } => {
+                    for &slot in [a, p, n] {
+                        named[slot] = true;
+                    }
+                }
+            }
+        }
+        (0..named.len()).filter(|&slot| !named[slot]).collect()
+    }
+
+    #[test]
+    fn every_slot_of_a_compiled_plan_is_named_by_a_term() {
+        let pool = pool(4);
+        let mut orphan = triplet_batch(&pool);
+        orphan.trajs.push(&pool[3]);
+        assert_eq!(unnamed_slots(&orphan), vec![3], "the helper must see an orphan slot");
+
+        let mut dataset = Dataset::generate(
+            CityParams::test_city(),
+            SplitSizes { seeds: 16, validation: 24, corpus: 120, query: 5, database: 40 },
+            21,
+        );
+        // Equal trajectories under two indices: two slots, one content.
+        dataset.seeds.push(dataset.seeds[0].clone());
+        dataset.corpus.push(dataset.corpus[0].clone());
+        let cfg = TrainConfig { batch_size: 6, ..TrainConfig::tiny() };
+        let data = TrainData::prepare(&dataset, Measure::Frechet, &cfg).unwrap();
+        let (n_seeds, n_corpus) = (data.seeds.len(), data.corpus.len());
+        let check = |plan: &BatchPlan<'_>, what: &str| {
+            assert!(plan.verify().is_empty(), "{what}: {:?}", plan.verify());
+            assert_eq!(unnamed_slots(plan), Vec::<usize>::new(), "{what}");
+        };
+        let mut plans = 0;
+        for seed in 0..4u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut anchors: Vec<usize> = (0..n_seeds).collect();
+            for i in (1..anchors.len()).rev() {
+                anchors.swap(i, rng.random_range(0..=i));
+            }
+            // The same anchor twice, and both copies of seed 0.
+            let repeated = [anchors[0], anchors[0], 0, n_seeds - 1];
+            for batch in anchors.chunks(cfg.batch_size).chain([&repeated[..]]) {
+                if let Some(plan) = wmse_plan(&data, &cfg, batch, &mut rng) {
+                    check(&plan, &format!("wmse seed {seed} batch {batch:?}"));
+                    plans += 1;
+                }
+            }
+            let start = usize::try_from(seed).unwrap() * cfg.triplet_batch;
+            let window: Vec<Triplet> =
+                data.triplets.iter().cycle().skip(start).take(cfg.triplet_batch).copied().collect();
+            check(&triplet_plan(&data, &cfg, &window), &format!("triplets from {start}"));
+        }
+        let repeated = [(0, 1, 2), (0, 1, 2), (2, 2, 0), (0, n_corpus - 1, 0)];
+        check(&triplet_plan(&data, &cfg, &repeated), "repeated triplets");
+        assert!(plans >= 12, "only {plans} WMSE plans compiled");
     }
 }

@@ -16,13 +16,14 @@ use crate::checkpoint::{Checkpoint, RecoveryEvent, RecoveryKind};
 use crate::config::TrainConfig;
 use crate::error::TrainError;
 use crate::loss::{approx_similarity, ranking_hash_loss, wmse_term};
-use crate::model::Traj2Hash;
+use crate::model::{ModelSpec, Traj2Hash};
 use crate::plan::{triplet_plan, wmse_plan, BatchPlan, LossTerm};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::ops::Range;
-use std::sync::mpsc;
-use tinynn::{clip_grad_norm, verify_tape, Adam, Param, Tape, Tensor, Var};
+use std::sync::{mpsc, Arc};
+use std::thread::{Scope, ScopedJoinHandle};
+use tinynn::{clip_grad_norm, Adam, Param, Tape, Tensor, Var};
 use traj_data::{Dataset, Trajectory};
 use traj_dist::{
     auto_theta_sparse, pruned_self_top_k, sparse_similarity, Measure, PrunedTopK, SparseDistances,
@@ -275,26 +276,25 @@ fn batch_loss(
 /// batch loss.
 ///
 /// Slots are split into contiguous chunks, one per thread. The calling
-/// thread runs the first chunk on `model` itself; `threads - 1` scoped
-/// workers each rebuild a read-only replica from the model spec + value
-/// snapshot (the `Rc`-based tape never crosses a thread), keep their
-/// tapes alive across the values → upstream-gradients barrier, and hand
-/// back per-slot gradients through `join`. Every slot's arithmetic is
-/// the same whichever thread runs it, and the reduction order is fixed,
-/// so every `num_threads` agrees bit-for-bit. At one thread nothing is
-/// spawned and no replica is built.
+/// thread runs the first chunk on `model` itself; each further chunk
+/// goes to the next [`Worker`], which loads the batch's parameter values
+/// into its replica (the `Rc`-based tape never crosses a thread), keeps
+/// its tapes alive across the values → upstream-gradients barrier, and
+/// sends back per-slot gradients. Every slot's arithmetic is the same
+/// whichever thread runs it, and the reduction order is fixed, so every
+/// `num_threads` agrees bit-for-bit. With no workers nothing is sent and
+/// no value snapshot is taken.
 ///
 /// With `verify` set (the trainer's debug-build hook), the compiled
-/// plan and the recorded loss tape are statically verified *before*
-/// `backward` runs; an inconsistent graph surfaces as
-/// [`TrainError::InvalidGraph`] instead of a panic mid-epoch or a
-/// silently wrong gradient.
-fn run_batch(
+/// plan is statically verified before any forward pass runs; an
+/// inconsistent plan surfaces as [`TrainError::InvalidGraph`] instead of
+/// a panic mid-epoch or a silently wrong gradient.
+fn run_batch<'d>(
     model: &Traj2Hash,
     cfg: &TrainConfig,
     opt: &mut Adam,
-    plan: &BatchPlan<'_>,
-    threads: usize,
+    plan: &BatchPlan<'d>,
+    workers: &[Worker<'_, 'd>],
     verify: bool,
 ) -> Result<f32, TrainError> {
     let n = plan.trajs.len();
@@ -312,82 +312,40 @@ fn run_batch(
             )));
         }
     }
-    let chunk = n.div_ceil(threads.clamp(1, n));
-    // Only workers read the snapshot, so one thread takes none.
-    let shared = (chunk < n).then(|| (model.spec(), model.params.clone_values()));
+    let chunk = n.div_ceil((workers.len() + 1).min(n));
+    let chunks: Vec<Range<usize>> = (chunk..n).step_by(chunk).map(|s| s..(s + chunk).min(n)).collect();
+    // At most `workers.len()` chunks remain after the calling thread's.
+    let busy = &workers[..chunks.len()];
+    if !busy.is_empty() {
+        let values = Arc::new(model.params.clone_values());
+        for (w, slots) in busy.iter().zip(&chunks) {
+            let trajs = plan.trajs[slots.clone()].to_vec();
+            w.embed.send((Arc::clone(&values), trajs)).expect("gradient worker died");
+        }
+    }
 
-    let (item, per_slot) = std::thread::scope(|scope| -> Result<_, TrainError> {
-        let (val_tx, val_rx) = mpsc::channel::<(usize, Vec<Tensor>)>();
-        let mut grad_txs: Vec<(Range<usize>, mpsc::Sender<Vec<Tensor>>)> = Vec::new();
-        let mut workers = Vec::new();
-        for start in (chunk..n).step_by(chunk) {
-            let slots = start..(start + chunk).min(n);
-            let my_trajs = &plan.trajs[slots.clone()];
-            let (spec, values) = shared.as_ref().expect("workers imply a snapshot");
-            let val_tx = val_tx.clone();
-            let (grad_tx, grad_rx) = mpsc::channel::<Vec<Tensor>>();
-            grad_txs.push((slots, grad_tx));
-            workers.push(scope.spawn(move || {
-                let replica = Traj2Hash::from_spec(spec, values);
-                let forwards = embed_chunk(&replica, my_trajs);
-                let vals = forwards.iter().map(|(_, v)| v.value()).collect();
-                val_tx.send((start, vals)).expect("embedding value channel closed");
-                // Barrier: the upstream gradients only exist once the
-                // calling thread has run the loss graph.
-                let Ok(upstream) = grad_rx.recv() else { return Vec::new() };
-                slot_grads(&replica, &forwards, upstream)
-            }));
-        }
-        drop(val_tx);
-
-        let own = embed_chunk(model, &plan.trajs[..chunk.min(n)]);
-        let mut vals: Vec<Option<Tensor>> = own.iter().map(|(_, v)| Some(v.value())).collect();
-        vals.resize_with(n, || None);
-        // One message per worker: each keeps its sender past the
-        // barrier, so the channel never closes on its own.
-        for _ in 0..workers.len() {
-            let (start, chunk_vals) = val_rx.recv().expect("embedding worker died");
-            for (off, v) in chunk_vals.into_iter().enumerate() {
-                vals[start + off] = Some(v);
-            }
-        }
-        let proxies: Vec<Param> = vals
-            .into_iter()
-            .map(|v| Param::new(v.expect("worker delivered no embedding for a slot")))
-            .collect();
-        let loss_tape = Tape::new();
-        let loss = batch_loss(model, &loss_tape, cfg, plan, &proxies);
-        if verify {
-            let report = verify_tape(&loss_tape, &loss);
-            if !report.is_ok() {
-                // Early return drops `grad_txs`; workers observe the
-                // closed channel and exit cleanly before backward.
-                return Err(TrainError::InvalidGraph(format!(
-                    "loss tape failed verification: {report}"
-                )));
-            }
-        }
-        let item = loss.item();
-        loss.backward();
-        let upstream = |slots: Range<usize>| -> Vec<Tensor> {
-            slots.map(|k| proxies[k].borrow().grad.clone()).collect()
-        };
-        for (slots, tx) in grad_txs {
-            tx.send(upstream(slots)).expect("gradient channel closed");
-        }
-        let mut per_slot = slot_grads(model, &own, upstream(0..own.len()));
-        // Workers hold contiguous ascending chunks, so joining in spawn
-        // order yields slot order. `join` also waits for each thread
-        // itself, not only its closure, so its allocator arena is free
-        // again before the next batch spawns. Otherwise a worker still
-        // exiting sends its successor to a fresh arena, which grows to a
-        // batch of tapes and stays: 65 MiB more peak RSS, in some runs
-        // and not in others.
-        for w in workers {
-            per_slot.extend(w.join().expect("gradient worker died"));
-        }
-        Ok((item, per_slot))
-    })?;
+    let own = embed_chunk(model, &plan.trajs[..chunk]);
+    let mut vals: Vec<Tensor> = own.iter().map(|(_, v)| v.value()).collect();
+    // Workers hold contiguous ascending chunks, so receiving in worker
+    // order yields slot order.
+    for w in busy {
+        vals.extend(w.values.recv().expect("gradient worker died"));
+    }
+    let proxies: Vec<Param> = vals.into_iter().map(Param::new).collect();
+    let loss_tape = Tape::new();
+    let loss = batch_loss(model, &loss_tape, cfg, plan, &proxies);
+    let item = loss.item();
+    loss.backward();
+    let upstream = |slots: Range<usize>| -> Vec<Tensor> {
+        slots.map(|k| proxies[k].borrow().grad.clone()).collect()
+    };
+    for (w, slots) in busy.iter().zip(&chunks) {
+        w.upstream.send(upstream(slots.clone())).expect("gradient worker died");
+    }
+    let mut per_slot = slot_grads(model, &own, upstream(0..own.len()));
+    for w in busy {
+        per_slot.extend(w.grads.recv().expect("gradient worker died"));
+    }
 
     // Fixed-order reduction: slot 0 seeds the accumulator and slots
     // 1..n add in index order.
@@ -407,6 +365,64 @@ fn run_batch(
         traj_obs::counter("train.batches", 1);
     }
     Ok(item)
+}
+
+/// A gradient thread that lives for one epoch and keeps one replica of
+/// the model for all of it, so each batch moves only parameter values.
+/// A thread and replica per batch cost more than the rebuild: at the
+/// end of every batch the thread's malloc arena held nothing, the
+/// allocator returned it to the system, and the next batch page-faulted
+/// a batch of tapes back in (`small()`, two threads: ten times the minor
+/// faults and a quarter more time per epoch). The replica's positional
+/// rows, grown during the first batch, now stay in the arena with it.
+struct Worker<'scope, 'd> {
+    embed: mpsc::Sender<(Arc<Vec<Tensor>>, Vec<&'d Trajectory>)>,
+    values: mpsc::Receiver<Vec<Tensor>>,
+    upstream: mpsc::Sender<Vec<Tensor>>,
+    grads: mpsc::Receiver<Vec<Vec<Tensor>>>,
+    thread: ScopedJoinHandle<'scope, ()>,
+}
+
+impl<'scope, 'd: 'scope> Worker<'scope, 'd> {
+    /// Starts a worker that builds its replica from `spec` on its first
+    /// batch and then, per batch: loads the values, embeds its chunk,
+    /// sends the embeddings, waits for their upstream gradients and
+    /// sends back one gradient set per slot.
+    fn spawn(scope: &'scope Scope<'scope, '_>, spec: &'scope ModelSpec) -> Self {
+        let (embed, embed_rx) = mpsc::channel::<(Arc<Vec<Tensor>>, Vec<&'d Trajectory>)>();
+        let (values_tx, values) = mpsc::channel();
+        let (upstream, upstream_rx) = mpsc::channel();
+        let (grads_tx, grads) = mpsc::channel();
+        let thread = scope.spawn(move || {
+            let mut replica = None;
+            for (params, trajs) in embed_rx {
+                let replica = replica.get_or_insert_with(|| Traj2Hash::from_spec(spec, &params));
+                replica.params.load_values(&params);
+                let forwards = embed_chunk(replica, &trajs);
+                // A closed channel means the calling thread left the
+                // batch early (it failed or panicked): stop.
+                if values_tx.send(forwards.iter().map(|(_, v)| v.value()).collect()).is_err() {
+                    return;
+                }
+                let Ok(upstream) = upstream_rx.recv() else { return };
+                if grads_tx.send(slot_grads(replica, &forwards, upstream)).is_err() {
+                    return;
+                }
+            }
+        });
+        Worker { embed, values, upstream, grads, thread }
+    }
+
+    /// Ends the worker's loop and joins its thread. `join` waits for the
+    /// thread itself, not only its closure, so its allocator arena is
+    /// free again before the next epoch's worker spawns. Otherwise that
+    /// worker starts in a fresh arena, which grows to a batch of tapes
+    /// and stays: 65 MiB more peak RSS, in some runs and not in others.
+    fn finish(self) {
+        let Worker { embed, upstream, thread, .. } = self;
+        drop((embed, upstream));
+        thread.join().expect("gradient worker died");
+    }
 }
 
 /// Records one tape per trajectory of a chunk on `model`.
@@ -444,11 +460,10 @@ fn slot_grads(
 /// happens here on the calling thread, in the same order regardless of
 /// `threads`, so the RNG stream is thread-count independent.
 ///
-/// In debug builds the first batch of the epoch goes through the static
-/// verifiers (plan + recorded loss tape) before any backward pass — a
-/// regression in batch compilation or tape recording fails fast with a
-/// typed [`TrainError::InvalidGraph`] rather than a mid-epoch panic.
-/// Release builds skip the check entirely.
+/// In debug builds the first batch of the epoch goes through the plan
+/// verifier before any forward pass — a regression in batch compilation
+/// fails fast with a typed [`TrainError::InvalidGraph`] rather than a
+/// mid-epoch panic. Release builds skip the check entirely.
 fn run_epoch(
     model: &Traj2Hash,
     data: &TrainData,
@@ -457,6 +472,27 @@ fn run_epoch(
     rng: &mut StdRng,
     triplet_cursor: &mut usize,
     threads: usize,
+) -> Result<EpochStats, TrainError> {
+    let spec = model.spec();
+    std::thread::scope(|scope| {
+        let workers: Vec<Worker<'_, '_>> = (1..threads).map(|_| Worker::spawn(scope, &spec)).collect();
+        let stats = run_batches(model, data, cfg, opt, rng, triplet_cursor, &workers);
+        for w in workers {
+            w.finish();
+        }
+        stats
+    })
+}
+
+/// The batches of one epoch, on the calling thread and `workers`.
+fn run_batches<'d>(
+    model: &Traj2Hash,
+    data: &'d TrainData,
+    cfg: &TrainConfig,
+    opt: &mut Adam,
+    rng: &mut StdRng,
+    triplet_cursor: &mut usize,
+    workers: &[Worker<'_, 'd>],
 ) -> Result<EpochStats, TrainError> {
     let n_seeds = data.seeds.len();
     let mut anchor_loss = 0.0f32;
@@ -474,7 +510,7 @@ fn run_epoch(
     }
     for batch in anchors.chunks(cfg.batch_size) {
         let Some(plan) = wmse_plan(data, cfg, batch, rng) else { continue };
-        anchor_loss += run_batch(model, cfg, opt, &plan, threads, debug_verify && batches == 0)?;
+        anchor_loss += run_batch(model, cfg, opt, &plan, workers, debug_verify && batches == 0)?;
         anchor_batches += 1;
         batches += 1;
     }
@@ -493,7 +529,7 @@ fn run_epoch(
                 .collect();
             used += take;
             let plan = triplet_plan(data, cfg, &batch_triplets);
-            triplet_loss += run_batch(model, cfg, opt, &plan, threads, debug_verify && batches == 0)?;
+            triplet_loss += run_batch(model, cfg, opt, &plan, workers, debug_verify && batches == 0)?;
             triplet_batches += 1;
             batches += 1;
         }

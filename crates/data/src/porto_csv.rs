@@ -102,17 +102,6 @@ fn truncate(s: &str) -> String {
     s.chars().take(48).collect()
 }
 
-/// Parses a polyline cell into a projected [`Trajectory`].
-pub fn trajectory_from_polyline(
-    cell: &str,
-    origin: (f64, f64),
-) -> Result<Trajectory, PolylineError> {
-    let pairs = parse_polyline(cell)?;
-    Ok(Trajectory::new(
-        pairs.into_iter().map(|(lon, lat)| project_lonlat(lon, lat, origin)).collect(),
-    ))
-}
-
 /// How `load_porto_csv` treats imperfect input. Real-world taxi dumps
 /// always contain some corrupt rows; the policy says how many are
 /// tolerable before the load as a whole is considered failed.
@@ -148,11 +137,6 @@ impl Default for LoadPolicy {
 }
 
 impl LoadPolicy {
-    /// Policy with the given budget, otherwise defaults.
-    pub fn with_budget(max_corrupt_fraction: f64) -> Self {
-        LoadPolicy { max_corrupt_fraction, ..Default::default() }
-    }
-
     fn in_bounds(&self, lon: f64, lat: f64) -> bool {
         // NaN fails every comparison, so non-finite coordinates are
         // out of bounds by construction.

@@ -24,13 +24,6 @@ pub fn endpoint_bound(a: &Trajectory, b: &Trajectory) -> f64 {
     first_point_bound(a, b).max(last_point_bound(a, b))
 }
 
-/// LB_Kim-style bound: the maximum over the four endpoint-feature
-/// distances that all lower-bound DTW with endpoint-matching, using the
-/// first and last points.
-pub fn lb_kim(a: &Trajectory, b: &Trajectory) -> f64 {
-    first_point_bound(a, b).max(last_point_bound(a, b))
-}
-
 /// Bounding-box lower bound on the symmetric Hausdorff distance (and
 /// therefore on discrete Fréchet, DTW, and cDTW, which all dominate it).
 ///

@@ -42,13 +42,6 @@ impl Measure {
         }
     }
 
-    /// Whether the measure satisfies the reverse symmetric property
-    /// (Lemma 2). All of ours do; the flag exists so model code can gate
-    /// reverse augmentation on it.
-    pub fn is_reverse_symmetric(&self) -> bool {
-        true
-    }
-
     /// Whether the endpoint lower bound of Lemma 1 applies (DTW and
     /// Fréchet; also their constrained variants).
     pub fn has_endpoint_lower_bound(&self) -> bool {

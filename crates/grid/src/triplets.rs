@@ -49,7 +49,6 @@ pub struct GridBuckets {
     pub buckets: Vec<Vec<usize>>,
     /// Bucket id of each trajectory.
     pub bucket_of: Vec<usize>,
-    keys: Vec<EndpointKey>,
     endpoint_index: HashMap<EndpointKey, Vec<usize>>,
     spec: GridSpec,
 }
@@ -69,7 +68,6 @@ pub fn bucket_by_grid(trajectories: &[Trajectory], spec: &GridSpec) -> GridBucke
     entries.sort_by(|a, b| a.1.cmp(&b.1));
 
     let mut buckets = Vec::with_capacity(entries.len());
-    let mut keys = Vec::with_capacity(entries.len());
     let mut bucket_of = vec![usize::MAX; trajectories.len()];
     let mut endpoint_index: HashMap<EndpointKey, Vec<usize>> = HashMap::new();
     for (bi, (cells, members)) in entries.into_iter().enumerate() {
@@ -81,23 +79,12 @@ pub fn bucket_by_grid(trajectories: &[Trajectory], spec: &GridSpec) -> GridBucke
             bucket_of[m] = bi;
         }
         endpoint_index.entry(key).or_default().push(bi);
-        keys.push(key);
         buckets.push(members);
     }
-    GridBuckets { buckets, bucket_of, keys, endpoint_index, spec: spec.clone() }
+    GridBuckets { buckets, bucket_of, endpoint_index, spec: spec.clone() }
 }
 
 impl GridBuckets {
-    /// Number of buckets.
-    pub fn num_buckets(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// Endpoint key of bucket `b`.
-    pub fn bucket_key(&self, b: usize) -> EndpointKey {
-        self.keys[b]
-    }
-
     /// Endpoint key of an arbitrary trajectory under this bucketing's
     /// grid (the canonical grid trajectory keeps the first and last
     /// cells, so locating the endpoints directly is equivalent).

@@ -10,8 +10,6 @@ use crate::param::{Param, ParamSet};
 use crate::tape::{Tape, Var};
 use crate::tensor::Tensor;
 use rand::Rng;
-use std::collections::HashMap;
-use std::sync::{Arc, OnceLock, RwLock};
 
 /// Fully connected layer `y = x W + b` with `W: in x out`, `b: 1 x out`.
 #[derive(Clone)]
@@ -118,14 +116,6 @@ impl Embedding {
         Embedding { weight }
     }
 
-    /// Wraps an existing (e.g. pre-trained) table. `frozen` parameters are
-    /// registered but skipped by optimizers, matching the paper's frozen
-    /// grid embeddings.
-    pub fn from_table(params: &mut ParamSet, table: Tensor, frozen: bool) -> Self {
-        let p = if frozen { Param::frozen(table) } else { Param::new(table) };
-        Embedding { weight: params.register(p) }
-    }
-
     /// Looks up a sequence of ids, producing an `len x dim` matrix.
     pub fn forward(&self, tape: &Tape, ids: &[usize]) -> Var {
         tape.param(&self.weight).gather_rows(ids)
@@ -157,28 +147,6 @@ pub fn positional_encoding(n: usize, d: usize) -> Tensor {
         }
     }
     out
-}
-
-/// Process-wide cache of positional encodings keyed by `(n, d)`.
-/// The encoding is a pure function of its shape and every training
-/// forward needs one, so recomputing the `powf`/`sin` table per call
-/// (~50 us for a 100 x 32 sequence) was measurable; the cache makes it
-/// a lookup. Shared across threads — training replicas on worker
-/// threads hit the same table. (Inference does not come here: the
-/// forward-only evaluator in `traj2hash` keeps a per-model table.)
-type PeCache = RwLock<HashMap<(usize, usize), Arc<Tensor>>>;
-static PE_CACHE: OnceLock<PeCache> = OnceLock::new();
-
-/// [`positional_encoding`] served from the process-wide cache; the
-/// returned tensor is shared, never copied.
-pub fn positional_encoding_cached(n: usize, d: usize) -> Arc<Tensor> {
-    let cache = PE_CACHE.get_or_init(|| RwLock::new(HashMap::new()));
-    if let Some(hit) = crate::sync::cread(cache).get(&(n, d)) {
-        return Arc::clone(hit);
-    }
-    let fresh = Arc::new(positional_encoding(n, d));
-    let mut w = crate::sync::cwrite(cache);
-    Arc::clone(w.entry((n, d)).or_insert(fresh))
 }
 
 /// Multi-head scaled dot-product self-attention over an `n x d` sequence

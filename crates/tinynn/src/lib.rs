@@ -5,7 +5,8 @@
 //! pure-Rust library providing exactly what the paper's equations need:
 //!
 //! * [`Tensor`] — dense row-major `f32` matrices,
-//! * [`Tape`] / [`Var`] — reverse-mode automatic differentiation,
+//! * [`Tape`] / [`Var`] — reverse-mode automatic differentiation; a
+//!   node records its value and its backward closure, nothing else,
 //! * [`Param`] / [`ParamSet`] — shared trainable parameters with
 //!   save/load,
 //! * layers ([`Linear`], [`Mlp`], [`Embedding`],
@@ -30,16 +31,13 @@ pub mod init;
 pub mod layers;
 pub mod optim;
 pub mod param;
-pub mod sync;
 pub mod tape;
 pub mod tensor;
-pub mod verify;
 
 pub use layers::{
     positional_encoding, Embedding, EncoderBlock, GruCell, Linear, Mlp, MultiHeadSelfAttention,
 };
 pub use optim::{clip_grad_norm, Adam, Sgd};
 pub use param::{Param, ParamSet};
-pub use tape::{NodeMeta, Op, Tape, Var};
+pub use tape::{Tape, Var};
 pub use tensor::Tensor;
-pub use verify::{verify_tape, GraphIssue, GraphReport};

@@ -144,11 +144,6 @@ impl ParamSet {
         self.params.is_empty()
     }
 
-    /// Total number of scalar values across all parameters.
-    pub fn num_values(&self) -> usize {
-        self.params.iter().map(|p| p.borrow().value.len()).sum()
-    }
-
     /// Zeroes every gradient.
     pub fn zero_grad(&self) {
         for p in &self.params {

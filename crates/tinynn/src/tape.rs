@@ -43,113 +43,9 @@ use std::sync::Arc;
 /// into freshly computed child gradients.
 type BackwardFn = Box<dyn Fn(Tensor, &mut [Option<Tensor>])>;
 
-/// The operation recorded at a tape node.
-///
-/// The backward closures themselves are opaque, so this is the metadata
-/// the pre-execution verifier ([`crate::verify`]) walks: enough to
-/// recompute every node's expected output shape from its inputs and to
-/// trace gradient flow without running `backward`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)] // variant names mirror the `Var` methods 1:1
-pub enum Op {
-    Constant,
-    Param,
-    Add,
-    Sub,
-    Mul,
-    Div,
-    AddRow,
-    AddRowRelu,
-    Scale,
-    AddScalar,
-    Relu,
-    Tanh,
-    Sigmoid,
-    Exp,
-    Ln,
-    Sqrt,
-    Square,
-    Matmul,
-    MatmulNt,
-    Transpose,
-    SoftmaxRows,
-    SumAll,
-    SumRows,
-    ConcatCols,
-    ConcatRows,
-    SliceRows { start: usize, len: usize },
-    SliceCols { start: usize, len: usize },
-    GatherRows { count: usize, max_index: usize },
-}
-
-impl Op {
-    /// Short display name (payload-free).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Op::Constant => "constant",
-            Op::Param => "param",
-            Op::Add => "add",
-            Op::Sub => "sub",
-            Op::Mul => "mul",
-            Op::Div => "div",
-            Op::AddRow => "add_row",
-            Op::AddRowRelu => "add_row_relu",
-            Op::Scale => "scale",
-            Op::AddScalar => "add_scalar",
-            Op::Relu => "relu",
-            Op::Tanh => "tanh",
-            Op::Sigmoid => "sigmoid",
-            Op::Exp => "exp",
-            Op::Ln => "ln",
-            Op::Sqrt => "sqrt",
-            Op::Square => "square",
-            Op::Matmul => "matmul",
-            Op::MatmulNt => "matmul_nt",
-            Op::Transpose => "transpose",
-            Op::SoftmaxRows => "softmax_rows",
-            Op::SumAll => "sum_all",
-            Op::SumRows => "sum_rows",
-            Op::ConcatCols => "concat_cols",
-            Op::ConcatRows => "concat_rows",
-            Op::SliceRows { .. } => "slice_rows",
-            Op::SliceCols { .. } => "slice_cols",
-            Op::GatherRows { .. } => "gather_rows",
-        }
-    }
-}
-
-/// Verifier-facing metadata of one tape node. `Copy` and heap-free so
-/// recording it costs nothing on the allocation-lean hot path: inputs
-/// live in a fixed two-slot array (no tape op has higher arity).
-#[derive(Debug, Clone, Copy)]
-pub struct NodeMeta {
-    /// The recorded operation.
-    pub op: Op,
-    /// Shape of the node's output value at record time.
-    pub shape: (usize, usize),
-    inputs: [usize; 2],
-    arity: u8,
-}
-
-impl NodeMeta {
-    fn new(op: Op, shape: (usize, usize), inputs: &[usize]) -> Self {
-        debug_assert!(inputs.len() <= 2, "tape ops have arity <= 2");
-        let mut buf = [0usize; 2];
-        buf[..inputs.len()].copy_from_slice(inputs);
-        #[expect(clippy::cast_possible_truncation, reason = "inputs.len() <= 2, asserted above")]
-        NodeMeta { op, shape, inputs: buf, arity: inputs.len() as u8 }
-    }
-
-    /// Ids of the nodes this node consumes (its children in the graph).
-    pub fn inputs(&self) -> &[usize] {
-        &self.inputs[..usize::from(self.arity)]
-    }
-}
-
 struct Node {
     value: Arc<Tensor>,
     backward: Option<BackwardFn>,
-    meta: NodeMeta,
 }
 
 #[derive(Default)]
@@ -211,34 +107,26 @@ impl Tape {
         self.inner.param_ids.borrow_mut().clear();
     }
 
-    fn push_arc(
-        &self,
-        value: Arc<Tensor>,
-        backward: Option<BackwardFn>,
-        op: Op,
-        inputs: &[usize],
-    ) -> Var {
-        let meta = NodeMeta::new(op, value.shape(), inputs);
+    fn push_arc(&self, value: Arc<Tensor>, backward: Option<BackwardFn>) -> Var {
         let mut nodes = self.inner.nodes.borrow_mut();
         let id = nodes.len();
-        nodes.push(Node { value, backward, meta });
+        nodes.push(Node { value, backward });
         Var { id, tape: Rc::clone(&self.inner) }
     }
 
-    fn push(&self, value: Tensor, backward: Option<BackwardFn>, op: Op, inputs: &[usize]) -> Var {
-        self.push_arc(Arc::new(value), backward, op, inputs)
+    fn push(&self, value: Tensor, backward: Option<BackwardFn>) -> Var {
+        self.push_arc(Arc::new(value), backward)
     }
 
     /// Records a constant leaf: gradients flow into it but go nowhere.
     pub fn constant(&self, value: Tensor) -> Var {
-        self.push(value, None, Op::Constant, &[])
+        self.push(value, None)
     }
 
     /// Records a shared constant leaf without copying it — the zero-copy
-    /// entry point for cached tensors (the positional-encoding table of
-    /// the training forward).
+    /// entry point for a tensor the caller also keeps.
     pub fn constant_arc(&self, value: Arc<Tensor>) -> Var {
-        self.push_arc(value, None, Op::Constant, &[])
+        self.push_arc(value, None)
     }
 
     /// Records a parameter leaf; after `backward`, the gradient of this
@@ -251,71 +139,14 @@ impl Tape {
         if let Some(&id) = self.inner.param_ids.borrow().get(&key) {
             return Var { id, tape: Rc::clone(&self.inner) };
         }
-        let var = self.push(p.value(), None, Op::Param, &[]);
+        let var = self.push(p.value(), None);
         self.inner.param_hooks.borrow_mut().insert(var.id, p.clone());
         self.inner.param_ids.borrow_mut().insert(key, var.id);
         var
     }
-
-    /// The recorded metadata of node `id`.
-    ///
-    /// # Panics
-    /// Panics if `id` is out of range.
-    pub fn node_meta(&self, id: usize) -> NodeMeta {
-        self.inner.nodes.borrow()[id].meta
-    }
-
-    /// Shape of the *value* actually stored at node `id` (as opposed to
-    /// the recorded `NodeMeta::shape`, which the verifier cross-checks
-    /// against it).
-    pub fn node_value_shape(&self, id: usize) -> (usize, usize) {
-        self.inner.nodes.borrow()[id].value.shape()
-    }
-
-    /// Node ids that carry a parameter hook, ascending.
-    pub fn param_nodes(&self) -> Vec<usize> {
-        let mut ids: Vec<usize> = self.inner.param_hooks.borrow().keys().copied().collect();
-        ids.sort_unstable();
-        ids
-    }
-
-    /// True when `v` was recorded on this tape. The verifier refuses to
-    /// analyse a root from a different tape: its node id would be
-    /// meaningless here.
-    pub fn owns(&self, v: &Var) -> bool {
-        Rc::ptr_eq(&self.inner, &v.tape)
-    }
-
-    /// Overwrites the recorded shape of node `id`. Test-support hook for
-    /// the verifier's fault-injection suite — never call this from
-    /// production code: it makes the metadata lie about the tape.
-    #[doc(hidden)]
-    pub fn debug_set_node_shape(&self, id: usize, shape: (usize, usize)) {
-        self.inner.nodes.borrow_mut()[id].meta.shape = shape;
-    }
-
-    /// Re-points input `slot` of node `id` at node `new_input` in the
-    /// recorded metadata (a "severed edge"). Test-support hook for the
-    /// verifier's fault-injection suite.
-    ///
-    /// # Panics
-    /// Panics if `slot` is not a valid input slot of the node.
-    #[doc(hidden)]
-    pub fn debug_set_node_input(&self, id: usize, slot: usize, new_input: usize) {
-        let mut nodes = self.inner.nodes.borrow_mut();
-        let meta = &mut nodes[id].meta;
-        assert!(slot < usize::from(meta.arity), "node {id} has no input slot {slot}");
-        meta.inputs[slot] = new_input;
-    }
 }
 
 impl Var {
-    /// The id of this handle's node on its tape (stable for the lifetime
-    /// of the recording; invalidated by [`Tape::reset`]).
-    pub fn node_id(&self) -> usize {
-        self.id
-    }
-
     /// Clone of the value stored at this node.
     pub fn value(&self) -> Tensor {
         (*self.tape.nodes.borrow()[self.id].value).clone()
@@ -403,8 +234,6 @@ impl Var {
                 accumulate(grads, ib, g.clone());
                 accumulate(grads, ia, g);
             })),
-            Op::Add,
-            &[ia, ib],
         )
     }
 
@@ -421,8 +250,6 @@ impl Var {
                 accumulate(grads, ib, g.map(|x| -x));
                 accumulate(grads, ia, g);
             })),
-            Op::Sub,
-            &[ia, ib],
         )
     }
 
@@ -442,7 +269,6 @@ impl Var {
                 }
                 accumulate(grads, ia, g);
             })),
-            Op::Mul, &[ia, ib],
         )
     }
 
@@ -465,7 +291,6 @@ impl Var {
                 }
                 accumulate(grads, ia, g);
             })),
-            Op::Div, &[ia, ib],
         )
     }
 
@@ -492,7 +317,6 @@ impl Var {
                 accumulate(grads, ib, gb);
                 accumulate(grads, ia, g);
             })),
-            Op::AddRow, &[ia, ib],
         )
     }
 
@@ -529,7 +353,6 @@ impl Var {
                 accumulate(grads, ib, gb);
                 accumulate(grads, ia, g);
             })),
-            Op::AddRowRelu, &[ia, ib],
         )
     }
 
@@ -547,7 +370,6 @@ impl Var {
                 }
                 accumulate(grads, ia, g);
             })),
-            Op::Scale, &[ia],
         )
     }
 
@@ -560,7 +382,6 @@ impl Var {
             Some(Box::new(move |g, grads| {
                 accumulate(grads, ia, g);
             })),
-            Op::AddScalar, &[ia],
         )
     }
 
@@ -587,7 +408,6 @@ impl Var {
                 }
                 accumulate(grads, ia, g);
             })),
-            Op::Relu, &[ia],
         )
     }
 
@@ -606,7 +426,6 @@ impl Var {
                 }
                 accumulate(grads, ia, g);
             })),
-            Op::Tanh, &[ia],
         )
     }
 
@@ -624,7 +443,6 @@ impl Var {
                 }
                 accumulate(grads, ia, g);
             })),
-            Op::Sigmoid, &[ia],
         )
     }
 
@@ -642,7 +460,6 @@ impl Var {
                 }
                 accumulate(grads, ia, g);
             })),
-            Op::Exp, &[ia],
         )
     }
 
@@ -659,7 +476,6 @@ impl Var {
                 }
                 accumulate(grads, ia, g);
             })),
-            Op::Ln, &[ia],
         )
     }
 
@@ -677,7 +493,6 @@ impl Var {
                 }
                 accumulate(grads, ia, g);
             })),
-            Op::Sqrt, &[ia],
         )
     }
 
@@ -694,7 +509,6 @@ impl Var {
                 }
                 accumulate(grads, ia, g);
             })),
-            Op::Square, &[ia],
         )
     }
 
@@ -715,7 +529,6 @@ impl Var {
                 accumulate(grads, ia, g.matmul_transposed(&b));
                 accumulate(grads, ib, a.transposed_matmul(&g));
             })),
-            Op::Matmul, &[ia, ib],
         )
     }
 
@@ -734,7 +547,6 @@ impl Var {
                 accumulate(grads, ia, g.matmul(&b));
                 accumulate(grads, ib, g.transposed_matmul(&a));
             })),
-            Op::MatmulNt, &[ia, ib],
         )
     }
 
@@ -747,7 +559,6 @@ impl Var {
             Some(Box::new(move |g, grads| {
                 accumulate(grads, ia, g.transpose());
             })),
-            Op::Transpose, &[ia],
         )
     }
 
@@ -770,7 +581,6 @@ impl Var {
                 }
                 accumulate(grads, ia, g);
             })),
-            Op::SoftmaxRows, &[ia],
         )
     }
 
@@ -787,7 +597,6 @@ impl Var {
             Some(Box::new(move |g, grads| {
                 accumulate(grads, ia, Tensor::full(rows, cols, g.item()));
             })),
-            Op::SumAll, &[ia],
         )
     }
 
@@ -820,7 +629,6 @@ impl Var {
                 }
                 accumulate(grads, ia, gx);
             })),
-            Op::SumRows, &[ia],
         )
     }
 
@@ -848,7 +656,6 @@ impl Var {
                 accumulate(grads, ia, g.slice_cols(0, split));
                 accumulate(grads, ib, g.slice_cols(split, g.cols() - split));
             })),
-            Op::ConcatCols, &[ia, ib],
         )
     }
 
@@ -866,7 +673,6 @@ impl Var {
                 accumulate(grads, ia, g.slice_rows(0, split));
                 accumulate(grads, ib, g.slice_rows(split, g.rows() - split));
             })),
-            Op::ConcatRows, &[ia, ib],
         )
     }
 
@@ -885,7 +691,6 @@ impl Var {
                 }
                 accumulate(grads, ia, gx);
             })),
-            Op::SliceRows { start, len }, &[ia],
         )
     }
 
@@ -904,7 +709,6 @@ impl Var {
                 }
                 accumulate(grads, ia, gx);
             })),
-            Op::SliceCols { start, len }, &[ia],
         )
     }
 
@@ -925,8 +729,6 @@ impl Var {
             out.row_mut(r).copy_from_slice(a.row(ix));
         }
         let idx: Vec<usize> = indices.to_vec();
-        let count = idx.len();
-        let max_index = idx.iter().copied().max().unwrap_or(0);
         let (rows, cols) = a.shape();
         let ia = self.id;
         self.tape().push(
@@ -940,7 +742,6 @@ impl Var {
                 }
                 accumulate(grads, ia, gx);
             })),
-            Op::GatherRows { count, max_index }, &[ia],
         )
     }
 
